@@ -12,6 +12,13 @@ not be built, and parsing resumes after it.  Recovery is suppressed inside
 predicates, inside another recovery, after max_errors diagnostics, and when
 the same label has already been attempted at the same position (so a loop
 of throw/recover/backtrack cannot diverge).
+
+A grammar is compiled once per Grammar object, on its first parse, and the
+result is kept for as long as the Grammar lives (``model.program``): the
+desugared and validated grammar, its lexer, and one closure per syntactic
+rule and per recovery expression.  A Grammar must therefore not be mutated
+after its first parse.  ``match_expr`` compiles its one expression on the
+spot.
 """
 
 from __future__ import annotations
@@ -33,8 +40,9 @@ from .model import (
     Star,
     Terminal,
     Throw,
-    desugar,
     desugar_expr,
+    operands,
+    program,
 )
 from .lexer import TokenStream
 
@@ -143,14 +151,203 @@ class _Fail:
 DEFAULT_MAX_ERRORS = 50
 
 
+# --- compilation ------------------------------------------------------------
+#
+# Every desugared expression becomes a closure f(session, pos, acc) that
+# returns the end position or a _Fail and appends the subtrees it builds to
+# acc.  Sequences and choices are flattened into one closure each, so a
+# parse takes no more stack frames per nesting level than a tree walk.
+
+# Plain failures carry no position of their own: each one moves farthest
+# to at least where it happened, and farthest is where a parse that ends
+# in a plain failure reports it.  So one instance serves for all of them.
+_FAILED = _Fail(FAIL, -1)
+
+
+def _fail(s: "Session", pos: int) -> _Fail:
+    if pos > s.farthest:
+        s.farthest = pos
+    return _FAILED
+
+
+def _empty(s, pos, acc):
+    return pos
+
+
+def _eof(s, pos, acc):
+    if pos < len(s._tokens) or s.stream.fill(pos):
+        return _fail(s, pos)
+    return pos
+
+
+def _any_token(s, pos, acc):
+    tokens = s._tokens
+    if pos < len(tokens) or s.stream.fill(pos):
+        tok = tokens[pos]
+        acc.append(TokenLeaf(tok.kind, (tok.start, tok.end)))
+        return pos + 1
+    return _fail(s, pos)
+
+
+def _terminal(kind: str):
+    def terminal(s, pos, acc):
+        tokens = s._tokens
+        if pos < len(tokens) or s.stream.fill(pos):
+            tok = tokens[pos]
+            if tok.kind == kind:
+                acc.append(TokenLeaf(kind, (tok.start, tok.end)))
+                return pos + 1
+        if pos > s.farthest:
+            s.farthest = pos
+        return _FAILED
+    return terminal
+
+
+def _sequence(items: list):
+    if len(items) == 2:
+        first, second = items
+
+        def pair(s, pos, acc):
+            r = first(s, pos, acc)
+            if r.__class__ is _Fail:
+                return r
+            return second(s, r, acc)
+        return pair
+
+    def sequence(s, pos, acc):
+        for item in items:
+            pos = item(s, pos, acc)
+            if pos.__class__ is _Fail:
+                return pos
+        return pos
+    return sequence
+
+
+def _choice(alts: list):
+    *init, last = alts
+
+    def choice(s, pos, acc):
+        n_acc = len(acc)
+        errors = s.errors
+        n_err = len(errors)
+        for alt in init:
+            r = alt(s, pos, acc)
+            if r is not _FAILED:
+                return r
+            del acc[n_acc:]
+            del errors[n_err:]
+        return last(s, pos, acc)
+    return choice
+
+
+def _star(body):
+    def star(s, pos, acc):
+        errors = s.errors
+        while True:
+            n_acc, n_err = len(acc), len(errors)
+            r = body(s, pos, acc)
+            if r.__class__ is _Fail:
+                if r is not _FAILED:
+                    return r
+            elif r != pos:
+                pos = r
+                continue
+            # a plain failure ends the loop; so does no progress, where a
+            # nullable body would loop forever
+            del acc[n_acc:]
+            del errors[n_err:]
+            return pos
+    return star
+
+
+def _not(body):
+    def not_(s, pos, acc):
+        n_acc = len(acc)
+        errors = s.errors
+        n_err = len(errors)
+        s.pred_depth += 1
+        try:
+            r = body(s, pos, acc)
+        finally:
+            s.pred_depth -= 1
+        del acc[n_acc:]
+        del errors[n_err:]
+        if r.__class__ is _Fail:
+            return pos
+        return _fail(s, pos)
+    return not_
+
+
+def _rule(name: str, rules: dict):
+    def rule(s, pos, acc):
+        children: list = []
+        r = rules[name](s, pos, children)
+        if r.__class__ is _Fail:
+            return r
+        if children:
+            span = (children[0].span[0], children[-1].span[1])
+        else:
+            anchor = s.stream.start_offset(pos)
+            span = (anchor, anchor)
+        acc.append(RuleNode(name, span, tuple(children)))
+        return r
+    return rule
+
+
+def _throw(label: str):
+    def throw(s, pos, acc):
+        return s._throw(label, pos, acc)
+    return throw
+
+
+class _Matcher:
+    """The syntactic rules and recovery expressions of one desugared
+    grammar, compiled."""
+
+    def __init__(self, g: Grammar):
+        self.rules: dict = {}
+        for name, body in g.rules.items():
+            self.rules[name] = self.compile(body)
+        self.recovery = {lab: self.compile(b) for lab, b in g.recovery.items()}
+        self.start = self.compile(NonTerminal(g.start))
+
+    def compile(self, e: Expr):
+        """Closure for desugared e.  A rule reference looks its rule up
+        when it runs, so rules may be compiled in any order."""
+        if isinstance(e, Empty):
+            return _empty
+        if isinstance(e, Terminal):
+            return _eof if e.kind == EOF_KIND else _terminal(e.kind)
+        if isinstance(e, AnyToken):
+            return _any_token
+        if isinstance(e, Sequence):
+            return _sequence([self.compile(x) for x in operands(e, Sequence)])
+        if isinstance(e, Choice):
+            return _choice([self.compile(x) for x in operands(e, Choice)])
+        if isinstance(e, Star):
+            return _star(self.compile(e.body))
+        if isinstance(e, Not):
+            return _not(self.compile(e.body))
+        if isinstance(e, NonTerminal):
+            return _rule(e.name, self.rules)
+        if isinstance(e, Throw):
+            return _throw(e.label)
+        raise TypeError(f"unexpected node in syntactic rule: {e!r}")
+
+
 class Session:
     """One parse over one input text."""
 
     def __init__(self, grammar: Grammar, text: str,
                  max_errors: int = DEFAULT_MAX_ERRORS,
                  messages: dict[str, str] | None = None):
-        self.grammar = desugar(grammar)
-        self.stream = TokenStream(self.grammar, text)
+        prog = program(grammar)
+        if prog.matcher is None:
+            prog.matcher = _Matcher(prog.grammar)
+        self.grammar = prog.grammar
+        self._matcher: _Matcher = prog.matcher
+        self.stream = TokenStream(grammar, text)
+        self._tokens = self.stream.tokens
         self.max_errors = max_errors
         self.messages = dict(self.grammar.messages)
         if messages:
@@ -181,91 +378,8 @@ class Session:
             offset=offset, line=line, col=col, token_index=pos,
         ))
 
-    # -- the matcher -----------------------------------------------------------
-
-    def _match(self, e: Expr, pos: int, acc: list):
-        if isinstance(e, Empty):
-            return pos
-        if isinstance(e, Terminal):
-            if e.kind == EOF_KIND:
-                if self.stream.token(pos) is None:
-                    return pos
-                return self._fail(pos)
-            tok = self.stream.token(pos)
-            if tok is not None and tok.kind == e.kind:
-                acc.append(TokenLeaf(tok.kind, (tok.start, tok.end)))
-                return pos + 1
-            return self._fail(pos)
-        if isinstance(e, AnyToken):
-            tok = self.stream.token(pos)
-            if tok is None:
-                return self._fail(pos)
-            acc.append(TokenLeaf(tok.kind, (tok.start, tok.end)))
-            return pos + 1
-        if isinstance(e, Sequence):
-            r = self._match(e.left, pos, acc)
-            if isinstance(r, _Fail):
-                return r
-            return self._match(e.right, r, acc)
-        if isinstance(e, Choice):
-            n_acc, n_err = len(acc), len(self.errors)
-            r = self._match(e.first, pos, acc)
-            if not isinstance(r, _Fail) or r.label != FAIL:
-                return r
-            del acc[n_acc:]
-            del self.errors[n_err:]
-            return self._match(e.second, pos, acc)
-        if isinstance(e, Star):
-            while True:
-                n_acc, n_err = len(acc), len(self.errors)
-                r = self._match(e.body, pos, acc)
-                if isinstance(r, _Fail):
-                    if r.label != FAIL:
-                        return r
-                    del acc[n_acc:]
-                    del self.errors[n_err:]
-                    return pos
-                if r == pos:
-                    # no progress; a nullable body would loop forever
-                    del acc[n_acc:]
-                    del self.errors[n_err:]
-                    return pos
-                pos = r
-        if isinstance(e, Not):
-            n_acc, n_err = len(acc), len(self.errors)
-            self.pred_depth += 1
-            try:
-                r = self._match(e.body, pos, acc)
-            finally:
-                self.pred_depth -= 1
-            del acc[n_acc:]
-            del self.errors[n_err:]
-            if isinstance(r, _Fail):
-                return pos
-            return self._fail(pos)
-        if isinstance(e, NonTerminal):
-            children: list = []
-            r = self._match(self.grammar.rules[e.name], pos, children)
-            if isinstance(r, _Fail):
-                return r
-            if children:
-                span = (children[0].span[0], children[-1].span[1])
-            else:
-                anchor = self.stream.start_offset(pos)
-                span = (anchor, anchor)
-            acc.append(RuleNode(e.name, span, tuple(children)))
-            return r
-        if isinstance(e, Throw):
-            return self._throw(e.label, pos, acc)
-        raise TypeError(f"unexpected node in syntactic rule: {e!r}")
-
-    def _fail(self, pos: int) -> _Fail:
-        if pos > self.farthest:
-            self.farthest = pos
-        return _Fail(FAIL, pos)
-
     def _throw(self, label: str, pos: int, acc: list):
-        recovery = self.grammar.recovery.get(label)
+        recovery = self._matcher.recovery.get(label)
         if (recovery is None or self.pred_depth > 0 or self.rec_depth > 0):
             return _Fail(label, pos)
         if (label, pos) in self.guard:
@@ -277,7 +391,7 @@ class Session:
         scratch: list = []
         self.rec_depth += 1
         try:
-            r = self._match(recovery, pos, scratch)
+            r = recovery(self, pos, scratch)
         finally:
             self.rec_depth -= 1
         if isinstance(r, _Fail):
@@ -297,11 +411,10 @@ class Session:
 
     def parse(self) -> ParseOutcome:
         acc: list = []
-        r = self._match(NonTerminal(self.grammar.start), 0, acc)
+        r = self._matcher.start(self, 0, acc)
         if isinstance(r, _Fail):
-            if r.label == FAIL:
-                at = max(r.pos, self.farthest)
-                self._record(FAIL, at, "unexpected input")
+            if r is _FAILED:
+                self._record(FAIL, self.farthest, "unexpected input")
             elif not r.logged:
                 self._record(r.label, r.pos)
             return ParseOutcome(status="failed", tree=None,
@@ -312,9 +425,9 @@ class Session:
                             errors=self.errors, end=r)
 
     def match_expr(self, expr: Expr, pos: int = 0) -> MatchResult:
-        body = desugar_expr(expr)
+        body = self._matcher.compile(desugar_expr(expr))
         acc: list = []
-        r = self._match(body, pos, acc)
+        r = body(self, pos, acc)
         if isinstance(r, _Fail):
             return MatchResult(status="failed", end=None,
                                fail_label=r.label, errors=self.errors)

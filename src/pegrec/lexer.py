@@ -6,12 +6,25 @@ first appearance).  Whitespace and ``//`` line comments are skipped between
 tokens.  A character no rule can start is emitted as a one-character token
 with kind None so the parser can report it or step over it during recovery;
 a rule that matches zero characters at a position is ignored there.
+
+The lexical rules are compiled once per Grammar object, the first time a
+text is lexed with it, and the compiled form is kept for as long as the
+Grammar lives (``model.program``); a Grammar must therefore not be mutated
+after its first parse.  Each rule becomes one anchored ``re`` pattern.  A
+PEG never backtracks into an ordered choice or a repetition, so both become
+atomic groups, spelled ``(?=(?P<aN>...))(?P=aN)`` because ``(?>...)`` needs
+Python 3.11; ``!p`` becomes ``(?!p)`` and a rule reference is inlined.  A
+rule that reaches a recursive rule has no regular expression; it keeps the
+character-level interpreter behind the same ``(text, pos) -> end | None``
+signature.  A table filled lazily per character lists the rules whose FIRST
+set holds that character, so each position tries only those.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .model import (
     AnyToken,
@@ -25,124 +38,267 @@ from .model import (
     Not,
     Sequence,
     Star,
-    desugar_expr,
+    operands,
+    program,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str | None
     text: str
     start: int
     end: int
 
 
-class _CharMatcher:
-    """Character-level PEG interpreter over the source text."""
+_LAYOUT = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
+# FIRST-set range of AnyToken: every character
+_ANY_CHAR = ("\0", "\U0010ffff")
+# tokens scanned past the one asked for, to spread the cost of a scan call
+_SCAN_AHEAD = 32
 
-    def __init__(self, rules: dict[str, Expr], text: str):
+
+def _char_match(rules: dict[str, Expr], e: Expr, text: str, pos: int) -> int | None:
+    """Character-level PEG interpreter, for rules with no regex form."""
+    if isinstance(e, Literal):
+        if text.startswith(e.text, pos):
+            return pos + len(e.text)
+        return None
+    if isinstance(e, CharClass):
+        if pos >= len(text):
+            return None
+        ch = text[pos]
+        for lo, hi in e.ranges:
+            if lo <= ch <= hi:
+                return pos + 1
+        return None
+    if isinstance(e, AnyToken):
+        return pos + 1 if pos < len(text) else None
+    if isinstance(e, Empty):
+        return pos
+    if isinstance(e, Sequence):
+        mid = _char_match(rules, e.left, text, pos)
+        if mid is None:
+            return None
+        return _char_match(rules, e.right, text, mid)
+    if isinstance(e, Choice):
+        out = _char_match(rules, e.first, text, pos)
+        if out is not None:
+            return out
+        return _char_match(rules, e.second, text, pos)
+    if isinstance(e, Star):
+        while True:
+            nxt = _char_match(rules, e.body, text, pos)
+            if nxt is None or nxt == pos:
+                return pos
+            pos = nxt
+    if isinstance(e, Not):
+        return pos if _char_match(rules, e.body, text, pos) is None else None
+    if isinstance(e, NonTerminal):
+        return _char_match(rules, rules[e.name], text, pos)
+    raise TypeError(f"unexpected node in lexical pattern: {e!r}")
+
+
+class _Recursive(Exception):
+    """The pattern reaches a rule that reaches itself."""
+
+
+class _RegexWriter:
+    """Regex source of one lexical pattern with PEG's match semantics."""
+
+    def __init__(self, rules: dict[str, Expr]):
         self.rules = rules
-        self.text = text
+        self.groups = 0
+        self.inlining: list[str] = []
 
-    def match(self, e: Expr, pos: int) -> int | None:
+    def _atomic(self, body: str) -> str:
+        self.groups += 1
+        name = f"a{self.groups}"
+        return f"(?=(?P<{name}>{body}))(?P={name})"
+
+    def write(self, e: Expr) -> str:
         if isinstance(e, Literal):
-            if self.text.startswith(e.text, pos):
-                return pos + len(e.text)
-            return None
+            return re.escape(e.text)
         if isinstance(e, CharClass):
-            if pos >= len(self.text):
-                return None
-            ch = self.text[pos]
-            for lo, hi in e.ranges:
-                if lo <= ch <= hi:
-                    return pos + 1
-            return None
+            parts = [re.escape(lo) if lo == hi else f"{re.escape(lo)}-{re.escape(hi)}"
+                     for lo, hi in e.ranges if lo <= hi]
+            return f"[{''.join(parts)}]" if parts else "(?!)"
         if isinstance(e, AnyToken):
-            return pos + 1 if pos < len(self.text) else None
+            return "(?s:.)"
         if isinstance(e, Empty):
-            return pos
+            return ""
         if isinstance(e, Sequence):
-            mid = self.match(e.left, pos)
-            if mid is None:
-                return None
-            return self.match(e.right, mid)
+            return self.write(e.left) + self.write(e.right)
         if isinstance(e, Choice):
-            out = self.match(e.first, pos)
-            if out is not None:
-                return out
-            return self.match(e.second, pos)
+            return self._atomic("|".join(self.write(a) for a in operands(e, Choice)))
         if isinstance(e, Star):
-            while True:
-                nxt = self.match(e.body, pos)
-                if nxt is None or nxt == pos:
-                    return pos
-                pos = nxt
+            return self._atomic(f"(?:{self.write(e.body)})*")
         if isinstance(e, Not):
-            return pos if self.match(e.body, pos) is None else None
+            return f"(?!{self.write(e.body)})"
         if isinstance(e, NonTerminal):
-            return self.match(self.rules[e.name], pos)
+            # the body's own choices and repetitions are atomic, so it has
+            # at most one match and needs no atomic group of its own
+            if e.name in self.inlining:
+                raise _Recursive(e.name)
+            self.inlining.append(e.name)
+            body = self.write(self.rules[e.name])
+            self.inlining.pop()
+            return f"(?:{body})"
         raise TypeError(f"unexpected node in lexical pattern: {e!r}")
 
 
+def _first_chars(rules: dict[str, Expr]) -> dict[str, frozenset]:
+    """Per rule, the character ranges a non-empty match can start with."""
+    first: dict[str, frozenset] = {n: frozenset() for n in rules}
+    nullable: dict[str, bool] = {n: False for n in rules}
+
+    def heads(e: Expr) -> tuple[frozenset, bool]:
+        if isinstance(e, Literal):
+            if e.text:
+                return frozenset({(e.text[0], e.text[0])}), False
+            return frozenset(), True
+        if isinstance(e, CharClass):
+            return frozenset(e.ranges), False
+        if isinstance(e, AnyToken):
+            return frozenset({_ANY_CHAR}), False
+        if isinstance(e, (Empty, Not)):
+            # !p consumes nothing: what follows it supplies the first char
+            return frozenset(), True
+        if isinstance(e, Sequence):
+            fa, na = heads(e.left)
+            if not na:
+                return fa, False
+            fb, nb = heads(e.right)
+            return fa | fb, nb
+        if isinstance(e, Choice):
+            fa, na = heads(e.first)
+            fb, nb = heads(e.second)
+            return fa | fb, na or nb
+        if isinstance(e, Star):
+            return heads(e.body)[0], True
+        if isinstance(e, NonTerminal):
+            return first[e.name], nullable[e.name]
+        raise TypeError(f"unexpected node in lexical pattern: {e!r}")
+
+    changed = True
+    while changed:
+        changed = False
+        for name, body in rules.items():
+            f, n = heads(body)
+            if f != first[name] or n != nullable[name]:
+                first[name], nullable[name] = f, n
+                changed = True
+    return first
+
+
+class _Lexer:
+    """The compiled lexical rules of one grammar."""
+
+    def __init__(self, g: Grammar):
+        # token kinds in priority order: named rules as declared (already
+        # desugared), then literal kinds, which no rule can refer to
+        rules = dict(g.lexical)
+        rules.update((kind, Literal(kind[1:-1])) for kind in g.literal_kinds)
+        first = _first_chars(rules)
+        # regex source per kind, None where the char interpreter runs
+        self.sources: dict[str, str | None] = {}
+        self._rules: list[tuple[str, object, frozenset]] = []
+        for kind in rules:
+            pat = NonTerminal(kind)
+            try:
+                source = _RegexWriter(rules).write(pat)
+            except _Recursive:
+                source = None
+                fn = (lambda text, pos, pat=pat:
+                      _char_match(rules, pat, text, pos))
+            else:
+                fn = _regex_matcher(re.compile(source))
+            self.sources[kind] = source
+            self._rules.append((kind, fn, first[kind]))
+        self.by_char: dict[str, tuple] = {}
+
+    def candidates(self, ch: str) -> tuple:
+        """(kind, match) for each rule that can start with ch, in priority
+        order."""
+        found = self.by_char.get(ch)
+        if found is None:
+            found = self.by_char[ch] = tuple(
+                (kind, fn) for kind, fn, ranges in self._rules
+                if any(lo <= ch <= hi for lo, hi in ranges))
+        return found
+
+
+def _regex_matcher(pattern: re.Pattern):
+    match = pattern.match
+
+    def fn(text: str, pos: int) -> int | None:
+        m = match(text, pos)
+        return m.end() if m is not None else None
+    return fn
+
+
+def _lexer(grammar: Grammar) -> _Lexer:
+    prog = program(grammar)
+    if prog.lexer is None:
+        prog.lexer = _Lexer(prog.grammar)
+    return prog.lexer
+
+
 class TokenStream:
-    """Lazy token sequence over one source text."""
+    """Lazy token sequence over one source text.  ``tokens`` holds the
+    tokens scanned so far."""
 
     def __init__(self, grammar: Grammar, text: str):
         self.text = text
-        rules = {n: desugar_expr(b) for n, b in grammar.lexical.items()}
-        self._matcher = _CharMatcher(rules, text)
-        # priority order: named rules as declared, then literal kinds
-        self._patterns: list[tuple[str, Expr]] = list(rules.items()) + [
-            (kind, Literal(kind[1:-1])) for kind in grammar.literal_kinds]
-        self._tokens: list[Token] = []
+        self._lexer = _lexer(grammar)
+        self.tokens: list[Token] = []
         self._scan_pos = 0
         self._done = False
         self._line_starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self._line_starts.append(i + 1)
+        nl = text.find("\n")
+        while nl >= 0:
+            self._line_starts.append(nl + 1)
+            nl = text.find("\n", nl + 1)
 
-    def _skip_layout(self) -> None:
+    def fill(self, i: int) -> bool:
+        """Scan until token i exists or the input ends; whether it exists."""
+        tokens = self.tokens
+        if self._done:
+            return i < len(tokens)
         text = self.text
+        n = len(text)
         pos = self._scan_pos
-        while pos < len(text):
-            if text[pos] in " \t\r\n":
-                pos += 1
-            elif text.startswith("//", pos):
-                while pos < len(text) and text[pos] != "\n":
-                    pos += 1
-            else:
+        by_char = self._lexer.by_char
+        candidates = self._lexer.candidates
+        skip = _LAYOUT.match
+        new = tuple.__new__
+        target = i + _SCAN_AHEAD
+        while len(tokens) <= target:
+            pos = skip(text, pos).end()
+            if pos >= n:
+                self._done = True
                 break
+            ch = text[pos]
+            cands = by_char.get(ch)
+            if cands is None:
+                cands = candidates(ch)
+            kind = None
+            end = pos
+            for k, match in cands:
+                e = match(text, pos)
+                if e is not None and e > end:
+                    kind, end = k, e
+            if kind is None:
+                # a stray character: a one-char token of no kind
+                end = pos + 1
+            tokens.append(new(Token, (kind, text[pos:end], pos, end)))
+            pos = end
         self._scan_pos = pos
-
-    def _scan_one(self) -> bool:
-        self._skip_layout()
-        pos = self._scan_pos
-        if pos >= len(self.text):
-            self._done = True
-            return False
-        best_kind: str | None = None
-        best_end = pos
-        for kind, pat in self._patterns:
-            end = self._matcher.match(pat, pos)
-            if end is not None and end > pos and end > best_end:
-                best_kind, best_end = kind, end
-        if best_kind is None:
-            # stray character: one-char token the grammar has no kind for
-            tok = Token(None, self.text[pos], pos, pos + 1)
-            self._scan_pos = pos + 1
-        else:
-            tok = Token(best_kind, self.text[pos:best_end], pos, best_end)
-            self._scan_pos = best_end
-        self._tokens.append(tok)
-        return True
+        return i < len(tokens)
 
     def token(self, i: int) -> Token | None:
         """i-th token, or None at/after end of input."""
-        while not self._done and len(self._tokens) <= i:
-            self._scan_one()
-        if i < len(self._tokens):
-            return self._tokens[i]
+        if i < len(self.tokens) or self.fill(i):
+            return self.tokens[i]
         return None
 
     def frontier_offset(self, i: int) -> int:
@@ -163,10 +319,8 @@ class TokenStream:
         return tok.start if tok is not None else self.eof_offset()
 
     def eof_offset(self) -> int:
-        while not self._done:
-            self._scan_one()
-        self._skip_layout()
-        return self._scan_pos
+        # only layout can follow the last token
+        return len(self.text)
 
     def pos_info(self, offset: int) -> tuple[int, int]:
         """1-based (line, column) of a character offset."""

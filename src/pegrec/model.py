@@ -10,7 +10,8 @@ syntactic predicate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 
 FAIL = "fail"
 EOF_KIND = "EOF"
@@ -176,11 +177,6 @@ class Grammar:
     def token_kinds(self) -> tuple[str, ...]:
         return tuple(self.lexical) + self.literal_kinds
 
-    def token_sort_key(self, kind: str) -> tuple[int, str]:
-        """Declaration-order key; EOF sorts after every real kind."""
-        order = {k: i for i, k in enumerate(self.token_kinds())}
-        return (order.get(kind, len(order) + 1), kind)
-
     def sorted_kinds(self, kinds) -> list[str]:
         order = {k: i for i, k in enumerate(self.token_kinds())}
         return sorted(kinds, key=lambda k: (order.get(k, len(order) + 1), k))
@@ -204,6 +200,21 @@ def _children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, Annotated):
         return (e.body,)
     return ()
+
+
+def operands(e: Expr, cls: type) -> list[Expr]:
+    """Operands of a chain of cls nodes (Sequence or Choice), left to
+    right.  Both operators are associative, so a chain can run as one
+    n-ary node."""
+    out: list[Expr] = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, cls):
+            stack.extend(reversed(_children(node)))
+        else:
+            out.append(node)
+    return out
 
 
 def annotation_parts(e: Expr) -> tuple[Expr, str] | None:
@@ -440,6 +451,35 @@ def desugar(g: Grammar) -> Grammar:
         desugared=True,
     )
     return validate(out)
+
+
+@dataclass(eq=False)
+class Program:
+    """What one grammar compiles to.  ``grammar`` is its desugared,
+    validated form; the lexer and the engine fill in ``lexer`` and
+    ``matcher`` the first time they need them."""
+
+    grammar: Grammar
+    lexer: object = None
+    matcher: object = None
+
+
+# Keyed on the Grammar object: an entry lives as long as its grammar.  A
+# grammar changed after its first parse would keep a stale entry.
+_PROGRAMS: "weakref.WeakKeyDictionary[Grammar, Program]" = weakref.WeakKeyDictionary()
+
+
+def program(g: Grammar) -> Program:
+    """The compiled program of g, desugaring and validating g only the
+    first time it is asked for."""
+    prog = _PROGRAMS.get(g)
+    if prog is None:
+        d = desugar(g)
+        if d is g:
+            # an entry that refers to its own key would never be dropped
+            d = replace(g)
+        prog = _PROGRAMS[g] = Program(d)
+    return prog
 
 
 def strip_labels_expr(e: Expr) -> Expr:

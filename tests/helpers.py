@@ -3,7 +3,7 @@
 naive_match is an independent reference implementation of the matching
 semantics over a plain kind sequence, written directly from the defining
 equations with no sharing of engine code, so differential tests mean
-something.  The generators produce random grammars (acyclic by
+something; naive_tokenize does the same for the lexer.  The generators produce random grammars (acyclic by
 construction: each rule only references later ones) and random valid
 programs for the miniature Java grammar.
 """
@@ -14,15 +14,18 @@ import random
 
 from pegrec.model import (
     AnyToken,
+    CharClass,
     Choice,
     Empty,
     Expr,
     Grammar,
+    Literal,
     NonTerminal,
     Not,
     Sequence,
     Star,
     Terminal,
+    desugar_expr,
     validate,
 )
 
@@ -64,6 +67,68 @@ def naive_match(rules: dict[str, Expr], e: Expr, kinds: tuple[str, ...],
     if isinstance(e, NonTerminal):
         return naive_match(rules, rules[e.name], kinds, pos)
     raise TypeError(f"naive_match cannot handle {e!r}")
+
+
+def _naive_chars(rules: dict[str, Expr], e: Expr, text: str, pos: int) -> int | None:
+    """End position if lexical pattern e matches text at pos, else None."""
+    if isinstance(e, Literal):
+        return pos + len(e.text) if text[pos:pos + len(e.text)] == e.text else None
+    if isinstance(e, CharClass):
+        if pos < len(text) and any(lo <= text[pos] <= hi for lo, hi in e.ranges):
+            return pos + 1
+        return None
+    if isinstance(e, AnyToken):
+        return pos + 1 if pos < len(text) else None
+    if isinstance(e, Empty):
+        return pos
+    if isinstance(e, Sequence):
+        mid = _naive_chars(rules, e.left, text, pos)
+        return None if mid is None else _naive_chars(rules, e.right, text, mid)
+    if isinstance(e, Choice):
+        out = _naive_chars(rules, e.first, text, pos)
+        return out if out is not None else _naive_chars(rules, e.second, text, pos)
+    if isinstance(e, Star):
+        while True:
+            nxt = _naive_chars(rules, e.body, text, pos)
+            if nxt is None or nxt == pos:
+                return pos
+            pos = nxt
+    if isinstance(e, Not):
+        return pos if _naive_chars(rules, e.body, text, pos) is None else None
+    if isinstance(e, NonTerminal):
+        return _naive_chars(rules, rules[e.name], text, pos)
+    raise TypeError(f"_naive_chars cannot handle {e!r}")
+
+
+def naive_tokenize(grammar: Grammar, text: str) -> list[tuple[str | None, str, int]]:
+    """(kind, text, start) of every token, by trying every pattern at every
+    position.  Layout is blanks and '//' comments; the longest non-empty
+    match wins, the earlier pattern (lexical rules as declared, then
+    literal kinds) on a tie; a character nothing matches is a kind-None
+    token of its own."""
+    rules = {n: desugar_expr(b) for n, b in grammar.lexical.items()}
+    patterns = [(n, rules[n]) for n in rules] + [
+        (k, Literal(k[1:-1])) for k in grammar.literal_kinds]
+    out = []
+    pos = 0
+    while True:
+        while pos < len(text):
+            if text[pos] in " \t\r\n":
+                pos += 1
+            elif text[pos:pos + 2] == "//":
+                while pos < len(text) and text[pos] != "\n":
+                    pos += 1
+            else:
+                break
+        if pos == len(text):
+            return out
+        best_kind, best_end = None, pos + 1
+        for kind, pat in patterns:
+            end = _naive_chars(rules, pat, text, pos)
+            if end is not None and end > pos and (best_kind is None or end > best_end):
+                best_kind, best_end = kind, end
+        out.append((best_kind, text[pos:best_end], pos))
+        pos = best_end
 
 
 # --- random grammars ---------------------------------------------------------

@@ -1,0 +1,78 @@
+"""The compiled program: built once per Grammar object, dropped with it,
+and as deep-nesting-capable as the tree walk it replaced."""
+
+import gc
+import hashlib
+import json
+import weakref
+
+from pegrec import model
+from pegrec.dsl import load_grammar, parse_grammar
+from pegrec.engine import Session, tree_to_json
+from pegrec.lexer import TokenStream
+
+BROKEN = ("public class A { public static void main ( String [ ] a ) { "
+          "int x = ( 1 + ; while ( x < 3 { x = x + 1 ; } "
+          "System.out.println ( x ) } }")
+
+
+def _outcome_json(outcome):
+    return json.dumps([outcome.status, tree_to_json(outcome.tree),
+                       [vars(e) for e in outcome.errors]])
+
+
+def test_grammar_compiles_once_per_object(grammar_dir, monkeypatch):
+    grammar = load_grammar(str(grammar_dir / "tiny_java_annotated.peg"))
+    calls = {"desugar": 0, "validate": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(model, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(model, name, counted)
+    first = Session(grammar, BROKEN).parse()
+    second = Session(grammar, BROKEN).parse()
+    TokenStream(grammar, BROKEN).token(0)
+    assert calls == {"desugar": 1, "validate": 1}
+    assert _outcome_json(first) == _outcome_json(second)
+
+
+def test_grammars_from_the_same_text_parse_alike(grammar_dir):
+    path = str(grammar_dir / "tiny_java_annotated.peg")
+    one, other = load_grammar(path), load_grammar(path)
+    assert _outcome_json(Session(one, BROKEN).parse()) == \
+        _outcome_json(Session(other, BROKEN).parse())
+
+
+def test_dropped_grammar_leaves_no_cache_entry():
+    text = "%start start ;\nstart <- AA* ;\nAA <- 'a' ;"
+    for make in (lambda: parse_grammar(text),
+                 # an already desugared grammar is its own desugared form
+                 lambda: model.desugar(parse_grammar(text))):
+        gc.collect()
+        before = len(model._PROGRAMS)
+        grammar = make()
+        session = Session(grammar, "a a")
+        assert session.parse().ok
+        assert len(model._PROGRAMS) == before + 1
+        ref = weakref.ref(grammar)
+        del grammar, session
+        gc.collect()
+        assert ref() is None
+        assert len(model._PROGRAMS) == before
+
+
+def _nested(depth: int) -> str:
+    return ("public class A { public static void main ( String [ ] a ) { x = "
+            + "( " * depth + "1" + " )" * depth + " ; } }")
+
+
+def test_deep_nesting_parses_as_before(tiny_java_annotated_file):
+    outcome = Session(tiny_java_annotated_file, _nested(1000)).parse()
+    assert outcome.ok
+    # digest of the tree the interpreting engine built for this input
+    digest = hashlib.sha256(json.dumps(tree_to_json(outcome.tree)).encode())
+    assert digest.hexdigest() == \
+        "1fd8d8d109fcc78b3ac0e1438078294610b0b948922581b605b46cc0acd91e5c"
+    # the interpreting engine reached about 1420 levels under the same
+    # recursion limit; compiled rules must take no more frames per level
+    assert Session(tiny_java_annotated_file, _nested(1400)).parse().ok

@@ -1,5 +1,27 @@
+from hypothesis import example, given, settings, strategies as st
+
 from pegrec.dsl import parse_grammar
-from pegrec.lexer import TokenStream
+from pegrec.lexer import TokenStream, _lexer
+from pegrec.model import (
+    And,
+    AnyToken,
+    CharClass,
+    Choice,
+    Empty,
+    Grammar,
+    Literal,
+    NonTerminal,
+    Not,
+    Optional,
+    Plus,
+    Sequence,
+    Star,
+    Terminal,
+    literal_kind,
+    validate,
+)
+
+from helpers import naive_tokenize
 
 
 def toks(grammar, text):
@@ -72,3 +94,127 @@ def test_frontier_offsets(tiny_java):
     # past the last token: end of input after trailing layout
     assert stream.frontier_offset(2) == 7
     assert stream.eof_offset() == 9
+
+
+def test_recursive_lexical_rule_is_interpreted():
+    # NEST reaches itself, so it and every rule reaching it have no regex
+    g = parse_grammar("start <- NEST* ;\nNEST <- '(' NEST* ')' ;\n"
+                      "PAIR <- NEST NEST ;\nXX <- 'x' ;")
+    assert toks(g, "(()())() ((x") == [
+        ("PAIR", "(()())()"), (None, "("), (None, "("), ("XX", "x")]
+    sources = _lexer(g).sources
+    assert sources["NEST"] is None and sources["PAIR"] is None
+    assert sources["XX"] is not None
+
+
+def test_line_starts_match_a_character_scan():
+    for text in ("", "\n", "a\nb", "a\r\nb\n\n", "x\n" * 5 + "y"):
+        stream = TokenStream(parse_grammar("start <- . ;"), text)
+        want = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+        assert stream._line_starts == want
+        for offset in range(len(text) + 1):
+            line = text.count("\n", 0, offset) + 1
+            col = offset - (text.rfind("\n", 0, offset) + 1) + 1
+            assert stream.pos_info(offset) == (line, col)
+
+
+# --- differential check against the naive reference lexer ------------------------
+
+# Mostly 'a' and 'b', so patterns overlap often; then characters special
+# inside a class, layout, and comment starts.
+CHARS = "aaabbb]-\\(^/) \n"
+
+
+def _strings(min_size: int, max_size: int):
+    return st.lists(st.sampled_from(CHARS), min_size=min_size,
+                    max_size=max_size).map("".join)
+
+
+@st.composite
+def _lexical_expr(draw, refs: list[str], depth: int):
+    kinds = ["literal", "class", "any", "empty"] + (["ref"] if refs else [])
+    if depth > 0:
+        kinds += ["seq", "seq", "choice", "choice", "star", "not",
+                  "optional", "plus", "and"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "literal":
+        return Literal(draw(_strings(1, 2)))
+    if kind == "class":
+        ranges = []
+        for _ in range(draw(st.integers(0, 3))):
+            lo, hi = sorted(draw(st.sampled_from(CHARS)) for _ in range(2))
+            ranges.append((lo, hi))
+        return CharClass(tuple(ranges))
+    if kind == "any":
+        return AnyToken()
+    if kind == "empty":
+        return Empty()
+    if kind == "ref":
+        return NonTerminal(draw(st.sampled_from(refs)))
+    sub = _lexical_expr(refs, depth - 1)
+    if kind == "seq":
+        return Sequence(draw(sub), draw(sub))
+    if kind == "choice":
+        return Choice(draw(sub), draw(sub))
+    return {"star": Star, "not": Not, "optional": Optional, "plus": Plus,
+            "and": And}[kind](draw(sub))
+
+
+NEST = Sequence(Sequence(Literal("("), Star(NonTerminal("NEST"))), Literal(")"))
+
+
+@st.composite
+def lexical_grammars(draw):
+    """Random lexical rules (each referring only to later ones, or to the
+    recursive NEST), plus anonymous literal kinds from the start rule."""
+    names = ["RA", "RB", "RC", "RD"][:draw(st.integers(1, 4))]
+    nest = draw(st.booleans())
+    lexical = {}
+    for i, name in enumerate(names):
+        refs = names[i + 1:] + (["NEST"] if nest else [])
+        lexical[name] = draw(_lexical_expr(refs, 3))
+    if nest:
+        at = draw(st.integers(0, len(names)))
+        items = list(lexical.items())
+        items.insert(at, ("NEST", NEST))
+        lexical = dict(items)
+    start = AnyToken()
+    for text in draw(st.lists(st.text(alphabet="ab()-", min_size=1, max_size=2),
+                              max_size=2, unique=True)):
+        start = Choice(Terminal(literal_kind(text)), start)
+    return validate(Grammar(rules={"start": Star(start)}, lexical=lexical,
+                            start="start"))
+
+
+def _lexical(rules: str):
+    return parse_grammar("start <- . ;\n" + rules)
+
+
+@given(lexical_grammars(), _strings(0, 30))
+@settings(max_examples=400, deadline=None)
+# PEG neither backtracks into a repetition nor into a choice
+@example(_lexical("RA <- 'a'* 'a' ;"), "aa a")
+@example(_lexical("RA <- ('a' / 'ab') 'a' ;"), "aba aa")
+# equal-length ties, a zero-width match, stray characters
+@example(_lexical("RA <- 'ab' ;\nRB <- [a-b]+ ;"), "ab abb ba")
+@example(_lexical("RA <- 'a'* ;\nRB <- 'b' ;"), "baab ]")
+# class ranges holding ']', '-', '\\' and '^'
+@example(_lexical("RA <- [\\]\\--\\\\^] ;"), "]-\\^a(")
+@example(_lexical("NEST <- '(' NEST* ')' ;\nRA <- !NEST . ;"), "(()) )( (")
+def test_lexer_agrees_with_naive_reference(grammar, text):
+    stream = TokenStream(grammar, text)
+    got = []
+    while (t := stream.token(len(got))) is not None:
+        got.append((t.kind, t.text, t.start))
+    assert got == naive_tokenize(grammar, text)
+
+
+@given(grammar=lexical_grammars())
+@settings(max_examples=100, deadline=None)
+def test_patterns_use_no_python_3_11_syntax(tiny_java, grammar):
+    # atomic groups and possessive quantifiers need Python 3.11
+    for g in (grammar, tiny_java):
+        for source in _lexer(g).sources.values():
+            if source is not None:
+                for syntax in ("(?>", "*+", "++", "?+"):
+                    assert syntax not in source, (syntax, source)
