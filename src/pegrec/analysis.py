@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .model import (
     And,
-    Annotated,
     AnyToken,
     Choice,
     Empty,
@@ -82,7 +81,9 @@ class Analysis:
 
     def __init__(self, grammar: Grammar):
         self.grammar = grammar
-        self.all_kinds = frozenset(grammar.token_kinds())
+        kinds = grammar.token_kinds()
+        self.all_kinds = frozenset(kinds)
+        self._kind_order = {k: i for i, k in enumerate(kinds)}
         self._first: dict[str, TokenSet] = {n: EMPTY_SET for n in grammar.rules}
         self._compute_first()
         self._follow: dict[str, TokenSet] = {n: EMPTY_SET for n in grammar.rules}
@@ -119,8 +120,6 @@ class Analysis:
             return EMPTY_SET
         if isinstance(e, AnyToken):
             return TokenSet(self.all_kinds)
-        if isinstance(e, Annotated):
-            return self.first_of(e.body)
         raise TypeError(f"no FIRST for {e!r}")
 
     def _compute_first(self) -> None:
@@ -164,8 +163,6 @@ class Analysis:
                 visit(e.body, inner)
             elif isinstance(e, Optional):
                 visit(e.body, flw)
-            elif isinstance(e, Annotated):
-                visit(e.body, flw)
             elif isinstance(e, (Not, And)):
                 pass  # predicates consume nothing; their bodies follow nothing
 
@@ -181,16 +178,18 @@ class Analysis:
     def first_of_rule(self, rule: str) -> TokenSet:
         return self._first[rule]
 
-    def nullable(self, e: Expr) -> bool:
-        return self.first_of(e).has_epsilon
-
     # -- display -------------------------------------------------------------
+
+    def ordered_kinds(self, ts: TokenSet) -> list[str]:
+        """The kinds of ts in declaration order, EOF last.  Epsilon is left
+        out; each caller spells it its own way."""
+        order = self._kind_order
+        return sorted(ts.kinds,
+                      key=lambda k: (k == EOF_KIND, order.get(k, len(order)), k))
 
     def format_set(self, ts: TokenSet) -> str:
         """Declaration-order rendering; epsilon prints last."""
-        parts = self.grammar.sorted_kinds(k for k in ts.kinds if k != EOF_KIND)
-        if EOF_KIND in ts.kinds:
-            parts.append(EOF_KIND)
+        parts = self.ordered_kinds(ts)
         if ts.has_epsilon:
             parts.append("''")
         return "{ " + ", ".join(parts) + " }" if parts else "{ }"

@@ -150,7 +150,7 @@ class _Annotator:
                 return candidate
 
     def _follow_kinds(self, flw: TokenSet) -> tuple[str, ...]:
-        return tuple(self.grammar.sorted_kinds(flw.kinds))
+        return tuple(self.analysis.ordered_kinds(flw))
 
     def _sync_expr(self, flw: TokenSet) -> Expr:
         """(!(f1 / ... / fk) .)* -- skip tokens until a follow kind."""
@@ -289,8 +289,8 @@ def annotate(grammar: Grammar,
              config: AnnotatorConfig | None = None) -> tuple[Grammar, AnnotationReport]:
     """Annotated copy of the grammar plus a report of what was done.
 
-    The result is desugared except for annotation sites, which serialize
-    back to the [p]^l form.  Labels are named <prefix>_<Rule>_<n> with n
+    The result is desugared; its annotation sites (p / ^l) serialize as
+    [p]^l.  Labels are named <prefix>_<Rule>_<n> with n
     counting sites left to right within each rule.
     """
     config = config or AnnotatorConfig()

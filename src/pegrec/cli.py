@@ -23,7 +23,7 @@ from .diagnostics import format_error, load_messages, suppress_cascaded
 from .dsl import load_grammar
 from .engine import Session, tree_to_json
 from .evaluate import load_corpus, run_corpus
-from .model import EOF_KIND, GrammarError, serialize_grammar
+from .model import GrammarError, serialize_grammar
 
 
 def _cmd_annotate(args) -> int:
@@ -50,10 +50,8 @@ def _cmd_annotate(args) -> int:
     return 0
 
 
-def _set_lines(grammar, ts) -> list[str]:
-    lines = grammar.sorted_kinds(k for k in ts.kinds if k != EOF_KIND)
-    if EOF_KIND in ts.kinds:
-        lines.append(EOF_KIND)
+def _set_lines(analysis, ts) -> list[str]:
+    lines = analysis.ordered_kinds(ts)
     if ts.has_epsilon:
         lines.append("ε")
     return lines
@@ -70,7 +68,7 @@ def _cmd_analyze(args) -> int:
         for name, set_of in named:
             if name not in grammar.rules:
                 raise GrammarError(f"unknown rule '{name}'")
-            for line in _set_lines(grammar, set_of(name)):
+            for line in _set_lines(analysis, set_of(name)):
                 print(line)
         return 0
     show_first = args.first or not args.follow

@@ -307,7 +307,6 @@ class _Parser:
             return e
         if t.kind == "[":
             if self.in_lexical:
-                self.advance_into_class()
                 cls = self.scanner.scan_class()
                 self.tok = self.scanner.next_token()
                 return cls
@@ -325,11 +324,6 @@ class _Parser:
             lab = self.expect("name").text
             return Throw(lab)
         raise self.error(f"expected an expression, found {t.text!r}")
-
-    def advance_into_class(self) -> None:
-        # The '[' token has been scanned; the scanner is positioned right
-        # after it, which is where scan_class expects to start.
-        pass
 
 
 def parse_grammar(text: str) -> Grammar:

@@ -38,6 +38,8 @@ from .model import (
     Not,
     Sequence,
     Star,
+    nullable_expr,
+    nullable_map,
     operands,
     program,
 )
@@ -148,44 +150,38 @@ class _RegexWriter:
 
 def _first_chars(rules: dict[str, Expr]) -> dict[str, frozenset]:
     """Per rule, the character ranges a non-empty match can start with."""
+    nullable = nullable_map(rules)
     first: dict[str, frozenset] = {n: frozenset() for n in rules}
-    nullable: dict[str, bool] = {n: False for n in rules}
 
-    def heads(e: Expr) -> tuple[frozenset, bool]:
+    def heads(e: Expr) -> frozenset:
         if isinstance(e, Literal):
-            if e.text:
-                return frozenset({(e.text[0], e.text[0])}), False
-            return frozenset(), True
+            return frozenset({(e.text[0], e.text[0])}) if e.text else frozenset()
         if isinstance(e, CharClass):
-            return frozenset(e.ranges), False
+            return frozenset(e.ranges)
         if isinstance(e, AnyToken):
-            return frozenset({_ANY_CHAR}), False
+            return frozenset({_ANY_CHAR})
         if isinstance(e, (Empty, Not)):
             # !p consumes nothing: what follows it supplies the first char
-            return frozenset(), True
+            return frozenset()
         if isinstance(e, Sequence):
-            fa, na = heads(e.left)
-            if not na:
-                return fa, False
-            fb, nb = heads(e.right)
-            return fa | fb, nb
+            if nullable_expr(e.left, nullable):
+                return heads(e.left) | heads(e.right)
+            return heads(e.left)
         if isinstance(e, Choice):
-            fa, na = heads(e.first)
-            fb, nb = heads(e.second)
-            return fa | fb, na or nb
+            return heads(e.first) | heads(e.second)
         if isinstance(e, Star):
-            return heads(e.body)[0], True
+            return heads(e.body)
         if isinstance(e, NonTerminal):
-            return first[e.name], nullable[e.name]
+            return first[e.name]
         raise TypeError(f"unexpected node in lexical pattern: {e!r}")
 
     changed = True
     while changed:
         changed = False
         for name, body in rules.items():
-            f, n = heads(body)
-            if f != first[name] or n != nullable[name]:
-                first[name], nullable[name] = f, n
+            f = heads(body)
+            if f != first[name]:
+                first[name] = f
                 changed = True
     return first
 

@@ -103,15 +103,7 @@ class CharClass(Expr):
     ranges: tuple[tuple[str, str], ...]
 
 
-# Surface sugar.  Desugaring removes these four.
-
-@dataclass(frozen=True)
-class Annotated(Expr):
-    """[p]^l -- p, and on plain failure throw l."""
-
-    body: Expr
-    label: str
-
+# Surface sugar.  Desugaring removes these three.
 
 @dataclass(frozen=True)
 class Optional(Expr):
@@ -126,6 +118,12 @@ class Plus(Expr):
 @dataclass(frozen=True)
 class And(Expr):
     body: Expr
+
+
+def Annotated(body: Expr, label: str) -> Expr:
+    """[p]^l -- p, and on plain failure throw l.  The annotation is the
+    choice p / ^l and is stored as that choice."""
+    return Choice(body, Throw(label))
 
 
 def is_lexical_name(name: str) -> bool:
@@ -177,29 +175,34 @@ class Grammar:
     def token_kinds(self) -> tuple[str, ...]:
         return tuple(self.lexical) + self.literal_kinds
 
-    def sorted_kinds(self, kinds) -> list[str]:
-        order = {k: i for i, k in enumerate(self.token_kinds())}
-        return sorted(kinds, key=lambda k: (order.get(k, len(order) + 1), k))
 
+# --- traversal --------------------------------------------------------------
 
-# --- validation -------------------------------------------------------------
-
-def _walk(e: Expr):
-    yield e
-    for child in _children(e):
-        yield from _walk(child)
-
-
-def _children(e: Expr) -> tuple[Expr, ...]:
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The direct subexpressions of e, left to right."""
     if isinstance(e, Sequence):
         return (e.left, e.right)
     if isinstance(e, Choice):
         return (e.first, e.second)
     if isinstance(e, (Star, Not, Optional, Plus, And)):
         return (e.body,)
-    if isinstance(e, Annotated):
-        return (e.body,)
     return ()
+
+
+def map_children(e: Expr, f) -> Expr:
+    """e rebuilt with f applied to each direct subexpression; a leaf is
+    returned as it is."""
+    kids = children(e)
+    return type(e)(*map(f, kids)) if kids else e
+
+
+def _walk(e: Expr):
+    """Every node of e in preorder."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
 
 def operands(e: Expr, cls: type) -> list[Expr]:
@@ -211,29 +214,20 @@ def operands(e: Expr, cls: type) -> list[Expr]:
     while stack:
         node = stack.pop()
         if isinstance(node, cls):
-            stack.extend(reversed(_children(node)))
+            stack.extend(reversed(children(node)))
         else:
             out.append(node)
     return out
 
 
 def annotation_parts(e: Expr) -> tuple[Expr, str] | None:
-    """Return (body, label) when e is an annotation, sugared or not."""
-    if isinstance(e, Annotated):
-        return e.body, e.label
+    """Return (body, label) when e is an annotation [p]^l, i.e. p / ^l."""
     if isinstance(e, Choice) and isinstance(e.second, Throw):
         return e.first, e.second.label
     return None
 
 
-def _collect_label_sites(e: Expr, into: dict[str, str]) -> None:
-    parts = annotation_parts(e)
-    if parts is not None:
-        body, lab = parts
-        into.setdefault(lab, describe(body))
-    for child in _children(e):
-        _collect_label_sites(child, into)
-
+# --- validation -------------------------------------------------------------
 
 def validate(g: Grammar) -> Grammar:
     """Check structural consistency and fill the derived tables.
@@ -248,36 +242,32 @@ def validate(g: Grammar) -> Grammar:
     if g.start not in g.rules:
         raise GrammarError(f"start rule {g.start!r} is not defined")
 
-    literals: list[str] = []
+    literals: dict[str, None] = {}
     labels: set[str] = set()
+    descriptions: dict[str, str] = {}
 
-    def note_literals_and_labels(e: Expr) -> None:
-        for node in _walk(e):
-            if isinstance(node, Terminal) and is_literal_kind(node.kind):
-                if node.kind not in literals:
-                    literals.append(node.kind)
-            if isinstance(node, Throw):
-                if node.label == FAIL:
-                    raise GrammarError(f"label {FAIL!r} is reserved and cannot be thrown")
-                labels.add(node.label)
-            if isinstance(node, Annotated):
-                if node.label == FAIL:
-                    raise GrammarError(f"label {FAIL!r} is reserved and cannot be thrown")
-                labels.add(node.label)
-
-    def check_syntactic_refs(rule: str, e: Expr) -> None:
+    def check_syntactic(rule: str, e: Expr, sites: dict[str, str] | None) -> None:
+        # literal kinds and label descriptions in order of first appearance
         for node in _walk(e):
             if isinstance(node, NonTerminal):
                 if node.name not in g.rules:
                     raise GrammarError(f"undefined nonterminal {node.name!r} in {rule}")
             elif isinstance(node, Terminal):
-                if node.kind == EOF_KIND or is_literal_kind(node.kind):
-                    continue
-                if node.kind not in g.lexical:
+                if is_literal_kind(node.kind):
+                    literals.setdefault(node.kind)
+                elif node.kind != EOF_KIND and node.kind not in g.lexical:
                     raise GrammarError(f"undefined token kind {node.kind!r} in {rule}")
             elif isinstance(node, (Literal, CharClass)):
                 raise GrammarError(
                     f"character-level pattern in syntactic rule {rule}")
+            elif isinstance(node, Throw):
+                if node.label == FAIL:
+                    raise GrammarError(f"label {FAIL!r} is reserved and cannot be thrown")
+                labels.add(node.label)
+            elif sites is not None:
+                parts = annotation_parts(node)
+                if parts is not None:
+                    sites.setdefault(parts[1], describe(parts[0]))
 
     def check_lexical_refs(rule: str, e: Expr) -> None:
         for node in _walk(e):
@@ -286,30 +276,24 @@ def validate(g: Grammar) -> Grammar:
                     raise GrammarError(
                         f"lexical rule {rule} references {node.name!r}, "
                         "which is not a lexical rule")
-            elif isinstance(node, (Throw, Annotated)):
+            elif isinstance(node, Throw):
                 raise GrammarError(f"labels are not allowed in lexical rule {rule}")
             elif isinstance(node, Terminal):
                 raise GrammarError(
                     f"token reference in lexical rule {rule}; use a literal")
 
     for name, body in g.rules.items():
-        note_literals_and_labels(body)
-        check_syntactic_refs(name, body)
+        check_syntactic(name, body, descriptions)
     for name, body in g.lexical.items():
         check_lexical_refs(name, body)
     for lab, body in g.recovery.items():
-        note_literals_and_labels(body)
-        check_syntactic_refs(f"recovery for {lab}", body)
+        check_syntactic(f"recovery for {lab}", body, None)
     for lab in g.recovery:
         if lab not in labels:
             raise GrammarError(f"recovery rule for undeclared label {lab!r}")
 
     g.literal_kinds = tuple(literals)
     g.labels = labels
-
-    descriptions: dict[str, str] = {}
-    for body in g.rules.values():
-        _collect_label_sites(body, descriptions)
     g.label_descriptions = descriptions
     for lab, desc in descriptions.items():
         g.messages.setdefault(lab, f"expected {desc}")
@@ -319,58 +303,56 @@ def validate(g: Grammar) -> Grammar:
     return g
 
 
-def _nullable_map(rules: dict[str, Expr]) -> dict[str, bool]:
-    nullable = {name: False for name in rules}
+def nullable_expr(e: Expr, table: dict[str, bool]) -> bool:
+    """Whether e can succeed without consuming input; ``table`` says which
+    rules can."""
+    if isinstance(e, (Empty, Star, Not, And, Optional)):
+        return True
+    if isinstance(e, Terminal):
+        return e.kind == EOF_KIND
+    if isinstance(e, (AnyToken, Throw, CharClass)):
+        return False
+    if isinstance(e, Literal):
+        return e.text == ""
+    if isinstance(e, NonTerminal):
+        return table.get(e.name, False)
+    if isinstance(e, Sequence):
+        return nullable_expr(e.left, table) and nullable_expr(e.right, table)
+    if isinstance(e, Choice):
+        return nullable_expr(e.first, table) or nullable_expr(e.second, table)
+    if isinstance(e, Plus):
+        return nullable_expr(e.body, table)
+    raise TypeError(f"unknown expression {e!r}")
 
-    def expr_nullable(e: Expr) -> bool:
-        if isinstance(e, (Empty, Star, Not, And, Optional)):
-            return True
-        if isinstance(e, Terminal):
-            return e.kind == EOF_KIND
-        if isinstance(e, (AnyToken, Throw, CharClass)):
-            return False
-        if isinstance(e, Literal):
-            return e.text == ""
-        if isinstance(e, NonTerminal):
-            return nullable.get(e.name, False)
-        if isinstance(e, Sequence):
-            return expr_nullable(e.left) and expr_nullable(e.right)
-        if isinstance(e, Choice):
-            return expr_nullable(e.first) or expr_nullable(e.second)
-        if isinstance(e, (Plus, Annotated)):
-            return expr_nullable(e.body)
-        raise TypeError(f"unknown expression {e!r}")
 
+def nullable_map(rules: dict[str, Expr]) -> dict[str, bool]:
+    """Per rule, whether it can succeed without consuming input (a least
+    fixed point)."""
+    table = {name: False for name in rules}
     changed = True
     while changed:
         changed = False
         for name, body in rules.items():
-            v = expr_nullable(body)
-            if v and not nullable[name]:
-                nullable[name] = True
-                changed = True
-    return nullable
+            if not table[name] and nullable_expr(body, table):
+                table[name] = changed = True
+    return table
 
 
 def _check_left_recursion(rules: dict[str, Expr], what: str) -> None:
     """Conservative reachability check: a rule must not be able to reinvoke
     itself before any input has necessarily been consumed."""
-    nullable = _nullable_map(rules)
+    nullable = nullable_map(rules)
 
     def heads(e: Expr, out: set[str]) -> None:
         if isinstance(e, NonTerminal):
             out.add(e.name)
         elif isinstance(e, Sequence):
             heads(e.left, out)
-            if _expr_nullable_with(e.left, nullable):
+            if nullable_expr(e.left, nullable):
                 heads(e.right, out)
-        elif isinstance(e, Choice):
-            heads(e.first, out)
-            heads(e.second, out)
-        elif isinstance(e, (Star, Not, And, Optional, Plus)):
-            heads(e.body, out)
-        elif isinstance(e, Annotated):
-            heads(e.body, out)
+        else:
+            for child in children(e):
+                heads(child, out)
 
     head_map: dict[str, set[str]] = {}
     for name, body in rules.items():
@@ -391,33 +373,11 @@ def _check_left_recursion(rules: dict[str, Expr], what: str) -> None:
             frontier |= head_map[n]
 
 
-def _expr_nullable_with(e: Expr, nullable: dict[str, bool]) -> bool:
-    if isinstance(e, (Empty, Star, Not, And, Optional)):
-        return True
-    if isinstance(e, Terminal):
-        return e.kind == EOF_KIND
-    if isinstance(e, (AnyToken, Throw, CharClass)):
-        return False
-    if isinstance(e, Literal):
-        return e.text == ""
-    if isinstance(e, NonTerminal):
-        return nullable.get(e.name, False)
-    if isinstance(e, Sequence):
-        return _expr_nullable_with(e.left, nullable) and _expr_nullable_with(e.right, nullable)
-    if isinstance(e, Choice):
-        return _expr_nullable_with(e.first, nullable) or _expr_nullable_with(e.second, nullable)
-    if isinstance(e, (Plus, Annotated)):
-        return _expr_nullable_with(e.body, nullable)
-    raise TypeError(f"unknown expression {e!r}")
-
-
 # --- desugaring and label stripping ----------------------------------------
 
 def desugar_expr(e: Expr) -> Expr:
-    """Rewrite to the core constructors: [p]^l -> (p / throw l), p? -> (p / empty),
-    p+ -> p p*, &p -> !!p."""
-    if isinstance(e, Annotated):
-        return Choice(desugar_expr(e.body), Throw(e.label))
+    """Rewrite to the core constructors: p? -> (p / empty), p+ -> p p*,
+    &p -> !!p."""
     if isinstance(e, Optional):
         return Choice(desugar_expr(e.body), Empty())
     if isinstance(e, Plus):
@@ -425,15 +385,7 @@ def desugar_expr(e: Expr) -> Expr:
         return Sequence(b, Star(b))
     if isinstance(e, And):
         return Not(Not(desugar_expr(e.body)))
-    if isinstance(e, Sequence):
-        return Sequence(desugar_expr(e.left), desugar_expr(e.right))
-    if isinstance(e, Choice):
-        return Choice(desugar_expr(e.first), desugar_expr(e.second))
-    if isinstance(e, Star):
-        return Star(desugar_expr(e.body))
-    if isinstance(e, Not):
-        return Not(desugar_expr(e.body))
-    return e
+    return map_children(e, desugar_expr)
 
 
 def desugar(g: Grammar) -> Grammar:
@@ -486,17 +438,7 @@ def strip_labels_expr(e: Expr) -> Expr:
     parts = annotation_parts(e)
     if parts is not None:
         return strip_labels_expr(parts[0])
-    if isinstance(e, Sequence):
-        return Sequence(strip_labels_expr(e.left), strip_labels_expr(e.right))
-    if isinstance(e, Choice):
-        return Choice(strip_labels_expr(e.first), strip_labels_expr(e.second))
-    if isinstance(e, Star):
-        return Star(strip_labels_expr(e.body))
-    if isinstance(e, Not):
-        return Not(strip_labels_expr(e.body))
-    if isinstance(e, (Optional, Plus, And)):
-        return type(e)(strip_labels_expr(e.body))
-    return e
+    return map_children(e, strip_labels_expr)
 
 
 def strip_labels(g: Grammar) -> Grammar:
@@ -591,8 +533,8 @@ def render_expr(e: Expr, prec: int = _CHOICE) -> str:
 
 
 def serialize_grammar(g: Grammar) -> str:
-    """Canonical text form.  Annotation sites print as [p]^l whether stored
-    sugared or as (p / throw), so annotated grammars diff cleanly."""
+    """Canonical text form.  Annotation sites (p / ^l) print as [p]^l, so
+    annotated grammars diff cleanly."""
     lines = [f"%start {g.start} ;", ""]
     for name, body in g.rules.items():
         lines.append(f"{name} <- {render_expr(body)} ;")
@@ -610,44 +552,17 @@ def serialize_grammar(g: Grammar) -> str:
 
 # --- structural equality ----------------------------------------------------
 
-def _normalize(e: Expr) -> Expr:
-    if isinstance(e, Annotated):
-        return Choice(_normalize(e.body), Throw(e.label))
-    if isinstance(e, Sequence):
-        return Sequence(_normalize(e.left), _normalize(e.right))
-    if isinstance(e, Choice):
-        return Choice(_normalize(e.first), _normalize(e.second))
-    if isinstance(e, Star):
-        return Star(_normalize(e.body))
-    if isinstance(e, Not):
-        return Not(_normalize(e.body))
-    if isinstance(e, (Optional, Plus, And)):
-        return type(e)(_normalize(e.body))
-    return e
-
-
 def expr_eq(a: Expr, b: Expr) -> bool:
-    """Equality up to annotation sugar: [p]^l and (p / throw l) are the same."""
-    return _normalize(a) == _normalize(b)
+    """Structural equality.  An annotation has one spelling, so [p]^l and
+    (p / ^l) are the same expression."""
+    return a == b
 
 
 def grammar_eq(a: Grammar, b: Grammar) -> bool:
     """Structural equality of the parts that carry meaning.  Rule order
     matters (it is token priority on the lexical side); messages and source
     positions do not."""
-    if list(a.rules) != list(b.rules) or list(a.lexical) != list(b.lexical):
-        return False
-    if a.start != b.start or a.labels != b.labels:
-        return False
-    if set(a.recovery) != set(b.recovery):
-        return False
-    for name in a.rules:
-        if not expr_eq(a.rules[name], b.rules[name]):
-            return False
-    for name in a.lexical:
-        if not expr_eq(a.lexical[name], b.lexical[name]):
-            return False
-    for lab in a.recovery:
-        if not expr_eq(a.recovery[lab], b.recovery[lab]):
-            return False
-    return True
+    return (list(a.rules) == list(b.rules) and list(a.lexical) == list(b.lexical)
+            and a.start == b.start and a.labels == b.labels
+            and a.rules == b.rules and a.lexical == b.lexical
+            and a.recovery == b.recovery)

@@ -241,6 +241,25 @@ miss <- '' ;
     assert out.errors == []
 
 
+def test_guard_outlives_a_discarded_alternative():
+    # A recovers l at 0 and then fails on YY.  Its error is rolled back, but
+    # the guard set is not, so B's throw of l at 0 finds (l, 0) blocked and
+    # the parse fails.  This pins today's behaviour; whether the guard
+    # should roll back with the choice is open (ROADMAP item 4).
+    grammar = parse_grammar("""
+start <- A / B ;
+A <- [XX]^l YY ;
+B <- [XX]^l ZZ ;
+XX <- 'x' ; YY <- 'y' ; ZZ <- 'z' ;
+%recovery
+l <- '' ;
+""")
+    out = parse(grammar, "z")
+    assert out.status == "failed"
+    assert out.fail_label == "l"
+    assert len(out.errors) == 1
+
+
 def test_match_entry_point():
     grammar = g("start <- AA BB ;")
     result = match(grammar, NonTerminal("start"), "a b c")

@@ -4,10 +4,12 @@ from pegrec.dsl import parse_grammar
 from pegrec.model import (
     Annotated,
     AnyToken,
+    CharClass,
     Choice,
     Empty,
     Grammar,
     GrammarError,
+    Literal,
     NonTerminal,
     Not,
     Optional,
@@ -127,6 +129,28 @@ def test_validate_rejects_labels_in_lexical_rules():
         parse_grammar("start <- AA ;\nAA <- 'a' ^boom ;")
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: parse_grammar("start <- AA ;\nAA <- 'a' ^x ;"),
+     "labels are not allowed in lexical rule AA"),
+    (lambda: validate(Grammar({"start": Literal("a")}, {}, "start")),
+     "character-level pattern in syntactic rule start"),
+    (lambda: validate(Grammar({"start": CharClass((("a", "z"),))}, {}, "start")),
+     "character-level pattern in syntactic rule start"),
+    (lambda: validate(Grammar({"start": Terminal("AA")},
+                              {"AA": Terminal("BB"), "BB": Literal("b")}, "start")),
+     "token reference in lexical rule AA"),
+    (lambda: validate(Grammar({"start": Terminal("AA")},
+                              {"AA": NonTerminal("start")}, "start")),
+     "lexical rule AA references 'start', which is not a lexical rule"),
+    (lambda: validate(Grammar({"start": Annotated(Terminal("AA"), "fail")},
+                              {"AA": Literal("a")}, "start")),
+     "label 'fail' is reserved"),
+])
+def test_validate_rejects(build, message):
+    with pytest.raises(GrammarError, match=message):
+        build()
+
+
 def test_validate_collects_labels_and_messages():
     g = parse_grammar("start <- AA [BB]^miss ;\nAA <- 'a' ;\nBB <- 'b' ;")
     assert g.labels == {"miss"}
@@ -142,6 +166,15 @@ def test_strip_labels_removes_annotations_and_recovery():
     assert bare.labels == set()
     assert bare.recovery == {}
     assert expr_eq(bare.rules["start"], Sequence(Terminal("AA"), Terminal("BB")))
+
+    abc = "\nAA <- 'a' ;\nBB <- 'b' ;\nCC <- 'c' ;"
+    wrapped = parse_grammar(
+        "start <- ![AA]^a &[BB]^b [AA]^c? [BB]^d+ [CC]^e* CC ;" + abc)
+    assert wrapped.labels == {"a", "b", "c", "d", "e"}
+    bare = strip_labels(wrapped)
+    assert bare.labels == set()
+    assert bare.rules["start"] == parse_grammar(
+        "start <- !AA &BB AA? BB+ CC* CC ;" + abc).rules["start"]
 
 
 def test_desugar_is_idempotent(tiny_java):
