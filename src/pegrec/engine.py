@@ -19,13 +19,32 @@ desugared and validated grammar, its lexer, and one closure per syntactic
 rule and per recovery expression.  A Grammar must therefore not be mutated
 after its first parse.  ``match_expr`` compiles its one expression on the
 spot.
+
+Choices, repetitions and predicates dispatch on the current token's kind
+(one-token lookahead; ``EOF`` past the end of input).  Each alternative of
+a choice, each star body and each predicate body gets a guard when it can
+only fail plainly unless it consumes a token first: it is not nullable,
+and it reaches no throw, no predicate and no ``.`` before its first
+token.  Its guard is then its FIRST set, and at a token outside that set
+it is skipped, since running it would only have failed there.  The one
+trace such a failure leaves, moving ``farthest`` up to the position, is
+made by the skip instead.  A choice takes the alternatives to try from a
+per-kind table built at compile time; a star ends its loop, and ``!p``
+succeeds without running p.  Any other expression has no guard and always
+runs.  FIRST sets alone would not do: FIRST(^l) is empty, so ``[X]^l / Y``
+pruned by FIRST(X) would match Y silently where it must throw l.
+
+Syntax trees are tuples (``NamedTuple``): a node iterates over its fields
+and compares equal to a plain tuple with the same items.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from .analysis import Analysis
 from .model import (
     AnyToken,
     Choice,
@@ -40,30 +59,31 @@ from .model import (
     Star,
     Terminal,
     Throw,
+    children,
     desugar_expr,
+    nullable_expr,
+    nullable_map,
     operands,
     program,
+    rule_fixpoint,
 )
 from .lexer import TokenStream
 
 
 # --- syntax trees -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class TokenLeaf:
+class TokenLeaf(NamedTuple):
     kind: str | None
     span: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class RuleNode:
+class RuleNode(NamedTuple):
     name: str
     span: tuple[int, int]
     children: tuple = ()
 
 
-@dataclass(frozen=True)
-class ErrorNode:
+class ErrorNode(NamedTuple):
     """Placeholder for input that was skipped (or found missing) while
     recovering from ``label``.  ``expected`` names what should have been
     here: the annotated expression's terminal kind or rule name."""
@@ -74,15 +94,16 @@ class ErrorNode:
 
 
 def tree_to_json(node):
-    if isinstance(node, RuleNode):
+    cls = node.__class__
+    if cls is RuleNode:
         return {
             "rule": node.name,
             "span": list(node.span),
             "children": [tree_to_json(c) for c in node.children],
         }
-    if isinstance(node, TokenLeaf):
+    if cls is TokenLeaf:
         return {"token": node.kind, "span": list(node.span)}
-    if isinstance(node, ErrorNode):
+    if cls is ErrorNode:
         return {"error": node.label, "expected": node.expected, "span": list(node.span)}
     raise TypeError(f"not a tree node: {node!r}")
 
@@ -156,12 +177,17 @@ DEFAULT_MAX_ERRORS = 50
 # Every desugared expression becomes a closure f(session, pos, acc) that
 # returns the end position or a _Fail and appends the subtrees it builds to
 # acc.  Sequences and choices are flattened into one closure each, so a
-# parse takes no more stack frames per nesting level than a tree walk.
+# parse takes no more stack frames per nesting level than a tree walk.  For
+# the same reason the token dispatch of choices, stars and predicates runs
+# inside their own closures, not in closures of its own.
 
 # Plain failures carry no position of their own: each one moves farthest
 # to at least where it happened, and farthest is where a parse that ends
 # in a plain failure reports it.  So one instance serves for all of them.
 _FAILED = _Fail(FAIL, -1)
+
+# builds a node without running a constructor, as the lexer builds tokens
+_new = tuple.__new__
 
 
 def _fail(s: "Session", pos: int) -> _Fail:
@@ -184,7 +210,7 @@ def _any_token(s, pos, acc):
     tokens = s._tokens
     if pos < len(tokens) or s.stream.fill(pos):
         tok = tokens[pos]
-        acc.append(TokenLeaf(tok.kind, (tok.start, tok.end)))
+        acc.append(_new(TokenLeaf, (tok.kind, (tok.start, tok.end))))
         return pos + 1
     return _fail(s, pos)
 
@@ -195,7 +221,7 @@ def _terminal(kind: str):
         if pos < len(tokens) or s.stream.fill(pos):
             tok = tokens[pos]
             if tok.kind == kind:
-                acc.append(TokenLeaf(kind, (tok.start, tok.end)))
+                acc.append(_new(TokenLeaf, (kind, (tok.start, tok.end))))
                 return pos + 1
         if pos > s.farthest:
             s.farthest = pos
@@ -223,10 +249,30 @@ def _sequence(items: list):
     return sequence
 
 
-def _choice(alts: list):
-    *init, last = alts
+def _plan(alts: list, guards: list, kind):
+    """What a choice does at a token of this kind: the alternatives it tries
+    before the last one, the last one (None when it is skipped), and
+    whether any alternative is skipped.  The last one runs apart because
+    its failure is the choice's own and is not rolled back there."""
+    tried = [i for i, guard in enumerate(guards) if guard is None or kind in guard]
+    last = len(alts) - 1
+    return (tuple(alts[i] for i in tried if i != last),
+            alts[last] if tried and tried[-1] == last else None,
+            len(tried) < len(alts))
+
+
+def _choice(alts: list, guards: list):
+    table = {kind: _plan(alts, guards, kind)
+             for kind in set().union(*filter(None, guards))}
+    # kinds no guard holds: stray tokens, end of input
+    other = _plan(alts, guards, None)
 
     def choice(s, pos, acc):
+        tokens = s._tokens
+        kind = tokens[pos].kind if pos < len(tokens) or s.stream.fill(pos) else EOF_KIND
+        init, last, skipped = table.get(kind, other)
+        if skipped and pos > s.farthest:
+            s.farthest = pos
         n_acc = len(acc)
         errors = s.errors
         n_err = len(errors)
@@ -236,14 +282,24 @@ def _choice(alts: list):
                 return r
             del acc[n_acc:]
             del errors[n_err:]
+        if last is None:
+            return _FAILED
         return last(s, pos, acc)
     return choice
 
 
-def _star(body):
+def _star(body, guard):
     def star(s, pos, acc):
+        tokens = s._tokens
         errors = s.errors
         while True:
+            if guard is not None:
+                kind = (tokens[pos].kind if pos < len(tokens) or s.stream.fill(pos)
+                        else EOF_KIND)
+                if kind not in guard:
+                    if pos > s.farthest:
+                        s.farthest = pos
+                    return pos
             n_acc, n_err = len(acc), len(errors)
             r = body(s, pos, acc)
             if r.__class__ is _Fail:
@@ -260,8 +316,15 @@ def _star(body):
     return star
 
 
-def _not(body):
+def _not(body, guard):
     def not_(s, pos, acc):
+        if guard is not None:
+            tokens = s._tokens
+            kind = tokens[pos].kind if pos < len(tokens) or s.stream.fill(pos) else EOF_KIND
+            if kind not in guard:
+                if pos > s.farthest:
+                    s.farthest = pos
+                return pos
         n_acc = len(acc)
         errors = s.errors
         n_err = len(errors)
@@ -289,7 +352,7 @@ def _rule(name: str, rules: dict):
         else:
             anchor = s.stream.start_offset(pos)
             span = (anchor, anchor)
-        acc.append(RuleNode(name, span, tuple(children)))
+        acc.append(_new(RuleNode, (name, span, tuple(children))))
         return r
     return rule
 
@@ -300,16 +363,42 @@ def _throw(label: str):
     return throw
 
 
+def _acts(e: Expr, nullable: dict[str, bool], table: dict[str, bool]) -> bool:
+    """Whether e can reach a throw, a predicate or ``.`` before it consumes
+    a token; ``table`` says which rules can.  An unknown rule counts as
+    one that can."""
+    if isinstance(e, (Throw, Not, AnyToken)):
+        return True
+    if isinstance(e, NonTerminal):
+        return table.get(e.name, True)
+    if isinstance(e, Sequence):
+        return (_acts(e.left, nullable, table)
+                or nullable_expr(e.left, nullable) and _acts(e.right, nullable, table))
+    return any(_acts(c, nullable, table) for c in children(e))
+
+
 class _Matcher:
     """The syntactic rules and recovery expressions of one desugared
     grammar, compiled."""
 
     def __init__(self, g: Grammar):
+        self.analysis = Analysis(g)
+        self.nullable = nullable_map(g.rules)
+        self.acts = rule_fixpoint(
+            g.rules, lambda body, table: _acts(body, self.nullable, table))
         self.rules: dict = {}
         for name, body in g.rules.items():
             self.rules[name] = self.compile(body)
         self.recovery = {lab: self.compile(b) for lab, b in g.recovery.items()}
         self.start = self.compile(NonTerminal(g.start))
+
+    def guard(self, e: Expr) -> frozenset | None:
+        """The token kinds at which e can do anything but fail plainly
+        without consuming, or None when e must run at every token: when it
+        is nullable or can act before consuming (``_acts``)."""
+        if nullable_expr(e, self.nullable) or _acts(e, self.nullable, self.acts):
+            return None
+        return self.analysis.first_of(e).kinds
 
     def compile(self, e: Expr):
         """Closure for desugared e.  A rule reference looks its rule up
@@ -323,11 +412,13 @@ class _Matcher:
         if isinstance(e, Sequence):
             return _sequence([self.compile(x) for x in operands(e, Sequence)])
         if isinstance(e, Choice):
-            return _choice([self.compile(x) for x in operands(e, Choice)])
+            alts = operands(e, Choice)
+            return _choice([self.compile(x) for x in alts],
+                           [self.guard(x) for x in alts])
         if isinstance(e, Star):
-            return _star(self.compile(e.body))
+            return _star(self.compile(e.body), self.guard(e.body))
         if isinstance(e, Not):
-            return _not(self.compile(e.body))
+            return _not(self.compile(e.body), self.guard(e.body))
         if isinstance(e, NonTerminal):
             return _rule(e.name, self.rules)
         if isinstance(e, Throw):
@@ -409,9 +500,26 @@ class Session:
 
     # -- entry points -----------------------------------------------------------
 
+    def _too_deep(self) -> list[ParseError]:
+        """The errors of a parse that ran out of stack.  Those recorded so
+        far may belong to alternatives that never finished, so only one
+        fatal error is kept, at the farthest position reached.  The lexer
+        may be what ran out, so no further token is scanned for it."""
+        tokens = self._tokens
+        pos = self.farthest
+        offset = tokens[pos - 1].end if pos else tokens[0].start if tokens else 0
+        line, col = self.stream.pos_info(offset)
+        self.errors = [ParseError(FAIL, "input nested too deeply",
+                                  offset, line, col, pos)]
+        return self.errors
+
     def parse(self) -> ParseOutcome:
         acc: list = []
-        r = self._matcher.start(self, 0, acc)
+        try:
+            r = self._matcher.start(self, 0, acc)
+        except RecursionError:
+            return ParseOutcome(status="failed", tree=None,
+                                errors=self._too_deep(), fail_label=FAIL)
         if isinstance(r, _Fail):
             if r is _FAILED:
                 self._record(FAIL, self.farthest, "unexpected input")
@@ -427,7 +535,11 @@ class Session:
     def match_expr(self, expr: Expr, pos: int = 0) -> MatchResult:
         body = self._matcher.compile(desugar_expr(expr))
         acc: list = []
-        r = body(self, pos, acc)
+        try:
+            r = body(self, pos, acc)
+        except RecursionError:
+            return MatchResult(status="failed", end=None, fail_label=FAIL,
+                               errors=self._too_deep())
         if isinstance(r, _Fail):
             return MatchResult(status="failed", end=None,
                                fail_label=r.label, errors=self.errors)

@@ -232,15 +232,23 @@ def annotation_parts(e: Expr) -> tuple[Expr, str] | None:
 def validate(g: Grammar) -> Grammar:
     """Check structural consistency and fill the derived tables.
 
-    Rejects undefined references, left recursion (direct or through nullable
-    prefixes), throws of the reserved label ``fail``, and recovery rules for
-    labels that are never thrown.  Also collects anonymous literal token
-    kinds, the label set, and default per-label descriptions/messages.
+    Rejects rule names of the wrong kind (the grammar text tells syntactic
+    from lexical rules by the name alone), undefined references, left
+    recursion (direct or through nullable prefixes), throws of the reserved
+    label ``fail``, and recovery rules for labels that are never thrown.
+    Also collects anonymous literal token kinds, the label set, and default
+    per-label descriptions/messages.
     """
     if not g.rules:
         raise GrammarError("grammar has no syntactic rules")
     if g.start not in g.rules:
         raise GrammarError(f"start rule {g.start!r} is not defined")
+    for name in g.rules:
+        if is_lexical_name(name):
+            raise GrammarError(f"syntactic rule {name!r} has an ALL-CAPS (lexical) name")
+    for name in g.lexical:
+        if not is_lexical_name(name):
+            raise GrammarError(f"lexical rule {name!r} needs an ALL-CAPS name")
 
     literals: dict[str, None] = {}
     labels: set[str] = set()
@@ -326,14 +334,19 @@ def nullable_expr(e: Expr, table: dict[str, bool]) -> bool:
 
 
 def nullable_map(rules: dict[str, Expr]) -> dict[str, bool]:
-    """Per rule, whether it can succeed without consuming input (a least
-    fixed point)."""
+    """Per rule, whether it can succeed without consuming input."""
+    return rule_fixpoint(rules, nullable_expr)
+
+
+def rule_fixpoint(rules: dict[str, Expr], holds) -> dict[str, bool]:
+    """Per rule, whether ``holds(body, table)``, where ``table`` is the
+    result itself: the least fixed point, from False for every rule."""
     table = {name: False for name in rules}
     changed = True
     while changed:
         changed = False
         for name, body in rules.items():
-            if not table[name] and nullable_expr(body, table):
+            if not table[name] and holds(body, table):
                 table[name] = changed = True
     return table
 

@@ -176,10 +176,10 @@ def _random_expr(rng: random.Random, later_rules: list[str], depth: int,
 
 def random_grammar(seed: int, max_rules: int = 5, depth: int = 3) -> Grammar:
     """Small random grammar over the a/b/c alphabet.  Acyclic, so free of
-    left recursion; rule R0 is the start."""
+    left recursion; rule Rule0 is the start."""
     rng = random.Random(seed)
     n = rng.randint(1, max_rules)
-    names = [f"R{i}" for i in range(n)]
+    names = [f"Rule{i}" for i in range(n)]
     rules: dict[str, Expr] = {}
     nullable_rules: set[str] = set()
     for i in reversed(range(n)):
@@ -189,7 +189,7 @@ def random_grammar(seed: int, max_rules: int = 5, depth: int = 3) -> Grammar:
         if nb:
             nullable_rules.add(names[i])
     ordered = {name: rules[name] for name in names}
-    g = Grammar(rules=ordered, lexical={}, start="R0")
+    g = Grammar(rules=ordered, lexical={}, start="Rule0")
     return validate(_with_abc_lexicon(g))
 
 

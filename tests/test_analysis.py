@@ -1,7 +1,8 @@
 from pegrec.analysis import Analysis, TokenSet
+from pegrec.annotate import annotate
 from pegrec.dsl import parse_grammar
 from pegrec.engine import match
-from pegrec.model import desugar
+from pegrec.model import desugar, nullable_map
 
 from helpers import all_inputs, naive_match, random_grammar, render_input
 
@@ -112,3 +113,18 @@ def test_format_set_uses_declaration_order(tiny_java):
     a = Analysis(tiny_java)
     text = a.format_set(a.follow_of("AtomExp"))
     assert text == "{ RPAR, EQ, LT, PLUS, MINUS, TIMES, DIV, SEMI }"
+
+
+def test_first_epsilon_agrees_with_nullable_map(tiny_java, tiny_java_labeled,
+                                                tiny_java_annotated_file):
+    # the engine's token dispatch takes FIRST sets from Analysis and
+    # nullability from nullable_map, so the two must agree
+    grammars = [tiny_java, tiny_java_labeled, tiny_java_annotated_file]
+    for seed in range(50):
+        grammars += [random_grammar(seed), annotate(random_grammar(seed))[0]]
+    for g in grammars:
+        for form in (g, desugar(g)):
+            a = Analysis(form)
+            nullable = nullable_map(form.rules)
+            for rule in form.rules:
+                assert a.first_of_rule(rule).has_epsilon == nullable[rule], rule

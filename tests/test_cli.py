@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pegrec
 from pegrec.cli import main
 from pegrec.dsl import parse_grammar
 from pegrec.model import grammar_eq
@@ -201,3 +206,21 @@ def test_eval_json(capsys, tmp_path, small_grammar):
     data = json.loads(capsys.readouterr().out)
     assert data["counts"]["excellent"] == 1
     assert data["cases"][0]["first_label"] == "miss"
+
+
+def test_module_runs_cli_and_deep_nesting_exits_2(tmp_path, grammar_dir):
+    # python -m pegrec works without the console script installed
+    source = write(tmp_path, "deep.java",
+                   "public class A { public static void main ( String [ ] a ) "
+                   "{ x = " + "( " * 3000 + "1" + " )" * 3000 + " ; } }")
+    src = str(Path(pegrec.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "pegrec", "parse",
+         str(grammar_dir / "tiny_java_annotated.peg"), source],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert "input nested too deeply" in done.stderr
+    assert "Traceback" not in done.stderr

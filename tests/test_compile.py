@@ -4,11 +4,13 @@ and as deep-nesting-capable as the tree walk it replaced."""
 import gc
 import hashlib
 import json
+import sys
 import weakref
 
 from pegrec import model
 from pegrec.dsl import load_grammar, parse_grammar
 from pegrec.engine import Session, tree_to_json
+from pegrec.model import NonTerminal
 from pegrec.lexer import TokenStream
 
 BROKEN = ("public class A { public static void main ( String [ ] a ) { "
@@ -76,3 +78,29 @@ def test_deep_nesting_parses_as_before(tiny_java_annotated_file):
     # the interpreting engine reached about 1420 levels under the same
     # recursion limit; compiled rules must take no more frames per level
     assert Session(tiny_java_annotated_file, _nested(1400)).parse().ok
+
+
+def test_too_deep_nesting_fails_without_a_traceback(tiny_java_annotated_file):
+    limit = sys.getrecursionlimit()
+    text = _nested(3000)
+    outcome = Session(tiny_java_annotated_file, text).parse()
+    assert outcome.status == "failed"
+    assert outcome.tree is None
+    assert outcome.fail_label == "fail"
+    assert [(e.label, e.message) for e in outcome.errors] == \
+        [("fail", "input nested too deeply")]
+    result = Session(tiny_java_annotated_file, text).match_expr(NonTerminal("Prog"))
+    assert (result.status, result.end, result.fail_label) == ("failed", None, "fail")
+    assert [e.message for e in result.errors] == ["input nested too deeply"]
+    assert sys.getrecursionlimit() == limit
+    # the Grammar is still fine for the next parse
+    assert Session(tiny_java_annotated_file, _nested(10)).parse().ok
+
+
+def test_too_deep_nesting_in_a_lexical_rule_fails_without_a_traceback():
+    grammar = parse_grammar("%start start ;\nstart <- NEST* ;\n"
+                            "NEST <- '(' NEST* ')' ;")
+    outcome = Session(grammar, "(" * 20000 + ")" * 20000).parse()
+    assert outcome.status == "failed"
+    assert [(e.message, e.token_index, e.offset) for e in outcome.errors] == \
+        [("input nested too deeply", 0, 0)]

@@ -1,12 +1,20 @@
+import itertools
+import json
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pegrec.dsl import parse_grammar
+from pegrec import engine
+from pegrec.annotate import AnnotatorConfig, annotate
+from pegrec.dsl import load_grammar, parse_grammar
 from pegrec.engine import ErrorNode, RuleNode, Session, TokenLeaf, match, parse
 from pegrec.engine import tree_from_json, tree_to_json
+from pegrec.evaluate import delete_token, duplicate_token, token_spans
 from pegrec.model import NonTerminal, desugar
 
-from helpers import all_inputs, naive_match, random_grammar, render_input
+from helpers import (all_inputs, naive_match, random_grammar, random_program,
+                     render_input)
 
 ABC = "AA <- 'a' ;\nBB <- 'b' ;\nCC <- 'c' ;\n"
 
@@ -295,6 +303,19 @@ def test_tree_json_round_trip():
     assert tree_from_json(data) == out.tree
 
 
+def test_tree_nodes_are_named_tuples():
+    out = parse(g(REC), "a x c")
+    leaf, err, _ = out.tree.children
+    assert repr(leaf) == "TokenLeaf(kind='AA', span=(0, 1))"
+    assert repr(err) == "ErrorNode(label='miss', expected='BB', span=(2, 3))"
+    assert repr(RuleNode("r", (0, 0))) == "RuleNode(name='r', span=(0, 0), children=())"
+    # the one visible change from frozen dataclasses: nodes are tuples
+    assert leaf == ("AA", (0, 1))
+    assert hash(leaf) == hash(("AA", (0, 1)))
+    name, span, children = out.tree
+    assert (name, span, children[0]) == ("start", (0, 5), leaf)
+
+
 # --- differential and property tests --------------------------------------------
 
 def test_differential_against_naive_reference():
@@ -340,3 +361,146 @@ def test_match_never_overruns_and_is_a_prefix(seed, letters):
     result = match(grammar, NonTerminal(grammar.start), text)
     if result.status == "matched":
         assert 0 <= result.end <= len(letters)
+
+
+# --- token dispatch -------------------------------------------------------------
+#
+# A choice alternative, star body or predicate body is skipped at a token
+# outside its FIRST set only when running it could do nothing but fail
+# plainly there.  These pin the cases where FIRST alone would be wrong.
+
+def test_annotated_alternative_is_not_skipped_for_its_label():
+    # FIRST([AA]^l) is {AA}, but at b the annotation throws l; skipping it
+    # would let BB match
+    for text in ("start <- [AA]^l / BB ;", "start <- A / BB ;\nA <- [AA]^l ;",
+                 # the throw comes after a prefix that matched nothing
+                 "start <- AA? [CC]^l / BB ;"):
+        out = parse(g(text), "b")
+        assert out.status == "failed", text
+        assert out.fail_label == "l", text
+        assert [e.label for e in out.errors] == ["l"], text
+
+
+def test_predicate_headed_alternative_is_not_skipped():
+    # the lookahead reads token 1 before the alternative fails at token 0;
+    # the fatal error sits where the lookahead got to
+    out = parse(g("start <- !(AA BB) CC / BB ;"), "a c")
+    assert out.status == "failed"
+    assert [(e.message, e.token_index, e.offset) for e in out.errors] == \
+        [("unexpected input", 1, 1)]
+
+
+def test_any_token_headed_alternatives_take_stray_characters():
+    # FIRST(.) leaves out stray characters, whose kind is None
+    out = parse(g("start <- . CC / AA ;"), "? c")
+    assert out.ok
+    assert [c.kind for c in out.tree.children] == [None, "CC"]
+    out = parse(g("start <- (. BB)* EOF ;"), "? b % b")
+    assert out.ok
+    assert [c.kind for c in out.tree.children] == [None, "BB", None, "BB"]
+    out = parse(g("start <- (!CC .)* CC ;"), "? a c")
+    assert out.ok
+
+
+def test_choice_at_end_of_input():
+    assert parse(g("start <- AA (BB / CC / '') ;"), "a").ok
+    assert parse(g("start <- AA (BB / EOF) ;"), "a").ok
+    out = parse(g("start <- AA (BB / CC) ;"), "a")
+    assert out.status == "failed"
+    assert [(e.message, e.token_index, e.offset) for e in out.errors] == \
+        [("unexpected input", 1, 1)]
+    out = parse(g("start <- AA [BB / CC]^miss ;"), "a")
+    assert out.fail_label == "miss"
+    out = parse(g("start <- AA (BB CC)* ;"), "a")
+    assert out.ok
+    assert parse(g("start <- AA !BB ;"), "a").ok
+
+
+def test_fatal_error_where_every_alternative_was_skipped():
+    # nothing but the inner choice, whose alternatives are both skipped at
+    # the second 'a', reaches token 1
+    out = parse(g("start <- AA (BB / CC) / BB ;"), "a a")
+    assert out.status == "failed"
+    assert [(e.message, e.token_index, e.offset) for e in out.errors] == \
+        [("unexpected input", 1, 1)]
+    # a skipped loop body and a skipped lookahead body leave the same mark
+    out = parse(g("start <- AA (BB CC)* CC / BB ;"), "a a")
+    assert [e.token_index for e in out.errors] == [1]
+    out = parse(g("start <- AA !BB CC / BB ;"), "a a")
+    assert [e.token_index for e in out.errors] == [1]
+    # inside a lookahead that fails at 0, the skip is all that reaches 1
+    for body in ("!BB", "(BB CC)*", "(BB / CC)"):
+        out = parse(g(f"start <- !(AA {body}) CC ;"), "a a")
+        assert [e.token_index for e in out.errors] == [1], body
+
+
+def test_failed_last_alternative_keeps_its_errors():
+    # The last alternative recovers, then fails plainly.  No choice rolls
+    # its error back, so the failed parse reports it; this pins today's
+    # behaviour for a last alternative that is tried.
+    text = """
+start <- BB / AA [BB]^miss CC ;
+%recovery
+miss <- '' ;
+"""
+    out = parse(g(text), "a a")
+    assert out.status == "failed"
+    assert [e.label for e in out.errors] == ["miss", "fail"]
+
+
+def _facts(outcome):
+    tree = outcome.tree
+    return (outcome.status, outcome.end, outcome.fail_label,
+            None if tree is None else json.dumps(tree_to_json(tree)),
+            tree, [vars(e) for e in outcome.errors])
+
+
+def _undispatched(monkeypatch, make):
+    """A fresh grammar from make(), compiled with every guard None, so
+    every alternative and every body runs at every token."""
+    grammar = make()
+    with monkeypatch.context() as m:
+        m.setattr(engine._Matcher, "guard", lambda self, e: None)
+        Session(grammar, "")
+    return grammar
+
+
+def test_dispatch_changes_no_outcome_on_random_grammars(monkeypatch):
+    texts = [" ".join(chars) for n in range(5)
+             for chars in itertools.product("abc?", repeat=n)]
+    labeled = 0
+    for seed in range(40):
+        config = AnnotatorConfig(star_mode_rules=tuple(random_grammar(seed).rules)
+                                 if seed % 2 else ())
+        make = lambda: annotate(random_grammar(seed), config)[0]
+        plain = _undispatched(monkeypatch, make)
+        dispatched = make()
+        labeled += bool(dispatched.recovery)
+        for text in texts:
+            for max_errors in (50, 1):
+                want = Session(plain, text, max_errors=max_errors).parse()
+                got = Session(dispatched, text, max_errors=max_errors).parse()
+                assert _facts(got) == _facts(want), (seed, text, max_errors)
+            for pos in (1, 2):
+                want = Session(plain, text).match_expr(NonTerminal(plain.start), pos)
+                got = Session(dispatched, text).match_expr(NonTerminal(plain.start), pos)
+                assert vars(got) == vars(want), (seed, text, pos)
+    # throws and recovery expressions are what FIRST alone gets wrong
+    assert labeled >= 10
+
+
+def test_dispatch_changes_no_outcome_on_tiny_java_mutants(monkeypatch, grammar_dir):
+    path = str(grammar_dir / "tiny_java_annotated.peg")
+    plain = _undispatched(monkeypatch, lambda: load_grammar(path))
+    dispatched = load_grammar(path)
+    rng = random.Random(4)
+    for seed in range(30):
+        program = random_program(seed)
+        count = len(token_spans(dispatched, program))
+        for index in rng.sample(range(count), 4):
+            for mutate in (delete_token, duplicate_token):
+                text = mutate(dispatched, program, index).text
+                for max_errors in (50, 2, 0):
+                    want = Session(plain, text, max_errors=max_errors).parse()
+                    got = Session(dispatched, text, max_errors=max_errors).parse()
+                    assert _facts(got) == _facts(want), (seed, index, mutate)

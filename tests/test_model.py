@@ -29,6 +29,8 @@ from pegrec.model import (
     validate,
 )
 
+from helpers import random_grammar
+
 
 def test_lexical_name_convention():
     assert is_lexical_name("NAME")
@@ -88,6 +90,12 @@ def test_serialize_round_trips_grammar(tiny_java):
     assert grammar_eq(tiny_java, again)
 
 
+def test_serialize_round_trips_random_grammars():
+    for seed in range(50):
+        g = random_grammar(seed)
+        assert grammar_eq(parse_grammar(serialize_grammar(g)), g), seed
+
+
 def test_validate_rejects_undefined_rule():
     with pytest.raises(GrammarError, match="undefined"):
         parse_grammar("start <- Other ;")
@@ -145,6 +153,11 @@ def test_validate_rejects_labels_in_lexical_rules():
     (lambda: validate(Grammar({"start": Annotated(Terminal("AA"), "fail")},
                               {"AA": Literal("a")}, "start")),
      "label 'fail' is reserved"),
+    # the grammar text tells the two kinds of rule apart by name alone
+    (lambda: validate(Grammar({"R0": Terminal("AA")}, {"AA": Literal("a")}, "R0")),
+     "syntactic rule 'R0' has an ALL-CAPS"),
+    (lambda: validate(Grammar({"start": Terminal("aa")}, {"aa": Literal("a")}, "start")),
+     "lexical rule 'aa' needs an ALL-CAPS name"),
 ])
 def test_validate_rejects(build, message):
     with pytest.raises(GrammarError, match=message):
