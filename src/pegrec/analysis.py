@@ -77,6 +77,16 @@ class Analysis:
     lexical rule names plus its anonymous literal kinds; EOF is tracked as
     the epsilon-like pseudo-kind of the Terminal("EOF") expression rather
     than as a member of the alphabet.
+
+    The per-rule FIRST sets are computed when the Analysis is built.  From
+    then on ``first_of`` remembers its result for each expression node it
+    is given, so FOLLOW, the annotator and the matcher's guards compute
+    FIRST of a subtree once.  The memo is keyed by ``id`` and keeps the
+    node alive with its value, so no other node can take over the id while
+    the Analysis lives; it is not keyed by the node itself, whose frozen
+    dataclass hash and equality walk the whole subtree.  The FOLLOW
+    fixpoint runs on the first ``follow_of`` call, so a user of FIRST sets
+    alone never pays for it.
     """
 
     def __init__(self, grammar: Grammar):
@@ -85,42 +95,46 @@ class Analysis:
         self.all_kinds = frozenset(kinds)
         self._kind_order = {k: i for i, k in enumerate(kinds)}
         self._first: dict[str, TokenSet] = {n: EMPTY_SET for n in grammar.rules}
+        # id(node) -> (node, FIRST(node)); off while the rule sets still grow
+        self._memo: dict[int, tuple[Expr, TokenSet]] | None = None
         self._compute_first()
-        self._follow: dict[str, TokenSet] = {n: EMPTY_SET for n in grammar.rules}
-        self._compute_follow()
+        self._memo = {}
+        self._follow: dict[str, TokenSet] | None = None
 
     # -- FIRST ---------------------------------------------------------------
 
     def first_of(self, e: Expr) -> TokenSet:
-        if isinstance(e, Empty):
-            return EPSILON_ONLY
+        memo = self._memo
+        if memo is not None:
+            hit = memo.get(id(e))
+            if hit is not None:
+                return hit[1]
         if isinstance(e, Terminal):
-            if e.kind == EOF_KIND:
-                # matches only at end of input, consuming nothing
-                return EPSILON_ONLY
-            return TokenSet(frozenset((e.kind,)))
-        if isinstance(e, NonTerminal):
-            return self._first[e.name]
-        if isinstance(e, Sequence):
-            lhs = self.first_of(e.left)
-            if not lhs.has_epsilon:
-                return lhs
-            return lhs.without_epsilon().union(self.first_of(e.right))
-        if isinstance(e, Choice):
-            return self.first_of(e.first).union(self.first_of(e.second))
-        if isinstance(e, Star):
-            return self.first_of(e.body).with_epsilon()
-        if isinstance(e, Optional):
-            return self.first_of(e.body).with_epsilon()
-        if isinstance(e, Plus):
-            return self.first_of(e.body)
-        if isinstance(e, (Not, And)):
-            return EPSILON_ONLY
-        if isinstance(e, Throw):
-            return EMPTY_SET
-        if isinstance(e, AnyToken):
-            return TokenSet(self.all_kinds)
-        raise TypeError(f"no FIRST for {e!r}")
+            # EOF matches only at end of input, consuming nothing
+            f = EPSILON_ONLY if e.kind == EOF_KIND else TokenSet(frozenset((e.kind,)))
+        elif isinstance(e, NonTerminal):
+            f = self._first[e.name]
+        elif isinstance(e, Sequence):
+            f = self.first_of(e.left)
+            if f.has_epsilon:
+                f = f.without_epsilon().union(self.first_of(e.right))
+        elif isinstance(e, Choice):
+            f = self.first_of(e.first).union(self.first_of(e.second))
+        elif isinstance(e, (Star, Optional)):
+            f = self.first_of(e.body).with_epsilon()
+        elif isinstance(e, Plus):
+            f = self.first_of(e.body)
+        elif isinstance(e, (Empty, Not, And)):
+            f = EPSILON_ONLY
+        elif isinstance(e, Throw):
+            f = EMPTY_SET
+        elif isinstance(e, AnyToken):
+            f = TokenSet(self.all_kinds)
+        else:
+            raise TypeError(f"no FIRST for {e!r}")
+        if memo is not None:
+            memo[id(e)] = (e, f)
+        return f
 
     def _compute_first(self) -> None:
         changed = True
@@ -144,6 +158,7 @@ class Analysis:
 
     def _compute_follow(self) -> None:
         g = self.grammar
+        self._follow = {n: EMPTY_SET for n in g.rules}
         self._follow[g.start] = TokenSet(frozenset((EOF_KIND,)))
 
         def visit(e: Expr, flw: TokenSet) -> None:
@@ -173,6 +188,8 @@ class Analysis:
                 visit(body, self._follow[name])
 
     def follow_of(self, rule: str) -> TokenSet:
+        if self._follow is None:
+            self._compute_follow()
         return self._follow[rule]
 
     def first_of_rule(self, rule: str) -> TokenSet:

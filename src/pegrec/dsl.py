@@ -11,11 +11,26 @@ prefix ``!`` and ``&``, postfix ``*`` ``+`` ``?``.  ``[p]^l`` annotates p
 with label l in syntactic rules; in lexical rules ``[...]`` is a character
 class.  ``^l`` alone throws l.  ``.`` matches any token (or any character
 in a lexical rule).  ``''`` is the empty expression.  ``//`` starts a
-comment.  An empty choice alternative is allowed and means empty.
+comment.  An empty choice alternative is allowed and means empty.  A name
+starts with a letter or ``_`` and goes on with letters, digits and ``_``,
+in any script.  The reserved kind ``EOF`` matches end of input.
+
+The scanner runs no Python loop per character.  Layout (blanks and
+comments) is skipped with the token lexer's pattern (``lexer.LAYOUT``),
+a name, a quoted literal with its escapes and a character-class body are
+each one ``re`` match, and punctuation is looked up by its first
+character.  Tokens carry only their offset; a line and column come from
+a table of line starts (``lexer.line_starts``), built when a rule
+position or an error first needs one.  Grammar text nested too deeply
+for the recursive-descent parser is a ``GrammarError``.
 """
 
 from __future__ import annotations
 
+import re
+from typing import NamedTuple
+
+from .lexer import LAYOUT, line_col, line_starts
 from .model import (
     And,
     AnyToken,
@@ -40,138 +55,104 @@ from .model import (
     validate,
 )
 
-_PUNCT = ("<-", "/", "(", ")", "*", "+", "?", "!", "&", ".", ";", "^", "]", "%")
+# punctuation by its first character; '<' only starts "<-"
+_PUNCT = {p[0]: p for p in
+          ("<-", "/", "(", ")", "*", "+", "?", "!", "&", ".", ";", "^", "[", "]", "%")}
+# Python's \w is exactly str.isalnum() or "_"; a name must also start with
+# a letter (str.isalpha()) or "_", which the scanner checks on its own
+_NAME = re.compile(r"\w+")
+# a quoted literal: plain characters and escape pairs up to the closing
+# quote; group 2 is missing when the literal is unterminated
+_LITERAL = {q: re.compile(rf"{q}([^{q}\\\n]*(?:\\.[^{q}\\\n]*)*)({q})?", re.S)
+            for q in "'\""}
+# a character-class member: a character or an escape pair
+_CLASS_CHAR = r"[^\]\\\n]|\\."
+# the members up to the closing ']'; group 1 is missing when unterminated
+_CLASS = re.compile(rf"(?:{_CLASS_CHAR})*(\])?", re.S)
+# one class item: a member, or a range of two
+_CLASS_ITEM = re.compile(rf"({_CLASS_CHAR})(?:-({_CLASS_CHAR}))?", re.S)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
+def _unescape(s: str) -> str:
+    if "\\" not in s:
+        return s
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), s)
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+
+class _Tok(NamedTuple):
+    kind: str
+    text: str
+    pos: int
 
 
 class _Scanner:
     """Splits grammar text into tokens.  '[' is left in the raw stream
     because its meaning (annotation vs character class) depends on whether
-    the enclosing rule is lexical; the parser consumes class bodies
-    character by character."""
+    the enclosing rule is lexical; the parser has ``scan_class`` read a
+    class body."""
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
+        self._starts: list[int] | None = None
 
-    def error(self, msg: str) -> GrammarError:
-        return GrammarError(msg, self.line, self.col)
+    def line_col(self, pos: int) -> tuple[int, int]:
+        if self._starts is None:
+            self._starts = line_starts(self.text)
+        return line_col(self._starts, pos)
 
-    def _advance(self, n: int) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
+    def error(self, msg: str, pos: int) -> GrammarError:
+        return GrammarError(msg, *self.line_col(pos))
 
-    def skip_space(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-            elif self.text.startswith("//", self.pos):
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance(1)
-            else:
-                return
+    def _stop_error(self, msg: str, stop: int) -> GrammarError:
+        """The error of a literal or class whose scan stopped at ``stop``:
+        reported at a newline there, otherwise at end of input (the text
+        ends there, or in a lone backslash)."""
+        text = self.text
+        return self.error(msg, stop if text.startswith("\n", stop) else len(text))
 
     def next_token(self) -> _Tok:
-        self.skip_space()
-        line, col = self.line, self.col
-        if self.pos >= len(self.text):
-            return _Tok("eof", "", line, col)
-        ch = self.text[self.pos]
-        if ch in "'\"":
-            return _Tok("literal", self._scan_quoted(ch), line, col)
-        if ch == "[":
-            self._advance(1)
-            return _Tok("[", "[", line, col)
-        for p in _PUNCT:
-            if self.text.startswith(p, self.pos):
-                self._advance(len(p))
-                return _Tok(p, p, line, col)
+        text = self.text
+        pos = LAYOUT.match(text, self.pos).end()
+        ch = text[pos:pos + 1]
+        if not ch:
+            self.pos = pos
+            return _Tok("eof", "", pos)
+        punct = _PUNCT.get(ch)
+        if punct is not None and text.startswith(punct, pos):
+            self.pos = pos + len(punct)
+            return _Tok(punct, punct, pos)
         if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self._advance(1)
-            return _Tok("name", self.text[start : self.pos], line, col)
-        raise self.error(f"unexpected character {ch!r}")
-
-    def _scan_quoted(self, quote: str) -> str:
-        self._advance(1)
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated literal")
-            ch = self.text[self.pos]
-            if ch == quote:
-                self._advance(1)
-                return "".join(out)
-            if ch == "\n":
-                raise self.error("unterminated literal")
-            if ch == "\\":
-                self._advance(1)
-                if self.pos >= len(self.text):
-                    raise self.error("unterminated literal")
-                esc = self.text[self.pos]
-                out.append({"n": "\n", "t": "\t", "r": "\r"}.get(esc, esc))
-                self._advance(1)
-            else:
-                out.append(ch)
-                self._advance(1)
+            end = _NAME.match(text, pos).end()
+            self.pos = end
+            return _Tok("name", text[pos:end], pos)
+        pattern = _LITERAL.get(ch)
+        if pattern is None:
+            raise self.error(f"unexpected character {ch!r}", pos)
+        m = pattern.match(text, pos)
+        if m[2] is None:
+            raise self._stop_error("unterminated literal", m.end())
+        self.pos = m.end()
+        return _Tok("literal", _unescape(m[1]), pos)
 
     def scan_class(self) -> CharClass:
         """Called just after '['; consumes through the closing ']'."""
+        text = self.text
+        m = _CLASS.match(text, self.pos)
+        body_end = m.start(1) if m[1] else m.end()
         ranges: list[tuple[str, str]] = []
-
-        def read_char() -> str:
-            if self.pos >= len(self.text) or self.text[self.pos] == "\n":
-                raise self.error("unterminated character class")
-            ch = self.text[self.pos]
-            if ch == "\\":
-                self._advance(1)
-                if self.pos >= len(self.text):
-                    raise self.error("unterminated character class")
-                esc = self.text[self.pos]
-                self._advance(1)
-                return {"n": "\n", "t": "\t", "r": "\r"}.get(esc, esc)
-            self._advance(1)
-            return ch
-
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated character class")
-            if self.text[self.pos] == "]":
-                self._advance(1)
-                return CharClass(tuple(ranges))
-            lo = read_char()
-            if (
-                self.pos + 1 < len(self.text)
-                and self.text[self.pos] == "-"
-                and self.text[self.pos + 1] != "]"
-            ):
-                self._advance(1)
-                hi = read_char()
-                if hi < lo:
-                    raise self.error(f"bad range {lo!r}-{hi!r}")
-                ranges.append((lo, hi))
-            else:
-                ranges.append((lo, lo))
+        for item in _CLASS_ITEM.finditer(text, self.pos, body_end):
+            lo = _unescape(item[1])
+            hi = lo if item[2] is None else _unescape(item[2])
+            if hi < lo:
+                raise self.error(f"bad range {lo!r}-{hi!r}", item.end())
+            ranges.append((lo, hi))
+        if m[1] is None:
+            raise self._stop_error("unterminated character class", m.end())
+        self.pos = m.end()
+        return CharClass(tuple(ranges))
 
 
 class _Parser:
@@ -181,7 +162,7 @@ class _Parser:
         self.in_lexical = False
 
     def error(self, msg: str) -> GrammarError:
-        return GrammarError(msg, self.tok.line, self.tok.col)
+        return self.scanner.error(msg, self.tok.pos)
 
     def advance(self) -> _Tok:
         prev = self.tok
@@ -223,18 +204,17 @@ class _Parser:
                 self.in_lexical = False
                 body = self.parse_choice()
                 if name in recovery:
-                    raise GrammarError(
-                        f"duplicate recovery rule {name}", name_tok.line, name_tok.col)
+                    raise self.scanner.error(
+                        f"duplicate recovery rule {name}", name_tok.pos)
                 recovery[name] = body
             else:
                 self.in_lexical = is_lexical_name(name)
                 body = self.parse_choice()
                 target = lexical if self.in_lexical else rules
                 if name in rules or name in lexical:
-                    raise GrammarError(
-                        f"duplicate rule {name}", name_tok.line, name_tok.col)
+                    raise self.scanner.error(f"duplicate rule {name}", name_tok.pos)
                 target[name] = body
-                positions[name] = (name_tok.line, name_tok.col)
+                positions[name] = self.scanner.line_col(name_tok.pos)
             self.expect(";")
 
         if start is None:
@@ -286,9 +266,9 @@ class _Parser:
             self.advance()
             if self.in_lexical:
                 if not is_lexical_name(t.text):
-                    raise GrammarError(
+                    raise self.scanner.error(
                         f"lexical rules may only reference lexical rules, not {t.text!r}",
-                        t.line, t.col)
+                        t.pos)
                 return NonTerminal(t.text)
             if is_lexical_name(t.text):
                 return Terminal(t.text)
@@ -328,7 +308,12 @@ class _Parser:
 
 def parse_grammar(text: str) -> Grammar:
     """Parse grammar text into a validated Grammar."""
-    return _Parser(text).parse_grammar()
+    parser = _Parser(text)
+    try:
+        return parser.parse_grammar()
+    except RecursionError:
+        # the parser and validate recurse once per nesting level
+        raise parser.error("grammar nested too deeply") from None
 
 
 def load_grammar(path: str) -> Grammar:

@@ -52,11 +52,29 @@ class Token(NamedTuple):
     end: int
 
 
-_LAYOUT = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
+# blanks and // line comments; the grammar text (``dsl``) uses the same
+LAYOUT = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
 # FIRST-set range of AnyToken: every character
 _ANY_CHAR = ("\0", "\U0010ffff")
 # tokens scanned past the one asked for, to spread the cost of a scan call
 _SCAN_AHEAD = 32
+
+
+def line_starts(text: str) -> list[int]:
+    """The offset at which each line of text starts."""
+    starts = [0]
+    nl = text.find("\n")
+    while nl >= 0:
+        starts.append(nl + 1)
+        nl = text.find("\n", nl + 1)
+    return starts
+
+
+def line_col(starts: list[int], offset: int) -> tuple[int, int]:
+    """1-based (line, column) of a character offset, given the text's
+    ``line_starts``."""
+    line = bisect.bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
 
 
 def _char_match(rules: dict[str, Expr], e: Expr, text: str, pos: int) -> int | None:
@@ -249,11 +267,7 @@ class TokenStream:
         self.tokens: list[Token] = []
         self._scan_pos = 0
         self._done = False
-        self._line_starts = [0]
-        nl = text.find("\n")
-        while nl >= 0:
-            self._line_starts.append(nl + 1)
-            nl = text.find("\n", nl + 1)
+        self._line_starts = line_starts(text)
 
     def fill(self, i: int) -> bool:
         """Scan until token i exists or the input ends; whether it exists."""
@@ -265,7 +279,7 @@ class TokenStream:
         pos = self._scan_pos
         by_char = self._lexer.by_char
         candidates = self._lexer.candidates
-        skip = _LAYOUT.match
+        skip = LAYOUT.match
         new = tuple.__new__
         target = i + _SCAN_AHEAD
         while len(tokens) <= target:
@@ -320,6 +334,4 @@ class TokenStream:
 
     def pos_info(self, offset: int) -> tuple[int, int]:
         """1-based (line, column) of a character offset."""
-        line = bisect.bisect_right(self._line_starts, offset)
-        col = offset - self._line_starts[line - 1] + 1
-        return line, col
+        return line_col(self._line_starts, offset)

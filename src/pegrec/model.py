@@ -233,7 +233,8 @@ def validate(g: Grammar) -> Grammar:
     """Check structural consistency and fill the derived tables.
 
     Rejects rule names of the wrong kind (the grammar text tells syntactic
-    from lexical rules by the name alone), undefined references, left
+    from lexical rules by the name alone), a lexical rule for the reserved
+    kind ``EOF``, undefined references, left
     recursion (direct or through nullable prefixes), throws of the reserved
     label ``fail``, and recovery rules for labels that are never thrown.
     Also collects anonymous literal token kinds, the label set, and default
@@ -249,6 +250,8 @@ def validate(g: Grammar) -> Grammar:
     for name in g.lexical:
         if not is_lexical_name(name):
             raise GrammarError(f"lexical rule {name!r} needs an ALL-CAPS name")
+    if EOF_KIND in g.lexical:
+        raise GrammarError(f"token kind {EOF_KIND!r} is reserved for end of input")
 
     literals: dict[str, None] = {}
     labels: set[str] = set()

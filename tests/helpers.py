@@ -3,9 +3,10 @@
 naive_match is an independent reference implementation of the matching
 semantics over a plain kind sequence, written directly from the defining
 equations with no sharing of engine code, so differential tests mean
-something; naive_tokenize does the same for the lexer.  The generators produce random grammars (acyclic by
-construction: each rule only references later ones) and random valid
-programs for the miniature Java grammar.
+something; naive_tokenize does the same for the lexer, and CharLoopScanner
+for the scanner of grammar text.  The generators produce random grammars
+(acyclic by construction: each rule only references later ones) and
+random valid programs for the miniature Java grammar.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pegrec.model import (
     Empty,
     Expr,
     Grammar,
+    GrammarError,
     Literal,
     NonTerminal,
     Not,
@@ -129,6 +131,130 @@ def naive_tokenize(grammar: Grammar, text: str) -> list[tuple[str | None, str, i
                 best_kind, best_end = kind, end
         out.append((best_kind, text[pos:best_end], pos))
         pos = best_end
+
+
+# --- reference grammar-text scanner --------------------------------------------
+
+class CharLoopScanner:
+    """Reference scanner for grammar text: it moves one character at a
+    time and keeps the line and column as it goes.  next_token returns
+    (kind, text, line, col); scan_class is called just after a '[' token
+    and consumes through the closing ']'."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def error(self, msg: str) -> GrammarError:
+        return GrammarError(msg, self.line, self.col)
+
+    def _advance(self, n: int) -> None:
+        for _ in range(n):
+            if self.pos < len(self.text) and self.text[self.pos] == "\n":
+                self.line += 1
+                self.col = 1
+            else:
+                self.col += 1
+            self.pos += 1
+
+    def skip_space(self) -> None:
+        while self.pos < len(self.text):
+            ch = self.text[self.pos]
+            if ch in " \t\r\n":
+                self._advance(1)
+            elif self.text.startswith("//", self.pos):
+                while self.pos < len(self.text) and self.text[self.pos] != "\n":
+                    self._advance(1)
+            else:
+                return
+
+    def next_token(self) -> tuple[str, str, int, int]:
+        self.skip_space()
+        line, col = self.line, self.col
+        if self.pos >= len(self.text):
+            return ("eof", "", line, col)
+        ch = self.text[self.pos]
+        if ch in "'\"":
+            return ("literal", self._scan_quoted(ch), line, col)
+        if ch == "[":
+            self._advance(1)
+            return ("[", "[", line, col)
+        for p in ("<-", "/", "(", ")", "*", "+", "?", "!", "&", ".", ";", "^",
+                  "]", "%"):
+            if self.text.startswith(p, self.pos):
+                self._advance(len(p))
+                return (p, p, line, col)
+        if ch.isalpha() or ch == "_":
+            start = self.pos
+            while self.pos < len(self.text) and (
+                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+            ):
+                self._advance(1)
+            return ("name", self.text[start:self.pos], line, col)
+        raise self.error(f"unexpected character {ch!r}")
+
+    def _scan_quoted(self, quote: str) -> str:
+        self._advance(1)
+        out = []
+        while True:
+            if self.pos >= len(self.text):
+                raise self.error("unterminated literal")
+            ch = self.text[self.pos]
+            if ch == quote:
+                self._advance(1)
+                return "".join(out)
+            if ch == "\n":
+                raise self.error("unterminated literal")
+            if ch == "\\":
+                self._advance(1)
+                if self.pos >= len(self.text):
+                    raise self.error("unterminated literal")
+                esc = self.text[self.pos]
+                out.append({"n": "\n", "t": "\t", "r": "\r"}.get(esc, esc))
+                self._advance(1)
+            else:
+                out.append(ch)
+                self._advance(1)
+
+    def scan_class(self) -> CharClass:
+        """Called just after '['; consumes through the closing ']'."""
+        ranges: list[tuple[str, str]] = []
+
+        def read_char() -> str:
+            if self.pos >= len(self.text) or self.text[self.pos] == "\n":
+                raise self.error("unterminated character class")
+            ch = self.text[self.pos]
+            if ch == "\\":
+                self._advance(1)
+                if self.pos >= len(self.text):
+                    raise self.error("unterminated character class")
+                esc = self.text[self.pos]
+                self._advance(1)
+                return {"n": "\n", "t": "\t", "r": "\r"}.get(esc, esc)
+            self._advance(1)
+            return ch
+
+        while True:
+            if self.pos >= len(self.text):
+                raise self.error("unterminated character class")
+            if self.text[self.pos] == "]":
+                self._advance(1)
+                return CharClass(tuple(ranges))
+            lo = read_char()
+            if (
+                self.pos + 1 < len(self.text)
+                and self.text[self.pos] == "-"
+                and self.text[self.pos + 1] != "]"
+            ):
+                self._advance(1)
+                hi = read_char()
+                if hi < lo:
+                    raise self.error(f"bad range {lo!r}-{hi!r}")
+                ranges.append((lo, hi))
+            else:
+                ranges.append((lo, lo))
 
 
 # --- random grammars ---------------------------------------------------------

@@ -1,10 +1,22 @@
+import copy
+import random
+
 from pegrec.analysis import Analysis, TokenSet
 from pegrec.annotate import annotate
 from pegrec.dsl import parse_grammar
-from pegrec.engine import match
-from pegrec.model import desugar, nullable_map
+from pegrec.engine import Session, _Matcher, match
+from pegrec.model import (
+    Choice,
+    Sequence,
+    Star,
+    Terminal,
+    _walk,
+    desugar,
+    nullable_map,
+    program,
+)
 
-from helpers import all_inputs, naive_match, random_grammar, render_input
+from helpers import ALPHABET, all_inputs, naive_match, random_grammar, render_input
 
 
 def kinds(ts: TokenSet) -> set[str]:
@@ -128,3 +140,83 @@ def test_first_epsilon_agrees_with_nullable_map(tiny_java, tiny_java_labeled,
             nullable = nullable_map(form.rules)
             for rule in form.rules:
                 assert a.first_of_rule(rule).has_epsilon == nullable[rule], rule
+
+
+# --- the FIRST memo and lazy FOLLOW ------------------------------------------
+
+def unmemoized(a: Analysis) -> Analysis:
+    """A copy of a that computes every FIRST set from scratch and FOLLOW
+    at once, as an Analysis without the memo did."""
+    fresh = copy.copy(a)
+    fresh._memo = None
+    fresh._compute_follow()
+    return fresh
+
+
+def all_grammars(*bundled):
+    grammars = list(bundled)
+    for seed in range(50):
+        grammars += [random_grammar(seed), annotate(random_grammar(seed))[0]]
+    for g in grammars:
+        yield g
+        yield desugar(g)
+
+
+def test_memoized_first_agrees_with_a_fresh_computation(
+        tiny_java, tiny_java_labeled, tiny_java_annotated_file):
+    bundled = (tiny_java, tiny_java_labeled, tiny_java_annotated_file)
+    for g in all_grammars(*bundled, *(annotate(b)[0] for b in bundled)):
+        a = Analysis(g)
+        fresh = unmemoized(a)
+        bodies = [*g.rules.values(), *g.recovery.values()]
+        # twice: the second pass reads every set from the memo
+        for _ in range(2):
+            for body in bodies:
+                for e in _walk(body):
+                    assert a.first_of(e) == fresh.first_of(e), e
+        for rule in g.rules:
+            assert a.follow_of(rule) == fresh.follow_of(rule), rule
+
+
+def test_first_memo_outlives_dropped_expressions():
+    # an id freed by a dropped expression is free for the next one built,
+    # so the memo must keep its nodes alive
+    a = Analysis(random_grammar(3))
+    fresh = unmemoized(a)
+    rng = random.Random(0)
+    for _ in range(3000):
+        x, y = rng.choice(ALPHABET), rng.choice(ALPHABET)
+        e = rng.choice((Sequence, Choice))(rng.choice((Terminal(x), Star(Terminal(x)))),
+                                           Terminal(y))
+        assert a.first_of(e) == fresh.first_of(e)
+        del e
+
+
+def test_follow_is_computed_on_first_use(monkeypatch, tiny_java):
+    runs = []
+    real = Analysis._compute_follow
+    monkeypatch.setattr(Analysis, "_compute_follow",
+                        lambda self: runs.append(self) or real(self))
+    a = Analysis(tiny_java)
+    a.first_of(tiny_java.rules["Prog"])
+    assert runs == []
+    assert kinds(a.follow_of("Prog")) == {"EOF"}
+    a.follow_of("Exp")
+    assert runs == [a]
+
+
+def test_compiling_a_matcher_runs_no_follow_fixpoint(monkeypatch, grammar_dir):
+    text = (grammar_dir / "tiny_java_annotated.peg").read_text(encoding="utf-8")
+    # annotating needs FOLLOW; compiling and parsing must not
+    annotated = [annotate(random_grammar(seed))[0] for seed in range(10)]
+
+    def no_follow(self):
+        raise AssertionError("FOLLOW computed")
+    monkeypatch.setattr(Analysis, "_compute_follow", no_follow)
+    g = parse_grammar(text)
+    _Matcher(program(g).grammar)
+    outcome = Session(g, "public class A { public static void main "
+                         "( String [ ] a ) { x = 1 ; } }").parse()
+    assert outcome.status == "matched" and not outcome.errors
+    for g in annotated:
+        _Matcher(program(g).grammar)

@@ -208,19 +208,40 @@ def test_eval_json(capsys, tmp_path, small_grammar):
     assert data["cases"][0]["first_label"] == "miss"
 
 
+def run_module(*args: str) -> subprocess.CompletedProcess:
+    """``python -m pegrec`` in a new process, which starts at the default
+    recursion limit."""
+    src = str(Path(pegrec.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "pegrec", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_module_runs_cli_and_deep_nesting_exits_2(tmp_path, grammar_dir):
     # python -m pegrec works without the console script installed
     source = write(tmp_path, "deep.java",
                    "public class A { public static void main ( String [ ] a ) "
                    "{ x = " + "( " * 3000 + "1" + " )" * 3000 + " ; } }")
-    src = str(Path(pegrec.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "pegrec", "parse",
-         str(grammar_dir / "tiny_java_annotated.peg"), source],
-        capture_output=True, text=True, env=env, timeout=120)
+    done = run_module("parse", str(grammar_dir / "tiny_java_annotated.peg"), source)
     assert done.returncode == 2
     assert "input nested too deeply" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+# deeper than both the default recursion limit and the one a Session sets
+DEEP_GRAMMAR = "start <- " + "(" * 30000 + "AA" + ")" * 30000 + " ;\nAA <- 'a' ;\n"
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["parse"]])
+def test_deeply_nested_grammar_exits_2(capsys, tmp_path, command):
+    grammar = write(tmp_path, "deep.peg", DEEP_GRAMMAR)
+    argv = command + [grammar] + ([write(tmp_path, "x.txt", "a")]
+                                  if command == ["parse"] else [])
+    assert main(argv) == 2
+    assert "grammar nested too deeply" in capsys.readouterr().err
+    done = run_module(*argv)
+    assert done.returncode == 2
+    assert "grammar nested too deeply" in done.stderr
     assert "Traceback" not in done.stderr

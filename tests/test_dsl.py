@@ -1,6 +1,11 @@
-import pytest
+import sys
+from pathlib import Path
 
-from pegrec.dsl import parse_grammar
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from pegrec.dsl import _Scanner, parse_grammar
+from pegrec.engine import Session
 from pegrec.model import (
     Annotated,
     AnyToken,
@@ -17,7 +22,11 @@ from pegrec.model import (
     Star,
     Terminal,
     Throw,
+    is_lexical_name,
+    serialize_grammar,
 )
+
+from helpers import CharLoopScanner, random_grammar
 
 ABC = "\nAA <- 'a' ;\nBB <- 'b' ;\nCC <- 'c' ;"
 
@@ -155,3 +164,140 @@ def test_rule_positions_recorded():
     g = parse_grammar("start <- AA ;\nAA <- 'a' ;")
     assert g.rule_positions["start"] == (1, 1)
     assert g.rule_positions["AA"] == (2, 1)
+
+
+def test_names_start_with_a_letter_in_any_script():
+    g = parse_grammar("start <- ÄA x² ;\nx² <- ÄA ;\nÄA <- 'ä' ;")
+    assert g.rules["start"] == Sequence(Terminal("ÄA"), NonTerminal("x²"))
+    # '²' is alphanumeric but not a letter, so it cannot start a name
+    with pytest.raises(GrammarError, match="unexpected character '²'") as exc:
+        parse_grammar("start <- ²x ;")
+    assert (exc.value.line, exc.value.col) == (1, 10)
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("start <- 'a\\", "unterminated literal", 1, 13),
+    ("start <- 'a\nb' ;", "unterminated literal", 1, 12),
+    ("start <- AA ;\nAA <- 'a\\\nb' ;", None, None, None),
+    ("start <- AA ;\nAA <- [a\\", "unterminated character class", 2, 10),
+    ("start <- AA ;\nAA <- [a-\n] ;", "unterminated character class", 2, 10),
+    ("start <- AA ;\nAA <- [z-a] ;", "bad range 'z'-'a'", 2, 11),
+    ("start <- AA ;\r\n\tAA <- 'a' ; @", "unexpected character '@'", 2, 14),
+])
+def test_scanner_error_positions(text, message, line, col):
+    if message is None:
+        # an escaped newline is part of the literal
+        assert parse_grammar(text).lexical["AA"] == Literal("a\nb")
+        return
+    with pytest.raises(GrammarError, match=message) as exc:
+        parse_grammar(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+# --- the scanner against the reference char-loop scanner ----------------------
+
+def scan_all(scanner, position) -> list:
+    """Everything a scanner yields for one text, driven as the parser
+    drives it: a '[' inside a lexical rule is followed by a class body.
+    Tokens are (kind, text, line, col); the list ends with the eof token
+    or with the error raised, as (message, line, col)."""
+    out: list = []
+    lexical = recovery = False
+    prev = None
+    try:
+        while True:
+            kind, text, line, col = position(scanner.next_token())
+            out.append((kind, text, line, col))
+            if kind == "eof":
+                return out
+            if kind == "<-" and prev is not None and prev[0] == "name":
+                lexical = not recovery and is_lexical_name(prev[1])
+            elif kind == "name" and text == "recovery" and prev == ("%", "%"):
+                recovery = True
+            elif kind == "[" and lexical:
+                out.append(scanner.scan_class())
+            prev = (kind, text)
+    except GrammarError as exc:
+        out.append((exc.message, exc.line, exc.col))
+        return out
+
+
+def scan_both(text: str) -> tuple[list, list]:
+    new = _Scanner(text)
+    got = scan_all(new, lambda t: (t.kind, t.text, *new.line_col(t.pos)))
+    want = scan_all(CharLoopScanner(text), lambda t: t)
+    return got, want
+
+
+GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
+TEXTS = [path.read_text(encoding="utf-8")
+         for path in sorted(GRAMMAR_DIR.glob("*.peg"))]
+TEXTS += [serialize_grammar(random_grammar(seed)) for seed in range(50)]
+
+
+def test_scanner_agrees_with_reference_on_grammars():
+    assert len(TEXTS) == 53
+    for text in TEXTS:
+        got, want = scan_both(text)
+        assert got == want
+        assert got[-1][0] == "eof"
+
+
+# inserted text: layout, quotes, escapes, class and comment syntax, and
+# names in and out of ASCII
+INSERTS = ("\r\n", "\t", "\n", " ", "'", '"', "\\", "\\\n", "[", "]", "-",
+           "//", "<", "<-", "ÄA", "x²", "²", "é", "_", "9", "@", "%")
+ENDINGS = ("", "// comment", "\\", "'abc", "'a\\", "\"x", "[a-", "[\\",
+           "\r\n", "\t")
+
+
+@st.composite
+def mutated_texts(draw):
+    text = draw(st.sampled_from(TEXTS))
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + draw(st.sampled_from(INSERTS)) + text[i:]
+    return text + draw(st.sampled_from(ENDINGS))
+
+
+@given(mutated_texts())
+@settings(max_examples=300, deadline=None)
+@example("AA <- [a-")
+@example("AA <- [a-\\")
+@example("AA <- [\\]-\\\\x-]")
+@example("AA <- 'a\\")
+@example("start <- \"a\nb\" ;")
+@example("ÄA <- 'x' ; x² <- ÄA ; ²")
+@example("start <- AA ; // end")
+def test_scanner_agrees_with_reference_on_mutations(text):
+    got, want = scan_both(text)
+    assert got == want
+    try:
+        parse_grammar(text)
+    except GrammarError:
+        pass
+
+
+# --- deep nesting ---------------------------------------------------------------
+
+# deeper than both the default recursion limit and the one a Session sets
+DEPTH = 30000
+
+
+@pytest.mark.parametrize("body", [
+    "(" * DEPTH + "AA" + ")" * DEPTH,
+    "!" * DEPTH + "AA",
+])
+def test_deep_nesting_is_a_grammar_error(body):
+    Session(parse_grammar("start <- AA ;\nAA <- 'a' ;"), "a")
+    limit = sys.getrecursionlimit()
+    assert limit >= 20000
+    with pytest.raises(GrammarError, match="grammar nested too deeply") as exc:
+        parse_grammar(f"start <- {body} ;\nAA <- 'a' ;")
+    assert exc.value.line == 1
+    assert sys.getrecursionlimit() == limit

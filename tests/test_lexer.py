@@ -1,5 +1,8 @@
+import re
+
 from hypothesis import example, given, settings, strategies as st
 
+from pegrec import dsl, lexer
 from pegrec.dsl import parse_grammar
 from pegrec.lexer import TokenStream, _lexer
 from pegrec.model import (
@@ -212,9 +215,22 @@ def test_lexer_agrees_with_naive_reference(grammar, text):
 @given(grammar=lexical_grammars())
 @settings(max_examples=100, deadline=None)
 def test_patterns_use_no_python_3_11_syntax(tiny_java, grammar):
-    # atomic groups and possessive quantifiers need Python 3.11
+    # atomic groups and possessive quantifiers need Python 3.11; the
+    # module-level patterns of the lexer and of the grammar-text scanner
+    # are checked with the ones compiled from grammars
+    sources = [p.pattern for p in _module_patterns(lexer) + _module_patterns(dsl)]
+    assert len(sources) >= 7
     for g in (grammar, tiny_java):
-        for source in _lexer(g).sources.values():
-            if source is not None:
-                for syntax in ("(?>", "*+", "++", "?+"):
-                    assert syntax not in source, (syntax, source)
+        sources += [s for s in _lexer(g).sources.values() if s is not None]
+    for source in sources:
+        for syntax in ("(?>", "*+", "++", "?+"):
+            assert syntax not in source, (syntax, source)
+
+
+def _module_patterns(module) -> list[re.Pattern]:
+    """The compiled patterns a module holds, alone or as dict values."""
+    out = []
+    for value in vars(module).values():
+        values = value.values() if isinstance(value, dict) else (value,)
+        out += [v for v in values if isinstance(v, re.Pattern)]
+    return out

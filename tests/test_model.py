@@ -158,6 +158,10 @@ def test_validate_rejects_labels_in_lexical_rules():
      "syntactic rule 'R0' has an ALL-CAPS"),
     (lambda: validate(Grammar({"start": Terminal("aa")}, {"aa": Literal("a")}, "start")),
      "lexical rule 'aa' needs an ALL-CAPS name"),
+    # a reference to EOF matches end of input, so such a rule could never
+    # match, and its tokens would look like the end to the matcher
+    (lambda: parse_grammar("start <- EOF AA / AA ;\nEOF <- 'x' ;\nAA <- 'a' ;"),
+     "token kind 'EOF' is reserved for end of input"),
 ])
 def test_validate_rejects(build, message):
     with pytest.raises(GrammarError, match=message):
