@@ -19,10 +19,11 @@ The scanner runs no Python loop per character.  Layout (blanks and
 comments) is skipped with the token lexer's pattern (``lexer.LAYOUT``),
 a name, a quoted literal with its escapes and a character-class body are
 each one ``re`` match, and punctuation is looked up by its first
-character.  Tokens carry only their offset; a line and column come from
-a table of line starts (``lexer.line_starts``), built when a rule
-position or an error first needs one.  Grammar text nested too deeply
-for the recursive-descent parser is a ``GrammarError``.
+character; only the members of a class are then visited one by one, to
+build its ranges.  Tokens carry only their offset; a line and column
+come from a table of line starts (``lexer.line_starts``), built when a
+rule position or an error first needs one.  Grammar text nested too
+deeply for the recursive-descent parser is a ``GrammarError``.
 """
 
 from __future__ import annotations
@@ -141,9 +142,9 @@ class _Scanner:
         """Called just after '['; consumes through the closing ']'."""
         text = self.text
         m = _CLASS.match(text, self.pos)
-        body_end = m.start(1) if m[1] else m.end()
         ranges: list[tuple[str, str]] = []
-        for item in _CLASS_ITEM.finditer(text, self.pos, body_end):
+        # the items tile the members; the closing ']' matches no item
+        for item in _CLASS_ITEM.finditer(text, self.pos, m.end()):
             lo = _unescape(item[1])
             hi = lo if item[2] is None else _unescape(item[2])
             if hi < lo:

@@ -129,7 +129,7 @@ def Annotated(body: Expr, label: str) -> Expr:
 def is_lexical_name(name: str) -> bool:
     # Single uppercase letters still name syntactic rules; token kinds need
     # at least two characters and no lowercase.
-    return len(name) >= 2 and any(c.isalpha() for c in name) and name.upper() == name
+    return len(name) >= 2 and name.upper() == name and any(c.isalpha() for c in name)
 
 
 def is_literal_kind(kind: str) -> bool:

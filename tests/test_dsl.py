@@ -245,8 +245,9 @@ def test_scanner_agrees_with_reference_on_grammars():
 
 # inserted text: layout, quotes, escapes, class and comment syntax, and
 # names in and out of ASCII
-INSERTS = ("\r\n", "\t", "\n", " ", "'", '"', "\\", "\\\n", "[", "]", "-",
-           "//", "<", "<-", "ÄA", "x²", "²", "é", "_", "9", "@", "%")
+INSERTS = ("\r\n", "\t", "\n", " ", "'", '"', "\\", "\\\n", "\\n", "\\r",
+           "\\t", "\\'", "\\]", "[", "]", "-", "//", "<", "<-", "ÄA", "x²",
+           "²", "é", "_", "9", "@", "%")
 ENDINGS = ("", "// comment", "\\", "'abc", "'a\\", "\"x", "[a-", "[\\",
            "\r\n", "\t")
 
@@ -271,6 +272,7 @@ def mutated_texts(draw):
 @example("AA <- [a-\\")
 @example("AA <- [\\]-\\\\x-]")
 @example("AA <- 'a\\")
+@example("AA <- '\\n\\t\\r\\\\\\'\\x' [\\n\\t\\r\\]\\\\-\\r] ;")
 @example("start <- \"a\nb\" ;")
 @example("ÄA <- 'x' ; x² <- ÄA ; ²")
 @example("start <- AA ; // end")
