@@ -234,7 +234,7 @@ def test_module_runs_cli_and_deep_nesting_exits_2(tmp_path, grammar_dir):
 DEEP_GRAMMAR = "start <- " + "(" * 30000 + "AA" + ")" * 30000 + " ;\nAA <- 'a' ;\n"
 
 
-@pytest.mark.parametrize("command", [["analyze"], ["parse"]])
+@pytest.mark.parametrize("command", [["analyze"], ["parse"]], ids=["analyze", "parse"])
 def test_deeply_nested_grammar_exits_2(capsys, tmp_path, command):
     grammar = write(tmp_path, "deep.peg", DEEP_GRAMMAR)
     argv = command + [grammar] + ([write(tmp_path, "x.txt", "a")]

@@ -294,7 +294,7 @@ DEPTH = 30000
 @pytest.mark.parametrize("body", [
     "(" * DEPTH + "AA" + ")" * DEPTH,
     "!" * DEPTH + "AA",
-])
+], ids=["parentheses", "not"])
 def test_deep_nesting_is_a_grammar_error(body):
     Session(parse_grammar("start <- AA ;\nAA <- 'a' ;"), "a")
     limit = sys.getrecursionlimit()
