@@ -34,6 +34,8 @@ from .model import (
     Star,
     Terminal,
     Throw,
+    checked,
+    rule_fixpoint,
 )
 
 
@@ -73,10 +75,10 @@ EPSILON_ONLY = TokenSet(frozenset(), True)
 class Analysis:
     """FIRST/FOLLOW tables for one grammar.
 
-    Works on sugared or desugared grammars.  Token kinds are the grammar's
-    lexical rule names plus its anonymous literal kinds; EOF is tracked as
-    the epsilon-like pseudo-kind of the Terminal("EOF") expression rather
-    than as a member of the alphabet.
+    Works on sugared or desugared grammars; one built by hand is validated
+    here on first use.  Token kinds are the lexical rule names plus the
+    anonymous literal kinds; EOF is tracked as the epsilon-like pseudo-kind
+    of the Terminal("EOF") expression, not as a member of the alphabet.
 
     The per-rule FIRST sets are computed when the Analysis is built.  From
     then on ``first_of`` remembers its result for each expression node it
@@ -90,14 +92,13 @@ class Analysis:
     """
 
     def __init__(self, grammar: Grammar):
-        self.grammar = grammar
+        self.grammar = checked(grammar)
         kinds = grammar.token_kinds()
         self.all_kinds = frozenset(kinds)
         self._kind_order = {k: i for i, k in enumerate(kinds)}
-        self._first: dict[str, TokenSet] = {n: EMPTY_SET for n in grammar.rules}
         # id(node) -> (node, FIRST(node)); off while the rule sets still grow
         self._memo: dict[int, tuple[Expr, TokenSet]] | None = None
-        self._compute_first()
+        self._first = rule_fixpoint(grammar.rules, self._first_step, EMPTY_SET)
         self._memo = {}
         self._follow: dict[str, TokenSet] | None = None
 
@@ -136,15 +137,10 @@ class Analysis:
             memo[id(e)] = (e, f)
         return f
 
-    def _compute_first(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for name, body in self.grammar.rules.items():
-                new = self.first_of(body)
-                if new != self._first[name]:
-                    self._first[name] = new
-                    changed = True
+    def _first_step(self, body: Expr, table: dict[str, TokenSet]) -> TokenSet:
+        # first_of reads rule sets from self._first: the growing table
+        self._first = table
+        return self.first_of(body)
 
     # -- FOLLOW --------------------------------------------------------------
 

@@ -19,7 +19,7 @@ overlaps its follow set.  Every skip is reported with its reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 from .analysis import Analysis, TokenSet
@@ -40,7 +40,7 @@ from .model import (
     describe,
     desugar,
     strip_labels,
-    validate,
+    valid_by_construction,
 )
 
 
@@ -310,14 +310,7 @@ def annotate(grammar: Grammar,
             worker.report.warnings.append(
                 f"star-mode rule {name} has no eligible repetition")
 
-    out = Grammar(
-        rules=new_rules,
-        lexical=dict(g.lexical),
-        start=g.start,
-        recovery=worker.recovery,
-        messages=dict(g.messages),
-        rule_positions=dict(g.rule_positions),
-        desugared=True,
-    )
-    validate(out)
+    # only fresh labels, each with a recovery expression over known kinds
+    out = valid_by_construction(replace(
+        g, rules=new_rules, recovery=worker.recovery, messages=dict(g.messages)))
     return out, worker.report

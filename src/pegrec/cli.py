@@ -23,6 +23,7 @@ from .diagnostics import format_error, load_messages, suppress_cascaded
 from .dsl import load_grammar
 from .engine import Session, tree_to_json
 from .evaluate import load_corpus, run_corpus
+from .lexer import read_text
 from .model import GrammarError, serialize_grammar
 
 
@@ -89,8 +90,7 @@ def _cmd_parse(args) -> int:
     messages = None
     if args.messages:
         messages = load_messages(args.messages, grammar)
-    with open(args.file, encoding="utf-8") as f:
-        text = f.read()
+    text = read_text(args.file)
     outcome = Session(grammar, text, max_errors=args.max_errors,
                       messages=messages).parse()
     errors = outcome.errors
@@ -170,10 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GrammarError as exc:
-        print(f"pegrec: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GrammarError, OSError) as exc:
         print(f"pegrec: {exc}", file=sys.stderr)
         return 2
 

@@ -6,6 +6,7 @@ import json
 import warnings
 
 from .engine import ParseError
+from .lexer import read_text
 from .model import Grammar, GrammarError
 
 
@@ -18,13 +19,12 @@ def load_messages(path: str, grammar: Grammar | None = None) -> dict[str, str]:
     """Label-to-message table from a JSON file, merged over the grammar's
     defaults.  Unknown labels are kept but flagged with a warning so a
     renamed label does not silently lose its message."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise GrammarError(
-                f"malformed message file {path}: {exc.msg}",
-                exc.lineno, exc.colno) from exc
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise GrammarError(
+            f"malformed message file {path}: {exc.msg}",
+            exc.lineno, exc.colno) from exc
     if not isinstance(data, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in data.items()
     ):

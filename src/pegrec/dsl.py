@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .lexer import LAYOUT, line_col, line_starts
+from .lexer import LAYOUT, line_col, line_starts, read_text
 from .model import (
     And,
     AnyToken,
@@ -218,15 +218,10 @@ class _Parser:
                 positions[name] = self.scanner.line_col(name_tok.pos)
             self.expect(";")
 
-        if start is None:
-            if not rules:
-                raise GrammarError("grammar has no syntactic rules")
-            start = next(iter(rules))
-        g = Grammar(
-            rules=rules, lexical=lexical, start=start,
-            recovery=recovery, rule_positions=positions,
-        )
-        return validate(g)
+        # no rule at all is reported by validate
+        return validate(Grammar(
+            rules=rules, lexical=lexical, start=start or next(iter(rules), ""),
+            recovery=recovery, rule_positions=positions))
 
     def parse_choice(self):
         e = self.parse_sequence()
@@ -318,5 +313,4 @@ def parse_grammar(text: str) -> Grammar:
 
 
 def load_grammar(path: str) -> Grammar:
-    with open(path, encoding="utf-8") as f:
-        return parse_grammar(f.read())
+    return parse_grammar(read_text(path))

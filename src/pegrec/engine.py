@@ -61,8 +61,6 @@ from .model import (
     Throw,
     children,
     desugar_expr,
-    nullable_expr,
-    nullable_map,
     operands,
     program,
     rule_fixpoint,
@@ -363,29 +361,13 @@ def _throw(label: str):
     return throw
 
 
-def _acts(e: Expr, nullable: dict[str, bool], table: dict[str, bool]) -> bool:
-    """Whether e can reach a throw, a predicate or ``.`` before it consumes
-    a token; ``table`` says which rules can.  An unknown rule counts as
-    one that can."""
-    if isinstance(e, (Throw, Not, AnyToken)):
-        return True
-    if isinstance(e, NonTerminal):
-        return table.get(e.name, True)
-    if isinstance(e, Sequence):
-        return (_acts(e.left, nullable, table)
-                or nullable_expr(e.left, nullable) and _acts(e.right, nullable, table))
-    return any(_acts(c, nullable, table) for c in children(e))
-
-
 class _Matcher:
     """The syntactic rules and recovery expressions of one desugared
     grammar, compiled."""
 
     def __init__(self, g: Grammar):
         self.analysis = Analysis(g)
-        self.nullable = nullable_map(g.rules)
-        self.acts = rule_fixpoint(
-            g.rules, lambda body, table: _acts(body, self.nullable, table))
+        self.acts = rule_fixpoint(g.rules, self._acts, False)
         self.rules: dict = {}
         for name, body in g.rules.items():
             self.rules[name] = self.compile(body)
@@ -396,9 +378,24 @@ class _Matcher:
         """The token kinds at which e can do anything but fail plainly
         without consuming, or None when e must run at every token: when it
         is nullable or can act before consuming (``_acts``)."""
-        if nullable_expr(e, self.nullable) or _acts(e, self.nullable, self.acts):
+        first = self.analysis.first_of(e)
+        if first.has_epsilon or self._acts(e, self.acts):
             return None
-        return self.analysis.first_of(e).kinds
+        return first.kinds
+
+    def _acts(self, e: Expr, table: dict[str, bool]) -> bool:
+        """Whether e can reach a throw, a predicate or ``.`` before it
+        consumes a token; ``table`` says which rules can.  An unknown rule
+        counts as one that can."""
+        if isinstance(e, (Throw, Not, AnyToken)):
+            return True
+        if isinstance(e, NonTerminal):
+            return table.get(e.name, True)
+        if isinstance(e, Sequence):
+            return (self._acts(e.left, table)
+                    or self.analysis.first_of(e.left).has_epsilon
+                    and self._acts(e.right, table))
+        return any(self._acts(c, table) for c in children(e))
 
     def compile(self, e: Expr):
         """Closure for desugared e.  A rule reference looks its rule up

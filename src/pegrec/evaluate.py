@@ -31,7 +31,7 @@ from .engine import (
     TokenLeaf,
     tree_from_json,
 )
-from .lexer import TokenStream
+from .lexer import TokenStream, read_text
 from .model import Grammar
 
 EXCELLENT = "excellent"
@@ -150,7 +150,7 @@ def load_corpus(directory: str | Path) -> list[CorpusCase]:
         label = stem.with_suffix(".label")
         expected_label = None
         if label.exists():
-            expected_label = label.read_text(encoding="utf-8").strip() or None
+            expected_label = read_text(label).strip() or None
         cases.append(CorpusCase(
             name=bad.stem,
             bad_path=bad,
@@ -163,17 +163,15 @@ def load_corpus(directory: str | Path) -> list[CorpusCase]:
 
 def run_case(grammar: Grammar, case: CorpusCase,
              max_errors: int = 50) -> CaseResult:
-    text = case.bad_path.read_text(encoding="utf-8")
+    text = read_text(case.bad_path)
     outcome = Session(grammar, text, max_errors=max_errors).parse()
 
     intended = None
     note = ""
     if case.tree_path is not None:
-        intended = tree_from_json(json.loads(
-            case.tree_path.read_text(encoding="utf-8")))
+        intended = tree_from_json(json.loads(read_text(case.tree_path)))
     elif case.ok_path is not None:
-        ok_outcome = Session(
-            grammar, case.ok_path.read_text(encoding="utf-8")).parse()
+        ok_outcome = Session(grammar, read_text(case.ok_path)).parse()
         if ok_outcome.ok:
             intended = ok_outcome.tree
         else:

@@ -42,6 +42,7 @@ from .model import (
     nullable_map,
     operands,
     program,
+    rule_fixpoint,
 )
 
 
@@ -58,6 +59,15 @@ LAYOUT = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
 _ANY_CHAR = ("\0", "\U0010ffff")
 # tokens scanned past the one asked for, to spread the cost of a scan call
 _SCAN_AHEAD = 32
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; one that is not UTF-8 is an OSError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from exc
 
 
 def line_starts(text: str) -> list[int]:
@@ -169,9 +179,8 @@ class _RegexWriter:
 def _first_chars(rules: dict[str, Expr]) -> dict[str, frozenset]:
     """Per rule, the character ranges a non-empty match can start with."""
     nullable = nullable_map(rules)
-    first: dict[str, frozenset] = {n: frozenset() for n in rules}
 
-    def heads(e: Expr) -> frozenset:
+    def heads(e: Expr, first: dict[str, frozenset]) -> frozenset:
         if isinstance(e, Literal):
             return frozenset({(e.text[0], e.text[0])}) if e.text else frozenset()
         if isinstance(e, CharClass):
@@ -183,25 +192,17 @@ def _first_chars(rules: dict[str, Expr]) -> dict[str, frozenset]:
             return frozenset()
         if isinstance(e, Sequence):
             if nullable_expr(e.left, nullable):
-                return heads(e.left) | heads(e.right)
-            return heads(e.left)
+                return heads(e.left, first) | heads(e.right, first)
+            return heads(e.left, first)
         if isinstance(e, Choice):
-            return heads(e.first) | heads(e.second)
+            return heads(e.first, first) | heads(e.second, first)
         if isinstance(e, Star):
-            return heads(e.body)
+            return heads(e.body, first)
         if isinstance(e, NonTerminal):
             return first[e.name]
         raise TypeError(f"unexpected node in lexical pattern: {e!r}")
 
-    changed = True
-    while changed:
-        changed = False
-        for name, body in rules.items():
-            f = heads(body)
-            if f != first[name]:
-                first[name] = f
-                changed = True
-    return first
+    return rule_fixpoint(rules, heads, frozenset())
 
 
 class _Lexer:

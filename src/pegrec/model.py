@@ -6,6 +6,11 @@ character-level patterns.  Failures carry labels: the distinguished label
 ``fail`` backtracks normally, every other label aborts ordinary alternatives
 and repetitions and can only be fielded by a recovery expression or a
 syntactic predicate.
+
+A grammar is checked once (``validate``): by ``parse_grammar``, or, when
+built by hand, on first use (``checked``: parse, match, annotate, Analysis).
+The passes keep validity, so their outputs are not checked again.  Validity
+is remembered per object: do not mutate a grammar after its first use.
 """
 
 from __future__ import annotations
@@ -196,13 +201,13 @@ def map_children(e: Expr, f) -> Expr:
     return type(e)(*map(f, kids)) if kids else e
 
 
-def _walk(e: Expr):
-    """Every node of e in preorder."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(children(node)))
+def _walk(e: Expr, out: list | None = None) -> list[Expr]:
+    """Every node of e in preorder, appended to ``out``."""
+    out = [] if out is None else out
+    out.append(e)
+    for child in children(e):
+        _walk(child, out)
+    return out
 
 
 def operands(e: Expr, cls: type) -> list[Expr]:
@@ -229,6 +234,15 @@ def annotation_parts(e: Expr) -> tuple[Expr, str] | None:
 
 # --- validation -------------------------------------------------------------
 
+# Grammars known to be valid, keyed on the object like _PROGRAMS.
+_VALID: "weakref.WeakSet[Grammar]" = weakref.WeakSet()
+
+
+def checked(g: Grammar) -> Grammar:
+    """g, validated the first time it is used unless it is known valid."""
+    return g if g in _VALID else validate(g)
+
+
 def validate(g: Grammar) -> Grammar:
     """Check structural consistency and fill the derived tables.
 
@@ -253,32 +267,20 @@ def validate(g: Grammar) -> Grammar:
     if EOF_KIND in g.lexical:
         raise GrammarError(f"token kind {EOF_KIND!r} is reserved for end of input")
 
-    literals: dict[str, None] = {}
-    labels: set[str] = set()
-    descriptions: dict[str, str] = {}
-
-    def check_syntactic(rule: str, e: Expr, sites: dict[str, str] | None) -> None:
-        # literal kinds and label descriptions in order of first appearance
-        for node in _walk(e):
+    def check_syntactic(rule: str, nodes: list[Expr]) -> None:
+        for node in nodes:
             if isinstance(node, NonTerminal):
                 if node.name not in g.rules:
                     raise GrammarError(f"undefined nonterminal {node.name!r} in {rule}")
             elif isinstance(node, Terminal):
-                if is_literal_kind(node.kind):
-                    literals.setdefault(node.kind)
-                elif node.kind != EOF_KIND and node.kind not in g.lexical:
+                if (not is_literal_kind(node.kind) and node.kind != EOF_KIND
+                        and node.kind not in g.lexical):
                     raise GrammarError(f"undefined token kind {node.kind!r} in {rule}")
             elif isinstance(node, (Literal, CharClass)):
                 raise GrammarError(
                     f"character-level pattern in syntactic rule {rule}")
-            elif isinstance(node, Throw):
-                if node.label == FAIL:
-                    raise GrammarError(f"label {FAIL!r} is reserved and cannot be thrown")
-                labels.add(node.label)
-            elif sites is not None:
-                parts = annotation_parts(node)
-                if parts is not None:
-                    sites.setdefault(parts[1], describe(parts[0]))
+            elif isinstance(node, Throw) and node.label == FAIL:
+                raise GrammarError(f"label {FAIL!r} is reserved and cannot be thrown")
 
     def check_lexical_refs(rule: str, e: Expr) -> None:
         for node in _walk(e):
@@ -293,24 +295,58 @@ def validate(g: Grammar) -> Grammar:
                 raise GrammarError(
                     f"token reference in lexical rule {rule}; use a literal")
 
-    for name, body in g.rules.items():
-        check_syntactic(name, body, descriptions)
+    rule_nodes = [_walk(body) for body in g.rules.values()]
+    recovery_nodes = [_walk(body) for body in g.recovery.values()]
+    for name, nodes in zip(g.rules, rule_nodes):
+        check_syntactic(name, nodes)
     for name, body in g.lexical.items():
         check_lexical_refs(name, body)
-    for lab, body in g.recovery.items():
-        check_syntactic(f"recovery for {lab}", body, None)
+    for lab, nodes in zip(g.recovery, recovery_nodes):
+        check_syntactic(f"recovery for {lab}", nodes)
+    _fill_tables(g, rule_nodes, recovery_nodes)
     for lab in g.recovery:
-        if lab not in labels:
+        if lab not in g.labels:
             raise GrammarError(f"recovery rule for undeclared label {lab!r}")
 
+    _check_left_recursion(g.rules, "rule")
+    _check_left_recursion(g.lexical, "lexical rule")
+    _VALID.add(g)
+    return g
+
+
+def _fill_tables(g: Grammar, rule_nodes, recovery_nodes) -> None:
+    """Fill g's tables from the nodes of each rule and recovery body: the
+    literal kinds and label descriptions in order of first appearance, the
+    label set, and a default message for each described label."""
+    literals: dict[str, None] = {}
+    labels: set[str] = set()
+    descriptions: dict[str, str] = {}
+    # annotation sites in recovery expressions describe nothing
+    for walked, sites in ((rule_nodes, descriptions), (recovery_nodes, {})):
+        for nodes in walked:
+            for node in nodes:
+                if isinstance(node, Terminal):
+                    if is_literal_kind(node.kind):
+                        literals.setdefault(node.kind)
+                elif isinstance(node, Throw):
+                    labels.add(node.label)
+                else:
+                    parts = annotation_parts(node)
+                    if parts is not None:
+                        sites.setdefault(parts[1], describe(parts[0]))
     g.literal_kinds = tuple(literals)
     g.labels = labels
     g.label_descriptions = descriptions
     for lab, desc in descriptions.items():
         g.messages.setdefault(lab, f"expected {desc}")
 
-    _check_left_recursion(g.rules, "rule")
-    _check_left_recursion(g.lexical, "lexical rule")
+
+def valid_by_construction(g: Grammar) -> Grammar:
+    """g, built by a pass from a valid grammar in a way that keeps it valid
+    (with a ``messages`` dict of its own): its tables are filled and it is
+    remembered as valid, with no check."""
+    _fill_tables(g, map(_walk, g.rules.values()), map(_walk, g.recovery.values()))
+    _VALID.add(g)
     return g
 
 
@@ -338,28 +374,32 @@ def nullable_expr(e: Expr, table: dict[str, bool]) -> bool:
 
 def nullable_map(rules: dict[str, Expr]) -> dict[str, bool]:
     """Per rule, whether it can succeed without consuming input."""
-    return rule_fixpoint(rules, nullable_expr)
+    return rule_fixpoint(rules, nullable_expr, False)
 
 
-def rule_fixpoint(rules: dict[str, Expr], holds) -> dict[str, bool]:
-    """Per rule, whether ``holds(body, table)``, where ``table`` is the
-    result itself: the least fixed point, from False for every rule."""
-    table = {name: False for name in rules}
+def rule_fixpoint(rules: dict, value, bottom) -> dict:
+    """Per rule, the least fixed point of a monotone ``value(rules[name],
+    table)``, where ``table`` is the result itself, from ``bottom``."""
+    table = {name: bottom for name in rules}
     changed = True
     while changed:
         changed = False
         for name, body in rules.items():
-            if not table[name] and holds(body, table):
-                table[name] = changed = True
+            new = value(body, table)
+            if new != table[name]:
+                table[name] = new
+                changed = True
     return table
 
 
 def _check_left_recursion(rules: dict[str, Expr], what: str) -> None:
     """Conservative reachability check: a rule must not be able to reinvoke
-    itself before any input has necessarily been consumed."""
+    itself before any input has necessarily been consumed.  A rule is free
+    of left recursion when all its heads are; only a rule that this least
+    fixed point leaves unproven is searched for a path back to itself."""
     nullable = nullable_map(rules)
 
-    def heads(e: Expr, out: set[str]) -> None:
+    def heads(e: Expr, out: set[str]) -> set[str]:
         if isinstance(e, NonTerminal):
             out.add(e.name)
         elif isinstance(e, Sequence):
@@ -369,14 +409,13 @@ def _check_left_recursion(rules: dict[str, Expr], what: str) -> None:
         else:
             for child in children(e):
                 heads(child, out)
+        return out
 
-    head_map: dict[str, set[str]] = {}
-    for name, body in rules.items():
-        out: set[str] = set()
-        heads(body, out)
-        head_map[name] = out
-
+    head_map = {name: heads(body, set()) for name, body in rules.items()}
+    free = rule_fixpoint(head_map, lambda hs, table: all(map(table.get, hs)), False)
     for name in rules:
+        if free[name]:
+            continue
         seen: set[str] = set()
         frontier = set(head_map[name])
         while frontier:
@@ -405,20 +444,14 @@ def desugar_expr(e: Expr) -> Expr:
 
 
 def desugar(g: Grammar) -> Grammar:
-    """Desugared copy of g.  Idempotent; label set and derived tables kept."""
-    if g.desugared:
+    """Desugared copy of g.  Idempotent; label set and messages kept."""
+    if checked(g).desugared:
         return g
-    out = Grammar(
-        rules={n: desugar_expr(b) for n, b in g.rules.items()},
+    return valid_by_construction(replace(
+        g, rules={n: desugar_expr(b) for n, b in g.rules.items()},
         lexical={n: desugar_expr(b) for n, b in g.lexical.items()},
-        start=g.start,
-        labels=set(g.labels),
         recovery={l: desugar_expr(b) for l, b in g.recovery.items()},
-        messages=dict(g.messages),
-        rule_positions=dict(g.rule_positions),
-        desugared=True,
-    )
-    return validate(out)
+        messages=dict(g.messages), desugared=True))
 
 
 @dataclass(eq=False)
@@ -438,14 +471,15 @@ _PROGRAMS: "weakref.WeakKeyDictionary[Grammar, Program]" = weakref.WeakKeyDictio
 
 
 def program(g: Grammar) -> Program:
-    """The compiled program of g, desugaring and validating g only the
-    first time it is asked for."""
+    """The compiled program of g, checking and desugaring g only the first
+    time it is asked for."""
     prog = _PROGRAMS.get(g)
     if prog is None:
         d = desugar(g)
         if d is g:
             # an entry that refers to its own key would never be dropped
             d = replace(g)
+            _VALID.add(d)
         prog = _PROGRAMS[g] = Program(d)
     return prog
 
@@ -459,18 +493,12 @@ def strip_labels_expr(e: Expr) -> Expr:
 
 def strip_labels(g: Grammar) -> Grammar:
     """Remove every annotation site; bare throws are left alone."""
-    rules = {n: strip_labels_expr(b) for n, b in g.rules.items()}
-    out = Grammar(
-        rules=rules,
-        lexical=dict(g.lexical),
-        start=g.start,
-        rule_positions=dict(g.rule_positions),
-        desugared=g.desugared,
-    )
-    validate(out)
-    out.recovery = {l: b for l, b in g.recovery.items() if l in out.labels}
-    out.messages = {l: t for l, t in g.messages.items() if l in out.labels}
-    return out
+    rules = {n: strip_labels_expr(b) for n, b in checked(g).rules.items()}
+    thrown = {node.label for body in rules.values() for node in _walk(body)
+              if isinstance(node, Throw)}
+    return valid_by_construction(replace(
+        g, rules=rules, recovery={l: b for l, b in g.recovery.items() if l in thrown},
+        messages={l: t for l, t in g.messages.items() if l in thrown}))
 
 
 # --- serialization ----------------------------------------------------------
@@ -567,12 +595,6 @@ def serialize_grammar(g: Grammar) -> str:
 
 
 # --- structural equality ----------------------------------------------------
-
-def expr_eq(a: Expr, b: Expr) -> bool:
-    """Structural equality.  An annotation has one spelling, so [p]^l and
-    (p / ^l) are the same expression."""
-    return a == b
-
 
 def grammar_eq(a: Grammar, b: Grammar) -> bool:
     """Structural equality of the parts that carry meaning.  Rule order

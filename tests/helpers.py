@@ -3,10 +3,11 @@
 naive_match is an independent reference implementation of the matching
 semantics over a plain kind sequence, written directly from the defining
 equations with no sharing of engine code, so differential tests mean
-something; naive_tokenize does the same for the lexer, and CharLoopScanner
-for the scanner of grammar text.  The generators produce random grammars
-(acyclic by construction: each rule only references later ones) and
-random valid programs for the miniature Java grammar.
+something; naive_tokenize does the same for the lexer, CharLoopScanner
+for the scanner of grammar text, and check_left_recursion for the
+left-recursion check of ``validate``.  The generators produce random
+grammars (acyclic by construction: each rule only references later ones)
+and random valid programs for the miniature Java grammar.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from pegrec.model import (
     Sequence,
     Star,
     Terminal,
+    children,
     desugar_expr,
+    nullable_expr,
+    nullable_map,
     validate,
 )
 
@@ -255,6 +259,45 @@ class CharLoopScanner:
                 ranges.append((lo, hi))
             else:
                 ranges.append((lo, lo))
+
+
+# --- reference left-recursion check ------------------------------------------
+
+def check_left_recursion(rules: dict[str, Expr], what: str) -> None:
+    """Reference for ``model._check_left_recursion``: from every rule, in
+    declaration order, a search of the rules it can invoke before any input
+    has necessarily been consumed, raising on the first rule that reaches
+    itself."""
+    nullable = nullable_map(rules)
+
+    def heads(e: Expr, out: set[str]) -> None:
+        if isinstance(e, NonTerminal):
+            out.add(e.name)
+        elif isinstance(e, Sequence):
+            heads(e.left, out)
+            if nullable_expr(e.left, nullable):
+                heads(e.right, out)
+        else:
+            for child in children(e):
+                heads(child, out)
+
+    head_map: dict[str, set[str]] = {}
+    for name, body in rules.items():
+        out: set[str] = set()
+        heads(body, out)
+        head_map[name] = out
+
+    for name in rules:
+        seen: set[str] = set()
+        frontier = set(head_map[name])
+        while frontier:
+            n = frontier.pop()
+            if n == name:
+                raise GrammarError(f"left recursion detected in {what} {name}")
+            if n in seen or n not in head_map:
+                continue
+            seen.add(n)
+            frontier |= head_map[n]
 
 
 # --- random grammars ---------------------------------------------------------

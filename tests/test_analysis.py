@@ -129,8 +129,6 @@ def test_format_set_uses_declaration_order(tiny_java):
 
 def test_first_epsilon_agrees_with_nullable_map(tiny_java, tiny_java_labeled,
                                                 tiny_java_annotated_file):
-    # the engine's token dispatch takes FIRST sets from Analysis and
-    # nullability from nullable_map, so the two must agree
     grammars = [tiny_java, tiny_java_labeled, tiny_java_annotated_file]
     for seed in range(50):
         grammars += [random_grammar(seed), annotate(random_grammar(seed))[0]]

@@ -13,7 +13,6 @@ from pegrec.model import (
     Terminal,
     Throw,
     annotation_parts,
-    expr_eq,
     grammar_eq,
     strip_labels,
 )
@@ -33,8 +32,8 @@ def test_terminal_after_consumption_gets_label():
     ann, report = annotate(g("start <- AA BB ;"))
     assert sites(report) == [("Err_start_1", "BB", {"EOF"})]
     got = ann.rules["start"]
-    assert expr_eq(got, Sequence(
-        Terminal("AA"), Choice(Terminal("BB"), Throw("Err_start_1"))))
+    assert got == Sequence(
+        Terminal("AA"), Choice(Terminal("BB"), Throw("Err_start_1")))
 
 
 def test_first_position_is_never_labeled():
@@ -47,7 +46,7 @@ def test_recovery_synthesized_from_follow():
     ann, _ = annotate(g("start <- AA BB CC ;"))
     rec = ann.recovery["Err_start_1"]
     # stop set for BB is {CC}; skip anything else
-    assert expr_eq(rec, Star(Sequence(Not(Terminal("CC")), AnyToken())))
+    assert rec == Star(Sequence(Not(Terminal("CC")), AnyToken()))
 
 
 def test_nullable_nonterminal_skipped():
@@ -65,7 +64,7 @@ def test_non_disjoint_choice_alternative_left_alone():
     # and no label was planted inside that alternative
     inner = ann.rules["start"].left.right
     first_alt = inner.first
-    assert expr_eq(first_alt, Sequence(Terminal("BB"), Terminal("CC")))
+    assert first_alt == Sequence(Terminal("BB"), Terminal("CC"))
 
 
 def test_disjoint_choice_alternatives_annotated_inside():
@@ -132,7 +131,7 @@ start <- AA [BB]^custom CC ;
 custom <- BB ;
 """
     ann, report = annotate(g(text), AnnotatorConfig(preserve_existing=True))
-    assert expr_eq(ann.recovery["custom"], Terminal("BB"))
+    assert ann.recovery["custom"] == Terminal("BB")
     assert report.recovered == []
 
 

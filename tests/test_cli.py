@@ -208,6 +208,45 @@ def test_eval_json(capsys, tmp_path, small_grammar):
     assert data["cases"][0]["first_label"] == "miss"
 
 
+# --- files that are not UTF-8 ---------------------------------------------------
+
+@pytest.mark.parametrize("command", ["parse", "parse --messages", "analyze",
+                                     "annotate", "eval", "eval .label"])
+def test_file_that_is_not_utf8_exits_2(capsys, tmp_path, small_grammar, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"start <- AA ;\xff")
+    grammar, source = str(small_grammar), write(tmp_path, "in.txt", "a b a")
+    if command == "eval .label":
+        bad = corpus_with(tmp_path, "miss") / "c1.label"
+        bad.write_bytes(b"\xff")
+    argv = {
+        "parse": ["parse", grammar, str(bad)],
+        "parse --messages": ["parse", grammar, source, "--messages", str(bad)],
+        "analyze": ["analyze", str(bad)],
+        "annotate": ["annotate", str(bad)],
+        "eval": ["eval", str(bad), str(tmp_path)],
+        "eval .label": ["eval", grammar, str(bad.parent)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"pegrec: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("suffix", [".bad", ".ok"])
+def test_eval_reports_a_case_that_is_not_utf8_as_unreadable(capsys, tmp_path,
+                                                            small_grammar, suffix):
+    # as a case file that cannot be opened: named, and the run goes on
+    corpus = corpus_with(tmp_path, "miss")
+    (corpus / "c0.bad").write_text("a b a")
+    bad = corpus / f"c1{suffix}"
+    bad.write_bytes(b"a \xff")
+    assert main(["eval", str(small_grammar), str(corpus), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [case["name"] for case in data["cases"]] == ["c0"]
+    [unreadable] = data["unreadable"]
+    assert unreadable.startswith(f"c1: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 def run_module(*args: str) -> subprocess.CompletedProcess:
     """``python -m pegrec`` in a new process, which starts at the default
     recursion limit."""

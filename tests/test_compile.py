@@ -7,10 +7,12 @@ import json
 import sys
 import weakref
 
-from pegrec import model
+from pegrec import dsl, model
+from pegrec.analysis import Analysis
+from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import load_grammar, parse_grammar
 from pegrec.engine import Session, tree_to_json
-from pegrec.model import NonTerminal
+from pegrec.model import NonTerminal, serialize_grammar
 from pegrec.lexer import TokenStream
 
 BROKEN = ("public class A { public static void main ( String [ ] a ) { "
@@ -34,8 +36,29 @@ def test_grammar_compiles_once_per_object(grammar_dir, monkeypatch):
     first = Session(grammar, BROKEN).parse()
     second = Session(grammar, BROKEN).parse()
     TokenStream(grammar, BROKEN).token(0)
-    assert calls == {"desugar": 1, "validate": 1}
+    assert calls == {"desugar": 1, "validate": 0}
     assert _outcome_json(first) == _outcome_json(second)
+
+
+def test_grammar_pipeline_validates_twice(grammar_dir, monkeypatch):
+    # once when the grammar is read and once when its annotated text is
+    # read back; annotating and analysing keep validity, so check nothing
+    calls = []
+    real = model.validate
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+    monkeypatch.setattr(model, "validate", counted)
+    monkeypatch.setattr(dsl, "validate", counted)
+    for name in ("tiny_java.peg", "tiny_java_labeled.peg"):
+        calls.clear()
+        grammar = load_grammar(str(grammar_dir / name))
+        annotated, _ = annotate(grammar, AnnotatorConfig(
+            preserve_existing=name == "tiny_java_labeled.peg"))
+        Analysis(annotated).follow_of("Prog")
+        reparsed = parse_grammar(serialize_grammar(annotated))
+        assert calls == [grammar, reparsed]
 
 
 def test_grammars_from_the_same_text_parse_alike(grammar_dir):

@@ -1,6 +1,13 @@
+import random
+from pathlib import Path
+
 import pytest
 
+from pegrec import model
+from pegrec.analysis import Analysis
+from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import parse_grammar
+from pegrec.engine import match, parse
 from pegrec.model import (
     Annotated,
     AnyToken,
@@ -20,7 +27,6 @@ from pegrec.model import (
     Throw,
     desugar,
     desugar_expr,
-    expr_eq,
     grammar_eq,
     is_lexical_name,
     render_expr,
@@ -29,7 +35,7 @@ from pegrec.model import (
     validate,
 )
 
-from helpers import random_grammar
+from helpers import check_left_recursion, random_grammar
 
 
 def test_lexical_name_convention():
@@ -54,13 +60,13 @@ def test_desugar_removes_sugar():
 
 
 def test_expr_eq_annotation_sugar():
-    assert expr_eq(
-        Annotated(Terminal("AA"), "l"),
-        Choice(Terminal("AA"), Throw("l")),
+    assert (
+        Annotated(Terminal("AA"), "l")
+        == Choice(Terminal("AA"), Throw("l"))
     )
-    assert not expr_eq(
-        Annotated(Terminal("AA"), "l"),
-        Choice(Terminal("AA"), Throw("other")),
+    assert not (
+        Annotated(Terminal("AA"), "l")
+        == Choice(Terminal("AA"), Throw("other"))
     )
 
 
@@ -81,7 +87,7 @@ def test_render_round_trip_shapes():
         rendered = render_expr(body)
         g2 = parse_grammar(
             f"start <- {rendered} ;\nAA <- 'a' ;\nBB <- 'b' ;\nCC <- 'c' ;")
-        assert expr_eq(body, g2.rules["start"]), (text, rendered)
+        assert body == g2.rules["start"], (text, rendered)
 
 
 def test_serialize_round_trips_grammar(tiny_java):
@@ -182,7 +188,7 @@ def test_strip_labels_removes_annotations_and_recovery():
     bare = strip_labels(g)
     assert bare.labels == set()
     assert bare.recovery == {}
-    assert expr_eq(bare.rules["start"], Sequence(Terminal("AA"), Terminal("BB")))
+    assert bare.rules["start"] == Sequence(Terminal("AA"), Terminal("BB"))
 
     abc = "\nAA <- 'a' ;\nBB <- 'b' ;\nCC <- 'c' ;"
     wrapped = parse_grammar(
@@ -219,4 +225,155 @@ def test_literal_kinds_collected_in_order():
 
 def test_empty_literal_is_empty_expression():
     g = parse_grammar("start <- 'a' / '' ;")
-    assert expr_eq(g.rules["start"], Choice(Terminal("'a'"), Empty()))
+    assert g.rules["start"] == Choice(Terminal("'a'"), Empty())
+
+
+# --- validity: checked once, kept by the passes ---------------------------------
+
+INVALID = {
+    "undefined-rule": lambda: {"start": NonTerminal("nope")},
+    "left-recursion": lambda: {"start": Choice(Sequence(NonTerminal("start"),
+                                                        Terminal("'a'")),
+                                               Terminal("'a'"))},
+    "reserved-label": lambda: {"start": Annotated(Terminal("'a'"), "fail")},
+}
+
+ENTRY_POINTS = {
+    "parse": lambda g: parse(g, ""),
+    "match": lambda g: match(g, NonTerminal("start"), ""),
+    "annotate": annotate,
+    "Analysis": Analysis,
+}
+
+
+@pytest.mark.parametrize("desugared", [False, True], ids=["sugared", "desugared"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("fault", INVALID)
+def test_invalid_hand_built_grammar_fails_at_every_entry_point(fault, entry, desugared):
+    with pytest.raises(GrammarError) as expected:
+        validate(Grammar(INVALID[fault](), {}, "start"))
+    grammar = Grammar(INVALID[fault](), {}, "start", desugared=desugared)
+    with pytest.raises(GrammarError) as got:
+        ENTRY_POINTS[entry](grammar)
+    assert (got.value.message, got.value.line, got.value.col) == \
+        (expected.value.message, expected.value.line, expected.value.col)
+
+
+def test_hand_built_desugared_grammar_collects_its_literal_kinds():
+    g = Grammar({"start": Terminal("'x'")}, {}, "start", desugared=True)
+    assert parse(g, "x").ok
+    assert g.literal_kinds == ("'x'",)
+    assert Analysis(Grammar({"start": Terminal("'x'")}, {}, "start")).all_kinds == {"'x'"}
+
+
+def fresh_copy(g: Grammar) -> Grammar:
+    return Grammar(rules=dict(g.rules), lexical=dict(g.lexical), start=g.start,
+                   recovery=dict(g.recovery), messages=dict(g.messages),
+                   desugared=g.desugared)
+
+
+GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
+
+
+def test_passes_keep_validity_by_construction():
+    grammars = [parse_grammar(path.read_text(encoding="utf-8"))
+                for path in sorted(GRAMMAR_DIR.glob("*.peg"))]
+    grammars += [random_grammar(seed) for seed in range(200)]
+    for g in grammars:
+        outputs = [desugar(g), strip_labels(g)]
+        for config in (AnnotatorConfig(), AnnotatorConfig(preserve_existing=True),
+                       AnnotatorConfig(star_mode_rules=tuple(g.rules))):
+            outputs.append(annotate(g, config)[0])
+        for out in outputs:
+            # the pass made it valid; a check from scratch agrees
+            assert out in model._VALID
+            copy = validate(fresh_copy(out))
+            assert copy.literal_kinds == out.literal_kinds
+            assert copy.labels == out.labels
+            assert copy.label_descriptions == out.label_descriptions
+            assert copy.messages == out.messages
+
+
+def test_sugared_annotation_keeps_its_description_and_message():
+    g = parse_grammar("start <- [AA+]^l ;\nAA <- 'a' ;")
+    assert (g.label_descriptions, g.messages) == ({"l": "AA+"}, {"l": "expected AA+"})
+    # the program expects what the desugared body matches; the message the
+    # grammar text was given stays
+    d = model.program(g).grammar
+    assert (d.label_descriptions, d.messages) == ({"l": "AA AA*"}, {"l": "expected AA+"})
+    assert [e.message for e in parse(g, "").errors] == ["expected AA+"]
+
+
+# --- left recursion against the reference check ---------------------------------
+
+def lr_outcome(check, rules: dict) -> str | None:
+    try:
+        check(rules, "rule")
+    except GrammarError as exc:
+        return exc.message
+    return None
+
+
+def with_left_recursion(g: Grammar, rng: random.Random) -> dict:
+    """g's rules with up to three references added where they may be
+    reached before any input: directly or after a nullable prefix."""
+    rules = dict(g.rules)
+    names = list(rules)
+    for _ in range(rng.randint(1, 3)):
+        target = NonTerminal(rng.choice(names))
+        prefix = rng.choice([None, Empty(), Star(Terminal("AA")), Not(Terminal("BB")),
+                             Choice(Terminal("CC"), Empty()), Terminal("CC"),
+                             NonTerminal(rng.choice(names))])
+        added = target if prefix is None else Sequence(prefix, target)
+        name = rng.choice(names)
+        body = rules[name]
+        rules[name] = rng.choice([Choice(body, added), Choice(added, body),
+                                  Sequence(added, body), Sequence(Star(added), body)])
+    return rules
+
+
+def test_left_recursion_check_agrees_with_reference():
+    rng = random.Random(5)
+    outcomes = []
+    for seed in range(300):
+        g = random_grammar(seed)
+        for rules in (g.rules, with_left_recursion(g, rng)):
+            want = lr_outcome(check_left_recursion, rules)
+            assert lr_outcome(model._check_left_recursion, rules) == want, seed
+            outcomes.append(want)
+    rejected = sum(o is not None for o in outcomes)
+    # both outcomes are well represented, and not only the first rule fails
+    assert 150 < rejected < 450
+    assert len(set(outcomes)) > 3
+
+
+def inject_left_recursion(text: str, rng: random.Random) -> str:
+    """A bundled grammar text with a rule reference put at the front of a
+    rule body, directly or after a nullable prefix."""
+    g = parse_grammar(text)
+    names = list(g.rules)
+    name = rng.choice(names)
+    added = rng.choice(["{0} ", "{0}* {1} ", "!{0} {1} ", "{0}? {1} ", "'' {1} ",
+                        "({0} / '') {1} ", "[{1}]^boom "])
+    added = added.format(rng.choice(names), rng.choice(names))
+    return text.replace(f"\n{name} <- ", f"\n{name} <- {added}", 1)
+
+
+def parse_result(text: str):
+    try:
+        g = parse_grammar(text)
+    except GrammarError as exc:
+        return exc.message, exc.line, exc.col
+    return serialize_grammar(g), g.rule_positions
+
+
+def test_left_recursion_errors_on_mutated_grammar_texts(monkeypatch):
+    rng = random.Random(7)
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted(GRAMMAR_DIR.glob("*.peg"))]
+    mutated = [inject_left_recursion(rng.choice(texts), rng) for _ in range(300)]
+    got = [parse_result(text) for text in mutated]
+    monkeypatch.setattr(model, "_check_left_recursion", check_left_recursion)
+    want = [parse_result(text) for text in mutated]
+    assert got == want
+    assert sum(isinstance(r[0], str) and "left recursion" in r[0] for r in got) > 50
