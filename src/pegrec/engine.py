@@ -17,8 +17,8 @@ A grammar is compiled once per Grammar object, on its first parse, and the
 result is kept for as long as the Grammar lives (``model.program``): the
 desugared and validated grammar, its lexer, and one closure per syntactic
 rule and per recovery expression.  A Grammar must therefore not be mutated
-after its first parse.  ``match_expr`` compiles its one expression on the
-spot.
+after its first parse.  ``match_expr`` checks its one expression against
+the grammar and compiles it on the spot.
 
 Choices, repetitions and predicates dispatch on the current token's kind
 (one-token lookahead; ``EOF`` past the end of input).  Each alternative of
@@ -35,7 +35,12 @@ runs.  FIRST sets alone would not do: FIRST(^l) is empty, so ``[X]^l / Y``
 pruned by FIRST(X) would match Y silently where it must throw l.
 
 Syntax trees are tuples (``NamedTuple``): a node iterates over its fields
-and compares equal to a plain tuple with the same items.
+and compares equal to a plain tuple with the same items.  The matcher reads
+the token stream's columns, not ``Token`` objects.  A ``TokenLeaf`` holds
+the stream's own ``(start, end)`` tuple as its span, and a ``RuleNode`` with
+one child holds that child's, so unary rule chains add no span tuples.
+Exact tuples of ints are untracked by the cyclic collector, so a tree costs
+it little more than its nodes.
 """
 
 from __future__ import annotations
@@ -53,12 +58,14 @@ from .model import (
     Expr,
     FAIL,
     Grammar,
+    GrammarError,
     NonTerminal,
     Not,
     Sequence,
     Star,
     Terminal,
     Throw,
+    check_expr,
     children,
     desugar_expr,
     operands,
@@ -184,7 +191,7 @@ DEFAULT_MAX_ERRORS = 50
 # in a plain failure reports it.  So one instance serves for all of them.
 _FAILED = _Fail(FAIL, -1)
 
-# builds a node without running a constructor, as the lexer builds tokens
+# builds a node without running a constructor
 _new = tuple.__new__
 
 
@@ -199,27 +206,25 @@ def _empty(s, pos, acc):
 
 
 def _eof(s, pos, acc):
-    if pos < len(s._tokens) or s.stream.fill(pos):
+    if pos < len(s._kinds) or s.stream.fill(pos):
         return _fail(s, pos)
     return pos
 
 
 def _any_token(s, pos, acc):
-    tokens = s._tokens
-    if pos < len(tokens) or s.stream.fill(pos):
-        tok = tokens[pos]
-        acc.append(_new(TokenLeaf, (tok.kind, (tok.start, tok.end))))
+    kinds = s._kinds
+    if pos < len(kinds) or s.stream.fill(pos):
+        acc.append(_new(TokenLeaf, (kinds[pos], s._spans[pos])))
         return pos + 1
     return _fail(s, pos)
 
 
 def _terminal(kind: str):
     def terminal(s, pos, acc):
-        tokens = s._tokens
-        if pos < len(tokens) or s.stream.fill(pos):
-            tok = tokens[pos]
-            if tok.kind == kind:
-                acc.append(_new(TokenLeaf, (kind, (tok.start, tok.end))))
+        kinds = s._kinds
+        if pos < len(kinds) or s.stream.fill(pos):
+            if kinds[pos] == kind:
+                acc.append(_new(TokenLeaf, (kind, s._spans[pos])))
                 return pos + 1
         if pos > s.farthest:
             s.farthest = pos
@@ -266,8 +271,8 @@ def _choice(alts: list, guards: list):
     other = _plan(alts, guards, None)
 
     def choice(s, pos, acc):
-        tokens = s._tokens
-        kind = tokens[pos].kind if pos < len(tokens) or s.stream.fill(pos) else EOF_KIND
+        kinds = s._kinds
+        kind = kinds[pos] if pos < len(kinds) or s.stream.fill(pos) else EOF_KIND
         init, last, skipped = table.get(kind, other)
         if skipped and pos > s.farthest:
             s.farthest = pos
@@ -288,11 +293,11 @@ def _choice(alts: list, guards: list):
 
 def _star(body, guard):
     def star(s, pos, acc):
-        tokens = s._tokens
+        kinds = s._kinds
         errors = s.errors
         while True:
             if guard is not None:
-                kind = (tokens[pos].kind if pos < len(tokens) or s.stream.fill(pos)
+                kind = (kinds[pos] if pos < len(kinds) or s.stream.fill(pos)
                         else EOF_KIND)
                 if kind not in guard:
                     if pos > s.farthest:
@@ -317,8 +322,8 @@ def _star(body, guard):
 def _not(body, guard):
     def not_(s, pos, acc):
         if guard is not None:
-            tokens = s._tokens
-            kind = tokens[pos].kind if pos < len(tokens) or s.stream.fill(pos) else EOF_KIND
+            kinds = s._kinds
+            kind = kinds[pos] if pos < len(kinds) or s.stream.fill(pos) else EOF_KIND
             if kind not in guard:
                 if pos > s.farthest:
                     s.farthest = pos
@@ -345,7 +350,10 @@ def _rule(name: str, rules: dict):
         r = rules[name](s, pos, children)
         if r.__class__ is _Fail:
             return r
-        if children:
+        if len(children) == 1:
+            # a unary chain (Exp -> RelExp -> ...) shares one span tuple
+            span = children[0].span
+        elif children:
             span = (children[0].span[0], children[-1].span[1])
         else:
             anchor = s.stream.start_offset(pos)
@@ -435,7 +443,8 @@ class Session:
         self.grammar = prog.grammar
         self._matcher: _Matcher = prog.matcher
         self.stream = TokenStream(grammar, text)
-        self._tokens = self.stream.tokens
+        self._kinds = self.stream.kinds
+        self._spans = self.stream.spans
         self.max_errors = max_errors
         self.messages = dict(self.grammar.messages)
         if messages:
@@ -486,9 +495,8 @@ class Session:
             return _Fail(label, pos, logged=True)
         expected = self.grammar.label_descriptions.get(label, label)
         if r > pos:
-            first_tok = self.stream.token(pos)
-            last_tok = self.stream.token(r - 1)
-            span = (first_tok.start, last_tok.end)
+            # the recovery consumed tokens pos .. r-1, so both are scanned
+            span = (self._spans[pos][0], self._spans[r - 1][1])
         else:
             anchor = self.stream.start_offset(pos)
             span = (anchor, anchor)
@@ -502,9 +510,9 @@ class Session:
         far may belong to alternatives that never finished, so only one
         fatal error is kept, at the farthest position reached.  The lexer
         may be what ran out, so no further token is scanned for it."""
-        tokens = self._tokens
+        spans = self._spans
         pos = self.farthest
-        offset = tokens[pos - 1].end if pos else tokens[0].start if tokens else 0
+        offset = spans[pos - 1][1] if pos else spans[0][0] if spans else 0
         line, col = self.stream.pos_info(offset)
         self.errors = [ParseError(FAIL, "input nested too deeply",
                                   offset, line, col, pos)]
@@ -524,13 +532,21 @@ class Session:
                 self._record(r.label, r.pos)
             return ParseOutcome(status="failed", tree=None,
                                 errors=self.errors, fail_label=r.label)
-        if self.stream.token(r) is not None:
+        if r < len(self._kinds) or self.stream.fill(r):
             self._record(FAIL, r, "expected end of input")
         return ParseOutcome(status="matched", tree=acc[0],
                             errors=self.errors, end=r)
 
     def match_expr(self, expr: Expr, pos: int = 0) -> MatchResult:
-        body = self._matcher.compile(desugar_expr(expr))
+        """Match expr at token index pos.  An expr that refers to an
+        undefined rule or token kind, or that ``validate`` would reject in
+        a rule for another reason, is a GrammarError."""
+        try:
+            expr = desugar_expr(expr)
+            check_expr(self.grammar, expr, "matched expression")
+            body = self._matcher.compile(expr)
+        except RecursionError:
+            raise GrammarError("expression nested too deeply") from None
         acc: list = []
         try:
             r = body(self, pos, acc)

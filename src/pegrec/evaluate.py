@@ -140,7 +140,9 @@ class CorpusSummary:
 def load_corpus(directory: str | Path) -> list[CorpusCase]:
     """Cases from a directory: <name>.bad is the broken input; optional
     <name>.ok (corrected source), <name>.tree (intended tree as JSON), and
-    <name>.label (expected first label) refine the check."""
+    <name>.label (expected first label) refine the check.  ``run_corpus``
+    lists a case whose file cannot be read, is not UTF-8, or (``.tree``)
+    holds no tree as unreadable."""
     directory = Path(directory)
     cases = []
     for bad in sorted(directory.glob("*.bad")):
@@ -161,6 +163,17 @@ def load_corpus(directory: str | Path) -> list[CorpusCase]:
     return cases
 
 
+def _read_tree(path):
+    """The syntax tree a ``.tree`` file holds as JSON (``tree_to_json``).
+    A file that holds no such tree is an OSError naming it, like one that
+    cannot be read."""
+    text = read_text(path)
+    try:
+        return tree_from_json(json.loads(text))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise OSError(f"{path}: not a JSON syntax tree: {exc!r}") from None
+
+
 def run_case(grammar: Grammar, case: CorpusCase,
              max_errors: int = 50) -> CaseResult:
     text = read_text(case.bad_path)
@@ -169,7 +182,7 @@ def run_case(grammar: Grammar, case: CorpusCase,
     intended = None
     note = ""
     if case.tree_path is not None:
-        intended = tree_from_json(json.loads(read_text(case.tree_path)))
+        intended = _read_tree(case.tree_path)
     elif case.ok_path is not None:
         ok_outcome = Session(grammar, read_text(case.ok_path)).parse()
         if ok_outcome.ok:
@@ -218,13 +231,11 @@ class Mutant:
 
 
 def token_spans(grammar: Grammar, text: str) -> list[tuple[int, int]]:
+    """The (start, end) offsets of every token of text."""
     stream = TokenStream(grammar, text)
-    spans = []
-    i = 0
-    while (tok := stream.token(i)) is not None:
-        spans.append((tok.start, tok.end))
-        i += 1
-    return spans
+    # no text has more tokens than characters, so this scans to the end
+    stream.fill(len(text))
+    return stream.spans
 
 
 def delete_token(grammar: Grammar, text: str, index: int) -> Mutant:

@@ -1,7 +1,7 @@
 """Tokenizer driven by the grammar's lexical rules.
 
-Tokens are produced lazily, longest match first, with declaration order
-breaking ties (lexical rules in order, then anonymous literals in order of
+Tokens are produced lazily and stored in columns (``TokenStream``), longest
+match first, with declaration order breaking ties (lexical rules in order, then anonymous literals in order of
 first appearance).  Whitespace and ``//`` line comments are skipped between
 tokens.  A character no rule can start is emitted as a one-character token
 with kind None so the parser can report it or step over it during recovery;
@@ -259,31 +259,35 @@ def _lexer(grammar: Grammar) -> _Lexer:
 
 
 class TokenStream:
-    """Lazy token sequence over one source text.  ``tokens`` holds the
-    tokens scanned so far."""
+    """Lazy token sequence over one source text, kept in two columns:
+    ``kinds`` holds the kind of each token scanned so far (None for a stray
+    character) and ``spans`` its ``(start, end)`` offsets, as exact tuples.
+    A ``Token`` is built only when ``token(i)`` asks for one, so scanning
+    leaves no object behind that the cyclic collector has to track."""
 
     def __init__(self, grammar: Grammar, text: str):
         self.text = text
         self._lexer = _lexer(grammar)
-        self.tokens: list[Token] = []
+        self.kinds: list[str | None] = []
+        self.spans: list[tuple[int, int]] = []
         self._scan_pos = 0
         self._done = False
         self._line_starts = line_starts(text)
 
     def fill(self, i: int) -> bool:
         """Scan until token i exists or the input ends; whether it exists."""
-        tokens = self.tokens
+        kinds = self.kinds
         if self._done:
-            return i < len(tokens)
+            return i < len(kinds)
+        spans = self.spans
         text = self.text
         n = len(text)
         pos = self._scan_pos
         by_char = self._lexer.by_char
         candidates = self._lexer.candidates
         skip = LAYOUT.match
-        new = tuple.__new__
         target = i + _SCAN_AHEAD
-        while len(tokens) <= target:
+        while len(kinds) <= target:
             pos = skip(text, pos).end()
             if pos >= n:
                 self._done = True
@@ -301,15 +305,17 @@ class TokenStream:
             if kind is None:
                 # a stray character: a one-char token of no kind
                 end = pos + 1
-            tokens.append(new(Token, (kind, text[pos:end], pos, end)))
+            kinds.append(kind)
+            spans.append((pos, end))
             pos = end
         self._scan_pos = pos
-        return i < len(tokens)
+        return i < len(kinds)
 
     def token(self, i: int) -> Token | None:
         """i-th token, or None at/after end of input."""
-        if i < len(self.tokens) or self.fill(i):
-            return self.tokens[i]
+        if i < len(self.kinds) or self.fill(i):
+            start, end = self.spans[i]
+            return Token(self.kinds[i], self.text[start:end], start, end)
         return None
 
     def frontier_offset(self, i: int) -> int:
@@ -317,17 +323,16 @@ class TokenStream:
         the end of the previous token, or the start of the very first token,
         or end of input (after trailing layout) when i is past the last."""
         if i == 0:
-            tok = self.token(0)
-            return tok.start if tok is not None else self.eof_offset()
-        prev = self.token(i - 1)
-        if prev is None:
-            return self.eof_offset()
-        return prev.end
+            return self.start_offset(0)
+        if i - 1 < len(self.spans) or self.fill(i - 1):
+            return self.spans[i - 1][1]
+        return self.eof_offset()
 
     def start_offset(self, i: int) -> int:
         """Character offset where token i starts (end of input when past)."""
-        tok = self.token(i)
-        return tok.start if tok is not None else self.eof_offset()
+        if i < len(self.spans) or self.fill(i):
+            return self.spans[i][0]
+        return self.eof_offset()
 
     def eof_offset(self) -> int:
         # only layout can follow the last token

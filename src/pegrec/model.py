@@ -239,8 +239,38 @@ _VALID: "weakref.WeakSet[Grammar]" = weakref.WeakSet()
 
 
 def checked(g: Grammar) -> Grammar:
-    """g, validated the first time it is used unless it is known valid."""
-    return g if g in _VALID else validate(g)
+    """g, validated the first time it is used unless it is known valid.  A
+    hand-built grammar nested too deeply for ``validate`` to walk is a
+    GrammarError, as it is for ``dsl.parse_grammar``."""
+    if g in _VALID:
+        return g
+    try:
+        return validate(g)
+    except RecursionError:
+        raise GrammarError("grammar nested too deeply") from None
+
+
+def check_expr(g: Grammar, e: Expr, where: str) -> None:
+    """Reject what a syntactic expression may not hold in g: an undefined
+    rule or token kind, a character-level pattern, or a throw of ``fail``.
+    ``where`` names the expression in messages."""
+    _check_syntactic(g, where, _walk(e))
+
+
+def _check_syntactic(g: Grammar, where: str, nodes: list[Expr]) -> None:
+    """``check_expr`` on the nodes of an expression (``_walk``)."""
+    for node in nodes:
+        if isinstance(node, NonTerminal):
+            if node.name not in g.rules:
+                raise GrammarError(f"undefined nonterminal {node.name!r} in {where}")
+        elif isinstance(node, Terminal):
+            if (not is_literal_kind(node.kind) and node.kind != EOF_KIND
+                    and node.kind not in g.lexical):
+                raise GrammarError(f"undefined token kind {node.kind!r} in {where}")
+        elif isinstance(node, (Literal, CharClass)):
+            raise GrammarError(f"character-level pattern in syntactic rule {where}")
+        elif isinstance(node, Throw) and node.label == FAIL:
+            raise GrammarError(f"label {FAIL!r} is reserved and cannot be thrown")
 
 
 def validate(g: Grammar) -> Grammar:
@@ -267,21 +297,6 @@ def validate(g: Grammar) -> Grammar:
     if EOF_KIND in g.lexical:
         raise GrammarError(f"token kind {EOF_KIND!r} is reserved for end of input")
 
-    def check_syntactic(rule: str, nodes: list[Expr]) -> None:
-        for node in nodes:
-            if isinstance(node, NonTerminal):
-                if node.name not in g.rules:
-                    raise GrammarError(f"undefined nonterminal {node.name!r} in {rule}")
-            elif isinstance(node, Terminal):
-                if (not is_literal_kind(node.kind) and node.kind != EOF_KIND
-                        and node.kind not in g.lexical):
-                    raise GrammarError(f"undefined token kind {node.kind!r} in {rule}")
-            elif isinstance(node, (Literal, CharClass)):
-                raise GrammarError(
-                    f"character-level pattern in syntactic rule {rule}")
-            elif isinstance(node, Throw) and node.label == FAIL:
-                raise GrammarError(f"label {FAIL!r} is reserved and cannot be thrown")
-
     def check_lexical_refs(rule: str, e: Expr) -> None:
         for node in _walk(e):
             if isinstance(node, NonTerminal):
@@ -298,11 +313,11 @@ def validate(g: Grammar) -> Grammar:
     rule_nodes = [_walk(body) for body in g.rules.values()]
     recovery_nodes = [_walk(body) for body in g.recovery.values()]
     for name, nodes in zip(g.rules, rule_nodes):
-        check_syntactic(name, nodes)
+        _check_syntactic(g, name, nodes)
     for name, body in g.lexical.items():
         check_lexical_refs(name, body)
     for lab, nodes in zip(g.recovery, recovery_nodes):
-        check_syntactic(f"recovery for {lab}", nodes)
+        _check_syntactic(g, f"recovery for {lab}", nodes)
     _fill_tables(g, rule_nodes, recovery_nodes)
     for lab in g.recovery:
         if lab not in g.labels:

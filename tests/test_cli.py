@@ -247,6 +247,28 @@ def test_eval_reports_a_case_that_is_not_utf8_as_unreadable(capsys, tmp_path,
     assert unreadable.startswith(f"c1: {bad}: 'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("tree", ["{bad", "[]", "{}", '{"span": [0, 1]}',
+                                  '{"rule": "start", "span": [0, 1], "children": [7]}',
+                                  "[" * 100000 + "]" * 100000],
+                         ids=["not-json", "list", "no-span", "no-kind", "child",
+                              "deep"])
+def test_eval_reports_a_tree_file_that_holds_no_tree_as_unreadable(
+        capsys, tmp_path, small_grammar, tree):
+    corpus = corpus_with(tmp_path, "miss")
+    (corpus / "c0.bad").write_text("a b a")
+    bad = corpus / "c1.tree"
+    bad.write_text(tree)
+    assert main(["eval", str(small_grammar), str(corpus)]) == 0
+    assert f"unreadable: c1: {bad}: not a JSON syntax tree: " in capsys.readouterr().out
+    assert main(["eval", str(small_grammar), str(corpus), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [case["name"] for case in data["cases"]] == ["c0"]
+    [unreadable] = data["unreadable"]
+    assert unreadable.startswith(f"c1: {bad}: not a JSON syntax tree: ")
+    done = run_module("eval", str(small_grammar), str(corpus))
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def run_module(*args: str) -> subprocess.CompletedProcess:
     """``python -m pegrec`` in a new process, which starts at the default
     recursion limit."""

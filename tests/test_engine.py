@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -11,7 +12,9 @@ from pegrec.dsl import load_grammar, parse_grammar
 from pegrec.engine import ErrorNode, RuleNode, Session, TokenLeaf, match, parse
 from pegrec.engine import tree_from_json, tree_to_json
 from pegrec.evaluate import delete_token, duplicate_token, token_spans
-from pegrec.model import NonTerminal, desugar
+from pegrec.lexer import Token
+from pegrec.model import (GrammarError, Literal, NonTerminal, Not, Optional,
+                          Sequence, Terminal, Throw, desugar)
 
 from helpers import (all_inputs, naive_match, random_grammar, random_program,
                      render_input)
@@ -314,6 +317,100 @@ def test_tree_nodes_are_named_tuples():
     assert hash(leaf) == hash(("AA", (0, 1)))
     name, span, children = out.tree
     assert (name, span, children[0]) == ("start", (0, 5), leaf)
+
+
+# --- token columns and shared spans ---------------------------------------------
+
+def _preorder(tree) -> list:
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if node.__class__ is RuleNode:
+            stack.extend(reversed(node.children))
+    return out
+
+
+def _parsed_sessions(grammar_dir, tiny_java) -> list:
+    """(session, outcome) of a recovered parse of factorial.java, a clean
+    parse of a generated program, and a parse that steps over stray
+    characters and comments."""
+    annotated, _ = annotate(tiny_java)
+    sources = [(annotated, (grammar_dir / "factorial.java").read_text()),
+               (tiny_java, random_program(3)),
+               (annotated, "public class A { public static void main ( String [ ] a )"
+                           " { int x = 1 ; // a comment\n x = @ 2 # ; } } // last")]
+    out = []
+    for grammar, source in sources:
+        session = Session(grammar, source)
+        out.append((session, session.parse()))
+    assert [o.status for _, o in out] == ["matched"] * 3
+    assert [bool(o.errors) for _, o in out] == [True, False, True]
+    return out
+
+
+def test_a_parse_leaves_no_token_object_tracked(grammar_dir, tiny_java):
+    def tracked_tokens() -> int:
+        return sum(1 for obj in gc.get_objects() if obj.__class__ is Token)
+
+    before = tracked_tokens()
+    parsed = _parsed_sessions(grammar_dir, tiny_java)
+    # the sessions, their streams and trees are all still alive here
+    assert all(len(session.stream.kinds) > 10 for session, _ in parsed)
+    assert tracked_tokens() == before
+
+
+def test_token_leaves_share_the_stream_span_tuples(grammar_dir, tiny_java):
+    for session, outcome in _parsed_sessions(grammar_dir, tiny_java):
+        spans = session.stream.spans
+        index = {span[0]: i for i, span in enumerate(spans)}
+        leaves = [n for n in _preorder(outcome.tree) if n.__class__ is TokenLeaf]
+        for leaf in leaves:
+            assert leaf.span is spans[index[leaf.span[0]]]
+        if not outcome.errors:
+            assert [index[leaf.span[0]] for leaf in leaves] == list(range(len(spans)))
+
+
+def test_one_child_rule_node_shares_its_child_span(grammar_dir, tiny_java):
+    unary = 0
+    for _, outcome in _parsed_sessions(grammar_dir, tiny_java):
+        for node in _preorder(outcome.tree):
+            if node.__class__ is not RuleNode or not node.children:
+                continue
+            first, last = node.children[0].span, node.children[-1].span
+            assert node.span == (first[0], last[1])
+            if len(node.children) == 1:
+                assert node.span is first
+                unary += 1
+    assert unary > 50
+
+
+# --- expressions given to match -------------------------------------------------
+
+@pytest.mark.parametrize("expr, message", [
+    (NonTerminal("nope"), "undefined nonterminal 'nope' in matched expression"),
+    (Sequence(Terminal("AA"), Optional(Terminal("NOPE"))),
+     "undefined token kind 'NOPE' in matched expression"),
+    (Literal("a"), "character-level pattern in syntactic rule matched expression"),
+    (Throw("fail"), "label 'fail' is reserved and cannot be thrown"),
+], ids=["rule", "token-kind", "literal", "fail"])
+def test_match_rejects_an_expression_the_grammar_cannot_run(expr, message):
+    grammar = g("start <- AA ;")
+    with pytest.raises(GrammarError) as exc:
+        match(grammar, expr, "a")
+    assert (exc.value.message, exc.value.line) == (message, None)
+    # a literal kind the grammar never uses and EOF are fine: they fail
+    assert match(grammar, Terminal("'x'"), "a").status == "failed"
+    assert match(grammar, Sequence(Terminal("AA"), Terminal("EOF")), "a").end == 1
+
+
+def test_match_rejects_an_expression_nested_too_deeply():
+    expr = Terminal("AA")
+    for _ in range(30000):
+        expr = Not(expr)
+    with pytest.raises(GrammarError, match="^expression nested too deeply$"):
+        match(g("start <- AA ;"), expr, "a")
+    assert match(g("start <- AA ;"), Not(Not(Terminal("AA"))), "a").end == 0
 
 
 # --- differential and property tests --------------------------------------------

@@ -1,9 +1,12 @@
 import re
+from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pegrec import dsl, lexer
 from pegrec.dsl import parse_grammar
+from pegrec.evaluate import token_spans
 from pegrec.lexer import TokenStream, _lexer
 from pegrec.model import (
     And,
@@ -24,7 +27,7 @@ from pegrec.model import (
     validate,
 )
 
-from helpers import naive_tokenize
+from helpers import naive_tokenize, random_program
 
 
 def toks(grammar, text):
@@ -97,6 +100,31 @@ def test_frontier_offsets(tiny_java):
     # past the last token: end of input after trailing layout
     assert stream.frontier_offset(2) == 7
     assert stream.eof_offset() == 9
+
+
+GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
+
+
+@pytest.mark.parametrize("grammar_file", sorted(p.name for p in GRAMMAR_DIR.glob("*.peg")))
+def test_token_columns_agree_with_reference(grammar_file):
+    grammar = parse_grammar((GRAMMAR_DIR / grammar_file).read_text(encoding="utf-8"))
+    factorial = (GRAMMAR_DIR / "factorial.java").read_text(encoding="utf-8")
+    texts = [factorial,
+             factorial.replace("int f", "int @ f // stray\n # ").replace("\n", " \t\n"),
+             "// only a comment", "x\u00e9 $ // trailing", "",
+             " ".join(random_program(seed) for seed in range(3))]
+    for text in texts:
+        want = [(kind, tok, start, start + len(tok))
+                for kind, tok, start in naive_tokenize(grammar, text)]
+        stream = TokenStream(grammar, text)
+        # ask from the back first: token(i) must not depend on the order
+        got = [stream.token(i) for i in reversed(range(len(want) + 2))][::-1]
+        assert got[len(want):] == [None, None]
+        assert [tuple(t) for t in got[:len(want)]] == want
+        assert stream.kinds == [t[0] for t in want]
+        assert stream.spans == [t[2:] for t in want]
+        assert all(type(span) is tuple for span in stream.spans)
+        assert token_spans(grammar, text) == stream.spans
 
 
 def test_recursive_lexical_rule_is_interpreted():

@@ -1,4 +1,5 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,23 @@ def test_invalid_hand_built_grammar_fails_at_every_entry_point(fault, entry, des
         ENTRY_POINTS[entry](grammar)
     assert (got.value.message, got.value.line, got.value.col) == \
         (expected.value.message, expected.value.line, expected.value.col)
+
+
+# deeper than both the default recursion limit and the one a Session sets
+DEPTH = 30000
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_deeply_nested_hand_built_grammar_is_a_grammar_error(entry):
+    body = Terminal("'a'")
+    for _ in range(DEPTH):
+        body = Sequence(body, Empty())
+    parse(parse_grammar("start <- 'a' ;"), "a")
+    limit = sys.getrecursionlimit()
+    assert limit >= 20000
+    with pytest.raises(GrammarError, match="^grammar nested too deeply$"):
+        ENTRY_POINTS[entry](Grammar({"start": body}, {}, "start"))
+    assert sys.getrecursionlimit() == limit
 
 
 def test_hand_built_desugared_grammar_collects_its_literal_kinds():
