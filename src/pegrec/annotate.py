@@ -39,6 +39,7 @@ from .model import (
     annotation_parts,
     describe,
     desugar,
+    nesting_guard,
     strip_labels,
     valid_by_construction,
 )
@@ -291,9 +292,15 @@ def annotate(grammar: Grammar,
 
     The result is desugared; its annotation sites (p / ^l) serialize as
     [p]^l.  Labels are named <prefix>_<Rule>_<n> with n
-    counting sites left to right within each rule.
+    counting sites left to right within each rule.  A hand-built grammar
+    nested too deeply to desugar or annotate is a GrammarError.
     """
-    config = config or AnnotatorConfig()
+    with nesting_guard():
+        return _annotate(grammar, config or AnnotatorConfig())
+
+
+def _annotate(grammar: Grammar,
+              config: AnnotatorConfig) -> tuple[Grammar, AnnotationReport]:
     worker = _Annotator(grammar, config)
     g = worker.grammar
 

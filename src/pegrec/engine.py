@@ -34,17 +34,22 @@ succeeds without running p.  Any other expression has no guard and always
 runs.  FIRST sets alone would not do: FIRST(^l) is empty, so ``[X]^l / Y``
 pruned by FIRST(X) would match Y silently where it must throw l.
 
-Syntax trees are tuples (``NamedTuple``): a node iterates over its fields
-and compares equal to a plain tuple with the same items.  The matcher reads
-the token stream's columns, not ``Token`` objects.  A ``TokenLeaf`` holds
-the stream's own ``(start, end)`` tuple as its span, and a ``RuleNode`` with
-one child holds that child's, so unary rule chains add no span tuples.
-Exact tuples of ints are untracked by the cyclic collector, so a tree costs
-it little more than its nodes.
+Syntax trees are exact tuples.  A rule node is ``(name, span, children)``,
+where ``children`` is an exact tuple of nodes, and a token leaf is ``(kind,
+span)``; ``RuleNode`` and ``TokenLeaf`` are functions that build them.  An
+``ErrorNode`` is a ``NamedTuple``, told apart by its class; a tree holds at
+most ``max_errors`` of them.  The matcher reads the token stream's columns,
+not ``Token`` objects.  A token leaf holds the stream's own ``(start, end)``
+tuple as its span, and a rule node with one child holds that child's, so
+unary rule chains add no span tuples.  The cyclic collector untracks an
+exact tuple once all its items are untracked.  So it drops a tree
+bottom-up, about a level per collection, until it walks only the
+ErrorNodes and the nodes above them.
 """
 
 from __future__ import annotations
 
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -77,15 +82,16 @@ from .lexer import TokenStream
 
 # --- syntax trees -----------------------------------------------------------
 
-class TokenLeaf(NamedTuple):
-    kind: str | None
-    span: tuple[int, int]
+def TokenLeaf(kind: str | None, span: tuple[int, int]) -> tuple:
+    """A token leaf: the exact tuple ``(kind, span)``.  ``kind`` is None for
+    a stray character taken by ``.``."""
+    return (kind, span)
 
 
-class RuleNode(NamedTuple):
-    name: str
-    span: tuple[int, int]
-    children: tuple = ()
+def RuleNode(name: str, span: tuple[int, int], children: tuple = ()) -> tuple:
+    """A rule node: the exact tuple ``(name, span, children)``, where
+    ``children`` is an exact tuple of nodes."""
+    return (name, span, tuple(children))
 
 
 class ErrorNode(NamedTuple):
@@ -99,30 +105,54 @@ class ErrorNode(NamedTuple):
 
 
 def tree_to_json(node):
-    cls = node.__class__
-    if cls is RuleNode:
-        return {
-            "rule": node.name,
-            "span": list(node.span),
-            "children": [tree_to_json(c) for c in node.children],
-        }
-    if cls is TokenLeaf:
-        return {"token": node.kind, "span": list(node.span)}
-    if cls is ErrorNode:
+    if node.__class__ is ErrorNode:
         return {"error": node.label, "expected": node.expected, "span": list(node.span)}
+    if len(node) == 3:
+        name, span, children = node
+        return {"rule": name, "span": list(span),
+                "children": [tree_to_json(c) for c in children]}
+    if len(node) == 2:
+        kind, span = node
+        return {"token": kind, "span": list(span)}
     raise TypeError(f"not a tree node: {node!r}")
 
 
 def tree_from_json(data):
-    span = tuple(data["span"])
+    """The tree ``tree_to_json`` turned into data.  Data of any other shape
+    is a ValueError that says what is wrong with it."""
+    if data.__class__ is not dict:
+        raise ValueError(f"tree node is not an object: {_short(data)}")
     if "rule" in data:
-        return RuleNode(data["rule"], span,
-                        tuple(tree_from_json(c) for c in data["children"]))
+        children = data.get("children")
+        if children.__class__ is not list:
+            raise ValueError(f"'children' of a tree node is not a list: {_short(children)}")
+        return (_json_text(data, "rule"), _json_span(data),
+                tuple(tree_from_json(c) for c in children))
     if "token" in data:
-        return TokenLeaf(data["token"], span)
+        kind = data["token"]
+        return (kind if kind is None else _json_text(data, "token"), _json_span(data))
     if "error" in data:
-        return ErrorNode(data["error"], data["expected"], span)
-    raise ValueError(f"not a tree: {data!r}")
+        return ErrorNode(_json_text(data, "error"), _json_text(data, "expected"),
+                         _json_span(data))
+    raise ValueError(f"tree node has no 'rule', 'token' or 'error': {_short(data)}")
+
+
+def _json_text(data: dict, key: str) -> str:
+    value = data.get(key)
+    if value.__class__ is not str:
+        raise ValueError(f"{key!r} of a tree node is not a string: {_short(value)}")
+    return value
+
+
+def _json_span(data: dict) -> tuple[int, int]:
+    span = data.get("span")
+    if (span.__class__ is not list or len(span) != 2
+            or span[0].__class__ is not int or span[1].__class__ is not int):
+        raise ValueError(f"span is not two ints: {_short(span)}")
+    return (span[0], span[1])
+
+
+_short = reprlib.repr
 
 
 # --- diagnostics ------------------------------------------------------------
@@ -144,7 +174,7 @@ class ParseError:
 @dataclass
 class ParseOutcome:
     status: str  # "matched" or "failed"
-    tree: RuleNode | None
+    tree: tuple | None
     errors: list[ParseError]
     end: int | None = None
     fail_label: str | None = None
@@ -191,9 +221,6 @@ DEFAULT_MAX_ERRORS = 50
 # in a plain failure reports it.  So one instance serves for all of them.
 _FAILED = _Fail(FAIL, -1)
 
-# builds a node without running a constructor
-_new = tuple.__new__
-
 
 def _fail(s: "Session", pos: int) -> _Fail:
     if pos > s.farthest:
@@ -214,7 +241,7 @@ def _eof(s, pos, acc):
 def _any_token(s, pos, acc):
     kinds = s._kinds
     if pos < len(kinds) or s.stream.fill(pos):
-        acc.append(_new(TokenLeaf, (kinds[pos], s._spans[pos])))
+        acc.append((kinds[pos], s._spans[pos]))
         return pos + 1
     return _fail(s, pos)
 
@@ -224,7 +251,7 @@ def _terminal(kind: str):
         kinds = s._kinds
         if pos < len(kinds) or s.stream.fill(pos):
             if kinds[pos] == kind:
-                acc.append(_new(TokenLeaf, (kind, s._spans[pos])))
+                acc.append((kind, s._spans[pos]))
                 return pos + 1
         if pos > s.farthest:
             s.farthest = pos
@@ -350,15 +377,18 @@ def _rule(name: str, rules: dict):
         r = rules[name](s, pos, children)
         if r.__class__ is _Fail:
             return r
-        if len(children) == 1:
+        if children:
             # a unary chain (Exp -> RelExp -> ...) shares one span tuple
-            span = children[0].span
-        elif children:
-            span = (children[0].span[0], children[-1].span[1])
+            first = children[0]
+            span = first.span if first.__class__ is ErrorNode else first[1]
+            if len(children) > 1:
+                last = children[-1]
+                end = last.span if last.__class__ is ErrorNode else last[1]
+                span = (span[0], end[1])
         else:
             anchor = s.stream.start_offset(pos)
             span = (anchor, anchor)
-        acc.append(_new(RuleNode, (name, span, tuple(children))))
+        acc.append((name, span, tuple(children)))
         return r
     return rule
 
@@ -439,7 +469,10 @@ class Session:
                  messages: dict[str, str] | None = None):
         prog = program(grammar)
         if prog.matcher is None:
-            prog.matcher = _Matcher(prog.grammar)
+            try:
+                prog.matcher = _Matcher(prog.grammar)
+            except RecursionError:
+                raise GrammarError("grammar nested too deeply") from None
         self.grammar = prog.grammar
         self._matcher: _Matcher = prog.matcher
         self.stream = TokenStream(grammar, text)

@@ -26,9 +26,7 @@ from pathlib import Path
 from .engine import (
     ErrorNode,
     ParseOutcome,
-    RuleNode,
     Session,
-    TokenLeaf,
     tree_from_json,
 )
 from .lexer import TokenStream, read_text
@@ -43,25 +41,22 @@ def ast_structural_eq(got, want) -> bool:
     """Structural tree equality ignoring spans.  An ErrorNode on either side
     matches one node whose rule name or token kind equals its expectation;
     two ErrorNodes match when they expect the same thing."""
-    if isinstance(got, ErrorNode) or isinstance(want, ErrorNode):
-        if isinstance(got, ErrorNode) and isinstance(want, ErrorNode):
+    got_error = isinstance(got, ErrorNode)
+    if got_error or isinstance(want, ErrorNode):
+        if got_error and isinstance(want, ErrorNode):
             return got.expected == want.expected
-        node, err = (want, got) if isinstance(got, ErrorNode) else (got, want)
-        if isinstance(node, RuleNode):
-            return node.name == err.expected
-        if isinstance(node, TokenLeaf):
-            return node.kind == err.expected
+        node, err = (want, got) if got_error else (got, want)
+        # a rule node's name and a token leaf's kind both come first
+        return node[0] == err.expected
+    if len(got) != len(want):
         return False
-    if isinstance(got, RuleNode) and isinstance(want, RuleNode):
-        return (
-            got.name == want.name
-            and len(got.children) == len(want.children)
-            and all(ast_structural_eq(a, b)
-                    for a, b in zip(got.children, want.children))
-        )
-    if isinstance(got, TokenLeaf) and isinstance(want, TokenLeaf):
-        return got.kind == want.kind
-    return False
+    if len(got) == 2:
+        return got[0] == want[0]
+    return (
+        got[0] == want[0]
+        and len(got[2]) == len(want[2])
+        and all(ast_structural_eq(a, b) for a, b in zip(got[2], want[2]))
+    )
 
 
 def classify_recovery(outcome: ParseOutcome, intended) -> str:
@@ -170,7 +165,7 @@ def _read_tree(path):
     text = read_text(path)
     try:
         return tree_from_json(json.loads(text))
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise OSError(f"{path}: not a JSON syntax tree: {exc!r}") from None
 
 

@@ -16,6 +16,7 @@ is remembered per object: do not mutate a grammar after its first use.
 from __future__ import annotations
 
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 FAIL = "fail"
@@ -238,16 +239,27 @@ def annotation_parts(e: Expr) -> tuple[Expr, str] | None:
 _VALID: "weakref.WeakSet[Grammar]" = weakref.WeakSet()
 
 
+@contextmanager
+def nesting_guard():
+    """Raise a RecursionError inside as GrammarError("grammar nested too
+    deeply"), the error ``dsl.parse_grammar`` gives for deeply nested text.
+    ``validate`` takes one frame per nesting level, and the passes after it
+    (desugaring, stripping labels, annotating, compiling) take more, so a
+    grammar valid at one depth can still be too deep for them."""
+    try:
+        yield
+    except RecursionError:
+        raise GrammarError("grammar nested too deeply") from None
+
+
 def checked(g: Grammar) -> Grammar:
     """g, validated the first time it is used unless it is known valid.  A
     hand-built grammar nested too deeply for ``validate`` to walk is a
-    GrammarError, as it is for ``dsl.parse_grammar``."""
+    GrammarError."""
     if g in _VALID:
         return g
-    try:
+    with nesting_guard():
         return validate(g)
-    except RecursionError:
-        raise GrammarError("grammar nested too deeply") from None
 
 
 def check_expr(g: Grammar, e: Expr, where: str) -> None:
@@ -462,10 +474,12 @@ def desugar(g: Grammar) -> Grammar:
     """Desugared copy of g.  Idempotent; label set and messages kept."""
     if checked(g).desugared:
         return g
+    with nesting_guard():
+        rules = {n: desugar_expr(b) for n, b in g.rules.items()}
+        lexical = {n: desugar_expr(b) for n, b in g.lexical.items()}
+        recovery = {l: desugar_expr(b) for l, b in g.recovery.items()}
     return valid_by_construction(replace(
-        g, rules={n: desugar_expr(b) for n, b in g.rules.items()},
-        lexical={n: desugar_expr(b) for n, b in g.lexical.items()},
-        recovery={l: desugar_expr(b) for l, b in g.recovery.items()},
+        g, rules=rules, lexical=lexical, recovery=recovery,
         messages=dict(g.messages), desugared=True))
 
 
@@ -508,7 +522,8 @@ def strip_labels_expr(e: Expr) -> Expr:
 
 def strip_labels(g: Grammar) -> Grammar:
     """Remove every annotation site; bare throws are left alone."""
-    rules = {n: strip_labels_expr(b) for n, b in checked(g).rules.items()}
+    with nesting_guard():
+        rules = {n: strip_labels_expr(b) for n, b in checked(g).rules.items()}
     thrown = {node.label for body in rules.values() for node in _walk(body)
               if isinstance(node, Throw)}
     return valid_by_construction(replace(

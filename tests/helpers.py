@@ -435,3 +435,8 @@ def random_program(seed: int) -> str:
     return ("public class Example { "
             "public static void main ( String [ ] args ) { "
             f"{body} }} }}")
+
+
+def fix_factorial(text: str) -> str:
+    """grammars/factorial.java with its two syntax errors corrected."""
+    return text.replace("while(0 < n {", "while(0 < n) {").replace("n - 1\n", "n - 1;\n")

@@ -15,7 +15,7 @@ from collections import Counter
 from pegrec.analysis import Analysis
 from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.diagnostics import format_error, load_messages
-from pegrec.engine import ErrorNode, RuleNode, Session, match
+from pegrec.engine import ErrorNode, Session, match
 from pegrec.evaluate import (
     EXCELLENT,
     FAILED,
@@ -163,8 +163,9 @@ CORPUS_ROWS = [
 def count_error_nodes(node) -> int:
     if isinstance(node, ErrorNode):
         return 1
-    if isinstance(node, RuleNode):
-        return sum(count_error_nodes(c) for c in node.children)
+    if len(node) == 3:
+        _, _, children = node
+        return sum(count_error_nodes(c) for c in children)
     return 0
 
 

@@ -16,8 +16,8 @@ from pegrec.lexer import Token
 from pegrec.model import (GrammarError, Literal, NonTerminal, Not, Optional,
                           Sequence, Terminal, Throw, desugar)
 
-from helpers import (all_inputs, naive_match, random_grammar, random_program,
-                     render_input)
+from helpers import (all_inputs, fix_factorial, naive_match, random_grammar,
+                     random_program, render_input)
 
 ABC = "AA <- 'a' ;\nBB <- 'b' ;\nCC <- 'c' ;\n"
 
@@ -32,8 +32,9 @@ def g(text: str):
 def test_matches_and_builds_tree():
     out = parse(g("start <- AA BB* ;"), "a b b")
     assert out.ok
-    assert out.tree.name == "start"
-    assert [c.kind for c in out.tree.children] == ["AA", "BB", "BB"]
+    name, _, children = out.tree
+    assert name == "start"
+    assert [kind for kind, _ in children] == ["AA", "BB", "BB"]
 
 
 def test_failure_reports_position():
@@ -56,13 +57,13 @@ def test_trailing_input_is_an_error_but_tree_survives():
 def test_backtracking_choice():
     out = parse(g("start <- AA BB / AA CC ;"), "a c")
     assert out.ok
-    assert [c.kind for c in out.tree.children] == ["AA", "CC"]
+    assert [kind for kind, _ in out.tree[2]] == ["AA", "CC"]
 
 
 def test_star_stops_on_failure_and_backtracks_cleanly():
     out = parse(g("start <- (AA BB)* AA CC ;"), "a b a b a c")
     assert out.ok
-    assert [c.kind for c in out.tree.children] == ["AA", "BB", "AA", "BB", "AA", "CC"]
+    assert [kind for kind, _ in out.tree[2]] == ["AA", "BB", "AA", "BB", "AA", "CC"]
 
 
 def test_predicates():
@@ -80,7 +81,8 @@ def test_eof_terminal():
 def test_any_token_matches_stray_characters():
     out = parse(g("start <- AA . AA ;"), "a ? a")
     assert out.ok
-    assert out.tree.children[1].kind is None
+    kind, _ = out.tree[2][1]
+    assert kind is None
 
 
 def test_nullable_star_body_terminates():
@@ -90,10 +92,10 @@ def test_nullable_star_body_terminates():
 
 def test_rule_spans_cover_consumed_text():
     out = parse(g("start <- Item Item ;\nItem <- AA BB ;"), "a b  a b")
-    first, second = out.tree.children
-    assert first.span == (0, 3)
-    assert second.span == (5, 8)
-    assert out.tree.span == (0, 8)
+    _, span, (first, second) = out.tree
+    assert first[1] == (0, 3)
+    assert second[1] == (5, 8)
+    assert span == (0, 8)
 
 
 # --- labels -------------------------------------------------------------------
@@ -160,9 +162,10 @@ def test_recovery_resumes_parse():
     out = parse(g(REC), "a x y c")
     assert out.status == "matched"
     assert [e.label for e in out.errors] == ["miss"]
-    kinds = [type(c).__name__ for c in out.tree.children]
-    assert kinds == ["TokenLeaf", "ErrorNode", "TokenLeaf"]
-    err = out.tree.children[1]
+    children = out.tree[2]
+    assert [c.__class__ for c in children] == [tuple, ErrorNode, tuple]
+    assert [len(c) for c in children] == [2, 3, 2]
+    err = children[1]
     assert err.expected == "BB"
     assert err.span == (2, 5)  # the skipped 'x y'
 
@@ -170,7 +173,7 @@ def test_recovery_resumes_parse():
 def test_recovery_consuming_nothing_leaves_empty_placeholder():
     out = parse(g(REC), "a c")
     assert out.status == "matched"
-    err = out.tree.children[1]
+    err = out.tree[2][1]
     assert isinstance(err, ErrorNode)
     assert err.span == (2, 2)
 
@@ -300,23 +303,122 @@ m2 <- (!CC .)* ;
 
 # --- tree serialization ---------------------------------------------------------
 
-def test_tree_json_round_trip():
-    out = parse(g(REC), "a x c")
-    data = tree_to_json(out.tree)
-    assert tree_from_json(data) == out.tree
+def test_tree_json_round_trip(grammar_dir, tiny_java):
+    annotated, _ = annotate(tiny_java)
+    sources = [_factorial(grammar_dir, fixed=True), _factorial(grammar_dir, fixed=False),
+               random_program(5), "public class A { x = @ ; }"]
+    outcomes = [parse(g(REC), "a x c")] + [parse(annotated, text) for text in sources]
+    assert [len(o.errors) for o in outcomes[:3]] == [1, 0, 2]
+    assert all(o.tree is not None for o in outcomes)
+    for outcome in outcomes:
+        data = tree_to_json(outcome.tree)
+        back = tree_from_json(data)
+        assert back == outcome.tree
+        assert tree_to_json(back) == data
+        # an ErrorNode comes back as one, every other node as a plain tuple
+        assert [n.__class__ for n in _preorder(back)] == \
+            [n.__class__ for n in _preorder(outcome.tree)]
 
 
-def test_tree_nodes_are_named_tuples():
+def test_tree_nodes_are_plain_tuples():
     out = parse(g(REC), "a x c")
-    leaf, err, _ = out.tree.children
-    assert repr(leaf) == "TokenLeaf(kind='AA', span=(0, 1))"
-    assert repr(err) == "ErrorNode(label='miss', expected='BB', span=(2, 3))"
-    assert repr(RuleNode("r", (0, 0))) == "RuleNode(name='r', span=(0, 0), children=())"
-    # the one visible change from frozen dataclasses: nodes are tuples
-    assert leaf == ("AA", (0, 1))
-    assert hash(leaf) == hash(("AA", (0, 1)))
     name, span, children = out.tree
-    assert (name, span, children[0]) == ("start", (0, 5), leaf)
+    leaf, err, last = children
+    assert [n.__class__ for n in (out.tree, children, leaf, last)] == [tuple] * 4
+    assert repr(leaf) == "('AA', (0, 1))"
+    assert repr(out.tree) == (
+        "('start', (0, 5), (('AA', (0, 1)), ErrorNode(label='miss', expected='BB',"
+        " span=(2, 3)), ('CC', (4, 5))))")
+    # an ErrorNode is still a NamedTuple, told apart by its class
+    assert repr(err) == "ErrorNode(label='miss', expected='BB', span=(2, 3))"
+    assert err.__class__ is ErrorNode and ErrorNode._fields == ("label", "expected", "span")
+    assert err == ("miss", "BB", (2, 3))
+    # the node constructors return the same exact tuples
+    assert TokenLeaf("AA", (0, 1)).__class__ is tuple
+    assert TokenLeaf("AA", (0, 1)) == leaf == ("AA", (0, 1))
+    assert RuleNode("r", (0, 0)) == ("r", (0, 0), ())
+    assert RuleNode("start", (0, 5), [leaf, err, last]) == out.tree
+    assert RuleNode("start", (0, 5), [leaf, err, last])[2].__class__ is tuple
+    assert hash(leaf) == hash(("AA", (0, 1)))
+    assert hash(out.tree) == hash(("start", (0, 5), (leaf, err, ("CC", (4, 5)))))
+    assert (name, span) == ("start", (0, 5))
+    kind, leaf_span = leaf
+    assert (kind, leaf_span) == ("AA", (0, 1))
+
+
+@pytest.mark.parametrize("data, message", [
+    ({}, "tree node has no 'rule', 'token' or 'error': {}"),
+    ({"token": "AA"}, "span is not two ints: None"),
+    ([], "tree node is not an object: []"),
+    (3, "tree node is not an object: 3"),
+    ({"span": [0, 1]}, "tree node has no 'rule', 'token' or 'error': {'span': [0, 1]}"),
+    ({"token": "AA", "span": [0]}, "span is not two ints: [0]"),
+    ({"token": "AA", "span": [0, "1"]}, "span is not two ints: [0, '1']"),
+    ({"token": "AA", "span": [0, 1.0]}, "span is not two ints: [0, 1.0]"),
+    ({"token": "AA", "span": [True, 1]}, "span is not two ints: [True, 1]"),
+    ({"token": "AA", "span": "ab"}, "span is not two ints: 'ab'"),
+    ({"token": 3, "span": [0, 1]}, "'token' of a tree node is not a string: 3"),
+    ({"rule": None, "span": [0, 1], "children": []},
+     "'rule' of a tree node is not a string: None"),
+    ({"rule": "start", "span": [0, 1]}, "'children' of a tree node is not a list: None"),
+    ({"rule": "start", "span": [0, 1], "children": [3]}, "tree node is not an object: 3"),
+    ({"rule": "start", "span": [0, 1], "children": [{"token": "AA", "span": [0, 1, 2]}]},
+     "span is not two ints: [0, 1, 2]"),
+    ({"error": "miss", "span": [0, 1]}, "'expected' of a tree node is not a string: None"),
+], ids=["empty", "no-span", "list", "number", "no-kind", "short-span", "str-in-span",
+        "float-in-span", "bool-in-span", "str-span", "token-kind", "rule-name",
+        "no-children", "child", "child-span", "no-expected"])
+def test_tree_from_json_rejects_what_is_not_a_tree(data, message):
+    with pytest.raises(ValueError) as exc:
+        tree_from_json(data)
+    assert str(exc.value) == message
+
+
+def test_tree_from_json_shortens_what_it_quotes():
+    with pytest.raises(ValueError) as exc:
+        tree_from_json({"rule": "start", "span": [0, 1], "children": "x" * 10000})
+    assert len(str(exc.value)) < 100
+
+
+def _factorial(grammar_dir, fixed: bool) -> str:
+    """grammars/factorial.java, with its two syntax errors or without."""
+    text = (grammar_dir / "factorial.java").read_text()
+    return fix_factorial(text) if fixed else text
+
+
+def _depth(node) -> int:
+    if node.__class__ is tuple and len(node) == 3:
+        return 1 + max(map(_depth, node[2]), default=0)
+    return 1
+
+
+def _holding_errors(node) -> list:
+    """The nodes of the subtree at node that are or hold an ErrorNode."""
+    if node.__class__ is ErrorNode:
+        return [node]
+    if len(node) == 2:
+        return []
+    below = [n for child in node[2] for n in _holding_errors(child)]
+    return [node] + below if below else []
+
+
+def test_the_collector_can_untrack_a_tree_that_holds_no_error_node(grammar_dir, tiny_java):
+    annotated, _ = annotate(tiny_java)
+    clean = parse(annotated, _factorial(grammar_dir, fixed=True))
+    recovered = parse(annotated, _factorial(grammar_dir, fixed=False))
+    assert clean.ok and len(recovered.errors) == 2 and recovered.status == "matched"
+    for outcome in (clean, recovered):
+        nodes = _preorder(outcome.tree)
+        assert all(gc.is_tracked(n) for n in nodes if n.__class__ is ErrorNode)
+        # a collection untracks a tuple whose items are all untracked; the
+        # nodes of a level and their children tuples go in at most two
+        for _ in range(2 * _depth(outcome.tree) + 2):
+            gc.collect()
+        tracked = {id(n) for n in nodes if gc.is_tracked(n)}
+        assert tracked == {id(n) for n in _holding_errors(outcome.tree)}
+        assert all(not gc.is_tracked(n[1]) for n in nodes if n.__class__ is tuple)
+    assert len(_holding_errors(clean.tree)) == 0
+    assert 4 <= len(_holding_errors(recovered.tree)) < len(_preorder(recovered.tree)) // 4
 
 
 # --- token columns and shared spans ---------------------------------------------
@@ -326,9 +428,13 @@ def _preorder(tree) -> list:
     while stack:
         node = stack.pop()
         out.append(node)
-        if node.__class__ is RuleNode:
-            stack.extend(reversed(node.children))
+        if node.__class__ is tuple and len(node) == 3:
+            stack.extend(reversed(node[2]))
     return out
+
+
+def _span(node) -> tuple:
+    return node.span if node.__class__ is ErrorNode else node[1]
 
 
 def _parsed_sessions(grammar_dir, tiny_java) -> list:
@@ -364,23 +470,25 @@ def test_token_leaves_share_the_stream_span_tuples(grammar_dir, tiny_java):
     for session, outcome in _parsed_sessions(grammar_dir, tiny_java):
         spans = session.stream.spans
         index = {span[0]: i for i, span in enumerate(spans)}
-        leaves = [n for n in _preorder(outcome.tree) if n.__class__ is TokenLeaf]
-        for leaf in leaves:
-            assert leaf.span is spans[index[leaf.span[0]]]
+        leaves = [n for n in _preorder(outcome.tree)
+                  if n.__class__ is tuple and len(n) == 2]
+        for _, span in leaves:
+            assert span is spans[index[span[0]]]
         if not outcome.errors:
-            assert [index[leaf.span[0]] for leaf in leaves] == list(range(len(spans)))
+            assert [index[span[0]] for _, span in leaves] == list(range(len(spans)))
 
 
 def test_one_child_rule_node_shares_its_child_span(grammar_dir, tiny_java):
     unary = 0
     for _, outcome in _parsed_sessions(grammar_dir, tiny_java):
         for node in _preorder(outcome.tree):
-            if node.__class__ is not RuleNode or not node.children:
+            if node.__class__ is not tuple or len(node) != 3 or not node[2]:
                 continue
-            first, last = node.children[0].span, node.children[-1].span
-            assert node.span == (first[0], last[1])
-            if len(node.children) == 1:
-                assert node.span is first
+            _, span, children = node
+            first, last = _span(children[0]), _span(children[-1])
+            assert span == (first[0], last[1])
+            if len(children) == 1:
+                assert span is first
                 unary += 1
     assert unary > 50
 
@@ -491,10 +599,10 @@ def test_any_token_headed_alternatives_take_stray_characters():
     # FIRST(.) leaves out stray characters, whose kind is None
     out = parse(g("start <- . CC / AA ;"), "? c")
     assert out.ok
-    assert [c.kind for c in out.tree.children] == [None, "CC"]
+    assert [kind for kind, _ in out.tree[2]] == [None, "CC"]
     out = parse(g("start <- (. BB)* EOF ;"), "? b % b")
     assert out.ok
-    assert [c.kind for c in out.tree.children] == [None, "BB", None, "BB"]
+    assert [kind for kind, _ in out.tree[2]] == [None, "BB", None, "BB"]
     out = parse(g("start <- (!CC .)* CC ;"), "? a c")
     assert out.ok
 

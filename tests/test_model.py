@@ -11,10 +11,12 @@ from pegrec.dsl import parse_grammar
 from pegrec.engine import match, parse
 from pegrec.model import (
     Annotated,
+    And,
     AnyToken,
     CharClass,
     Choice,
     Empty,
+    Expr,
     Grammar,
     GrammarError,
     Literal,
@@ -244,6 +246,8 @@ ENTRY_POINTS = {
     "match": lambda g: match(g, NonTerminal("start"), ""),
     "annotate": annotate,
     "Analysis": Analysis,
+    "desugar": desugar,
+    "strip_labels": strip_labels,
 }
 
 
@@ -264,16 +268,38 @@ def test_invalid_hand_built_grammar_fails_at_every_entry_point(fault, entry, des
 DEPTH = 30000
 
 
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
-def test_deeply_nested_hand_built_grammar_is_a_grammar_error(entry):
+def nested(wrap, depth: int) -> Expr:
     body = Terminal("'a'")
-    for _ in range(DEPTH):
-        body = Sequence(body, Empty())
+    for _ in range(depth):
+        body = wrap(body)
+    return body
+
+
+NESTED = {
+    "sequence": lambda: nested(lambda e: Sequence(e, Empty()), DEPTH),
+    # validate walks these at a Session's limit, but desugaring, stripping
+    # labels (two frames a level) or the matcher's compile cannot
+    "not-pairs": lambda: nested(lambda e: Not(Not(e)), 5000),
+    "and-chain": lambda: nested(And, 5000),
+    "choice-chain": lambda: nested(lambda e: Choice(Terminal("'a'"), e), 9000),
+    "star-chain": lambda: nested(Star, 9000),
+}
+DEEP_CASES = ([(entry, "sequence") for entry in ENTRY_POINTS]
+              + [(entry, "not-pairs")
+                 for entry in ("parse", "match", "annotate", "desugar", "strip_labels")]
+              + [("annotate", "and-chain")]
+              + [(entry, shape) for shape in ("choice-chain", "star-chain")
+                 for entry in ("parse", "match")])
+
+
+@pytest.mark.parametrize("entry, shape", DEEP_CASES,
+                         ids=[e if s == "sequence" else f"{e}-{s}" for e, s in DEEP_CASES])
+def test_deeply_nested_hand_built_grammar_is_a_grammar_error(entry, shape):
     parse(parse_grammar("start <- 'a' ;"), "a")
     limit = sys.getrecursionlimit()
     assert limit >= 20000
     with pytest.raises(GrammarError, match="^grammar nested too deeply$"):
-        ENTRY_POINTS[entry](Grammar({"start": body}, {}, "start"))
+        ENTRY_POINTS[entry](Grammar({"start": NESTED[shape]()}, {}, "start"))
     assert sys.getrecursionlimit() == limit
 
 

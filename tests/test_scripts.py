@@ -1,0 +1,71 @@
+"""The command-line scripts under scripts/, run as their own processes."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from pegrec.annotate import annotate
+from pegrec.engine import parse
+
+from helpers import fix_factorial
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    # each script puts src/ on its own path
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_eval_tiny_java_rates_a_small_corpus():
+    done = run_script("eval_tiny_java.py", "--count", "5", "--seed", "1")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        "annotated tiny_java.peg: 40 recovery points, 29 sites left alone",
+        "category        count   percent",
+        "excellent          15     75.0%",
+        "needs-review        5     25.0%",
+        "failed              0      0.0%",
+        "total              20",
+    ]
+    done = run_script("eval_tiny_java.py", "--count", "5", "--seed", "1", "--json")
+    assert (done.returncode, done.stderr) == (0, "")
+    data = json.loads(done.stdout)
+    assert data["counts"] == {"excellent": 15, "needs-review": 5, "failed": 0}
+    assert len(data["cases"]) == 20 and data["unreadable"] == []
+
+
+def test_make_mutants_skips_a_broken_source_and_mutates_a_clean_one(
+        tmp_path, grammar_dir, tiny_java):
+    grammar = str(grammar_dir / "tiny_java.peg")
+    broken = grammar_dir / "factorial.java"
+    out = tmp_path / "corpus"
+    done = run_script("make_mutants.py", grammar, str(broken), "-n", "3",
+                      "--seed", "1", "-o", str(out))
+    assert done.returncode == 0
+    assert done.stderr == f"skipping {broken}: does not parse cleanly\n"
+    assert done.stdout == f"wrote 0 cases to {out}\n"
+    assert list(out.iterdir()) == []
+
+    text = fix_factorial(broken.read_text())
+    fixed = tmp_path / "fixed.java"
+    fixed.write_text(text)
+    done = run_script("make_mutants.py", grammar, str(fixed), "-n", "3",
+                      "--seed", "1", "-o", str(out))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        "fixed_000: delete '(' at token 8",
+        "fixed_001: delete 'n' at token 16",
+        "fixed_002: duplicate '{' at token 31",
+        f"wrote 3 cases to {out}",
+    ]
+    stems = [f"fixed_{i:03}" for i in range(3)]
+    assert sorted(p.name for p in out.iterdir()) == \
+        sorted(f"{stem}{suffix}" for stem in stems for suffix in (".bad", ".ok"))
+    annotated, _ = annotate(tiny_java)
+    assert parse(annotated, text).ok
+    for stem in stems:
+        assert (out / f"{stem}.ok").read_text() == text
+        assert not parse(annotated, (out / f"{stem}.bad").read_text()).ok
