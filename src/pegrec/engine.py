@@ -20,6 +20,15 @@ rule and per recovery expression.  A Grammar must therefore not be mutated
 after its first parse.  ``match_expr`` checks its one expression against
 the grammar and compiles it on the spot.
 
+``parse`` and ``match_expr`` first scan the whole text, inside the same
+guard against running out of stack as the match itself: a token that a
+recursive lexical rule is too deep to scan makes the outcome "input nested
+too deeply", wherever it sits in the input.  The matcher then reads the
+token kinds from a column that ends in ``EOF`` at the token count (and up
+to the start position, for a match past the end), so a terminal compares
+the kind at its position and dispatch reads it, with no bounds check; only
+``.`` and ``EOF`` compare the position with the token count.
+
 Choices, repetitions and predicates dispatch on the current token's kind
 (one-token lookahead; ``EOF`` past the end of input).  Each alternative of
 a choice, each star body and each predicate body gets a guard when it can
@@ -33,6 +42,14 @@ per-kind table built at compile time; a star ends its loop, and ``!p``
 succeeds without running p.  Any other expression has no guard and always
 runs.  FIRST sets alone would not do: FIRST(^l) is empty, so ``[X]^l / Y``
 pruned by FIRST(X) would match Y silently where it must throw l.
+
+Two fast paths skip work the general case does.  A terminal alternative
+that its guard lets run matches, so no alternative after it runs there
+(``[X]^l`` at an X is just X).  Where the one alternative a choice runs at
+a kind is its last or such a terminal, its failure is the choice's own, so
+the choice calls it without noting where to roll back ``acc`` and the
+error list.  A sequence tests the guard of a guarded star in it before it
+calls the star, which would only end at once.
 
 Syntax trees are exact tuples.  A rule node is ``(name, span, children)``,
 where ``children`` is an exact tuple of nodes, and a token leaf is ``(kind,
@@ -232,46 +249,70 @@ def _empty(s, pos, acc):
     return pos
 
 
+def _nothing(s, pos, acc):
+    # what a choice runs last when it skips its last alternative
+    return _FAILED
+
+
 def _eof(s, pos, acc):
-    if pos < len(s._kinds) or s.stream.fill(pos):
+    if pos < s._count:
         return _fail(s, pos)
     return pos
 
 
 def _any_token(s, pos, acc):
-    kinds = s._kinds
-    if pos < len(kinds) or s.stream.fill(pos):
-        acc.append((kinds[pos], s._spans[pos]))
+    if pos < s._count:
+        acc.append((s._kinds[pos], s._spans[pos]))
         return pos + 1
     return _fail(s, pos)
 
 
 def _terminal(kind: str):
     def terminal(s, pos, acc):
-        kinds = s._kinds
-        if pos < len(kinds) or s.stream.fill(pos):
-            if kinds[pos] == kind:
-                acc.append((kind, s._spans[pos]))
-                return pos + 1
+        if s._kinds[pos] == kind:
+            acc.append((kind, s._spans[pos]))
+            return pos + 1
         if pos > s.farthest:
             s.farthest = pos
         return _FAILED
     return terminal
 
 
-def _sequence(items: list):
-    if len(items) == 2:
+def _sequence(items: list, guards: list):
+    """A sequence of items.  ``guards[i]`` is item i's guard when item i is
+    a guarded star: the sequence tests it itself and calls the star only
+    when its body can start, since otherwise the star would end at once."""
+    if len(items) == 2 and guards[0] is None:
         first, second = items
+        guard = guards[1]
+        if guard is None:
+            def pair(s, pos, acc):
+                r = first(s, pos, acc)
+                if r.__class__ is _Fail:
+                    return r
+                return second(s, r, acc)
+            return pair
 
-        def pair(s, pos, acc):
+        def pair_star(s, pos, acc):
             r = first(s, pos, acc)
             if r.__class__ is _Fail:
                 return r
-            return second(s, r, acc)
-        return pair
+            if s._kinds[r] in guard:
+                return second(s, r, acc)
+            if r > s.farthest:
+                s.farthest = r
+            return r
+        return pair_star
+
+    steps = tuple(zip(items, guards))
 
     def sequence(s, pos, acc):
-        for item in items:
+        kinds = s._kinds
+        for item, guard in steps:
+            if guard is not None and kinds[pos] not in guard:
+                if pos > s.farthest:
+                    s.farthest = pos
+                continue
             pos = item(s, pos, acc)
             if pos.__class__ is _Fail:
                 return pos
@@ -279,41 +320,43 @@ def _sequence(items: list):
     return sequence
 
 
-def _plan(alts: list, guards: list, kind):
+def _plan(alts: list, guards: list, terminal: list, kind):
     """What a choice does at a token of this kind: the alternatives it tries
-    before the last one, the last one (None when it is skipped), and
-    whether any alternative is skipped.  The last one runs apart because
-    its failure is the choice's own and is not rolled back there."""
+    first, each rolled back when it fails; the one it runs last, whose
+    failure is the choice's own (``_nothing`` when it skips its last
+    alternative); and whether it skips any alternative.  ``terminal[i]``
+    says whether alternative i is a terminal other than ``EOF``: one whose
+    guard lets it run here matches, so no alternative after it runs."""
     tried = [i for i, guard in enumerate(guards) if guard is None or kind in guard]
-    last = len(alts) - 1
-    return (tuple(alts[i] for i in tried if i != last),
-            alts[last] if tried and tried[-1] == last else None,
-            len(tried) < len(alts))
+    skipped = len(tried) < len(alts)
+    for n, i in enumerate(tried):
+        if terminal[i] and guards[i] is not None:
+            return tuple(alts[j] for j in tried[:n]), alts[i], skipped
+    if tried and tried[-1] == len(alts) - 1:
+        return tuple(alts[i] for i in tried[:-1]), alts[tried[-1]], skipped
+    return tuple(alts[i] for i in tried), _nothing, skipped
 
 
-def _choice(alts: list, guards: list):
-    table = {kind: _plan(alts, guards, kind)
+def _choice(alts: list, guards: list, terminal: list):
+    table = {kind: _plan(alts, guards, terminal, kind)
              for kind in set().union(*filter(None, guards))}
     # kinds no guard holds: stray tokens, end of input
-    other = _plan(alts, guards, None)
+    other = _plan(alts, guards, terminal, None)
 
     def choice(s, pos, acc):
-        kinds = s._kinds
-        kind = kinds[pos] if pos < len(kinds) or s.stream.fill(pos) else EOF_KIND
-        init, last, skipped = table.get(kind, other)
+        init, last, skipped = table.get(s._kinds[pos], other)
         if skipped and pos > s.farthest:
             s.farthest = pos
-        n_acc = len(acc)
-        errors = s.errors
-        n_err = len(errors)
-        for alt in init:
-            r = alt(s, pos, acc)
-            if r is not _FAILED:
-                return r
-            del acc[n_acc:]
-            del errors[n_err:]
-        if last is None:
-            return _FAILED
+        if init:
+            n_acc = len(acc)
+            errors = s.errors
+            n_err = len(errors)
+            for alt in init:
+                r = alt(s, pos, acc)
+                if r is not _FAILED:
+                    return r
+                del acc[n_acc:]
+                del errors[n_err:]
         return last(s, pos, acc)
     return choice
 
@@ -323,13 +366,10 @@ def _star(body, guard):
         kinds = s._kinds
         errors = s.errors
         while True:
-            if guard is not None:
-                kind = (kinds[pos] if pos < len(kinds) or s.stream.fill(pos)
-                        else EOF_KIND)
-                if kind not in guard:
-                    if pos > s.farthest:
-                        s.farthest = pos
-                    return pos
+            if guard is not None and kinds[pos] not in guard:
+                if pos > s.farthest:
+                    s.farthest = pos
+                return pos
             n_acc, n_err = len(acc), len(errors)
             r = body(s, pos, acc)
             if r.__class__ is _Fail:
@@ -348,13 +388,10 @@ def _star(body, guard):
 
 def _not(body, guard):
     def not_(s, pos, acc):
-        if guard is not None:
-            kinds = s._kinds
-            kind = kinds[pos] if pos < len(kinds) or s.stream.fill(pos) else EOF_KIND
-            if kind not in guard:
-                if pos > s.farthest:
-                    s.farthest = pos
-                return pos
+        if guard is not None and s._kinds[pos] not in guard:
+            if pos > s.farthest:
+                s.farthest = pos
+            return pos
         n_acc = len(acc)
         errors = s.errors
         n_err = len(errors)
@@ -445,11 +482,16 @@ class _Matcher:
         if isinstance(e, AnyToken):
             return _any_token
         if isinstance(e, Sequence):
-            return _sequence([self.compile(x) for x in operands(e, Sequence)])
+            items = operands(e, Sequence)
+            return _sequence([self.compile(x) for x in items],
+                             [self.guard(x.body) if isinstance(x, Star) else None
+                              for x in items])
         if isinstance(e, Choice):
             alts = operands(e, Choice)
             return _choice([self.compile(x) for x in alts],
-                           [self.guard(x) for x in alts])
+                           [self.guard(x) for x in alts],
+                           [isinstance(x, Terminal) and x.kind != EOF_KIND
+                            for x in alts])
         if isinstance(e, Star):
             return _star(self.compile(e.body), self.guard(e.body))
         if isinstance(e, Not):
@@ -476,8 +518,10 @@ class Session:
         self.grammar = prog.grammar
         self._matcher: _Matcher = prog.matcher
         self.stream = TokenStream(grammar, text)
-        self._kinds = self.stream.kinds
-        self._spans = self.stream.spans
+        # the columns the matcher reads, set by _scan
+        self._kinds: list[str | None] = []
+        self._spans: list[tuple[int, int]] = []
+        self._count = 0
         self.max_errors = max_errors
         self.messages = dict(self.grammar.messages)
         if messages:
@@ -538,15 +582,40 @@ class Session:
 
     # -- entry points -----------------------------------------------------------
 
+    def _scan(self, pos: int) -> None:
+        """Scan the whole text and set the columns the matcher reads:
+        ``_kinds`` holds the token kinds followed by ``EOF_KIND`` at the
+        token count and at every position up to pos past it, so the
+        matcher reads the kind at any position it reaches without a bounds
+        check.  When the lexer runs out of stack, the token it could not
+        scan is the farthest position reached."""
+        stream = self.stream
+        try:
+            stream.scan()
+        except RecursionError:
+            self.farthest = len(stream.kinds)
+            raise
+        kinds = stream.kinds
+        self._count = count = len(kinds)
+        self._kinds = kinds + [EOF_KIND] * (max(pos, count) - count + 1)
+        self._spans = stream.spans
+
     def _too_deep(self) -> list[ParseError]:
         """The errors of a parse that ran out of stack.  Those recorded so
         far may belong to alternatives that never finished, so only one
         fatal error is kept, at the farthest position reached.  The lexer
-        may be what ran out, so no further token is scanned for it."""
-        spans = self._spans
+        may be what ran out, so no token is scanned for it."""
+        stream = self.stream
+        spans = stream.spans
         pos = self.farthest
-        offset = spans[pos - 1][1] if pos else spans[0][0] if spans else 0
-        line, col = self.stream.pos_info(offset)
+        if pos == 0:
+            offset = spans[0][0] if spans else 0
+        elif pos <= len(spans):
+            offset = spans[pos - 1][1]
+        else:
+            # past the end of a finished scan
+            offset = stream.eof_offset()
+        line, col = stream.pos_info(offset)
         self.errors = [ParseError(FAIL, "input nested too deeply",
                                   offset, line, col, pos)]
         return self.errors
@@ -554,6 +623,7 @@ class Session:
     def parse(self) -> ParseOutcome:
         acc: list = []
         try:
+            self._scan(0)
             r = self._matcher.start(self, 0, acc)
         except RecursionError:
             return ParseOutcome(status="failed", tree=None,
@@ -565,7 +635,7 @@ class Session:
                 self._record(r.label, r.pos)
             return ParseOutcome(status="failed", tree=None,
                                 errors=self.errors, fail_label=r.label)
-        if r < len(self._kinds) or self.stream.fill(r):
+        if r < self._count:
             self._record(FAIL, r, "expected end of input")
         return ParseOutcome(status="matched", tree=acc[0],
                             errors=self.errors, end=r)
@@ -582,6 +652,7 @@ class Session:
             raise GrammarError("expression nested too deeply") from None
         acc: list = []
         try:
+            self._scan(pos)
             r = body(self, pos, acc)
         except RecursionError:
             return MatchResult(status="failed", end=None, fail_label=FAIL,

@@ -41,22 +41,25 @@ def ast_structural_eq(got, want) -> bool:
     """Structural tree equality ignoring spans.  An ErrorNode on either side
     matches one node whose rule name or token kind equals its expectation;
     two ErrorNodes match when they expect the same thing."""
-    got_error = isinstance(got, ErrorNode)
-    if got_error or isinstance(want, ErrorNode):
-        if got_error and isinstance(want, ErrorNode):
+    got_error = got.__class__ is ErrorNode
+    want_error = want.__class__ is ErrorNode
+    if got_error or want_error:
+        if got_error and want_error:
             return got.expected == want.expected
         node, err = (want, got) if got_error else (got, want)
         # a rule node's name and a token leaf's kind both come first
         return node[0] == err.expected
-    if len(got) != len(want):
+    if len(got) != len(want) or got[0] != want[0]:
         return False
     if len(got) == 2:
-        return got[0] == want[0]
-    return (
-        got[0] == want[0]
-        and len(got[2]) == len(want[2])
-        and all(ast_structural_eq(a, b) for a, b in zip(got[2], want[2]))
-    )
+        return True
+    got_children, want_children = got[2], want[2]
+    if len(got_children) != len(want_children):
+        return False
+    for a, b in zip(got_children, want_children):
+        if not ast_structural_eq(a, b):
+            return False
+    return True
 
 
 def classify_recovery(outcome: ParseOutcome, intended) -> str:
@@ -228,8 +231,7 @@ class Mutant:
 def token_spans(grammar: Grammar, text: str) -> list[tuple[int, int]]:
     """The (start, end) offsets of every token of text."""
     stream = TokenStream(grammar, text)
-    # no text has more tokens than characters, so this scans to the end
-    stream.fill(len(text))
+    stream.scan()
     return stream.spans
 
 

@@ -1,11 +1,13 @@
 """Tokenizer driven by the grammar's lexical rules.
 
-Tokens are produced lazily and stored in columns (``TokenStream``), longest
-match first, with declaration order breaking ties (lexical rules in order, then anonymous literals in order of
-first appearance).  Whitespace and ``//`` line comments are skipped between
-tokens.  A character no rule can start is emitted as a one-character token
-with kind None so the parser can report it or step over it during recovery;
-a rule that matches zero characters at a position is ignored there.
+A ``TokenStream`` scans its whole text in one loop, the first time a token
+is asked for, and keeps the tokens in columns.  The longest match wins,
+with declaration order breaking ties (lexical rules in order, then
+anonymous literals in order of first appearance).  Whitespace and ``//``
+line comments are skipped between tokens.  A character no rule can start
+is emitted as a one-character token with kind None so the parser can
+report it or step over it during recovery; a rule that matches zero
+characters at a position is ignored there.
 
 The lexical rules are compiled once per Grammar object, the first time a
 text is lexed with it, and the compiled form is kept for as long as the
@@ -15,9 +17,10 @@ PEG never backtracks into an ordered choice or a repetition, so both become
 atomic groups, spelled ``(?=(?P<aN>...))(?P=aN)`` because ``(?>...)`` needs
 Python 3.11; ``!p`` becomes ``(?!p)`` and a rule reference is inlined.  A
 rule that reaches a recursive rule has no regular expression; it keeps the
-character-level interpreter behind the same ``(text, pos) -> end | None``
-signature.  A table filled lazily per character lists the rules whose FIRST
-set holds that character, so each position tries only those.
+character-level interpreter behind the call shape of ``re.Pattern.match``,
+so the scan calls every rule alike.  A table filled lazily per character
+lists the rules whose FIRST set holds that character, so each position
+tries only those.
 """
 
 from __future__ import annotations
@@ -57,8 +60,9 @@ class Token(NamedTuple):
 LAYOUT = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
 # FIRST-set range of AnyToken: every character
 _ANY_CHAR = ("\0", "\U0010ffff")
-# tokens scanned past the one asked for, to spread the cost of a scan call
-_SCAN_AHEAD = 32
+# the empty pattern: its match at offset ``end`` ends there, which is how a
+# char-interpreted rule reports where it ended
+_EMPTY = re.compile("")
 
 
 def read_text(path) -> str:
@@ -223,12 +227,11 @@ class _Lexer:
                 source = _RegexWriter(rules).write(pat)
             except _Recursive:
                 source = None
-                fn = (lambda text, pos, pat=pat:
-                      _char_match(rules, pat, text, pos))
+                match = _char_matcher(rules, pat)
             else:
-                fn = _regex_matcher(re.compile(source))
+                match = re.compile(source).match
             self.sources[kind] = source
-            self._rules.append((kind, fn, first[kind]))
+            self._rules.append((kind, match, first[kind]))
         self.by_char: dict[str, tuple] = {}
 
     def candidates(self, ch: str) -> tuple:
@@ -242,13 +245,14 @@ class _Lexer:
         return found
 
 
-def _regex_matcher(pattern: re.Pattern):
-    match = pattern.match
-
-    def fn(text: str, pos: int) -> int | None:
-        m = match(text, pos)
-        return m.end() if m is not None else None
-    return fn
+def _char_matcher(rules: dict[str, Expr], pat: Expr):
+    """``match(text, pos)`` for a pattern with no regex form: like
+    ``re.Pattern.match``, a match object whose end() is where pat ends, or
+    None."""
+    def match(text: str, pos: int):
+        end = _char_match(rules, pat, text, pos)
+        return None if end is None else _EMPTY.match(text, end)
+    return match
 
 
 def _lexer(grammar: Grammar) -> _Lexer:
@@ -259,39 +263,39 @@ def _lexer(grammar: Grammar) -> _Lexer:
 
 
 class TokenStream:
-    """Lazy token sequence over one source text, kept in two columns:
-    ``kinds`` holds the kind of each token scanned so far (None for a stray
-    character) and ``spans`` its ``(start, end)`` offsets, as exact tuples.
-    A ``Token`` is built only when ``token(i)`` asks for one, so scanning
-    leaves no object behind that the cyclic collector has to track."""
+    """The tokens of one source text, kept in two columns: ``kinds`` holds
+    the kind of each token (None for a stray character) and ``spans`` its
+    ``(start, end)`` offsets, as exact tuples.  The whole text is scanned
+    in one loop the first time a token is asked for (``scan``); nothing is
+    scanned before.  A ``Token`` is built only when ``token(i)`` asks for
+    one, so scanning leaves no object behind that the cyclic collector has
+    to track."""
 
     def __init__(self, grammar: Grammar, text: str):
         self.text = text
         self._lexer = _lexer(grammar)
         self.kinds: list[str | None] = []
         self.spans: list[tuple[int, int]] = []
-        self._scan_pos = 0
-        self._done = False
+        self._scanned = False
         self._line_starts = line_starts(text)
 
-    def fill(self, i: int) -> bool:
-        """Scan until token i exists or the input ends; whether it exists."""
-        kinds = self.kinds
-        if self._done:
-            return i < len(kinds)
-        spans = self.spans
+    def scan(self) -> None:
+        """Scan the whole text into the columns, unless it is scanned
+        already.  A recursive lexical rule nested too deep for the stack
+        raises RecursionError; the columns then hold the tokens before the
+        one it could not scan, and the next call scans again."""
+        if self._scanned:
+            return
+        kinds: list[str | None] = []
+        spans: list[tuple[int, int]] = []
+        self.kinds, self.spans = kinds, spans
         text = self.text
         n = len(text)
-        pos = self._scan_pos
         by_char = self._lexer.by_char
         candidates = self._lexer.candidates
         skip = LAYOUT.match
-        target = i + _SCAN_AHEAD
-        while len(kinds) <= target:
-            pos = skip(text, pos).end()
-            if pos >= n:
-                self._done = True
-                break
+        pos = skip(text, 0).end()
+        while pos < n:
             ch = text[pos]
             cands = by_char.get(ch)
             if cands is None:
@@ -299,21 +303,23 @@ class TokenStream:
             kind = None
             end = pos
             for k, match in cands:
-                e = match(text, pos)
-                if e is not None and e > end:
-                    kind, end = k, e
+                m = match(text, pos)
+                if m is not None:
+                    e = m.end()
+                    if e > end:
+                        kind, end = k, e
             if kind is None:
                 # a stray character: a one-char token of no kind
                 end = pos + 1
             kinds.append(kind)
             spans.append((pos, end))
-            pos = end
-        self._scan_pos = pos
-        return i < len(kinds)
+            pos = skip(text, end).end()
+        self._scanned = True
 
     def token(self, i: int) -> Token | None:
         """i-th token, or None at/after end of input."""
-        if i < len(self.kinds) or self.fill(i):
+        self.scan()
+        if i < len(self.kinds):
             start, end = self.spans[i]
             return Token(self.kinds[i], self.text[start:end], start, end)
         return None
@@ -324,13 +330,15 @@ class TokenStream:
         or end of input (after trailing layout) when i is past the last."""
         if i == 0:
             return self.start_offset(0)
-        if i - 1 < len(self.spans) or self.fill(i - 1):
+        self.scan()
+        if i - 1 < len(self.spans):
             return self.spans[i - 1][1]
         return self.eof_offset()
 
     def start_offset(self, i: int) -> int:
         """Character offset where token i starts (end of input when past)."""
-        if i < len(self.spans) or self.fill(i):
+        self.scan()
+        if i < len(self.spans):
             return self.spans[i][0]
         return self.eof_offset()
 

@@ -426,19 +426,27 @@ def _check_left_recursion(rules: dict[str, Expr], what: str) -> None:
     fixed point leaves unproven is searched for a path back to itself."""
     nullable = nullable_map(rules)
 
-    def heads(e: Expr, out: set[str]) -> set[str]:
+    def heads(e: Expr, out: set[str]) -> bool:
+        """Add to out the rules e can call before it consumes input, and
+        return whether e is nullable: one pass, bottom-up, where asking
+        ``nullable_expr`` at each sequence would walk its left spine again."""
+        if isinstance(e, Sequence):
+            return heads(e.left, out) and heads(e.right, out)
+        if isinstance(e, Choice):
+            first = heads(e.first, out)
+            return heads(e.second, out) or first
+        if isinstance(e, Plus):
+            return heads(e.body, out)
         if isinstance(e, NonTerminal):
             out.add(e.name)
-        elif isinstance(e, Sequence):
-            heads(e.left, out)
-            if nullable_expr(e.left, nullable):
-                heads(e.right, out)
-        else:
-            for child in children(e):
-                heads(child, out)
-        return out
+        for child in children(e):
+            heads(child, out)
+        # a leaf, or a node nullable whatever its body: no walk below e
+        return nullable_expr(e, nullable)
 
-    head_map = {name: heads(body, set()) for name, body in rules.items()}
+    head_map: dict[str, set[str]] = {name: set() for name in rules}
+    for name, body in rules.items():
+        heads(body, head_map[name])
     free = rule_fixpoint(head_map, lambda hs, table: all(map(table.get, hs)), False)
     for name in rules:
         if free[name]:

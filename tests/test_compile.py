@@ -127,3 +127,48 @@ def test_too_deep_nesting_in_a_lexical_rule_fails_without_a_traceback():
     assert outcome.status == "failed"
     assert [(e.message, e.token_index, e.offset) for e in outcome.errors] == \
         [("input nested too deeply", 0, 0)]
+
+
+def test_a_token_too_deep_to_scan_fails_the_parse_wherever_it_sits():
+    # the parse fails at the first token, long before it would reach the
+    # token NEST is too deep to scan; the whole input is scanned first, so
+    # the parse is "input nested too deeply" at that token all the same
+    grammar = parse_grammar("%start start ;\nstart <- BB NEST* ;\n"
+                            "NEST <- '(' NEST* ')' ;\nAA <- 'a' ;\nBB <- 'b' ;")
+    text = "a " * 40 + "(" * 20000 + ")" * 20000
+    session = Session(grammar, text)
+    outcome = session.parse()
+    assert (outcome.status, outcome.tree, outcome.fail_label) == ("failed", None, "fail")
+    # reported at token 40, from the end of token 39
+    assert [(e.message, e.token_index, e.offset) for e in outcome.errors] == \
+        [("input nested too deeply", 40, 79)]
+    result = Session(grammar, text).match_expr(NonTerminal("start"))
+    assert (result.status, result.end, result.fail_label) == ("failed", None, "fail")
+    assert [(e.message, e.token_index, e.offset) for e in result.errors] == \
+        [("input nested too deeply", 40, 79)]
+    # the same text without the deep token fails where the parse stops
+    outcome = Session(grammar, "a " * 40).parse()
+    assert [(e.message, e.token_index) for e in outcome.errors] == \
+        [("unexpected input", 0)]
+
+
+def test_too_deep_a_match_past_end_of_input_fails_without_a_traceback():
+    # a rule chain longer than the stack is deep, entered after the choice
+    # has moved farthest to the position matched at
+    n = 25000
+    text = ("%start r0 ;\n" + f"r{n} <- AA? ;\n"
+            + "".join(f"r{i} <- r{i + 1} ;\n" for i in reversed(range(1, n)))
+            + "r0 <- AA? r1 ;\nAA <- 'a' ;")
+    grammar = parse_grammar(text)
+    for pos, offset in ((1, 1), (4, 3)):
+        result = Session(grammar, "a  ").match_expr(NonTerminal("r0"), pos)
+        assert (result.status, result.fail_label) == ("failed", "fail")
+        assert [(e.message, e.token_index, e.offset) for e in result.errors] == \
+            [("input nested too deeply", pos, offset)]
+
+
+def test_a_session_over_a_text_too_deep_to_scan_is_made_without_error():
+    grammar = parse_grammar("%start start ;\nstart <- NEST* ;\n"
+                            "NEST <- '(' NEST* ')' ;")
+    for text in ("(" * 20000 + ")" * 20000, "() " * 40 + "(" * 20000):
+        Session(grammar, text)

@@ -13,8 +13,8 @@ from pegrec.engine import ErrorNode, RuleNode, Session, TokenLeaf, match, parse
 from pegrec.engine import tree_from_json, tree_to_json
 from pegrec.evaluate import delete_token, duplicate_token, token_spans
 from pegrec.lexer import Token
-from pegrec.model import (GrammarError, Literal, NonTerminal, Not, Optional,
-                          Sequence, Terminal, Throw, desugar)
+from pegrec.model import (AnyToken, Choice, GrammarError, Literal, NonTerminal,
+                          Not, Optional, Sequence, Star, Terminal, Throw, desugar)
 
 from helpers import (all_inputs, fix_factorial, naive_match, random_grammar,
                      random_program, render_input)
@@ -619,6 +619,33 @@ def test_choice_at_end_of_input():
     out = parse(g("start <- AA (BB CC)* ;"), "a")
     assert out.ok
     assert parse(g("start <- AA !BB ;"), "a").ok
+
+
+def test_match_at_and_past_end_of_input():
+    # a 2-token text whose trailing layout ends at offset 5
+    grammar = g("start <- AA ;\nnothing <- '' ;")
+    text = "a b  "
+    for pos in (2, 3, 5):
+        session = Session(grammar, text)
+        result = session.match_expr(Terminal("AA"), pos)
+        assert (result.status, result.end, result.fail_label) == \
+            ("failed", None, "fail"), pos
+        assert session.farthest == pos
+        # a choice and a lookahead read the kind at pos too
+        session = Session(grammar, text)
+        assert session.match_expr(Choice(Terminal("AA"), Terminal("BB")), pos).status == \
+            "failed", pos
+        assert session.farthest == pos
+        for expr in (Terminal("EOF"), Star(Terminal("AA")), Not(Terminal("AA")),
+                     Not(AnyToken())):
+            result = match(grammar, expr, text, pos)
+            assert (result.status, result.end, result.children) == \
+                ("matched", pos, ()), (expr, pos)
+        result = match(grammar, AnyToken(), text, pos)
+        assert (result.status, result.end) == ("failed", None), pos
+        result = match(grammar, NonTerminal("nothing"), text, pos)
+        assert (result.status, result.end, result.children) == \
+            ("matched", pos, (("nothing", (5, 5), ()),)), pos
 
 
 def test_fatal_error_where_every_alternative_was_skipped():

@@ -391,6 +391,27 @@ def test_left_recursion_check_agrees_with_reference():
     assert len(set(outcomes)) > 3
 
 
+def test_left_recursion_check_is_linear_in_sequence_depth(monkeypatch):
+    # at every level of a left-nested sequence, the check once asked
+    # whether the left operand is nullable, walking its whole spine again
+    calls = []
+    real = model.nullable_expr
+
+    def counted(e, table):
+        calls.append(e)
+        return real(e, table)
+    monkeypatch.setattr(model, "nullable_expr", counted)
+
+    def count(depth: int) -> int:
+        body = Terminal("EOF")
+        for _ in range(depth):
+            body = Sequence(body, Empty())
+        calls.clear()
+        model._check_left_recursion({"start": body}, "rule")
+        return len(calls)
+    assert count(400) <= 2 * count(200) + 10
+
+
 def inject_left_recursion(text: str, rng: random.Random) -> str:
     """A bundled grammar text with a rule reference put at the front of a
     rule body, directly or after a nullable prefix."""
