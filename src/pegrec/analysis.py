@@ -110,26 +110,27 @@ class Analysis:
             hit = memo.get(id(e))
             if hit is not None:
                 return hit[1]
-        if isinstance(e, Terminal):
+        cls = e.__class__
+        if cls is Terminal:
             # EOF matches only at end of input, consuming nothing
             f = EPSILON_ONLY if e.kind == EOF_KIND else TokenSet(frozenset((e.kind,)))
-        elif isinstance(e, NonTerminal):
+        elif cls is NonTerminal:
             f = self._first[e.name]
-        elif isinstance(e, Sequence):
+        elif cls is Sequence:
             f = self.first_of(e.left)
             if f.has_epsilon:
                 f = f.without_epsilon().union(self.first_of(e.right))
-        elif isinstance(e, Choice):
+        elif cls is Choice:
             f = self.first_of(e.first).union(self.first_of(e.second))
-        elif isinstance(e, (Star, Optional)):
+        elif cls is Star or cls is Optional:
             f = self.first_of(e.body).with_epsilon()
-        elif isinstance(e, Plus):
+        elif cls is Plus:
             f = self.first_of(e.body)
-        elif isinstance(e, (Empty, Not, And)):
+        elif cls is Empty or cls is Not or cls is And:
             f = EPSILON_ONLY
-        elif isinstance(e, Throw):
+        elif cls is Throw:
             f = EMPTY_SET
-        elif isinstance(e, AnyToken):
+        elif cls is AnyToken:
             f = TokenSet(self.all_kinds)
         else:
             raise TypeError(f"no FIRST for {e!r}")
@@ -158,24 +159,24 @@ class Analysis:
         self._follow[g.start] = TokenSet(frozenset((EOF_KIND,)))
 
         def visit(e: Expr, flw: TokenSet) -> None:
-            if isinstance(e, NonTerminal):
+            cls = e.__class__
+            if cls is NonTerminal:
                 merged = self._follow[e.name].union(flw.without_epsilon())
                 if merged != self._follow[e.name]:
                     self._follow[e.name] = merged
                     self._dirty = True
-            elif isinstance(e, Sequence):
+            elif cls is Sequence:
                 visit(e.left, self.calck(e.right, flw))
                 visit(e.right, flw)
-            elif isinstance(e, Choice):
+            elif cls is Choice:
                 visit(e.first, flw)
                 visit(e.second, flw)
-            elif isinstance(e, (Star, Plus)):
+            elif cls is Star or cls is Plus:
                 inner = self.first_of(e.body).without_epsilon().union(flw.without_epsilon())
                 visit(e.body, inner)
-            elif isinstance(e, Optional):
+            elif cls is Optional:
                 visit(e.body, flw)
-            elif isinstance(e, (Not, And)):
-                pass  # predicates consume nothing; their bodies follow nothing
+            # Not, And: predicates consume nothing; their bodies follow nothing
 
         self._dirty = True
         while self._dirty:

@@ -15,21 +15,22 @@ comment.  An empty choice alternative is allowed and means empty.  A name
 starts with a letter or ``_`` and goes on with letters, digits and ``_``,
 in any script.  The reserved kind ``EOF`` matches end of input.
 
-The scanner runs no Python loop per character.  Layout (blanks and
-comments) is skipped with the token lexer's pattern (``lexer.LAYOUT``),
-a name, a quoted literal with its escapes and a character-class body are
-each one ``re`` match, and punctuation is looked up by its first
-character; only the members of a class are then visited one by one, to
-build its ranges.  Tokens carry only their offset; a line and column
-come from a table of line starts (``lexer.line_starts``), built when a
-rule position or an error first needs one.  Grammar text nested too
-deeply for the recursive-descent parser is a ``GrammarError``.
+The parser scans each token with one ``re`` match: layout (blanks and
+comments, the token lexer's ``lexer.LAYOUT``), then a name, punctuation,
+a quoted literal with its escapes, or the end of the text, told apart by
+the group that matched.  It keeps the current token's kind, text and
+offset as attributes, and reads names and literals in the same frame as
+the postfix operators after them.  A character-class body is one more
+match, and only its members are visited one by one, to build its ranges.
+A line and column come from a table of line starts
+(``lexer.line_starts``), built when a rule position or an error first
+needs one.  Grammar text nested too deeply for the recursive-descent
+parser is a ``GrammarError``.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .lexer import LAYOUT, line_col, line_starts, read_text
 from .model import (
@@ -56,16 +57,23 @@ from .model import (
     validate,
 )
 
-# punctuation by its first character; '<' only starts "<-"
-_PUNCT = {p[0]: p for p in
-          ("<-", "/", "(", ")", "*", "+", "?", "!", "&", ".", ";", "^", "[", "]", "%")}
-# Python's \w is exactly str.isalnum() or "_"; a name must also start with
-# a letter (str.isalpha()) or "_", which the scanner checks on its own
-_NAME = re.compile(r"\w+")
-# a quoted literal: plain characters and escape pairs up to the closing
-# quote; group 2 is missing when the literal is unterminated
-_LITERAL = {q: re.compile(rf"{q}([^{q}\\\n]*(?:\\.[^{q}\\\n]*)*)({q})?", re.S)
-            for q in "'\""}
+# One token after layout, named by the group that matches: a name, the
+# punctuation, a quoted literal (plain characters and escape pairs up to
+# the closing quote, which is missing when the literal is unterminated),
+# or the end of the text.  Python's \w is exactly str.isalnum() or "_"; a
+# name must start with a letter (str.isalpha()) or "_", which is checked
+# on its own for a "word" that does not start with an ASCII one.  No group
+# matches at a character that starts no token.  The layout is atomic,
+# spelled as in ``lexer``, so a failed match cannot find a token inside a
+# comment by giving back part of it.
+_TOKEN = re.compile(
+    rf"(?=(?P<layout>{LAYOUT.pattern}))(?P=layout)"
+    + r"""(?:(?P<name>[A-Za-z_]\w*)"""
+    + r"""|(?P<punct><-|[/()+*?!&.;^\[\]%])"""
+    + r"""|(?P<literal>'(?P<single>[^'\\\n]*(?:\\.[^'\\\n]*)*)(?P<end1>')?"""
+    + r"""|"(?P<double>[^"\\\n]*(?:\\.[^"\\\n]*)*)(?P<end2>")?)"""
+    + r"""|(?P<eof>\Z)"""
+    + r"""|(?P<word>\w+))""", re.S)
 # a character-class member: a character or an escape pair
 _CLASS_CHAR = r"[^\]\\\n]|\\."
 # the members up to the closing ']'; group 1 is missing when unterminated
@@ -75,6 +83,10 @@ _CLASS_ITEM = re.compile(rf"({_CLASS_CHAR})(?:-({_CLASS_CHAR}))?", re.S)
 _ESCAPE = re.compile(r"\\(.)", re.S)
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 
+# the tokens that start a sequence item, and the postfix operators
+_SEQ_STARTERS = frozenset(("name", "literal", "(", "[", "!", "&", ".", "^"))
+_POSTFIX = {"*": Star, "+": Plus, "?": Optional}
+
 
 def _unescape(s: str) -> str:
     if "\\" not in s:
@@ -82,98 +94,104 @@ def _unescape(s: str) -> str:
     return _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), s)
 
 
-class _Tok(NamedTuple):
-    kind: str
-    text: str
-    pos: int
-
-
-class _Scanner:
-    """Splits grammar text into tokens.  '[' is left in the raw stream
-    because its meaning (annotation vs character class) depends on whether
-    the enclosing rule is lexical; the parser has ``scan_class`` read a
-    class body."""
+class _Parser:
+    """Recursive descent over grammar text.  The current token is ``kind``
+    (``name``, ``literal``, ``eof`` or the punctuation itself), ``text``
+    (a literal's unescaped body) and ``pos``, its offset; ``end`` is where
+    the next token's layout starts.  '[' is left as a token because its
+    meaning (annotation vs character class) depends on whether the
+    enclosing rule is lexical; ``scan_class`` reads a class body."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self.source = text
+        self.end = 0
         self._starts: list[int] | None = None
+        self.in_lexical = False
+        # is_lexical_name per name seen
+        self._lexical: dict[str, bool] = {}
+        self.advance()
 
     def line_col(self, pos: int) -> tuple[int, int]:
         if self._starts is None:
-            self._starts = line_starts(self.text)
+            self._starts = line_starts(self.source)
         return line_col(self._starts, pos)
 
-    def error(self, msg: str, pos: int) -> GrammarError:
+    def error_at(self, msg: str, pos: int) -> GrammarError:
         return GrammarError(msg, *self.line_col(pos))
+
+    def error(self, msg: str) -> GrammarError:
+        return self.error_at(msg, self.pos)
 
     def _stop_error(self, msg: str, stop: int) -> GrammarError:
         """The error of a literal or class whose scan stopped at ``stop``:
         reported at a newline there, otherwise at end of input (the text
         ends there, or in a lone backslash)."""
-        text = self.text
-        return self.error(msg, stop if text.startswith("\n", stop) else len(text))
+        text = self.source
+        return self.error_at(msg, stop if text.startswith("\n", stop) else len(text))
 
-    def next_token(self) -> _Tok:
-        text = self.text
-        pos = LAYOUT.match(text, self.pos).end()
-        ch = text[pos:pos + 1]
-        if not ch:
-            self.pos = pos
-            return _Tok("eof", "", pos)
-        punct = _PUNCT.get(ch)
-        if punct is not None and text.startswith(punct, pos):
-            self.pos = pos + len(punct)
-            return _Tok(punct, punct, pos)
-        if ch.isalpha() or ch == "_":
-            end = _NAME.match(text, pos).end()
-            self.pos = end
-            return _Tok("name", text[pos:end], pos)
-        pattern = _LITERAL.get(ch)
-        if pattern is None:
-            raise self.error(f"unexpected character {ch!r}", pos)
-        m = pattern.match(text, pos)
-        if m[2] is None:
-            raise self._stop_error("unterminated literal", m.end())
-        self.pos = m.end()
-        return _Tok("literal", _unescape(m[1]), pos)
+    def advance(self) -> None:
+        """Scan the next token into ``kind``, ``text`` and ``pos``."""
+        m = _TOKEN.match(self.source, self.end)
+        if m is None:
+            pos = LAYOUT.match(self.source, self.end).end()
+            raise self.error_at(f"unexpected character {self.source[pos]!r}", pos)
+        kind = m.lastgroup
+        self.pos = m.start(kind)
+        self.end = m.end()
+        if kind == "punct":
+            self.kind = self.text = m[kind]
+        elif kind == "name":
+            self.kind = kind
+            self.text = m[kind]
+        elif kind == "literal":
+            body, close = ((m["single"], m["end1"]) if m["single"] is not None
+                           else (m["double"], m["end2"]))
+            if close is None:
+                raise self._stop_error("unterminated literal", self.end)
+            self.kind = kind
+            self.text = _unescape(body)
+        elif kind == "eof":
+            self.kind = kind
+            self.text = ""
+        else:
+            word = m[kind]
+            if not word[0].isalpha():
+                raise self.error_at(f"unexpected character {word[0]!r}", self.pos)
+            self.kind = "name"
+            self.text = word
 
     def scan_class(self) -> CharClass:
-        """Called just after '['; consumes through the closing ']'."""
-        text = self.text
-        m = _CLASS.match(text, self.pos)
+        """Called at a '[' token; consumes through the closing ']'.  The
+        caller then advances to the token after it."""
+        text = self.source
+        m = _CLASS.match(text, self.end)
         ranges: list[tuple[str, str]] = []
         # the items tile the members; the closing ']' matches no item
-        for item in _CLASS_ITEM.finditer(text, self.pos, m.end()):
+        for item in _CLASS_ITEM.finditer(text, self.end, m.end()):
             lo = _unescape(item[1])
             hi = lo if item[2] is None else _unescape(item[2])
             if hi < lo:
-                raise self.error(f"bad range {lo!r}-{hi!r}", item.end())
+                raise self.error_at(f"bad range {lo!r}-{hi!r}", item.end())
             ranges.append((lo, hi))
         if m[1] is None:
             raise self._stop_error("unterminated character class", m.end())
-        self.pos = m.end()
+        self.end = m.end()
         return CharClass(tuple(ranges))
 
+    def expect(self, kind: str) -> str:
+        """The current token's text, which must be of this kind; then
+        advance."""
+        if self.kind != kind:
+            raise self.error(f"expected {kind!r}, found {self.text!r}")
+        text = self.text
+        self.advance()
+        return text
 
-class _Parser:
-    def __init__(self, text: str):
-        self.scanner = _Scanner(text)
-        self.tok = self.scanner.next_token()
-        self.in_lexical = False
-
-    def error(self, msg: str) -> GrammarError:
-        return self.scanner.error(msg, self.tok.pos)
-
-    def advance(self) -> _Tok:
-        prev = self.tok
-        self.tok = self.scanner.next_token()
-        return prev
-
-    def expect(self, kind: str) -> _Tok:
-        if self.tok.kind != kind:
-            raise self.error(f"expected {kind!r}, found {self.tok.text!r}")
-        return self.advance()
+    def is_lexical(self, name: str) -> bool:
+        lexical = self._lexical.get(name)
+        if lexical is None:
+            lexical = self._lexical[name] = is_lexical_name(name)
+        return lexical
 
     def parse_grammar(self) -> Grammar:
         start: str | None = None
@@ -183,14 +201,14 @@ class _Parser:
         positions: dict[str, tuple[int, int]] = {}
         in_recovery = False
 
-        while self.tok.kind != "eof":
-            if self.tok.kind == "%":
+        while self.kind != "eof":
+            if self.kind == "%":
                 self.advance()
-                word = self.expect("name").text
+                word = self.expect("name")
                 if word == "start":
                     if start is not None:
                         raise self.error("duplicate %start")
-                    start = self.expect("name").text
+                    start = self.expect("name")
                     self.expect(";")
                 elif word == "recovery":
                     in_recovery = True
@@ -198,24 +216,23 @@ class _Parser:
                     raise self.error(f"unknown directive %{word}")
                 continue
 
-            name_tok = self.expect("name")
-            name = name_tok.text
+            name_pos = self.pos
+            name = self.expect("name")
             self.expect("<-")
             if in_recovery:
                 self.in_lexical = False
                 body = self.parse_choice()
                 if name in recovery:
-                    raise self.scanner.error(
-                        f"duplicate recovery rule {name}", name_tok.pos)
+                    raise self.error_at(f"duplicate recovery rule {name}", name_pos)
                 recovery[name] = body
             else:
-                self.in_lexical = is_lexical_name(name)
+                self.in_lexical = self.is_lexical(name)
                 body = self.parse_choice()
                 target = lexical if self.in_lexical else rules
                 if name in rules or name in lexical:
-                    raise self.scanner.error(f"duplicate rule {name}", name_tok.pos)
+                    raise self.error_at(f"duplicate rule {name}", name_pos)
                 target[name] = body
-                positions[name] = self.scanner.line_col(name_tok.pos)
+                positions[name] = self.line_col(name_pos)
             self.expect(";")
 
         # no rule at all is reported by validate
@@ -223,83 +240,90 @@ class _Parser:
             rules=rules, lexical=lexical, start=start or next(iter(rules), ""),
             recovery=recovery, rule_positions=positions))
 
-    def parse_choice(self):
-        e = self.parse_sequence()
-        while self.tok.kind == "/":
+    def parse_choice(self) -> Expr:
+        """Alternatives separated by '/', each a sequence; an empty one
+        is the empty expression."""
+        choice = None
+        while True:
+            if self.kind in _SEQ_STARTERS:
+                e = self.parse_prefix()
+                while self.kind in _SEQ_STARTERS:
+                    e = Sequence(e, self.parse_prefix())
+            else:
+                e = Empty()
+            choice = e if choice is None else Choice(choice, e)
+            if self.kind != "/":
+                return choice
             self.advance()
-            e = Choice(e, self.parse_sequence())
-        return e
 
-    _SEQ_STARTERS = ("name", "literal", "(", "[", "!", "&", ".", "^")
-
-    def parse_sequence(self):
-        if self.tok.kind not in self._SEQ_STARTERS:
-            return Empty()  # empty alternative
-        e = self.parse_prefix()
-        while self.tok.kind in self._SEQ_STARTERS:
-            e = Sequence(e, self.parse_prefix())
-        return e
-
-    def parse_prefix(self):
-        if self.tok.kind == "!":
+    def parse_prefix(self) -> Expr:
+        """A sequence item: a prefix operator and its operand, or an atom
+        and its postfix operators.  A name or a literal is read here."""
+        kind = self.kind
+        if kind == "name":
+            name = self.text
+            pos = self.pos
+            self.advance()
+            if self.in_lexical:
+                if not self.is_lexical(name):
+                    raise self.error_at(
+                        f"lexical rules may only reference lexical rules, not {name!r}",
+                        pos)
+                e = NonTerminal(name)
+            elif self.is_lexical(name):
+                e = Terminal(name)
+            else:
+                e = NonTerminal(name)
+        elif kind == "literal":
+            text = self.text
+            self.advance()
+            if text == "":
+                e = Empty()
+            elif self.in_lexical:
+                e = Literal(text)
+            else:
+                e = Terminal(literal_kind(text))
+        elif kind == "!":
             self.advance()
             return Not(self.parse_prefix())
-        if self.tok.kind == "&":
+        elif kind == "&":
             self.advance()
             return And(self.parse_prefix())
-        return self.parse_postfix()
-
-    def parse_postfix(self):
-        e = self.parse_atom()
-        while self.tok.kind in ("*", "+", "?"):
-            op = self.advance().kind
-            e = {"*": Star, "+": Plus, "?": Optional}[op](e)
-        return e
-
-    def parse_atom(self):
-        t = self.tok
-        if t.kind == "name":
+        else:
+            e = self.parse_atom()
+        while True:
+            op = _POSTFIX.get(self.kind)
+            if op is None:
+                return e
             self.advance()
-            if self.in_lexical:
-                if not is_lexical_name(t.text):
-                    raise self.scanner.error(
-                        f"lexical rules may only reference lexical rules, not {t.text!r}",
-                        t.pos)
-                return NonTerminal(t.text)
-            if is_lexical_name(t.text):
-                return Terminal(t.text)
-            return NonTerminal(t.text)
-        if t.kind == "literal":
-            self.advance()
-            if t.text == "":
-                return Empty()
-            if self.in_lexical:
-                return Literal(t.text)
-            return Terminal(literal_kind(t.text))
-        if t.kind == "(":
+            e = op(e)
+
+    def parse_atom(self) -> Expr:
+        """A parenthesized choice, an annotation or a character class,
+        ``.``, or a throw."""
+        kind = self.kind
+        if kind == "(":
             self.advance()
             e = self.parse_choice()
             self.expect(")")
             return e
-        if t.kind == "[":
+        if kind == "[":
             if self.in_lexical:
-                cls = self.scanner.scan_class()
-                self.tok = self.scanner.next_token()
+                cls = self.scan_class()
+                self.advance()
                 return cls
             self.advance()
             body = self.parse_choice()
             self.expect("]")
             self.expect("^")
-            lab = self.expect("name").text
-            return Annotated(body, lab)
-        if t.kind == ".":
+            return Annotated(body, self.expect("name"))
+        if kind == ".":
             self.advance()
             return AnyToken()
-        if t.kind == "^":
+        if kind == "^":
             self.advance()
-            lab = self.expect("name").text
-            return Throw(lab)
-        raise self.error(f"expected an expression, found {t.text!r}")
+            return Throw(self.expect("name"))
+        raise self.error(f"expected an expression, found {self.text!r}")
 
 
 def parse_grammar(text: str) -> Grammar:

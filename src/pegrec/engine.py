@@ -231,7 +231,9 @@ DEFAULT_MAX_ERRORS = 50
 # acc.  Sequences and choices are flattened into one closure each, so a
 # parse takes no more stack frames per nesting level than a tree walk.  For
 # the same reason the token dispatch of choices, stars and predicates runs
-# inside their own closures, not in closures of its own.
+# inside their own closures, not in closures of its own.  A node that
+# several parents share (desugaring p+ to p p* shares p) is compiled once,
+# and a shared sequence runs as one item of the sequences around it.
 
 # Plain failures carry no position of their own: each one moves farthest
 # to at least where it happened, and farthest is where a parse that ends
@@ -324,14 +326,17 @@ def _plan(alts: list, guards: list, terminal: list, kind):
     """What a choice does at a token of this kind: the alternatives it tries
     first, each rolled back when it fails; the one it runs last, whose
     failure is the choice's own (``_nothing`` when it skips its last
-    alternative); and whether it skips any alternative.  ``terminal[i]``
-    says whether alternative i is a terminal other than ``EOF``: one whose
-    guard lets it run here matches, so no alternative after it runs."""
+    alternative); and whether it skips an alternative that would have run
+    had its guard let it.  ``terminal[i]`` says whether alternative i is a
+    terminal other than ``EOF``: one whose guard lets it run here matches,
+    so no alternative after it would run, and none of those counts as
+    skipped."""
     tried = [i for i, guard in enumerate(guards) if guard is None or kind in guard]
-    skipped = len(tried) < len(alts)
     for n, i in enumerate(tried):
         if terminal[i] and guards[i] is not None:
-            return tuple(alts[j] for j in tried[:n]), alts[i], skipped
+            # n of the i alternatives before i are tried
+            return tuple(alts[j] for j in tried[:n]), alts[i], n < i
+    skipped = len(tried) < len(alts)
     if tried and tried[-1] == len(alts) - 1:
         return tuple(alts[i] for i in tried[:-1]), alts[tried[-1]], skipped
     return tuple(alts[i] for i in tried), _nothing, skipped
@@ -444,9 +449,11 @@ class _Matcher:
         self.analysis = Analysis(g)
         self.acts = rule_fixpoint(g.rules, self._acts, False)
         self.rules: dict = {}
+        # one memo for the whole grammar: g keeps its nodes alive
+        memo: dict = {}
         for name, body in g.rules.items():
-            self.rules[name] = self.compile(body)
-        self.recovery = {lab: self.compile(b) for lab, b in g.recovery.items()}
+            self.rules[name] = self.compile(body, memo)
+        self.recovery = {lab: self.compile(b, memo) for lab, b in g.recovery.items()}
         self.start = self.compile(NonTerminal(g.start))
 
     def guard(self, e: Expr) -> frozenset | None:
@@ -461,46 +468,91 @@ class _Matcher:
     def _acts(self, e: Expr, table: dict[str, bool]) -> bool:
         """Whether e can reach a throw, a predicate or ``.`` before it
         consumes a token; ``table`` says which rules can.  An unknown rule
-        counts as one that can."""
-        if isinstance(e, (Throw, Not, AnyToken)):
-            return True
-        if isinstance(e, NonTerminal):
-            return table.get(e.name, True)
-        if isinstance(e, Sequence):
-            return (self._acts(e.left, table)
-                    or self.analysis.first_of(e.left).has_epsilon
-                    and self._acts(e.right, table))
-        return any(self._acts(c, table) for c in children(e))
+        counts as one that can.  A subexpression shared by several parents
+        is asked once."""
+        first_of = self.analysis.first_of
+        memo: dict[int, bool] = {}
 
-    def compile(self, e: Expr):
+        def acts(e: Expr) -> bool:
+            key = id(e)
+            found = memo.get(key)
+            if found is not None:
+                return found
+            cls = e.__class__
+            if cls is Throw or cls is Not or cls is AnyToken:
+                found = True
+            elif cls is NonTerminal:
+                found = table.get(e.name, True)
+            elif cls is Sequence:
+                found = (acts(e.left)
+                         or first_of(e.left).has_epsilon and acts(e.right))
+            else:
+                found = any(map(acts, children(e)))
+            memo[key] = found
+            return found
+        return acts(e)
+
+    def compile(self, e: Expr, memo: dict | None = None):
         """Closure for desugared e.  A rule reference looks its rule up
-        when it runs, so rules may be compiled in any order."""
-        if isinstance(e, Empty):
+        when it runs, so rules may be compiled in any order.  ``memo``
+        holds, by ``id``, the closure of every node compiled so far, so a
+        node shared by several parents (desugaring ``p+`` to ``p p*``
+        shares p) is compiled once; it must keep those nodes alive."""
+        if memo is None:
+            memo = {}
+        key = id(e)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = self._compile_node(e, memo)
+        return found
+
+    def _compile_node(self, e: Expr, memo: dict):
+        cls = e.__class__
+        if cls is Empty:
             return _empty
-        if isinstance(e, Terminal):
+        if cls is Terminal:
             return _eof if e.kind == EOF_KIND else _terminal(e.kind)
-        if isinstance(e, AnyToken):
+        if cls is AnyToken:
             return _any_token
-        if isinstance(e, Sequence):
-            items = operands(e, Sequence)
-            return _sequence([self.compile(x) for x in items],
-                             [self.guard(x.body) if isinstance(x, Star) else None
+        if cls is Sequence:
+            items = self._sequence_items(e, memo)
+            return _sequence([self.compile(x, memo) for x in items],
+                             [self.guard(x.body) if x.__class__ is Star else None
                               for x in items])
-        if isinstance(e, Choice):
+        if cls is Choice:
             alts = operands(e, Choice)
-            return _choice([self.compile(x) for x in alts],
+            return _choice([self.compile(x, memo) for x in alts],
                            [self.guard(x) for x in alts],
-                           [isinstance(x, Terminal) and x.kind != EOF_KIND
+                           [x.__class__ is Terminal and x.kind != EOF_KIND
                             for x in alts])
-        if isinstance(e, Star):
-            return _star(self.compile(e.body), self.guard(e.body))
-        if isinstance(e, Not):
-            return _not(self.compile(e.body), self.guard(e.body))
-        if isinstance(e, NonTerminal):
+        if cls is Star:
+            return _star(self.compile(e.body, memo), self.guard(e.body))
+        if cls is Not:
+            return _not(self.compile(e.body, memo), self.guard(e.body))
+        if cls is NonTerminal:
             return _rule(e.name, self.rules)
-        if isinstance(e, Throw):
+        if cls is Throw:
             return _throw(e.label)
         raise TypeError(f"unexpected node in syntactic rule: {e!r}")
+
+    def _sequence_items(self, e: Sequence, memo: dict) -> list[Expr]:
+        """The operands of the sequence chain e, left to right, as
+        ``operands`` gives them, except that a sequence inside e that is
+        compiled already runs as one item.  The operands are compiled right
+        to left, so in ``p p*`` the star compiles p first and p is then
+        one item, not flattened again."""
+        items: list[Expr] = []
+        stack = [e.left, e.right]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is Sequence and id(node) not in memo:
+                stack.append(node.left)
+                stack.append(node.right)
+            else:
+                self.compile(node, memo)
+                items.append(node)
+        items.reverse()
+        return items
 
 
 class Session:

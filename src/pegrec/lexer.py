@@ -41,7 +41,6 @@ from .model import (
     Not,
     Sequence,
     Star,
-    nullable_expr,
     nullable_map,
     operands,
     program,
@@ -184,29 +183,37 @@ def _first_chars(rules: dict[str, Expr]) -> dict[str, frozenset]:
     """Per rule, the character ranges a non-empty match can start with."""
     nullable = nullable_map(rules)
 
-    def heads(e: Expr, first: dict[str, frozenset]) -> frozenset:
+    def heads(e: Expr, first: dict[str, frozenset]) -> tuple[frozenset, bool]:
+        """The first-character ranges of e and whether e is nullable: one
+        pass, bottom-up, where asking ``nullable_expr`` at each sequence
+        would walk its left spine again."""
         if isinstance(e, Literal):
-            return frozenset({(e.text[0], e.text[0])}) if e.text else frozenset()
+            text = e.text
+            return (frozenset({(text[0], text[0])}) if text else frozenset()), not text
         if isinstance(e, CharClass):
-            return frozenset(e.ranges)
+            return frozenset(e.ranges), False
         if isinstance(e, AnyToken):
-            return frozenset({_ANY_CHAR})
+            return frozenset({_ANY_CHAR}), False
         if isinstance(e, (Empty, Not)):
             # !p consumes nothing: what follows it supplies the first char
-            return frozenset()
+            return frozenset(), True
         if isinstance(e, Sequence):
-            if nullable_expr(e.left, nullable):
-                return heads(e.left, first) | heads(e.right, first)
-            return heads(e.left, first)
+            left, left_nullable = heads(e.left, first)
+            if not left_nullable:
+                return left, False
+            right, right_nullable = heads(e.right, first)
+            return left | right, right_nullable
         if isinstance(e, Choice):
-            return heads(e.first, first) | heads(e.second, first)
+            a, a_nullable = heads(e.first, first)
+            b, b_nullable = heads(e.second, first)
+            return a | b, a_nullable or b_nullable
         if isinstance(e, Star):
-            return heads(e.body, first)
+            return heads(e.body, first)[0], True
         if isinstance(e, NonTerminal):
-            return first[e.name]
+            return first[e.name], nullable.get(e.name, False)
         raise TypeError(f"unexpected node in lexical pattern: {e!r}")
 
-    return rule_fixpoint(rules, heads, frozenset())
+    return rule_fixpoint(rules, lambda body, first: heads(body, first)[0], frozenset())
 
 
 class _Lexer:

@@ -11,6 +11,14 @@ A grammar is checked once (``validate``): by ``parse_grammar``, or, when
 built by hand, on first use (``checked``: parse, match, annotate, Analysis).
 The passes keep validity, so their outputs are not checked again.  Validity
 is remembered per object: do not mutate a grammar after its first use.
+
+The walks of a pass (``_walk``, and the checks and tables built from it)
+run on an explicit stack and dispatch on the exact class of a node
+(``node.__class__ is Choice``): every ``Expr`` class is defined here, and
+none is subclassed.  Desugaring ``p+`` to ``p p*`` shares p between two
+parents, so a desugared expression is a DAG; a walk visits a shared node
+once, which keeps it linear in the size of the DAG, not of the tree it
+unfolds to.
 """
 
 from __future__ import annotations
@@ -148,9 +156,10 @@ def literal_kind(text: str) -> str:
 
 def describe(e: Expr) -> str:
     """Short human-readable name for what an expression expects."""
-    if isinstance(e, Terminal):
+    cls = e.__class__
+    if cls is Terminal:
         return e.kind
-    if isinstance(e, NonTerminal):
+    if cls is NonTerminal:
         return e.name
     return render_expr(e)
 
@@ -184,13 +193,20 @@ class Grammar:
 
 # --- traversal --------------------------------------------------------------
 
+# the classes whose one subexpression is ``body``
+_UNARY = frozenset((Star, Not, Optional, Plus, And))
+# the classes that succeed without consuming, whatever their body
+_ALWAYS_NULLABLE = frozenset((Empty, Star, Not, And, Optional))
+
+
 def children(e: Expr) -> tuple[Expr, ...]:
     """The direct subexpressions of e, left to right."""
-    if isinstance(e, Sequence):
+    cls = e.__class__
+    if cls is Sequence:
         return (e.left, e.right)
-    if isinstance(e, Choice):
+    if cls is Choice:
         return (e.first, e.second)
-    if isinstance(e, (Star, Not, Optional, Plus, And)):
+    if cls in _UNARY:
         return (e.body,)
     return ()
 
@@ -202,12 +218,33 @@ def map_children(e: Expr, f) -> Expr:
     return type(e)(*map(f, kids)) if kids else e
 
 
-def _walk(e: Expr, out: list | None = None) -> list[Expr]:
-    """Every node of e in preorder, appended to ``out``."""
-    out = [] if out is None else out
-    out.append(e)
-    for child in children(e):
-        _walk(child, out)
+def _walk(e: Expr) -> list[Expr]:
+    """Every node of e in preorder.  A node with children that several
+    parents share (desugaring ``p+`` to ``p p*`` shares p) is listed, and
+    walked below, once, so a walk of a desugared expression is linear in
+    its size."""
+    out: list[Expr] = []
+    seen: set[int] = set()
+    stack = [e]
+    pop, push, add = stack.pop, stack.append, out.append
+    while stack:
+        node = pop()
+        cls = node.__class__
+        if cls is Sequence or cls is Choice or cls in _UNARY:
+            # only a node with children can make the walk blow up
+            key = id(node)
+            if key in seen:
+                continue
+            seen.add(key)
+            if cls is Sequence:
+                push(node.right)
+                push(node.left)
+            elif cls is Choice:
+                push(node.second)
+                push(node.first)
+            else:
+                push(node.body)
+        add(node)
     return out
 
 
@@ -219,7 +256,7 @@ def operands(e: Expr, cls: type) -> list[Expr]:
     stack = [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, cls):
+        if node.__class__ is cls:
             stack.extend(reversed(children(node)))
         else:
             out.append(node)
@@ -228,7 +265,7 @@ def operands(e: Expr, cls: type) -> list[Expr]:
 
 def annotation_parts(e: Expr) -> tuple[Expr, str] | None:
     """Return (body, label) when e is an annotation [p]^l, i.e. p / ^l."""
-    if isinstance(e, Choice) and isinstance(e.second, Throw):
+    if e.__class__ is Choice and e.second.__class__ is Throw:
         return e.first, e.second.label
     return None
 
@@ -272,16 +309,18 @@ def check_expr(g: Grammar, e: Expr, where: str) -> None:
 def _check_syntactic(g: Grammar, where: str, nodes: list[Expr]) -> None:
     """``check_expr`` on the nodes of an expression (``_walk``)."""
     for node in nodes:
-        if isinstance(node, NonTerminal):
+        cls = node.__class__
+        if cls is NonTerminal:
             if node.name not in g.rules:
                 raise GrammarError(f"undefined nonterminal {node.name!r} in {where}")
-        elif isinstance(node, Terminal):
-            if (not is_literal_kind(node.kind) and node.kind != EOF_KIND
-                    and node.kind not in g.lexical):
-                raise GrammarError(f"undefined token kind {node.kind!r} in {where}")
-        elif isinstance(node, (Literal, CharClass)):
+        elif cls is Terminal:
+            kind = node.kind
+            if (not is_literal_kind(kind) and kind != EOF_KIND
+                    and kind not in g.lexical):
+                raise GrammarError(f"undefined token kind {kind!r} in {where}")
+        elif cls is Literal or cls is CharClass:
             raise GrammarError(f"character-level pattern in syntactic rule {where}")
-        elif isinstance(node, Throw) and node.label == FAIL:
+        elif cls is Throw and node.label == FAIL:
             raise GrammarError(f"label {FAIL!r} is reserved and cannot be thrown")
 
 
@@ -311,14 +350,15 @@ def validate(g: Grammar) -> Grammar:
 
     def check_lexical_refs(rule: str, e: Expr) -> None:
         for node in _walk(e):
-            if isinstance(node, NonTerminal):
+            cls = node.__class__
+            if cls is NonTerminal:
                 if node.name not in g.lexical:
                     raise GrammarError(
                         f"lexical rule {rule} references {node.name!r}, "
                         "which is not a lexical rule")
-            elif isinstance(node, Throw):
+            elif cls is Throw:
                 raise GrammarError(f"labels are not allowed in lexical rule {rule}")
-            elif isinstance(node, Terminal):
+            elif cls is Terminal:
                 raise GrammarError(
                     f"token reference in lexical rule {rule}; use a literal")
 
@@ -352,15 +392,15 @@ def _fill_tables(g: Grammar, rule_nodes, recovery_nodes) -> None:
     for walked, sites in ((rule_nodes, descriptions), (recovery_nodes, {})):
         for nodes in walked:
             for node in nodes:
-                if isinstance(node, Terminal):
+                cls = node.__class__
+                if cls is Terminal:
                     if is_literal_kind(node.kind):
                         literals.setdefault(node.kind)
-                elif isinstance(node, Throw):
+                elif cls is Throw:
                     labels.add(node.label)
-                else:
-                    parts = annotation_parts(node)
-                    if parts is not None:
-                        sites.setdefault(parts[1], describe(parts[0]))
+                elif cls is Choice and node.second.__class__ is Throw:
+                    # an annotation site p / ^l
+                    sites.setdefault(node.second.label, describe(node.first))
     g.literal_kinds = tuple(literals)
     g.labels = labels
     g.label_descriptions = descriptions
@@ -380,21 +420,22 @@ def valid_by_construction(g: Grammar) -> Grammar:
 def nullable_expr(e: Expr, table: dict[str, bool]) -> bool:
     """Whether e can succeed without consuming input; ``table`` says which
     rules can."""
-    if isinstance(e, (Empty, Star, Not, And, Optional)):
-        return True
-    if isinstance(e, Terminal):
-        return e.kind == EOF_KIND
-    if isinstance(e, (AnyToken, Throw, CharClass)):
-        return False
-    if isinstance(e, Literal):
-        return e.text == ""
-    if isinstance(e, NonTerminal):
-        return table.get(e.name, False)
-    if isinstance(e, Sequence):
+    cls = e.__class__
+    if cls is Sequence:
         return nullable_expr(e.left, table) and nullable_expr(e.right, table)
-    if isinstance(e, Choice):
+    if cls is Choice:
         return nullable_expr(e.first, table) or nullable_expr(e.second, table)
-    if isinstance(e, Plus):
+    if cls is NonTerminal:
+        return table.get(e.name, False)
+    if cls is Terminal:
+        return e.kind == EOF_KIND
+    if cls in _ALWAYS_NULLABLE:
+        return True
+    if cls is AnyToken or cls is Throw or cls is CharClass:
+        return False
+    if cls is Literal:
+        return e.text == ""
+    if cls is Plus:
         return nullable_expr(e.body, table)
     raise TypeError(f"unknown expression {e!r}")
 
@@ -430,17 +471,18 @@ def _check_left_recursion(rules: dict[str, Expr], what: str) -> None:
         """Add to out the rules e can call before it consumes input, and
         return whether e is nullable: one pass, bottom-up, where asking
         ``nullable_expr`` at each sequence would walk its left spine again."""
-        if isinstance(e, Sequence):
+        cls = e.__class__
+        if cls is Sequence:
             return heads(e.left, out) and heads(e.right, out)
-        if isinstance(e, Choice):
+        if cls is Choice:
             first = heads(e.first, out)
             return heads(e.second, out) or first
-        if isinstance(e, Plus):
+        if cls is Plus:
             return heads(e.body, out)
-        if isinstance(e, NonTerminal):
+        if cls is NonTerminal:
             out.add(e.name)
-        for child in children(e):
-            heads(child, out)
+        elif cls in _UNARY:
+            heads(e.body, out)
         # a leaf, or a node nullable whatever its body: no walk below e
         return nullable_expr(e, nullable)
 
@@ -468,12 +510,13 @@ def _check_left_recursion(rules: dict[str, Expr], what: str) -> None:
 def desugar_expr(e: Expr) -> Expr:
     """Rewrite to the core constructors: p? -> (p / empty), p+ -> p p*,
     &p -> !!p."""
-    if isinstance(e, Optional):
+    cls = e.__class__
+    if cls is Optional:
         return Choice(desugar_expr(e.body), Empty())
-    if isinstance(e, Plus):
+    if cls is Plus:
         b = desugar_expr(e.body)
         return Sequence(b, Star(b))
-    if isinstance(e, And):
+    if cls is And:
         return Not(Not(desugar_expr(e.body)))
     return map_children(e, desugar_expr)
 
@@ -533,7 +576,7 @@ def strip_labels(g: Grammar) -> Grammar:
     with nesting_guard():
         rules = {n: strip_labels_expr(b) for n, b in checked(g).rules.items()}
     thrown = {node.label for body in rules.values() for node in _walk(body)
-              if isinstance(node, Throw)}
+              if node.__class__ is Throw}
     return valid_by_construction(replace(
         g, rules=rules, recovery={l: b for l, b in g.recovery.items() if l in thrown},
         messages={l: t for l, t in g.messages.items() if l in thrown}))
@@ -579,37 +622,38 @@ def render_expr(e: Expr, prec: int = _CHOICE) -> str:
     if parts is not None:
         body, lab = parts
         return f"[{render_expr(body)}]^{lab}"
-    if isinstance(e, Empty):
+    cls = e.__class__
+    if cls is Empty:
         return "''"
-    if isinstance(e, Terminal):
+    if cls is Terminal:
         return e.kind  # literal kinds already carry their quotes
-    if isinstance(e, NonTerminal):
+    if cls is NonTerminal:
         return e.name
-    if isinstance(e, Throw):
+    if cls is Throw:
         return f"^{e.label}"
-    if isinstance(e, AnyToken):
+    if cls is AnyToken:
         return "."
-    if isinstance(e, Literal):
+    if cls is Literal:
         return _quote(e.text)
-    if isinstance(e, CharClass):
+    if cls is CharClass:
         return _class_text(e.ranges)
-    if isinstance(e, Sequence):
+    if cls is Sequence:
         # left-associative: a left-nested chain prints flat and reparses
         # to the same shape; right-nesting keeps explicit parens
         text = f"{render_expr(e.left, _SEQ)} {render_expr(e.right, _PREFIX)}"
         return f"({text})" if prec > _SEQ else text
-    if isinstance(e, Choice):
+    if cls is Choice:
         text = f"{render_expr(e.first, _CHOICE)} / {render_expr(e.second, _SEQ)}"
         return f"({text})" if prec > _CHOICE else text
-    if isinstance(e, Star):
+    if cls is Star:
         return f"{render_expr(e.body, _POSTFIX + 1)}*"
-    if isinstance(e, Plus):
+    if cls is Plus:
         return f"{render_expr(e.body, _POSTFIX + 1)}+"
-    if isinstance(e, Optional):
+    if cls is Optional:
         return f"{render_expr(e.body, _POSTFIX + 1)}?"
-    if isinstance(e, Not):
+    if cls is Not:
         return f"!{render_expr(e.body, _POSTFIX + 1)}"
-    if isinstance(e, And):
+    if cls is And:
         return f"&{render_expr(e.body, _POSTFIX + 1)}"
     raise TypeError(f"cannot render {e!r}")
 

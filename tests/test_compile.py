@@ -7,7 +7,7 @@ import json
 import sys
 import weakref
 
-from pegrec import dsl, model
+from pegrec import dsl, engine, model
 from pegrec.analysis import Analysis
 from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import load_grammar, parse_grammar
@@ -172,3 +172,25 @@ def test_a_session_over_a_text_too_deep_to_scan_is_made_without_error():
                             "NEST <- '(' NEST* ')' ;")
     for text in ("(" * 20000 + ")" * 20000, "() " * 40 + "(" * 20000):
         Session(grammar, text)
+
+
+def test_nested_plus_compiles_in_linear_time(monkeypatch):
+    # desugaring p+ to p p* shares p, so the desugared grammar is a DAG
+    # that doubles per level when walked as a tree
+    calls = []
+    real = engine._Matcher.compile
+
+    def counted(self, e, *memo):
+        calls.append(e)
+        return real(self, e, *memo)
+    monkeypatch.setattr(engine._Matcher, "compile", counted)
+
+    def count(depth: int) -> tuple[int, int]:
+        g = parse_grammar("start <- " + "(" * depth + "'a'" + ")+" * depth + " ;")
+        calls.clear()
+        assert Session(g, "a").parse().ok
+        walked = len(model._walk(model.program(g).grammar.rules["start"]))
+        return len(calls), walked
+    (calls_8, walked_8), (calls_16, walked_16) = count(8), count(16)
+    assert calls_16 <= 2 * calls_8 + 10
+    assert walked_16 <= 2 * walked_8 + 10

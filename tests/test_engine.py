@@ -666,6 +666,17 @@ def test_fatal_error_where_every_alternative_was_skipped():
         assert [e.token_index for e in out.errors] == [1], body
 
 
+def test_a_terminal_that_matches_skips_no_later_alternative(monkeypatch):
+    # at the second 'a' the inner choice runs AA, which matches, so BB
+    # would not have run: the skip leaves no mark at token 1, and the
+    # lookahead that fails at 0 is reported there, as with every guard off
+    text = "start <- !(AA (AA / BB)) CC ;"
+    out = parse(g(text), "a a")
+    assert [(e.message, e.token_index) for e in out.errors] == [("unexpected input", 0)]
+    plain = _undispatched(monkeypatch, lambda: g(text))
+    assert _facts(parse(plain, "a a")) == _facts(out)
+
+
 def test_failed_last_alternative_keeps_its_errors():
     # The last alternative recovers, then fails plainly.  No choice rolls
     # its error back, so the failed parse reports it; this pins today's

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pegrec import dsl, lexer
+from pegrec import dsl, lexer, model
 from pegrec.dsl import parse_grammar
 from pegrec.evaluate import token_spans
 from pegrec.lexer import TokenStream, _lexer
@@ -247,7 +247,7 @@ def test_patterns_use_no_python_3_11_syntax(tiny_java, grammar):
     # module-level patterns of the lexer and of the grammar-text scanner
     # are checked with the ones compiled from grammars
     sources = [p.pattern for p in _module_patterns(lexer) + _module_patterns(dsl)]
-    assert len(sources) >= 7
+    assert len(sources) >= 6
     for g in (grammar, tiny_java):
         sources += [s for s in _lexer(g).sources.values() if s is not None]
     for source in sources:
@@ -262,3 +262,25 @@ def _module_patterns(module) -> list[re.Pattern]:
         values = value.values() if isinstance(value, dict) else (value,)
         out += [v for v in values if isinstance(v, re.Pattern)]
     return out
+
+
+def test_first_chars_are_linear_in_sequence_depth(monkeypatch):
+    # at every level of a left-nested sequence, the first-character sets
+    # once asked whether the left operand is nullable, walking its whole
+    # spine again
+    calls = []
+    real = model.nullable_expr
+
+    def counted(e, table):
+        calls.append(e)
+        return real(e, table)
+    monkeypatch.setattr(model, "nullable_expr", counted)
+
+    def count(depth: int) -> int:
+        body = Literal("")
+        for _ in range(depth):
+            body = Sequence(body, Literal("a"))
+        calls.clear()
+        assert lexer._first_chars({"AA": body})["AA"] == {("a", "a")}
+        return len(calls)
+    assert count(400) <= 2 * count(200) + 10

@@ -277,12 +277,12 @@ def nested(wrap, depth: int) -> Expr:
 
 NESTED = {
     "sequence": lambda: nested(lambda e: Sequence(e, Empty()), DEPTH),
-    # validate walks these at a Session's limit, but desugaring, stripping
-    # labels (two frames a level) or the matcher's compile cannot
+    # validate walks these at a Session's limit, but desugaring or
+    # stripping labels (two frames a level) cannot
     "not-pairs": lambda: nested(lambda e: Not(Not(e)), 5000),
     "and-chain": lambda: nested(And, 5000),
-    "choice-chain": lambda: nested(lambda e: Choice(Terminal("'a'"), e), 9000),
-    "star-chain": lambda: nested(Star, 9000),
+    "choice-chain": lambda: nested(lambda e: Choice(Terminal("'a'"), e), 12000),
+    "star-chain": lambda: nested(Star, 12000),
 }
 DEEP_CASES = ([(entry, "sequence") for entry in ENTRY_POINTS]
               + [(entry, "not-pairs")
