@@ -12,6 +12,8 @@ from .engine import (
     RuleNode,
     Session,
     TokenLeaf,
+    Tree,
+    ast_structural_eq,
     match,
     parse,
     tree_from_json,
@@ -20,7 +22,6 @@ from .engine import (
 from .evaluate import (
     CorpusCase,
     CorpusSummary,
-    ast_structural_eq,
     classify_recovery,
     delete_token,
     duplicate_token,
@@ -45,6 +46,7 @@ __all__ = [
     "Session",
     "TokenLeaf",
     "TokenSet",
+    "Tree",
     "annotate",
     "ast_structural_eq",
     "classify_recovery",

@@ -99,7 +99,9 @@ def _cmd_parse(args) -> int:
     for err in errors:
         print(format_error(args.file, err), file=sys.stderr)
     if args.json and outcome.tree is not None:
-        json.dump(tree_to_json(outcome.tree), sys.stdout, indent=2)
+        # one line: the C encoder runs only without indent, and indenting
+        # grows with the nesting depth on every line
+        sys.stdout.write(json.dumps(tree_to_json(outcome.tree), separators=(",", ":")))
         sys.stdout.write("\n")
     if outcome.status == "failed":
         return 2
@@ -151,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--messages", help="JSON file mapping labels to messages")
     p.add_argument("--json", action="store_true",
-                   help="print the syntax tree as JSON")
+                   help="print the syntax tree as JSON on one line")
     p.add_argument("--suppress-within", type=int, default=0, metavar="N",
                    help="drop errors within N tokens of the previous one")
     p.add_argument("--max-errors", type=int, default=50)

@@ -51,17 +51,16 @@ the choice calls it without noting where to roll back ``acc`` and the
 error list.  A sequence tests the guard of a guarded star in it before it
 calls the star, which would only end at once.
 
-Syntax trees are exact tuples.  A rule node is ``(name, span, children)``,
-where ``children`` is an exact tuple of nodes, and a token leaf is ``(kind,
-span)``; ``RuleNode`` and ``TokenLeaf`` are functions that build them.  An
-``ErrorNode`` is a ``NamedTuple``, told apart by its class; a tree holds at
-most ``max_errors`` of them.  The matcher reads the token stream's columns,
-not ``Token`` objects.  A token leaf holds the stream's own ``(start, end)``
-tuple as its span, and a rule node with one child holds that child's, so
-unary rule chains add no span tuples.  The cyclic collector untracks an
-exact tuple once all its items are untracked.  So it drops a tree
-bottom-up, about a level per collection, until it walks only the
-ErrorNodes and the nodes above them.
+A parse builds its syntax tree as one column of ints, ``acc``, in
+postorder (``Tree``): a terminal appends its token index, a rule appends
+one row that names it and the row where its subtree began, and recovery
+appends one row that points into a short list of ``ErrorNode``s.  The
+matcher makes no node object, so a tree of any size is a few lists that
+the cyclic collector walks as one object each, and a choice, a star or a
+predicate drops what a failed alternative built with ``del acc[n:]``.
+``tree_to_json``, ``Tree.root`` (the tree as exact tuples, built on
+request) and ``evaluate.ast_structural_eq`` read the columns with stacks
+of their own, so no tree is too deep for them.
 """
 
 from __future__ import annotations
@@ -121,37 +120,265 @@ class ErrorNode(NamedTuple):
     span: tuple[int, int]
 
 
-def tree_to_json(node):
-    if node.__class__ is ErrorNode:
-        return {"error": node.label, "expected": node.expected, "span": list(node.span)}
-    if len(node) == 3:
-        name, span, children = node
-        return {"rule": name, "span": list(span),
-                "children": [tree_to_json(c) for c in children]}
-    if len(node) == 2:
-        kind, span = node
-        return {"token": kind, "span": list(span)}
-    raise TypeError(f"not a tree node: {node!r}")
+def _code_bits(nrules: int) -> int:
+    """Bits of a row's code for a grammar of nrules rules: codes run from
+    0 to ``2 * nrules``."""
+    return (2 * nrules).bit_length()
 
 
-def tree_from_json(data):
-    """The tree ``tree_to_json`` turned into data.  Data of any other shape
-    is a ValueError that says what is wrong with it."""
-    if data.__class__ is not dict:
-        raise ValueError(f"tree node is not an object: {_short(data)}")
-    if "rule" in data:
-        children = data.get("children")
-        if children.__class__ is not list:
-            raise ValueError(f"'children' of a tree node is not a list: {_short(children)}")
-        return (_json_text(data, "rule"), _json_span(data),
-                tuple(tree_from_json(c) for c in children))
-    if "token" in data:
-        kind = data["token"]
-        return (kind if kind is None else _json_text(data, "token"), _json_span(data))
-    if "error" in data:
-        return ErrorNode(_json_text(data, "error"), _json_text(data, "expected"),
-                         _json_span(data))
-    raise ValueError(f"tree node has no 'rule', 'token' or 'error': {_short(data)}")
+class Tree:
+    """A syntax tree kept in columns.  ``rows`` holds one int per node, in
+    postorder:
+
+    - a token leaf is its token index, ``>= 0``, into ``kinds`` and
+      ``spans``;
+    - every other node is ``~(arg << shift | code)``, below 0.  With n
+      rule names, a code below n closes the rule ``names[code]`` whose
+      subtree began at row ``arg``; ``n + r`` is the empty rule
+      ``names[r]`` at token position ``arg``; ``2 * n`` is the error node
+      ``error_nodes[arg]``.
+
+    A rule node's span runs from its first child's start to its last
+    child's end; an empty rule's starts and ends where token ``arg``
+    starts, or at ``eof`` past the last token.  ``root`` builds the tuple
+    nodes on each read.  Trees compare equal when their roots do."""
+
+    __slots__ = ("rows", "kinds", "spans", "names", "error_nodes", "eof", "shift")
+
+    def __init__(self, rows: list[int], kinds: list, spans: list,
+                 names: tuple[str, ...], error_nodes: list, eof: int):
+        self.rows = rows
+        self.kinds = kinds
+        self.spans = spans
+        self.names = names
+        self.error_nodes = error_nodes
+        self.eof = eof
+        self.shift = _code_bits(len(names))
+
+    @property
+    def root(self) -> tuple:
+        """The start rule's node as exact tuples: ``(name, span,
+        children)`` and ``(kind, span)``, with the ``ErrorNode``s."""
+        return _tuple_nodes(self)[0]
+
+    def __eq__(self, other):
+        if other.__class__ is not Tree:
+            return NotImplemented
+        return self.root == other.root
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<Tree of {len(self.rows)} nodes>"
+
+
+def _tuple_nodes(tree: Tree) -> list:
+    """The top-level nodes of the rows as exact tuples, left to right.  A
+    token leaf holds the ``spans`` tuple, and a rule node with one child
+    holds that child's span tuple."""
+    rows, kinds, spans, names = tree.rows, tree.kinds, tree.spans, tree.names
+    n, shift = len(names), tree.shift
+    mask = (1 << shift) - 1
+    done: list = []            # nodes whose parent is not closed yet
+    depth = [0] * len(rows)    # len(done) where the subtree of a row began
+    for i, x in enumerate(rows):
+        if x >= 0:
+            depth[i] = len(done)
+            done.append((kinds[x], spans[x]))
+            continue
+        c = ~x
+        code = c & mask
+        if code < n:
+            d = depth[c >> shift]
+            children = tuple(done[d:])
+            del done[d:]
+            first = children[0]
+            span = first.span if first.__class__ is ErrorNode else first[1]
+            if len(children) > 1:
+                last = children[-1]
+                end = last.span if last.__class__ is ErrorNode else last[1]
+                span = (span[0], end[1])
+            done.append((names[code], span, children))
+            continue
+        depth[i] = len(done)
+        if code < 2 * n:
+            anchor = _anchor(tree, c >> shift)
+            done.append((names[code - n], (anchor, anchor), ()))
+        else:
+            done.append(tree.error_nodes[c >> shift])
+    return done
+
+
+def _anchor(tree: Tree, pos: int) -> int:
+    spans = tree.spans
+    return spans[pos][0] if pos < len(spans) else tree.eof
+
+
+def tree_to_json(tree: Tree) -> dict:
+    """The tree as nested dicts and lists, the shape ``pegrec parse --json``
+    prints.  It walks the rows once with a stack of its own, so a tree of
+    any depth converts."""
+    rows, kinds, spans, names = tree.rows, tree.kinds, tree.spans, tree.names
+    n, shift = len(names), tree.shift
+    mask = (1 << shift) - 1
+    done: list = []            # nodes whose parent is not closed yet
+    depth = [0] * len(rows)    # len(done) where the subtree of a row began
+    for i, x in enumerate(rows):
+        if x >= 0:
+            depth[i] = len(done)
+            span = spans[x]
+            done.append({"token": kinds[x], "span": [span[0], span[1]]})
+            continue
+        c = ~x
+        code = c & mask
+        if code < n:
+            d = depth[c >> shift]
+            children = done[d:]
+            del done[d:]
+            done.append({"rule": names[code],
+                         "span": [children[0]["span"][0], children[-1]["span"][1]],
+                         "children": children})
+            continue
+        depth[i] = len(done)
+        if code < 2 * n:
+            anchor = _anchor(tree, c >> shift)
+            done.append({"rule": names[code - n], "span": [anchor, anchor],
+                         "children": []})
+        else:
+            node = tree.error_nodes[c >> shift]
+            done.append({"error": node.label, "expected": node.expected,
+                         "span": list(node.span)})
+    return done[0]
+
+
+def ast_structural_eq(got: Tree, want: Tree) -> bool:
+    """Structural tree equality ignoring spans.  An ErrorNode on either side
+    matches one node whose rule name or token kind equals its expectation;
+    two ErrorNodes match when they expect the same thing.
+
+    It walks the rows of both trees in step, from the root down and right
+    to left: in reverse postorder a node comes before its subtree, and a
+    rule row says where its subtree begins, so a node an ErrorNode stands
+    in for is skipped in one step."""
+    rows_a, kinds_a, names_a, nodes_a = got.rows, got.kinds, got.names, got.error_nodes
+    rows_b, kinds_b, names_b, nodes_b = want.rows, want.kinds, want.names, want.error_nodes
+    n_a, shift_a = len(names_a), got.shift
+    n_b, shift_b = len(names_b), want.shift
+    mask_a, mask_b = (1 << shift_a) - 1, (1 << shift_b) - 1
+    i, j = len(rows_a) - 1, len(rows_b) - 1
+    # the first rows of the children being compared, one pair per open
+    # rule node; the tree itself is the one child of (0, 0)
+    lo_a = lo_b = 0
+    opened: list = []
+    while True:
+        if i < lo_a or j < lo_b:
+            if i >= lo_a or j >= lo_b:
+                return False  # one node has more children
+            if not opened:
+                return True
+            lo_a, lo_b = opened.pop()
+            continue
+        # each side's node: its name, kind or expectation, the first row
+        # of its subtree, and whether it is a rule node or an error node
+        x = rows_a[i]
+        if x >= 0:
+            key_a, first_a, rule_a, error_a = kinds_a[x], i, False, False
+        else:
+            c = ~x
+            code = c & mask_a
+            if code < n_a:
+                key_a, first_a, rule_a, error_a = names_a[code], c >> shift_a, True, False
+            elif code < 2 * n_a:
+                key_a, first_a, rule_a, error_a = names_a[code - n_a], i, True, False
+            else:
+                key_a, first_a, rule_a, error_a = nodes_a[c >> shift_a].expected, i, False, True
+        y = rows_b[j]
+        if y >= 0:
+            key_b, first_b, rule_b, error_b = kinds_b[y], j, False, False
+        else:
+            c = ~y
+            code = c & mask_b
+            if code < n_b:
+                key_b, first_b, rule_b, error_b = names_b[code], c >> shift_b, True, False
+            elif code < 2 * n_b:
+                key_b, first_b, rule_b, error_b = names_b[code - n_b], j, True, False
+            else:
+                key_b, first_b, rule_b, error_b = nodes_b[c >> shift_b].expected, j, False, True
+        if key_a != key_b:
+            return False
+        if error_a or error_b:
+            # the whole node, subtree and all
+            i, j = first_a - 1, first_b - 1
+            continue
+        if rule_a is not rule_b:
+            return False
+        if rule_a:
+            opened.append((lo_a, lo_b))
+            lo_a, lo_b = first_a, first_b
+        i -= 1
+        j -= 1
+
+
+_CLOSE = object()
+
+
+def tree_from_json(data) -> Tree:
+    """The tree ``tree_to_json`` turned into data.  A rule node's span is
+    not kept but read off its children, as for a parsed tree, and an empty
+    rule's ends where it starts.  Data of any other shape is a ValueError
+    that says what is wrong with it."""
+    kinds: list = []
+    spans: list = []
+    error_nodes: list = []
+    rule_ids: dict[str, int] = {}
+    # a token leaf is its index; any other row is (kind, rule id, arg)
+    # until the rule count is known: kind 0 closes a rule whose subtree
+    # began at row arg, 1 is an empty rule anchored at spans[arg], an
+    # entry of its own that no token row points to, and 2 is
+    # error_nodes[arg]
+    rows: list = []
+    # nodes to read; a rule to close is pushed as its id, its first row
+    # and _CLOSE
+    todo = [data]
+    while todo:
+        item = todo.pop()
+        if item is _CLOSE:
+            start = todo.pop()
+            rows.append((0, todo.pop(), start))
+            continue
+        if item.__class__ is not dict:
+            raise ValueError(f"tree node is not an object: {_short(item)}")
+        if "rule" in item:
+            children = item.get("children")
+            if children.__class__ is not list:
+                raise ValueError(f"'children' of a tree node is not a list: {_short(children)}")
+            rid = rule_ids.setdefault(_json_text(item, "rule"), len(rule_ids))
+            start = _json_span(item)[0]
+            if children:
+                todo += (rid, len(rows), _CLOSE)
+                todo.extend(reversed(children))
+            else:
+                kinds.append(None)
+                spans.append((start, start))
+                rows.append((1, rid, len(spans) - 1))
+        elif "token" in item:
+            kind = item["token"]
+            kinds.append(kind if kind is None else _json_text(item, "token"))
+            spans.append(_json_span(item))
+            rows.append(len(spans) - 1)
+        elif "error" in item:
+            error_nodes.append(ErrorNode(_json_text(item, "error"),
+                                         _json_text(item, "expected"),
+                                         _json_span(item)))
+            rows.append((2, 0, len(error_nodes) - 1))
+        else:
+            raise ValueError(f"tree node has no 'rule', 'token' or 'error': {_short(item)}")
+    n = len(rule_ids)
+    shift = _code_bits(n)
+    base = (0, n, 2 * n)
+    rows = [row if row.__class__ is int
+            else ~((row[2] << shift) | (base[row[0]] + row[1])) for row in rows]
+    return Tree(rows, kinds, spans, tuple(rule_ids), error_nodes, 0)
 
 
 def _json_text(data: dict, key: str) -> str:
@@ -191,7 +418,7 @@ class ParseError:
 @dataclass
 class ParseOutcome:
     status: str  # "matched" or "failed"
-    tree: tuple | None
+    tree: Tree | None
     errors: list[ParseError]
     end: int | None = None
     fail_label: str | None = None
@@ -227,13 +454,14 @@ DEFAULT_MAX_ERRORS = 50
 # --- compilation ------------------------------------------------------------
 #
 # Every desugared expression becomes a closure f(session, pos, acc) that
-# returns the end position or a _Fail and appends the subtrees it builds to
-# acc.  Sequences and choices are flattened into one closure each, so a
-# parse takes no more stack frames per nesting level than a tree walk.  For
-# the same reason the token dispatch of choices, stars and predicates runs
-# inside their own closures, not in closures of its own.  A node that
-# several parents share (desugaring p+ to p p* shares p) is compiled once,
-# and a shared sequence runs as one item of the sequences around it.
+# returns the end position or a _Fail and appends the rows of the subtrees
+# it builds to acc.  Sequences and choices are flattened into one closure
+# each, so a parse takes no more stack frames per nesting level than a
+# tree walk.  For the same reason the token dispatch of choices, stars and
+# predicates runs inside their own closures, not in closures of its own.
+# A node that several parents share (desugaring p+ to p p* shares p) is
+# compiled once, and a shared sequence runs as one item of the sequences
+# around it.
 
 # Plain failures carry no position of their own: each one moves farthest
 # to at least where it happened, and farthest is where a parse that ends
@@ -264,7 +492,7 @@ def _eof(s, pos, acc):
 
 def _any_token(s, pos, acc):
     if pos < s._count:
-        acc.append((s._kinds[pos], s._spans[pos]))
+        acc.append(pos)
         return pos + 1
     return _fail(s, pos)
 
@@ -272,7 +500,7 @@ def _any_token(s, pos, acc):
 def _terminal(kind: str):
     def terminal(s, pos, acc):
         if s._kinds[pos] == kind:
-            acc.append((kind, s._spans[pos]))
+            acc.append(pos)
             return pos + 1
         if pos > s.farthest:
             s.farthest = pos
@@ -413,24 +641,20 @@ def _not(body, guard):
     return not_
 
 
-def _rule(name: str, rules: dict):
+def _rule(name: str, rules: dict, rid: int, nrules: int, shift: int):
+    """The rule closure: it closes its subtree with one row (``Tree``)."""
+    close = ~rid
+    empty = ~(nrules + rid)
+
     def rule(s, pos, acc):
-        children: list = []
-        r = rules[name](s, pos, children)
+        n = len(acc)
+        r = rules[name](s, pos, acc)
         if r.__class__ is _Fail:
             return r
-        if children:
-            # a unary chain (Exp -> RelExp -> ...) shares one span tuple
-            first = children[0]
-            span = first.span if first.__class__ is ErrorNode else first[1]
-            if len(children) > 1:
-                last = children[-1]
-                end = last.span if last.__class__ is ErrorNode else last[1]
-                span = (span[0], end[1])
+        if len(acc) > n:
+            acc.append(close - (n << shift))
         else:
-            anchor = s.stream.start_offset(pos)
-            span = (anchor, anchor)
-        acc.append((name, span, tuple(children)))
+            acc.append(empty - (pos << shift))
         return r
     return rule
 
@@ -448,6 +672,10 @@ class _Matcher:
     def __init__(self, g: Grammar):
         self.analysis = Analysis(g)
         self.acts = rule_fixpoint(g.rules, self._acts, False)
+        # a rule's id is its index in names (``Tree``)
+        self.names = tuple(g.rules)
+        self.ids = {name: i for i, name in enumerate(self.names)}
+        self.shift = _code_bits(len(self.names))
         self.rules: dict = {}
         # one memo for the whole grammar: g keeps its nodes alive
         memo: dict = {}
@@ -530,7 +758,8 @@ class _Matcher:
         if cls is Not:
             return _not(self.compile(e.body, memo), self.guard(e.body))
         if cls is NonTerminal:
-            return _rule(e.name, self.rules)
+            return _rule(e.name, self.rules, self.ids[e.name], len(self.names),
+                         self.shift)
         if cls is Throw:
             return _throw(e.label)
         raise TypeError(f"unexpected node in syntactic rule: {e!r}")
@@ -579,6 +808,9 @@ class Session:
         if messages:
             self.messages.update(messages)
         self.errors: list[ParseError] = []
+        # what the error rows of acc point to (``Tree``); a row rolled back
+        # leaves its node here unused
+        self.error_nodes: list[ErrorNode] = []
         self.guard: set[tuple[str, int]] = set()
         self.pred_depth = 0
         self.rec_depth = 0
@@ -629,7 +861,10 @@ class Session:
         else:
             anchor = self.stream.start_offset(pos)
             span = (anchor, anchor)
-        acc.append(ErrorNode(label, expected, span))
+        nodes = self.error_nodes
+        matcher = self._matcher
+        acc.append(~((len(nodes) << matcher.shift) | 2 * len(matcher.names)))
+        nodes.append(ErrorNode(label, expected, span))
         return r
 
     # -- entry points -----------------------------------------------------------
@@ -672,8 +907,13 @@ class Session:
                                   offset, line, col, pos)]
         return self.errors
 
+    def _tree(self, rows: list[int]) -> Tree:
+        stream = self.stream
+        return Tree(rows, stream.kinds, stream.spans, self._matcher.names,
+                    self.error_nodes, stream.eof_offset())
+
     def parse(self) -> ParseOutcome:
-        acc: list = []
+        acc: list[int] = []
         try:
             self._scan(0)
             r = self._matcher.start(self, 0, acc)
@@ -689,7 +929,7 @@ class Session:
                                 errors=self.errors, fail_label=r.label)
         if r < self._count:
             self._record(FAIL, r, "expected end of input")
-        return ParseOutcome(status="matched", tree=acc[0],
+        return ParseOutcome(status="matched", tree=self._tree(acc),
                             errors=self.errors, end=r)
 
     def match_expr(self, expr: Expr, pos: int = 0) -> MatchResult:
@@ -702,7 +942,7 @@ class Session:
             body = self._matcher.compile(expr)
         except RecursionError:
             raise GrammarError("expression nested too deeply") from None
-        acc: list = []
+        acc: list[int] = []
         try:
             self._scan(pos)
             r = body(self, pos, acc)
@@ -713,7 +953,8 @@ class Session:
             return MatchResult(status="failed", end=None,
                                fail_label=r.label, errors=self.errors)
         return MatchResult(status="matched", end=r,
-                           errors=self.errors, children=tuple(acc))
+                           errors=self.errors,
+                           children=tuple(_tuple_nodes(self._tree(acc))))
 
 
 def parse(grammar: Grammar, text: str,

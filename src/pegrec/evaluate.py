@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import (
-    ErrorNode,
     ParseOutcome,
     Session,
+    Tree,
+    ast_structural_eq,
     tree_from_json,
 )
 from .lexer import TokenStream, read_text
@@ -37,32 +38,7 @@ NEEDS_REVIEW = "needs-review"
 FAILED = "failed"
 
 
-def ast_structural_eq(got, want) -> bool:
-    """Structural tree equality ignoring spans.  An ErrorNode on either side
-    matches one node whose rule name or token kind equals its expectation;
-    two ErrorNodes match when they expect the same thing."""
-    got_error = got.__class__ is ErrorNode
-    want_error = want.__class__ is ErrorNode
-    if got_error or want_error:
-        if got_error and want_error:
-            return got.expected == want.expected
-        node, err = (want, got) if got_error else (got, want)
-        # a rule node's name and a token leaf's kind both come first
-        return node[0] == err.expected
-    if len(got) != len(want) or got[0] != want[0]:
-        return False
-    if len(got) == 2:
-        return True
-    got_children, want_children = got[2], want[2]
-    if len(got_children) != len(want_children):
-        return False
-    for a, b in zip(got_children, want_children):
-        if not ast_structural_eq(a, b):
-            return False
-    return True
-
-
-def classify_recovery(outcome: ParseOutcome, intended) -> str:
+def classify_recovery(outcome: ParseOutcome, intended: Tree | None) -> str:
     if outcome.tree is None:
         return FAILED
     if intended is not None and ast_structural_eq(outcome.tree, intended):

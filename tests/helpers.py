@@ -4,8 +4,9 @@ naive_match is an independent reference implementation of the matching
 semantics over a plain kind sequence, written directly from the defining
 equations with no sharing of engine code, so differential tests mean
 something; naive_tokenize does the same for the lexer, CharLoopScanner
-for the scanner of grammar text, and check_left_recursion for the
-left-recursion check of ``validate``.  The generators produce random
+for the scanner of grammar text, check_left_recursion for the
+left-recursion check of ``validate``, and tuple_structural_eq for
+``ast_structural_eq`` on the tuple nodes of ``Tree.root``.  The generators produce random
 grammars (acyclic by construction: each rule only references later ones)
 and random valid programs for the miniature Java grammar.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import random
 
+from pegrec.engine import ErrorNode
 from pegrec.model import (
     AnyToken,
     CharClass,
@@ -298,6 +300,34 @@ def check_left_recursion(rules: dict[str, Expr], what: str) -> None:
                 continue
             seen.add(n)
             frontier |= head_map[n]
+
+
+# --- reference structural equality -------------------------------------------
+
+def tuple_structural_eq(got, want) -> bool:
+    """Reference for ``evaluate.ast_structural_eq``, on the tuple nodes of
+    ``Tree.root``: equality ignoring spans, where an ErrorNode on either
+    side matches one node whose rule name or token kind equals its
+    expectation, and two ErrorNodes match when they expect the same."""
+    got_error = got.__class__ is ErrorNode
+    want_error = want.__class__ is ErrorNode
+    if got_error or want_error:
+        if got_error and want_error:
+            return got.expected == want.expected
+        node, err = (want, got) if got_error else (got, want)
+        # a rule node's name and a token leaf's kind both come first
+        return node[0] == err.expected
+    if len(got) != len(want) or got[0] != want[0]:
+        return False
+    if len(got) == 2:
+        return True
+    got_children, want_children = got[2], want[2]
+    if len(got_children) != len(want_children):
+        return False
+    for a, b in zip(got_children, want_children):
+        if not tuple_structural_eq(a, b):
+            return False
+    return True
 
 
 # --- random grammars ---------------------------------------------------------

@@ -243,7 +243,7 @@ def test_sample_program_messages_and_recovery(grammar_dir, tiny_java_labeled):
         "factorial.java:5: syntax error, missing ')' in while",
         "factorial.java:7: syntax error, missing ';' in assignment",
     ]
-    assert count_error_nodes(outcome.tree) == 2
+    assert count_error_nodes(outcome.tree.root) == 2
 
 
 def test_annotation_is_transparent_on_valid_programs(tiny_java):

@@ -178,7 +178,7 @@ def test_star_mode_recovers_inside_repetition():
     assert out.status == "matched"
     assert out.errors  # the bad element was reported
     # and the loop carried on: the last (BB CC) group is in the tree
-    kinds = ["err" if isinstance(c, ErrorNode) else c[0] for c in out.tree[2]]
+    kinds = ["err" if isinstance(c, ErrorNode) else c[0] for c in out.tree.root[2]]
     assert kinds.count("CC") == 2
 
 

@@ -147,6 +147,17 @@ def test_parse_json_tree(capsys, tmp_path, small_grammar):
     assert kinds == ["AA", "miss", "AA"]
 
 
+def test_parse_json_is_one_compact_line(capsys, tmp_path, grammar_dir):
+    grammar = grammar_dir / "tiny_java_annotated.peg"
+    src = write(tmp_path, "broken.java", (grammar_dir / "factorial.java").read_text())
+    assert main(["parse", str(grammar), src, "--json"]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert ", " not in out and ": " not in out
+    outcome = pegrec.parse(pegrec.load_grammar(str(grammar)), Path(src).read_text())
+    assert json.loads(out) == pegrec.tree_to_json(outcome.tree)
+
+
 def test_parse_custom_messages(capsys, tmp_path, small_grammar):
     src = write(tmp_path, "broken.txt", "a a")
     msgs = write(tmp_path, "m.json", json.dumps({"miss": "b required"}))

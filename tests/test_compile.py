@@ -11,7 +11,8 @@ from pegrec import dsl, engine, model
 from pegrec.analysis import Analysis
 from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import load_grammar, parse_grammar
-from pegrec.engine import Session, tree_to_json
+from pegrec.engine import Session, tree_from_json, tree_to_json
+from pegrec.evaluate import ast_structural_eq, delete_token
 from pegrec.model import NonTerminal, serialize_grammar
 from pegrec.lexer import TokenStream
 
@@ -101,6 +102,63 @@ def test_deep_nesting_parses_as_before(tiny_java_annotated_file):
     # the interpreting engine reached about 1420 levels under the same
     # recursion limit; compiled rules must take no more frames per level
     assert Session(tiny_java_annotated_file, _nested(1400)).parse().ok
+
+
+def _flat(root) -> list:
+    """The nodes of a tuple tree in preorder, without their children."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple and len(node) == 3:
+            out.append(node[:2] + (len(node[2]),))
+            stack.extend(reversed(node[2]))
+        else:
+            out.append(node)
+    return out
+
+
+def test_deep_trees_convert_under_the_default_recursion_limit(tiny_java_annotated_file):
+    outcome = Session(tiny_java_annotated_file, _nested(1400)).parse()
+    assert outcome.ok
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        data = tree_to_json(outcome.tree)
+        back = tree_from_json(data)
+        flat = _flat(outcome.tree.root)
+        flat_back = _flat(back.root)
+        same = ast_structural_eq(outcome.tree, back)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert same and flat_back == flat
+    depth, stack = 0, [(data, 1)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        stack.extend((child, level + 1) for child in node.get("children", ()))
+    assert depth > 5 * 1400
+
+
+def test_parsing_and_converting_leave_no_reference_cycles(tiny_java_annotated_file):
+    g = tiny_java_annotated_file
+    text = ("public class A { public static void main ( String [ ] a ) { "
+            + "x = x + 1 ; " * 330 + "} }")
+    for index in (900, 500, 100):
+        text = delete_token(g, text, index).text
+    Session(g, text).parse()
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = Session(g, text).parse()
+        assert len(outcome.tree.kinds) > 1900 and outcome.errors
+        data = tree_to_json(outcome.tree)
+        back = tree_from_json(data)
+        assert ast_structural_eq(back, outcome.tree)
+        root = back.root
+        del outcome, data, back, root
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_too_deep_nesting_fails_without_a_traceback(tiny_java_annotated_file):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pegrec import engine
 from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import load_grammar, parse_grammar
-from pegrec.engine import ErrorNode, RuleNode, Session, TokenLeaf, match, parse
+from pegrec.engine import ErrorNode, RuleNode, Session, TokenLeaf, Tree, match, parse
 from pegrec.engine import tree_from_json, tree_to_json
 from pegrec.evaluate import delete_token, duplicate_token, token_spans
 from pegrec.lexer import Token
@@ -32,7 +32,7 @@ def g(text: str):
 def test_matches_and_builds_tree():
     out = parse(g("start <- AA BB* ;"), "a b b")
     assert out.ok
-    name, _, children = out.tree
+    name, _, children = out.tree.root
     assert name == "start"
     assert [kind for kind, _ in children] == ["AA", "BB", "BB"]
 
@@ -57,13 +57,13 @@ def test_trailing_input_is_an_error_but_tree_survives():
 def test_backtracking_choice():
     out = parse(g("start <- AA BB / AA CC ;"), "a c")
     assert out.ok
-    assert [kind for kind, _ in out.tree[2]] == ["AA", "CC"]
+    assert [kind for kind, _ in out.tree.root[2]] == ["AA", "CC"]
 
 
 def test_star_stops_on_failure_and_backtracks_cleanly():
     out = parse(g("start <- (AA BB)* AA CC ;"), "a b a b a c")
     assert out.ok
-    assert [kind for kind, _ in out.tree[2]] == ["AA", "BB", "AA", "BB", "AA", "CC"]
+    assert [kind for kind, _ in out.tree.root[2]] == ["AA", "BB", "AA", "BB", "AA", "CC"]
 
 
 def test_predicates():
@@ -81,7 +81,7 @@ def test_eof_terminal():
 def test_any_token_matches_stray_characters():
     out = parse(g("start <- AA . AA ;"), "a ? a")
     assert out.ok
-    kind, _ = out.tree[2][1]
+    kind, _ = out.tree.root[2][1]
     assert kind is None
 
 
@@ -92,7 +92,7 @@ def test_nullable_star_body_terminates():
 
 def test_rule_spans_cover_consumed_text():
     out = parse(g("start <- Item Item ;\nItem <- AA BB ;"), "a b  a b")
-    _, span, (first, second) = out.tree
+    _, span, (first, second) = out.tree.root
     assert first[1] == (0, 3)
     assert second[1] == (5, 8)
     assert span == (0, 8)
@@ -162,7 +162,7 @@ def test_recovery_resumes_parse():
     out = parse(g(REC), "a x y c")
     assert out.status == "matched"
     assert [e.label for e in out.errors] == ["miss"]
-    children = out.tree[2]
+    children = out.tree.root[2]
     assert [c.__class__ for c in children] == [tuple, ErrorNode, tuple]
     assert [len(c) for c in children] == [2, 3, 2]
     err = children[1]
@@ -173,7 +173,7 @@ def test_recovery_resumes_parse():
 def test_recovery_consuming_nothing_leaves_empty_placeholder():
     out = parse(g(REC), "a c")
     assert out.status == "matched"
-    err = out.tree[2][1]
+    err = out.tree.root[2][1]
     assert isinstance(err, ErrorNode)
     assert err.span == (2, 2)
 
@@ -313,20 +313,35 @@ def test_tree_json_round_trip(grammar_dir, tiny_java):
     for outcome in outcomes:
         data = tree_to_json(outcome.tree)
         back = tree_from_json(data)
+        assert back.__class__ is Tree
         assert back == outcome.tree
         assert tree_to_json(back) == data
         # an ErrorNode comes back as one, every other node as a plain tuple
-        assert [n.__class__ for n in _preorder(back)] == \
-            [n.__class__ for n in _preorder(outcome.tree)]
+        assert [n.__class__ for n in _preorder(back.root)] == \
+            [n.__class__ for n in _preorder(outcome.tree.root)]
+
+
+def test_tree_from_json_reads_rule_spans_off_the_children():
+    data = {"rule": "S", "span": [2, 9], "children": [
+        {"token": "AA", "span": [5, 9]},
+        {"rule": "E", "span": [7, 8], "children": []}]}
+    assert tree_from_json(data).root == ("S", (5, 7), (("AA", (5, 9)), ("E", (7, 7), ())))
 
 
 def test_tree_nodes_are_plain_tuples():
     out = parse(g(REC), "a x c")
-    name, span, children = out.tree
+    assert out.tree.__class__ is Tree
+    assert repr(out.tree) == "<Tree of 4 nodes>"
+    with pytest.raises(TypeError):
+        hash(out.tree)
+    # root builds the tuples anew on each read
+    assert out.tree.root == out.tree.root and out.tree.root is not out.tree.root
+    root = out.tree.root
+    name, span, children = root
     leaf, err, last = children
-    assert [n.__class__ for n in (out.tree, children, leaf, last)] == [tuple] * 4
+    assert [n.__class__ for n in (root, children, leaf, last)] == [tuple] * 4
     assert repr(leaf) == "('AA', (0, 1))"
-    assert repr(out.tree) == (
+    assert repr(root) == (
         "('start', (0, 5), (('AA', (0, 1)), ErrorNode(label='miss', expected='BB',"
         " span=(2, 3)), ('CC', (4, 5))))")
     # an ErrorNode is still a NamedTuple, told apart by its class
@@ -337,10 +352,10 @@ def test_tree_nodes_are_plain_tuples():
     assert TokenLeaf("AA", (0, 1)).__class__ is tuple
     assert TokenLeaf("AA", (0, 1)) == leaf == ("AA", (0, 1))
     assert RuleNode("r", (0, 0)) == ("r", (0, 0), ())
-    assert RuleNode("start", (0, 5), [leaf, err, last]) == out.tree
+    assert RuleNode("start", (0, 5), [leaf, err, last]) == root
     assert RuleNode("start", (0, 5), [leaf, err, last])[2].__class__ is tuple
     assert hash(leaf) == hash(("AA", (0, 1)))
-    assert hash(out.tree) == hash(("start", (0, 5), (leaf, err, ("CC", (4, 5)))))
+    assert hash(root) == hash(("start", (0, 5), (leaf, err, ("CC", (4, 5)))))
     assert (name, span) == ("start", (0, 5))
     kind, leaf_span = leaf
     assert (kind, leaf_span) == ("AA", (0, 1))
@@ -386,39 +401,32 @@ def _factorial(grammar_dir, fixed: bool) -> str:
     return fix_factorial(text) if fixed else text
 
 
-def _depth(node) -> int:
-    if node.__class__ is tuple and len(node) == 3:
-        return 1 + max(map(_depth, node[2]), default=0)
-    return 1
+def _tracked_objects(root) -> int:
+    """How many objects that the cyclic collector tracks root reaches,
+    classes left out."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or not gc.is_tracked(obj) or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        count += 1
+        stack.extend(gc.get_referents(obj))
+    return count
 
 
-def _holding_errors(node) -> list:
-    """The nodes of the subtree at node that are or hold an ErrorNode."""
-    if node.__class__ is ErrorNode:
-        return [node]
-    if len(node) == 2:
-        return []
-    below = [n for child in node[2] for n in _holding_errors(child)]
-    return [node] + below if below else []
+def _statements(count: int) -> str:
+    return ("public class A { public static void main ( String [ ] a ) { "
+            + "x = x + 1 ; " * count + "} }")
 
 
-def test_the_collector_can_untrack_a_tree_that_holds_no_error_node(grammar_dir, tiny_java):
-    annotated, _ = annotate(tiny_java)
-    clean = parse(annotated, _factorial(grammar_dir, fixed=True))
-    recovered = parse(annotated, _factorial(grammar_dir, fixed=False))
-    assert clean.ok and len(recovered.errors) == 2 and recovered.status == "matched"
-    for outcome in (clean, recovered):
-        nodes = _preorder(outcome.tree)
-        assert all(gc.is_tracked(n) for n in nodes if n.__class__ is ErrorNode)
-        # a collection untracks a tuple whose items are all untracked; the
-        # nodes of a level and their children tuples go in at most two
-        for _ in range(2 * _depth(outcome.tree) + 2):
-            gc.collect()
-        tracked = {id(n) for n in nodes if gc.is_tracked(n)}
-        assert tracked == {id(n) for n in _holding_errors(outcome.tree)}
-        assert all(not gc.is_tracked(n[1]) for n in nodes if n.__class__ is tuple)
-    assert len(_holding_errors(clean.tree)) == 0
-    assert 4 <= len(_holding_errors(recovered.tree)) < len(_preorder(recovered.tree)) // 4
+def test_an_outcome_holds_as_many_tracked_objects_at_any_size(tiny_java):
+    small = parse(tiny_java, _statements(164))
+    large = parse(tiny_java, _statements(1664))
+    assert small.ok and large.ok
+    assert (len(small.tree.kinds), len(large.tree.kinds)) == (1001, 10001)
+    gc.collect()
+    assert _tracked_objects(small) == _tracked_objects(large)
 
 
 # --- token columns and shared spans ---------------------------------------------
@@ -466,11 +474,21 @@ def test_a_parse_leaves_no_token_object_tracked(grammar_dir, tiny_java):
     assert tracked_tokens() == before
 
 
+def test_token_rows_are_token_indices(grammar_dir, tiny_java):
+    for session, outcome in _parsed_sessions(grammar_dir, tiny_java):
+        tree = outcome.tree
+        assert tree.kinds is session.stream.kinds and tree.spans is session.stream.spans
+        tokens = [row for row in tree.rows if row >= 0]
+        assert tokens == sorted(set(tokens))
+        if not outcome.errors:
+            assert tokens == list(range(len(tree.spans)))
+
+
 def test_token_leaves_share_the_stream_span_tuples(grammar_dir, tiny_java):
     for session, outcome in _parsed_sessions(grammar_dir, tiny_java):
         spans = session.stream.spans
         index = {span[0]: i for i, span in enumerate(spans)}
-        leaves = [n for n in _preorder(outcome.tree)
+        leaves = [n for n in _preorder(outcome.tree.root)
                   if n.__class__ is tuple and len(n) == 2]
         for _, span in leaves:
             assert span is spans[index[span[0]]]
@@ -481,7 +499,7 @@ def test_token_leaves_share_the_stream_span_tuples(grammar_dir, tiny_java):
 def test_one_child_rule_node_shares_its_child_span(grammar_dir, tiny_java):
     unary = 0
     for _, outcome in _parsed_sessions(grammar_dir, tiny_java):
-        for node in _preorder(outcome.tree):
+        for node in _preorder(outcome.tree.root):
             if node.__class__ is not tuple or len(node) != 3 or not node[2]:
                 continue
             _, span, children = node
@@ -599,10 +617,10 @@ def test_any_token_headed_alternatives_take_stray_characters():
     # FIRST(.) leaves out stray characters, whose kind is None
     out = parse(g("start <- . CC / AA ;"), "? c")
     assert out.ok
-    assert [kind for kind, _ in out.tree[2]] == [None, "CC"]
+    assert [kind for kind, _ in out.tree.root[2]] == [None, "CC"]
     out = parse(g("start <- (. BB)* EOF ;"), "? b % b")
     assert out.ok
-    assert [kind for kind, _ in out.tree[2]] == [None, "BB", None, "BB"]
+    assert [kind for kind, _ in out.tree.root[2]] == [None, "BB", None, "BB"]
     out = parse(g("start <- (!CC .)* CC ;"), "? a c")
     assert out.ok
 

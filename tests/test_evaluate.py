@@ -1,7 +1,10 @@
+import itertools
 import json
+import random
 
+from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import parse_grammar
-from pegrec.engine import ErrorNode, RuleNode, TokenLeaf, parse, tree_to_json
+from pegrec.engine import parse, tree_from_json
 from pegrec.evaluate import (
     EXCELLENT,
     FAILED,
@@ -20,6 +23,8 @@ from pegrec.evaluate import (
     token_spans,
 )
 
+from helpers import random_grammar, random_program, tuple_structural_eq
+
 RECOVERING = """\
 start <- AA [BB]^miss AA ;
 AA <- 'a' ;
@@ -35,16 +40,22 @@ BB <- 'b' ;
 """
 
 
+# trees are built as tree_to_json data and read with tree_from_json
+
 def leaf(kind, span=(0, 0)):
-    return TokenLeaf(kind=kind, span=span)
+    return {"token": kind, "span": list(span)}
 
 
 def rule(name, *children, span=(0, 0)):
-    return RuleNode(name=name, span=span, children=tuple(children))
+    return {"rule": name, "span": list(span), "children": list(children)}
 
 
 def enode(expected, span=(0, 0)):
-    return ErrorNode(label="l", expected=expected, span=span)
+    return {"error": "l", "expected": expected, "span": list(span)}
+
+
+def eq(got, want) -> bool:
+    return ast_structural_eq(tree_from_json(got), tree_from_json(want))
 
 
 # --- structural equality -------------------------------------------------
@@ -52,34 +63,85 @@ def enode(expected, span=(0, 0)):
 def test_eq_ignores_spans():
     a = rule("S", leaf("AA", (0, 1)), span=(0, 1))
     b = rule("S", leaf("AA", (5, 9)), span=(2, 9))
-    assert ast_structural_eq(a, b)
+    assert eq(a, b)
 
 
 def test_eq_checks_names_kinds_and_shape():
-    assert not ast_structural_eq(rule("S", leaf("AA")), rule("T", leaf("AA")))
-    assert not ast_structural_eq(rule("S", leaf("AA")), rule("S", leaf("BB")))
-    assert not ast_structural_eq(rule("S", leaf("AA")),
-                                 rule("S", leaf("AA"), leaf("AA")))
-    assert not ast_structural_eq(rule("S"), leaf("S"))
+    assert not eq(rule("S", leaf("AA")), rule("T", leaf("AA")))
+    assert not eq(rule("S", leaf("AA")), rule("S", leaf("BB")))
+    assert not eq(rule("S", leaf("AA")), rule("S", leaf("AA"), leaf("AA")))
+    assert not eq(rule("S"), leaf("S"))
+    assert not eq(rule("S", rule("T", leaf("AA")), leaf("BB")),
+                  rule("S", rule("T", leaf("AA"), leaf("BB"))))
 
 
 def test_error_node_stands_in_for_expected_node():
-    assert ast_structural_eq(enode("BB"), leaf("BB"))
-    assert ast_structural_eq(leaf("BB"), enode("BB"))
-    assert ast_structural_eq(enode("Stmt"), rule("Stmt", leaf("AA")))
-    assert not ast_structural_eq(enode("BB"), leaf("AA"))
-    assert not ast_structural_eq(enode("Stmt"), rule("Expr"))
+    assert eq(enode("BB"), leaf("BB"))
+    assert eq(leaf("BB"), enode("BB"))
+    assert eq(enode("Stmt"), rule("Stmt", leaf("AA")))
+    assert not eq(enode("BB"), leaf("AA"))
+    assert not eq(enode("Stmt"), rule("Expr"))
 
 
 def test_error_nodes_compare_by_expectation():
-    assert ast_structural_eq(enode("BB"), enode("BB"))
-    assert not ast_structural_eq(enode("BB"), enode("CC"))
+    assert eq(enode("BB"), enode("BB"))
+    assert not eq(enode("BB"), enode("CC"))
 
 
 def test_error_node_inside_tree():
     got = rule("S", leaf("AA"), enode("BB"), leaf("AA"))
     want = rule("S", leaf("AA"), leaf("BB"), leaf("AA"))
-    assert ast_structural_eq(got, want)
+    assert eq(got, want)
+    # the node it stands in for is skipped subtree and all
+    got = rule("S", enode("T"), leaf("AA"))
+    want = rule("S", rule("T", rule("U", leaf("BB")), leaf("CC")), leaf("AA"))
+    assert eq(got, want) and eq(want, got)
+    assert not eq(rule("S", enode("T")), want)
+
+
+def _agree(trees) -> tuple[int, int]:
+    """Check ast_structural_eq against the tuple reference on every ordered
+    pair of trees; (pairs, equal pairs)."""
+    pairs = equal = 0
+    roots = [t.root for t in trees]
+    for (a, root_a), (b, root_b) in itertools.permutations(zip(trees, roots), 2):
+        want = tuple_structural_eq(root_a, root_b)
+        assert ast_structural_eq(a, b) == want, (root_a, root_b)
+        pairs += 1
+        equal += want
+    return pairs, equal
+
+
+def test_eq_agrees_with_the_tuple_reference_on_tiny_java_mutants(tiny_java_annotated_file):
+    g = tiny_java_annotated_file
+    rng = random.Random(11)
+    pairs = equal = 0
+    for seed in range(40):
+        program = random_program(seed)
+        clean = parse(g, program).tree
+        count = len(token_spans(g, program))
+        for index in rng.sample(range(count), 4):
+            for mutate in (delete_token, duplicate_token):
+                got = parse(g, mutate(g, program, index).text).tree
+                if got is not None:
+                    n, e = _agree([got, clean])
+                    pairs += n
+                    equal += e
+    assert pairs > 600 and 300 < equal < pairs - 200
+
+
+def test_eq_agrees_with_the_tuple_reference_on_random_grammars():
+    texts = [" ".join(chars) for n in range(4) for chars in itertools.product("abc", repeat=n)]
+    pairs = equal = 0
+    for seed in range(30):
+        config = AnnotatorConfig(star_mode_rules=tuple(random_grammar(seed).rules)
+                                 if seed % 2 else ())
+        grammar = annotate(random_grammar(seed), config)[0]
+        trees = [t for t in (parse(grammar, text).tree for text in texts) if t is not None]
+        n, e = _agree(trees[:12])
+        pairs += n
+        equal += e
+    assert pairs > 3000 and 2000 < equal < pairs - 500
 
 
 # --- classification ------------------------------------------------------
@@ -88,7 +150,7 @@ def test_classify_ratings():
     g = parse_grammar(RECOVERING)
     intended = parse(g, "a b a").tree
     assert classify_recovery(parse(g, "a a"), intended) == EXCELLENT
-    assert classify_recovery(parse(g, "a a"), rule("S")) == NEEDS_REVIEW
+    assert classify_recovery(parse(g, "a a"), tree_from_json(rule("S"))) == NEEDS_REVIEW
     assert classify_recovery(parse(parse_grammar(BARE), "a a"),
                              intended) == FAILED
 
@@ -132,7 +194,7 @@ def test_run_case_against_corrected_source(tmp_path):
 
 def test_run_case_prefers_tree_file(tmp_path):
     g = parse_grammar(RECOVERING)
-    wrong_shape = tree_to_json(rule("start", leaf("AA")))
+    wrong_shape = rule("start", leaf("AA"))
     write_case(tmp_path, "c", "a a", ok="a b a", tree=wrong_shape)
     result = run_case(g, load_corpus(tmp_path)[0])
     assert result.rating == NEEDS_REVIEW
