@@ -20,14 +20,12 @@ rule and per recovery expression.  A Grammar must therefore not be mutated
 after its first parse.  ``match_expr`` checks its one expression against
 the grammar and compiles it on the spot.
 
-``parse`` and ``match_expr`` first scan the whole text, inside the same
-guard against running out of stack as the match itself: a token that a
-recursive lexical rule is too deep to scan makes the outcome "input nested
-too deeply", wherever it sits in the input.  The matcher then reads the
-token kinds from a column that ends in ``EOF`` at the token count (and up
-to the start position, for a match past the end), so a terminal compares
-the kind at its position and dispatch reads it, with no bounds check; only
-``.`` and ``EOF`` compare the position with the token count.
+``parse`` and ``match_expr`` first scan the whole text.  The matcher then
+reads the token kinds from a column that ends in ``EOF`` at the token
+count (and up to the start position, for a match past the end), so a
+terminal compares the kind at its position and dispatch reads it, with no
+bounds check; only ``.`` and ``EOF`` compare the position with the token
+count.
 
 Choices, repetitions and predicates dispatch on the current token's kind
 (one-token lookahead; ``EOF`` past the end of input).  Each alternative of
@@ -874,14 +872,9 @@ class Session:
         ``_kinds`` holds the token kinds followed by ``EOF_KIND`` at the
         token count and at every position up to pos past it, so the
         matcher reads the kind at any position it reaches without a bounds
-        check.  When the lexer runs out of stack, the token it could not
-        scan is the farthest position reached."""
+        check."""
         stream = self.stream
-        try:
-            stream.scan()
-        except RecursionError:
-            self.farthest = len(stream.kinds)
-            raise
+        stream.scan()
         kinds = stream.kinds
         self._count = count = len(kinds)
         self._kinds = kinds + [EOF_KIND] * (max(pos, count) - count + 1)
@@ -890,21 +883,9 @@ class Session:
     def _too_deep(self) -> list[ParseError]:
         """The errors of a parse that ran out of stack.  Those recorded so
         far may belong to alternatives that never finished, so only one
-        fatal error is kept, at the farthest position reached.  The lexer
-        may be what ran out, so no token is scanned for it."""
-        stream = self.stream
-        spans = stream.spans
-        pos = self.farthest
-        if pos == 0:
-            offset = spans[0][0] if spans else 0
-        elif pos <= len(spans):
-            offset = spans[pos - 1][1]
-        else:
-            # past the end of a finished scan
-            offset = stream.eof_offset()
-        line, col = stream.pos_info(offset)
-        self.errors = [ParseError(FAIL, "input nested too deeply",
-                                  offset, line, col, pos)]
+        fatal error is kept, at the farthest position reached."""
+        self.errors = []
+        self._record(FAIL, self.farthest, "input nested too deeply")
         return self.errors
 
     def _tree(self, rows: list[int]) -> Tree:
@@ -914,8 +895,8 @@ class Session:
 
     def parse(self) -> ParseOutcome:
         acc: list[int] = []
+        self._scan(0)
         try:
-            self._scan(0)
             r = self._matcher.start(self, 0, acc)
         except RecursionError:
             return ParseOutcome(status="failed", tree=None,
@@ -943,8 +924,8 @@ class Session:
         except RecursionError:
             raise GrammarError("expression nested too deeply") from None
         acc: list[int] = []
+        self._scan(pos)
         try:
-            self._scan(pos)
             r = body(self, pos, acc)
         except RecursionError:
             return MatchResult(status="failed", end=None, fail_label=FAIL,

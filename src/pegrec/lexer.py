@@ -15,12 +15,10 @@ Grammar lives (``model.program``); a Grammar must therefore not be mutated
 after its first parse.  Each rule becomes one anchored ``re`` pattern.  A
 PEG never backtracks into an ordered choice or a repetition, so both become
 atomic groups, spelled ``(?=(?P<aN>...))(?P=aN)`` because ``(?>...)`` needs
-Python 3.11; ``!p`` becomes ``(?!p)`` and a rule reference is inlined.  A
-rule that reaches a recursive rule has no regular expression; it keeps the
-character-level interpreter behind the call shape of ``re.Pattern.match``,
-so the scan calls every rule alike.  A table filled lazily per character
-lists the rules whose FIRST set holds that character, so each position
-tries only those.
+Python 3.11; ``!p`` becomes ``(?!p)`` and a rule reference is inlined,
+which ends because no lexical rule reaches itself (``model.validate``).  A
+table filled lazily per character lists the rules whose FIRST set holds
+that character, so each position tries only those.
 """
 
 from __future__ import annotations
@@ -59,9 +57,6 @@ class Token(NamedTuple):
 LAYOUT = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
 # FIRST-set range of AnyToken: every character
 _ANY_CHAR = ("\0", "\U0010ffff")
-# the empty pattern: its match at offset ``end`` ends there, which is how a
-# char-interpreted rule reports where it ended
-_EMPTY = re.compile("")
 
 
 def read_text(path) -> str:
@@ -90,58 +85,12 @@ def line_col(starts: list[int], offset: int) -> tuple[int, int]:
     return line, offset - starts[line - 1] + 1
 
 
-def _char_match(rules: dict[str, Expr], e: Expr, text: str, pos: int) -> int | None:
-    """Character-level PEG interpreter, for rules with no regex form."""
-    if isinstance(e, Literal):
-        if text.startswith(e.text, pos):
-            return pos + len(e.text)
-        return None
-    if isinstance(e, CharClass):
-        if pos >= len(text):
-            return None
-        ch = text[pos]
-        for lo, hi in e.ranges:
-            if lo <= ch <= hi:
-                return pos + 1
-        return None
-    if isinstance(e, AnyToken):
-        return pos + 1 if pos < len(text) else None
-    if isinstance(e, Empty):
-        return pos
-    if isinstance(e, Sequence):
-        mid = _char_match(rules, e.left, text, pos)
-        if mid is None:
-            return None
-        return _char_match(rules, e.right, text, mid)
-    if isinstance(e, Choice):
-        out = _char_match(rules, e.first, text, pos)
-        if out is not None:
-            return out
-        return _char_match(rules, e.second, text, pos)
-    if isinstance(e, Star):
-        while True:
-            nxt = _char_match(rules, e.body, text, pos)
-            if nxt is None or nxt == pos:
-                return pos
-            pos = nxt
-    if isinstance(e, Not):
-        return pos if _char_match(rules, e.body, text, pos) is None else None
-    if isinstance(e, NonTerminal):
-        return _char_match(rules, rules[e.name], text, pos)
-    raise TypeError(f"unexpected node in lexical pattern: {e!r}")
-
-
-class _Recursive(Exception):
-    """The pattern reaches a rule that reaches itself."""
-
-
 class _RegexWriter:
     """Regex source of one lexical pattern with PEG's match semantics."""
 
     def __init__(self, rules: dict[str, Expr]):
         self.rules = rules
         self.groups = 0
-        self.inlining: list[str] = []
 
     def _atomic(self, body: str) -> str:
         self.groups += 1
@@ -160,6 +109,9 @@ class _RegexWriter:
         if isinstance(e, Empty):
             return ""
         if isinstance(e, Sequence):
+            if e.right.__class__ is Star and e.right.body is e.left:
+                # p+ desugared to p p*, which share p: write p once
+                return self._atomic(f"(?:{self.write(e.left)})+")
             return self.write(e.left) + self.write(e.right)
         if isinstance(e, Choice):
             return self._atomic("|".join(self.write(a) for a in operands(e, Choice)))
@@ -170,12 +122,7 @@ class _RegexWriter:
         if isinstance(e, NonTerminal):
             # the body's own choices and repetitions are atomic, so it has
             # at most one match and needs no atomic group of its own
-            if e.name in self.inlining:
-                raise _Recursive(e.name)
-            self.inlining.append(e.name)
-            body = self.write(self.rules[e.name])
-            self.inlining.pop()
-            return f"(?:{body})"
+            return f"(?:{self.write(self.rules[e.name])})"
         raise TypeError(f"unexpected node in lexical pattern: {e!r}")
 
 
@@ -199,8 +146,10 @@ def _first_chars(rules: dict[str, Expr]) -> dict[str, frozenset]:
             return frozenset(), True
         if isinstance(e, Sequence):
             left, left_nullable = heads(e.left, first)
-            if not left_nullable:
-                return left, False
+            if not left_nullable or (e.right.__class__ is Star
+                                     and e.right.body is e.left):
+                # p p*, a desugared p+, starts and is nullable as p is
+                return left, left_nullable
             right, right_nullable = heads(e.right, first)
             return left | right, right_nullable
         if isinstance(e, Choice):
@@ -225,20 +174,10 @@ class _Lexer:
         rules = dict(g.lexical)
         rules.update((kind, Literal(kind[1:-1])) for kind in g.literal_kinds)
         first = _first_chars(rules)
-        # regex source per kind, None where the char interpreter runs
-        self.sources: dict[str, str | None] = {}
-        self._rules: list[tuple[str, object, frozenset]] = []
-        for kind in rules:
-            pat = NonTerminal(kind)
-            try:
-                source = _RegexWriter(rules).write(pat)
-            except _Recursive:
-                source = None
-                match = _char_matcher(rules, pat)
-            else:
-                match = re.compile(source).match
-            self.sources[kind] = source
-            self._rules.append((kind, match, first[kind]))
+        self.sources: dict[str, str] = {
+            kind: _RegexWriter(rules).write(NonTerminal(kind)) for kind in rules}
+        self._rules = [(kind, re.compile(source).match, first[kind])
+                       for kind, source in self.sources.items()]
         self.by_char: dict[str, tuple] = {}
 
     def candidates(self, ch: str) -> tuple:
@@ -250,16 +189,6 @@ class _Lexer:
                 (kind, fn) for kind, fn, ranges in self._rules
                 if any(lo <= ch <= hi for lo, hi in ranges))
         return found
-
-
-def _char_matcher(rules: dict[str, Expr], pat: Expr):
-    """``match(text, pos)`` for a pattern with no regex form: like
-    ``re.Pattern.match``, a match object whose end() is where pat ends, or
-    None."""
-    def match(text: str, pos: int):
-        end = _char_match(rules, pat, text, pos)
-        return None if end is None else _EMPTY.match(text, end)
-    return match
 
 
 def _lexer(grammar: Grammar) -> _Lexer:
@@ -288,14 +217,10 @@ class TokenStream:
 
     def scan(self) -> None:
         """Scan the whole text into the columns, unless it is scanned
-        already.  A recursive lexical rule nested too deep for the stack
-        raises RecursionError; the columns then hold the tokens before the
-        one it could not scan, and the next call scans again."""
+        already."""
         if self._scanned:
             return
-        kinds: list[str | None] = []
-        spans: list[tuple[int, int]] = []
-        self.kinds, self.spans = kinds, spans
+        kinds, spans = self.kinds, self.spans
         text = self.text
         n = len(text)
         by_char = self._lexer.by_char

@@ -2,7 +2,8 @@
 
 A grammar is a two-level PEG.  Syntactic rules match over a token stream;
 lexical rules (ALL-CAPS names) describe the tokens themselves as
-character-level patterns.  Failures carry labels: the distinguished label
+character-level patterns, which may not reach themselves, so each is
+regular.  Failures carry labels: the distinguished label
 ``fail`` backtracks normally, every other label aborts ordinary alternatives
 and repetitions and can only be fielded by a recovery expression or a
 syntactic predicate.
@@ -330,7 +331,8 @@ def validate(g: Grammar) -> Grammar:
     Rejects rule names of the wrong kind (the grammar text tells syntactic
     from lexical rules by the name alone), a lexical rule for the reserved
     kind ``EOF``, undefined references, left
-    recursion (direct or through nullable prefixes), throws of the reserved
+    recursion (direct or through nullable prefixes), a lexical rule that
+    reaches itself (a token is a regular pattern), throws of the reserved
     label ``fail``, and recovery rules for labels that are never thrown.
     Also collects anonymous literal token kinds, the label set, and default
     per-label descriptions/messages.
@@ -348,8 +350,8 @@ def validate(g: Grammar) -> Grammar:
     if EOF_KIND in g.lexical:
         raise GrammarError(f"token kind {EOF_KIND!r} is reserved for end of input")
 
-    def check_lexical_refs(rule: str, e: Expr) -> None:
-        for node in _walk(e):
+    def check_lexical_refs(rule: str, nodes: list[Expr]) -> None:
+        for node in nodes:
             cls = node.__class__
             if cls is NonTerminal:
                 if node.name not in g.lexical:
@@ -363,11 +365,12 @@ def validate(g: Grammar) -> Grammar:
                     f"token reference in lexical rule {rule}; use a literal")
 
     rule_nodes = [_walk(body) for body in g.rules.values()]
+    lexical_nodes = [_walk(body) for body in g.lexical.values()]
     recovery_nodes = [_walk(body) for body in g.recovery.values()]
     for name, nodes in zip(g.rules, rule_nodes):
         _check_syntactic(g, name, nodes)
-    for name, body in g.lexical.items():
-        check_lexical_refs(name, body)
+    for name, nodes in zip(g.lexical, lexical_nodes):
+        check_lexical_refs(name, nodes)
     for lab, nodes in zip(g.recovery, recovery_nodes):
         _check_syntactic(g, f"recovery for {lab}", nodes)
     _fill_tables(g, rule_nodes, recovery_nodes)
@@ -377,6 +380,14 @@ def validate(g: Grammar) -> Grammar:
 
     _check_left_recursion(g.rules, "rule")
     _check_left_recursion(g.lexical, "lexical rule")
+    # a token is a regular pattern, so a lexical rule may not reach itself
+    # by any path, even after consuming input
+    name = _self_reaching({
+        rule: {node.name for node in nodes if node.__class__ is NonTerminal}
+        for rule, nodes in zip(g.lexical, lexical_nodes)})
+    if name is not None:
+        raise GrammarError(f"lexical rule {name} reaches itself; "
+                           "a token must be a regular pattern")
     _VALID.add(g)
     return g
 
@@ -462,9 +473,7 @@ def rule_fixpoint(rules: dict, value, bottom) -> dict:
 
 def _check_left_recursion(rules: dict[str, Expr], what: str) -> None:
     """Conservative reachability check: a rule must not be able to reinvoke
-    itself before any input has necessarily been consumed.  A rule is free
-    of left recursion when all its heads are; only a rule that this least
-    fixed point leaves unproven is searched for a path back to itself."""
+    itself before any input has necessarily been consumed."""
     nullable = nullable_map(rules)
 
     def heads(e: Expr, out: set[str]) -> bool:
@@ -489,20 +498,32 @@ def _check_left_recursion(rules: dict[str, Expr], what: str) -> None:
     head_map: dict[str, set[str]] = {name: set() for name in rules}
     for name, body in rules.items():
         heads(body, head_map[name])
-    free = rule_fixpoint(head_map, lambda hs, table: all(map(table.get, hs)), False)
-    for name in rules:
+    name = _self_reaching(head_map)
+    if name is not None:
+        raise GrammarError(f"left recursion detected in {what} {name}")
+
+
+def _self_reaching(calls: dict[str, set[str]]) -> str | None:
+    """The first rule, in order, that can reach itself through ``calls``
+    (the rules each rule can call), or None.  A rule is safe when all its
+    callees are; only a rule that this least fixed point leaves unproven is
+    searched for a path back to itself."""
+    free = rule_fixpoint(calls, lambda callees, table: all(map(table.get, callees)),
+                         False)
+    for name in calls:
         if free[name]:
             continue
         seen: set[str] = set()
-        frontier = set(head_map[name])
+        frontier = set(calls[name])
         while frontier:
             n = frontier.pop()
             if n == name:
-                raise GrammarError(f"left recursion detected in {what} {name}")
-            if n in seen or n not in head_map:
+                return name
+            if n in seen or n not in calls:
                 continue
             seen.add(n)
-            frontier |= head_map[n]
+            frontier |= calls[n]
+    return None
 
 
 # --- desugaring and label stripping ----------------------------------------

@@ -317,3 +317,16 @@ def test_deeply_nested_grammar_exits_2(capsys, tmp_path, command):
     assert done.returncode == 2
     assert "grammar nested too deeply" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_self_reaching_lexical_rule_exits_2(capsys, tmp_path):
+    grammar = write(tmp_path, "nest.peg", "start <- NEST* ;\nNEST <- '(' NEST* ')' ;\n")
+    argv = ["parse", grammar, write(tmp_path, "x.txt", "(())")]
+    assert main(argv) == 2
+    want = ("pegrec: lexical rule NEST reaches itself; "
+            "a token must be a regular pattern")
+    assert want in capsys.readouterr().err
+    done = run_module(*argv)
+    assert done.returncode == 2
+    assert want in done.stderr
+    assert "Traceback" not in done.stderr

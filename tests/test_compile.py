@@ -7,13 +7,24 @@ import json
 import sys
 import weakref
 
+import pytest
+
 from pegrec import dsl, engine, model
 from pegrec.analysis import Analysis
 from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import load_grammar, parse_grammar
 from pegrec.engine import Session, tree_from_json, tree_to_json
 from pegrec.evaluate import ast_structural_eq, delete_token
-from pegrec.model import NonTerminal, serialize_grammar
+from pegrec.model import (
+    Grammar,
+    GrammarError,
+    Literal,
+    NonTerminal,
+    Sequence,
+    Star,
+    Terminal,
+    serialize_grammar,
+)
 from pegrec.lexer import TokenStream
 
 BROKEN = ("public class A { public static void main ( String [ ] a ) { "
@@ -178,36 +189,51 @@ def test_too_deep_nesting_fails_without_a_traceback(tiny_java_annotated_file):
     assert Session(tiny_java_annotated_file, _nested(10)).parse().ok
 
 
-def test_too_deep_nesting_in_a_lexical_rule_fails_without_a_traceback():
-    grammar = parse_grammar("%start start ;\nstart <- NEST* ;\n"
-                            "NEST <- '(' NEST* ')' ;")
-    outcome = Session(grammar, "(" * 20000 + ")" * 20000).parse()
-    assert outcome.status == "failed"
-    assert [(e.message, e.token_index, e.offset) for e in outcome.errors] == \
-        [("input nested too deeply", 0, 0)]
+def test_too_deep_nesting_is_reported_where_other_errors_are():
+    # on input that is layout only, "input nested too deeply" and
+    # "unexpected input" at token 0 both point past the layout
+    n = 25000
+    deep = parse_grammar(
+        "%start r0 ;\n" + f"r{n} <- AA ;\n"
+        + "".join(f"r{i} <- AA? r{i + 1} ;\n" for i in reversed(range(n)))
+        + "AA <- 'a' ;")
+    shallow = parse_grammar("start <- AA ;\nAA <- 'a' ;")
+    for text, offset, line, col in (("   ", 3, 1, 4), ("\n\n  ", 4, 3, 3)):
+        for grammar, message in ((deep, "input nested too deeply"),
+                                 (shallow, "unexpected input")):
+            outcome = Session(grammar, text).parse()
+            assert [(e.message, e.token_index, e.offset, e.line, e.col)
+                    for e in outcome.errors] == [(message, 0, offset, line, col)]
 
 
-def test_a_token_too_deep_to_scan_fails_the_parse_wherever_it_sits():
-    # the parse fails at the first token, long before it would reach the
-    # token NEST is too deep to scan; the whole input is scanned first, so
-    # the parse is "input nested too deeply" at that token all the same
-    grammar = parse_grammar("%start start ;\nstart <- BB NEST* ;\n"
-                            "NEST <- '(' NEST* ')' ;\nAA <- 'a' ;\nBB <- 'b' ;")
+def test_a_self_reaching_lexical_rule_is_a_grammar_error_before_any_scan():
+    # the lexer once interpreted such a rule, and ran out of stack on a
+    # token nested 20000 deep
+    text = "%start start ;\nstart <- NEST* ;\nNEST <- '(' NEST* ')' ;"
+    with pytest.raises(GrammarError, match="^lexical rule NEST reaches itself"):
+        parse_grammar(text)
+    nest = Sequence(Sequence(Literal("("), Star(NonTerminal("NEST"))), Literal(")"))
+    grammar = Grammar({"start": Star(Terminal("NEST"))}, {"NEST": nest}, "start")
+    for entry in (Session, engine.parse):
+        with pytest.raises(GrammarError, match="^lexical rule NEST reaches itself"):
+            entry(grammar, "(" * 20000 + ")" * 20000)
+
+
+def test_a_token_of_any_length_scans_in_one_match():
+    # the whole input is scanned first: a long token at the end is one
+    # token, and the parse fails where it stops, at the first token
+    grammar = parse_grammar("%start start ;\nstart <- BB PARENS* ;\n"
+                            "PARENS <- '(' [()]* ;\nAA <- 'a' ;\nBB <- 'b' ;")
     text = "a " * 40 + "(" * 20000 + ")" * 20000
-    session = Session(grammar, text)
-    outcome = session.parse()
-    assert (outcome.status, outcome.tree, outcome.fail_label) == ("failed", None, "fail")
-    # reported at token 40, from the end of token 39
+    stream = TokenStream(grammar, text)
+    stream.scan()
+    assert stream.kinds == ["AA"] * 40 + ["PARENS"]
+    assert stream.spans[-1] == (80, 40080)
+    outcome = Session(grammar, text).parse()
     assert [(e.message, e.token_index, e.offset) for e in outcome.errors] == \
-        [("input nested too deeply", 40, 79)]
+        [("unexpected input", 0, 0)]
     result = Session(grammar, text).match_expr(NonTerminal("start"))
-    assert (result.status, result.end, result.fail_label) == ("failed", None, "fail")
-    assert [(e.message, e.token_index, e.offset) for e in result.errors] == \
-        [("input nested too deeply", 40, 79)]
-    # the same text without the deep token fails where the parse stops
-    outcome = Session(grammar, "a " * 40).parse()
-    assert [(e.message, e.token_index) for e in outcome.errors] == \
-        [("unexpected input", 0)]
+    assert (result.status, result.fail_label, result.errors) == ("failed", "fail", [])
 
 
 def test_too_deep_a_match_past_end_of_input_fails_without_a_traceback():
@@ -223,13 +249,6 @@ def test_too_deep_a_match_past_end_of_input_fails_without_a_traceback():
         assert (result.status, result.fail_label) == ("failed", "fail")
         assert [(e.message, e.token_index, e.offset) for e in result.errors] == \
             [("input nested too deeply", pos, offset)]
-
-
-def test_a_session_over_a_text_too_deep_to_scan_is_made_without_error():
-    grammar = parse_grammar("%start start ;\nstart <- NEST* ;\n"
-                            "NEST <- '(' NEST* ')' ;")
-    for text in ("(" * 20000 + ")" * 20000, "() " * 40 + "(" * 20000):
-        Session(grammar, text)
 
 
 def test_nested_plus_compiles_in_linear_time(monkeypatch):

@@ -1,11 +1,15 @@
 import re
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pegrec import dsl, lexer, model
+from pegrec.analysis import Analysis
+from pegrec.annotate import annotate
 from pegrec.dsl import parse_grammar
+from pegrec.engine import parse
 from pegrec.evaluate import token_spans
 from pegrec.lexer import TokenStream, _lexer
 from pegrec.model import (
@@ -15,6 +19,7 @@ from pegrec.model import (
     Choice,
     Empty,
     Grammar,
+    GrammarError,
     Literal,
     NonTerminal,
     Not,
@@ -127,15 +132,52 @@ def test_token_columns_agree_with_reference(grammar_file):
         assert token_spans(grammar, text) == stream.spans
 
 
-def test_recursive_lexical_rule_is_interpreted():
-    # NEST reaches itself, so it and every rule reaching it have no regex
-    g = parse_grammar("start <- NEST* ;\nNEST <- '(' NEST* ')' ;\n"
-                      "PAIR <- NEST NEST ;\nXX <- 'x' ;")
-    assert toks(g, "(()())() ((x") == [
-        ("PAIR", "(()())()"), (None, "("), (None, "("), ("XX", "x")]
-    sources = _lexer(g).sources
-    assert sources["NEST"] is None and sources["PAIR"] is None
-    assert sources["XX"] is not None
+# a token is a regular pattern: a lexical rule may not reach itself, even
+# after consuming input
+SELF_REACHING = {
+    "direct": ("NEST <- '(' NEST* ')' ;", "NEST", lambda: {
+        "NEST": Sequence(Sequence(Literal("("), Star(NonTerminal("NEST"))),
+                         Literal(")"))}),
+    "indirect": ("AA <- 'a' BB? ;\nBB <- 'b' AA ;", "AA", lambda: {
+        "AA": Sequence(Literal("a"), Optional(NonTerminal("BB"))),
+        "BB": Sequence(Literal("b"), NonTerminal("AA"))}),
+    "predicate": ("BB <- 'b' !BB ;", "BB", lambda: {
+        "BB": Sequence(Literal("b"), Not(NonTerminal("BB")))}),
+}
+
+
+@pytest.mark.parametrize("case", SELF_REACHING)
+def test_self_reaching_lexical_rule_is_a_grammar_error(case):
+    text, name, lexical = SELF_REACHING[case]
+    message = f"lexical rule {name} reaches itself; a token must be a regular pattern"
+    with pytest.raises(GrammarError) as exc:
+        parse_grammar("start <- . ;\n" + text)
+    assert exc.value.message == message
+    for entry in (lambda g: parse(g, "ab"), annotate, Analysis):
+        grammar = Grammar(rules={"start": AnyToken()}, lexical=lexical(),
+                          start="start")
+        with pytest.raises(GrammarError) as exc:
+            entry(grammar)
+        assert exc.value.message == message
+
+
+def test_left_recursive_lexical_rule_keeps_its_message():
+    with pytest.raises(GrammarError,
+                       match="^left recursion detected in lexical rule AA$"):
+        parse_grammar("start <- . ;\nAA <- BB 'a' ;\nBB <- AA? 'b' ;")
+
+
+def test_nested_plus_writes_its_body_once():
+    # p+ desugars to p p*, which share p; written twice, the pattern would
+    # grow fourfold per two levels (7184 characters at depth 8)
+    def size(depth: int) -> int:
+        g = parse_grammar("start <- AA ;\nAA <- " + "(" * depth + "'a'"
+                          + ")+" * depth + " ;")
+        assert toks(g, "aaa a") == [("AA", "aaa"), ("AA", "a")]
+        return len(_lexer(g).sources["AA"])
+    # one atomic group of about 25 characters per level
+    assert size(8) < 250
+    assert size(16) - size(8) <= 30 * 8
 
 
 def test_line_starts_match_a_character_scan():
@@ -191,24 +233,14 @@ def _lexical_expr(draw, refs: list[str], depth: int):
             "and": And}[kind](draw(sub))
 
 
-NEST = Sequence(Sequence(Literal("("), Star(NonTerminal("NEST"))), Literal(")"))
-
-
 @st.composite
 def lexical_grammars(draw):
-    """Random lexical rules (each referring only to later ones, or to the
-    recursive NEST), plus anonymous literal kinds from the start rule."""
+    """Random lexical rules (each referring only to later ones), plus
+    anonymous literal kinds from the start rule."""
     names = ["RA", "RB", "RC", "RD"][:draw(st.integers(1, 4))]
-    nest = draw(st.booleans())
     lexical = {}
     for i, name in enumerate(names):
-        refs = names[i + 1:] + (["NEST"] if nest else [])
-        lexical[name] = draw(_lexical_expr(refs, 3))
-    if nest:
-        at = draw(st.integers(0, len(names)))
-        items = list(lexical.items())
-        items.insert(at, ("NEST", NEST))
-        lexical = dict(items)
+        lexical[name] = draw(_lexical_expr(names[i + 1:], 3))
     start = AnyToken()
     for text in draw(st.lists(st.text(alphabet="ab()-", min_size=1, max_size=2),
                               max_size=2, unique=True)):
@@ -231,7 +263,9 @@ def _lexical(rules: str):
 @example(_lexical("RA <- 'a'* ;\nRB <- 'b' ;"), "baab ]")
 # class ranges holding ']', '-', '\\' and '^'
 @example(_lexical("RA <- [\\]\\--\\\\^] ;"), "]-\\^a(")
-@example(_lexical("NEST <- '(' NEST* ')' ;\nRA <- !NEST . ;"), "(()) )( (")
+# a rule reference inside a predicate, and p+ with a nullable p
+@example(_lexical("RA <- !RB . ;\nRB <- '(' 'a'* ')' ;"), "(a) )( (")
+@example(_lexical("RA <- ('a' 'b'? / '')+ 'b' ;"), "aab ab b")
 def test_lexer_agrees_with_naive_reference(grammar, text):
     stream = TokenStream(grammar, text)
     got = []
@@ -249,7 +283,7 @@ def test_patterns_use_no_python_3_11_syntax(tiny_java, grammar):
     sources = [p.pattern for p in _module_patterns(lexer) + _module_patterns(dsl)]
     assert len(sources) >= 6
     for g in (grammar, tiny_java):
-        sources += [s for s in _lexer(g).sources.values() if s is not None]
+        sources += _lexer(g).sources.values()
     for source in sources:
         for syntax in ("(?>", "*+", "++", "?+"):
             assert syntax not in source, (syntax, source)
@@ -284,3 +318,24 @@ def test_first_chars_are_linear_in_sequence_depth(monkeypatch):
         assert lexer._first_chars({"AA": body})["AA"] == {("a", "a")}
         return len(calls)
     assert count(400) <= 2 * count(200) + 10
+
+
+def test_first_chars_are_linear_in_nested_plus_depth():
+    # p+ desugars to p p*, which share p; with a nullable p, the
+    # first-character sets once walked p twice per level
+    def calls(depth: int) -> int:
+        rules = model.desugar(parse_grammar(
+            "start <- AA ;\nAA <- " + "(" * depth + "'a'?" + ")+" * depth
+            + " ;")).lexical
+        n = 0
+
+        def count(frame, event, arg):
+            nonlocal n
+            n += event == "call" and frame.f_code.co_name == "heads"
+        sys.setprofile(count)
+        try:
+            assert lexer._first_chars(rules)["AA"] == {("a", "a")}
+        finally:
+            sys.setprofile(None)
+        return n
+    assert calls(16) <= 2 * calls(8) + 10
