@@ -4,7 +4,8 @@ FIRST(p) is the set of token kinds that can begin a successful match of p,
 plus an epsilon marker when p can succeed consuming nothing.  FOLLOW(A) is
 the set of kinds that can appear immediately after a complete match of a
 syntactic rule A, seeded with EOF for the start rule.  Both are least fixed
-points.  Conventions:
+points; FIRST is a ``model.First`` over the token kinds.  ``TokenSet``
+is re-exported from ``model``.  Conventions:
 
   - FIRST(throw l) is empty: a throw never begins a match.
   - FIRST(!p) = FIRST(&p) = {epsilon}: predicates consume nothing.
@@ -16,15 +17,16 @@ points.  Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     And,
     AnyToken,
     Choice,
     Empty,
+    EMPTY_SET,
     EOF_KIND,
+    EPSILON_ONLY,
     Expr,
+    First,
     Grammar,
     NonTerminal,
     Not,
@@ -34,42 +36,9 @@ from .model import (
     Star,
     Terminal,
     Throw,
+    TokenSet,
     checked,
-    rule_fixpoint,
 )
-
-
-@dataclass(frozen=True)
-class TokenSet:
-    """A set of token kinds plus an epsilon flag."""
-
-    kinds: frozenset[str]
-    has_epsilon: bool = False
-
-    def union(self, other: "TokenSet") -> "TokenSet":
-        return TokenSet(self.kinds | other.kinds, self.has_epsilon or other.has_epsilon)
-
-    def without_epsilon(self) -> "TokenSet":
-        return TokenSet(self.kinds, False)
-
-    def with_epsilon(self) -> "TokenSet":
-        return TokenSet(self.kinds, True)
-
-    def disjoint(self, other: "TokenSet") -> bool:
-        return not (self.kinds & other.kinds)
-
-    def __contains__(self, kind: str) -> bool:
-        return kind in self.kinds
-
-    def __iter__(self):
-        return iter(self.kinds)
-
-    def __bool__(self) -> bool:
-        return bool(self.kinds) or self.has_epsilon
-
-
-EMPTY_SET = TokenSet(frozenset())
-EPSILON_ONLY = TokenSet(frozenset(), True)
 
 
 class Analysis:
@@ -80,13 +49,10 @@ class Analysis:
     anonymous literal kinds; EOF is tracked as the epsilon-like pseudo-kind
     of the Terminal("EOF") expression, not as a member of the alphabet.
 
-    The per-rule FIRST sets are computed when the Analysis is built.  From
-    then on ``first_of`` remembers its result for each expression node it
-    is given, so FOLLOW, the annotator and the matcher's guards compute
-    FIRST of a subtree once.  The memo is keyed by ``id`` and keeps the
-    node alive with its value, so no other node can take over the id while
-    the Analysis lives; it is not keyed by the node itself, whose frozen
-    dataclass hash and equality walk the whole subtree.  The FOLLOW
+    ``first_of`` is a ``model.First`` over the token kinds: the per-rule
+    FIRST sets are computed when the Analysis is built, and from then on
+    it remembers its result for each expression node it is given, so
+    FOLLOW and the annotator compute FIRST of a subtree once.  The FOLLOW
     fixpoint runs on the first ``follow_of`` call, so a user of FIRST sets
     alone never pays for it.
     """
@@ -96,52 +62,23 @@ class Analysis:
         kinds = grammar.token_kinds()
         self.all_kinds = frozenset(kinds)
         self._kind_order = {k: i for i, k in enumerate(kinds)}
-        # id(node) -> (node, FIRST(node)); off while the rule sets still grow
-        self._memo: dict[int, tuple[Expr, TokenSet]] | None = None
-        self._first = rule_fixpoint(grammar.rules, self._first_step, EMPTY_SET)
-        self._memo = {}
+        self._any = TokenSet(self.all_kinds)
+        self.first_of = First(grammar.rules, self._leaf)
         self._follow: dict[str, TokenSet] | None = None
 
     # -- FIRST ---------------------------------------------------------------
 
-    def first_of(self, e: Expr) -> TokenSet:
-        memo = self._memo
-        if memo is not None:
-            hit = memo.get(id(e))
-            if hit is not None:
-                return hit[1]
+    def _leaf(self, e: Expr) -> TokenSet:
         cls = e.__class__
         if cls is Terminal:
-            # EOF matches only at end of input, consuming nothing
-            f = EPSILON_ONLY if e.kind == EOF_KIND else TokenSet(frozenset((e.kind,)))
-        elif cls is NonTerminal:
-            f = self._first[e.name]
-        elif cls is Sequence:
-            f = self.first_of(e.left)
-            if f.has_epsilon:
-                f = f.without_epsilon().union(self.first_of(e.right))
-        elif cls is Choice:
-            f = self.first_of(e.first).union(self.first_of(e.second))
-        elif cls is Star or cls is Optional:
-            f = self.first_of(e.body).with_epsilon()
-        elif cls is Plus:
-            f = self.first_of(e.body)
-        elif cls is Empty or cls is Not or cls is And:
-            f = EPSILON_ONLY
-        elif cls is Throw:
-            f = EMPTY_SET
-        elif cls is AnyToken:
-            f = TokenSet(self.all_kinds)
-        else:
-            raise TypeError(f"no FIRST for {e!r}")
-        if memo is not None:
-            memo[id(e)] = (e, f)
-        return f
-
-    def _first_step(self, body: Expr, table: dict[str, TokenSet]) -> TokenSet:
-        # first_of reads rule sets from self._first: the growing table
-        self._first = table
-        return self.first_of(body)
+            return EPSILON_ONLY if e.kind == EOF_KIND else TokenSet(frozenset((e.kind,)))
+        if cls is Empty or cls is Not or cls is And:
+            return EPSILON_ONLY
+        if cls is Throw:
+            return EMPTY_SET
+        if cls is AnyToken:
+            return self._any
+        raise TypeError(f"no FIRST for {e!r}")
 
     # -- FOLLOW --------------------------------------------------------------
 
@@ -190,7 +127,7 @@ class Analysis:
         return self._follow[rule]
 
     def first_of_rule(self, rule: str) -> TokenSet:
-        return self._first[rule]
+        return self.first_of.rules[rule]
 
     # -- display -------------------------------------------------------------
 

@@ -20,7 +20,7 @@ rule and per recovery expression.  A Grammar must therefore not be mutated
 after its first parse.  ``match_expr`` checks its one expression against
 the grammar and compiles it on the spot.
 
-``parse`` and ``match_expr`` first scan the whole text.  The matcher then
+A ``Session`` scans the whole text when it is built.  The matcher then
 reads the token kinds from a column that ends in ``EOF`` at the token
 count (and up to the start position, for a match past the end), so a
 terminal compares the kind at its position and dispatch reads it, with no
@@ -39,7 +39,10 @@ made by the skip instead.  A choice takes the alternatives to try from a
 per-kind table built at compile time; a star ends its loop, and ``!p``
 succeeds without running p.  Any other expression has no guard and always
 runs.  FIRST sets alone would not do: FIRST(^l) is empty, so ``[X]^l / Y``
-pruned by FIRST(X) would match Y silently where it must throw l.
+pruned by FIRST(X) would match Y silently where it must throw l.  So the
+guards come from a ``model.First`` over the token kinds plus one marker,
+which a throw, a predicate and ``.`` put in their sets: a node whose set
+holds epsilon or the marker gets no guard.
 
 Two fast paths skip work the general case does.  A terminal alternative
 that its guard lets run matches, so no alternative after it runs there
@@ -63,19 +66,21 @@ of their own, so no tree is too deep for them.
 
 from __future__ import annotations
 
+import copy
 import reprlib
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .analysis import Analysis
 from .model import (
     AnyToken,
     Choice,
     Empty,
     EOF_KIND,
+    EPSILON_ONLY,
     Expr,
     FAIL,
+    First,
     Grammar,
     GrammarError,
     NonTerminal,
@@ -84,12 +89,11 @@ from .model import (
     Star,
     Terminal,
     Throw,
+    TokenSet,
     check_expr,
-    children,
     desugar_expr,
     operands,
     program,
-    rule_fixpoint,
 )
 from .lexer import TokenStream
 
@@ -663,13 +667,27 @@ def _throw(label: str):
     return throw
 
 
+# In the FIRST sets of the guards, the mark of a node that can act before
+# it consumes a token: a throw, a predicate or "."
+_ACTS = object()
+_ACTS_SET = TokenSet(frozenset((_ACTS,)))
+
+
+def _guard_leaf(e: Expr) -> TokenSet:
+    """FIRST of a leaf or a predicate of a desugared syntactic rule, as the
+    guards see it (``model.First``)."""
+    cls = e.__class__
+    if cls is Terminal:
+        return EPSILON_ONLY if e.kind == EOF_KIND else TokenSet(frozenset((e.kind,)))
+    return EPSILON_ONLY if cls is Empty else _ACTS_SET
+
+
 class _Matcher:
     """The syntactic rules and recovery expressions of one desugared
     grammar, compiled."""
 
     def __init__(self, g: Grammar):
-        self.analysis = Analysis(g)
-        self.acts = rule_fixpoint(g.rules, self._acts, False)
+        self.first = First(g.rules, _guard_leaf)
         # a rule's id is its index in names (``Tree``)
         self.names = tuple(g.rules)
         self.ids = {name: i for i, name in enumerate(self.names)}
@@ -685,38 +703,19 @@ class _Matcher:
     def guard(self, e: Expr) -> frozenset | None:
         """The token kinds at which e can do anything but fail plainly
         without consuming, or None when e must run at every token: when it
-        is nullable or can act before consuming (``_acts``)."""
-        first = self.analysis.first_of(e)
-        if first.has_epsilon or self._acts(e, self.acts):
+        is nullable or can act before consuming."""
+        first = self.first(e)
+        if first.has_epsilon or _ACTS in first.kinds:
             return None
         return first.kinds
 
-    def _acts(self, e: Expr, table: dict[str, bool]) -> bool:
-        """Whether e can reach a throw, a predicate or ``.`` before it
-        consumes a token; ``table`` says which rules can.  An unknown rule
-        counts as one that can.  A subexpression shared by several parents
-        is asked once."""
-        first_of = self.analysis.first_of
-        memo: dict[int, bool] = {}
-
-        def acts(e: Expr) -> bool:
-            key = id(e)
-            found = memo.get(key)
-            if found is not None:
-                return found
-            cls = e.__class__
-            if cls is Throw or cls is Not or cls is AnyToken:
-                found = True
-            elif cls is NonTerminal:
-                found = table.get(e.name, True)
-            elif cls is Sequence:
-                found = (acts(e.left)
-                         or first_of(e.left).has_epsilon and acts(e.right))
-            else:
-                found = any(map(acts, children(e)))
-            memo[key] = found
-            return found
-        return acts(e)
+    def compile_expr(self, e: Expr):
+        """Closure for desugared e from outside the grammar.  Its FIRST
+        sets go to a memo of their own, so the matcher keeps nothing of
+        it."""
+        view = copy.copy(self)
+        view.first = self.first.scratch()
+        return view.compile(e)
 
     def compile(self, e: Expr, memo: dict | None = None):
         """Closure for desugared e.  A rule reference looks its rule up
@@ -796,11 +795,12 @@ class Session:
                 raise GrammarError("grammar nested too deeply") from None
         self.grammar = prog.grammar
         self._matcher: _Matcher = prog.matcher
-        self.stream = TokenStream(grammar, text)
-        # the columns the matcher reads, set by _scan
-        self._kinds: list[str | None] = []
-        self._spans: list[tuple[int, int]] = []
-        self._count = 0
+        self.stream = stream = TokenStream(grammar, text)
+        # the columns the matcher reads; ``_kinds`` ends in EOF_KIND at the
+        # token count, and up to where a match past the end starts
+        self._count = len(stream.kinds)
+        self._kinds: list[str | None] = stream.kinds + [EOF_KIND]
+        self._spans = stream.spans
         self.max_errors = max_errors
         self.messages = dict(self.grammar.messages)
         if messages:
@@ -854,7 +854,7 @@ class Session:
             return _Fail(label, pos, logged=True)
         expected = self.grammar.label_descriptions.get(label, label)
         if r > pos:
-            # the recovery consumed tokens pos .. r-1, so both are scanned
+            # the recovery consumed tokens pos .. r-1
             span = (self._spans[pos][0], self._spans[r - 1][1])
         else:
             anchor = self.stream.start_offset(pos)
@@ -866,19 +866,6 @@ class Session:
         return r
 
     # -- entry points -----------------------------------------------------------
-
-    def _scan(self, pos: int) -> None:
-        """Scan the whole text and set the columns the matcher reads:
-        ``_kinds`` holds the token kinds followed by ``EOF_KIND`` at the
-        token count and at every position up to pos past it, so the
-        matcher reads the kind at any position it reaches without a bounds
-        check."""
-        stream = self.stream
-        stream.scan()
-        kinds = stream.kinds
-        self._count = count = len(kinds)
-        self._kinds = kinds + [EOF_KIND] * (max(pos, count) - count + 1)
-        self._spans = stream.spans
 
     def _too_deep(self) -> list[ParseError]:
         """The errors of a parse that ran out of stack.  Those recorded so
@@ -895,7 +882,6 @@ class Session:
 
     def parse(self) -> ParseOutcome:
         acc: list[int] = []
-        self._scan(0)
         try:
             r = self._matcher.start(self, 0, acc)
         except RecursionError:
@@ -920,11 +906,11 @@ class Session:
         try:
             expr = desugar_expr(expr)
             check_expr(self.grammar, expr, "matched expression")
-            body = self._matcher.compile(expr)
+            body = self._matcher.compile_expr(expr)
         except RecursionError:
             raise GrammarError("expression nested too deeply") from None
         acc: list[int] = []
-        self._scan(pos)
+        self._kinds += [EOF_KIND] * (pos + 1 - len(self._kinds))
         try:
             r = body(self, pos, acc)
         except RecursionError:

@@ -206,9 +206,7 @@ class Mutant:
 
 def token_spans(grammar: Grammar, text: str) -> list[tuple[int, int]]:
     """The (start, end) offsets of every token of text."""
-    stream = TokenStream(grammar, text)
-    stream.scan()
-    return stream.spans
+    return TokenStream(grammar, text).spans
 
 
 def delete_token(grammar: Grammar, text: str, index: int) -> Mutant:

@@ -1,13 +1,13 @@
 """Tokenizer driven by the grammar's lexical rules.
 
-A ``TokenStream`` scans its whole text in one loop, the first time a token
-is asked for, and keeps the tokens in columns.  The longest match wins,
-with declaration order breaking ties (lexical rules in order, then
-anonymous literals in order of first appearance).  Whitespace and ``//``
-line comments are skipped between tokens.  A character no rule can start
-is emitted as a one-character token with kind None so the parser can
-report it or step over it during recovery; a rule that matches zero
-characters at a position is ignored there.
+A ``TokenStream`` scans its whole text in one loop when it is built, and
+keeps the tokens in columns.  The longest match wins, with declaration
+order breaking ties (lexical rules in order, then anonymous literals in
+order of first appearance).  Whitespace and ``//`` line comments are
+skipped between tokens.  A character no rule can start is emitted as a
+one-character token with kind None so the parser can report it or step
+over it during recovery; a rule that matches zero characters at a
+position is ignored there.
 
 The lexical rules are compiled once per Grammar object, the first time a
 text is lexed with it, and the compiled form is kept for as long as the
@@ -17,8 +17,9 @@ PEG never backtracks into an ordered choice or a repetition, so both become
 atomic groups, spelled ``(?=(?P<aN>...))(?P=aN)`` because ``(?>...)`` needs
 Python 3.11; ``!p`` becomes ``(?!p)`` and a rule reference is inlined,
 which ends because no lexical rule reaches itself (``model.validate``).  A
-table filled lazily per character lists the rules whose FIRST set holds
-that character, so each position tries only those.
+table filled lazily per character lists the rules whose FIRST set
+(``model.First`` over character ranges) holds that character, so each
+position tries only those.
 """
 
 from __future__ import annotations
@@ -32,17 +33,18 @@ from .model import (
     CharClass,
     Choice,
     Empty,
+    EPSILON_ONLY,
     Expr,
+    First,
     Grammar,
     Literal,
     NonTerminal,
     Not,
     Sequence,
     Star,
-    nullable_map,
+    TokenSet,
     operands,
     program,
-    rule_fixpoint,
 )
 
 
@@ -55,8 +57,8 @@ class Token(NamedTuple):
 
 # blanks and // line comments; the grammar text (``dsl``) uses the same
 LAYOUT = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
-# FIRST-set range of AnyToken: every character
-_ANY_CHAR = ("\0", "\U0010ffff")
+# FIRST set of AnyToken: the range of every character
+_ANY_CHAR = TokenSet(frozenset({("\0", "\U0010ffff")}))
 
 
 def read_text(path) -> str:
@@ -126,43 +128,20 @@ class _RegexWriter:
         raise TypeError(f"unexpected node in lexical pattern: {e!r}")
 
 
-def _first_chars(rules: dict[str, Expr]) -> dict[str, frozenset]:
-    """Per rule, the character ranges a non-empty match can start with."""
-    nullable = nullable_map(rules)
-
-    def heads(e: Expr, first: dict[str, frozenset]) -> tuple[frozenset, bool]:
-        """The first-character ranges of e and whether e is nullable: one
-        pass, bottom-up, where asking ``nullable_expr`` at each sequence
-        would walk its left spine again."""
-        if isinstance(e, Literal):
-            text = e.text
-            return (frozenset({(text[0], text[0])}) if text else frozenset()), not text
-        if isinstance(e, CharClass):
-            return frozenset(e.ranges), False
-        if isinstance(e, AnyToken):
-            return frozenset({_ANY_CHAR}), False
-        if isinstance(e, (Empty, Not)):
-            # !p consumes nothing: what follows it supplies the first char
-            return frozenset(), True
-        if isinstance(e, Sequence):
-            left, left_nullable = heads(e.left, first)
-            if not left_nullable or (e.right.__class__ is Star
-                                     and e.right.body is e.left):
-                # p p*, a desugared p+, starts and is nullable as p is
-                return left, left_nullable
-            right, right_nullable = heads(e.right, first)
-            return left | right, right_nullable
-        if isinstance(e, Choice):
-            a, a_nullable = heads(e.first, first)
-            b, b_nullable = heads(e.second, first)
-            return a | b, a_nullable or b_nullable
-        if isinstance(e, Star):
-            return heads(e.body, first)[0], True
-        if isinstance(e, NonTerminal):
-            return first[e.name], nullable.get(e.name, False)
-        raise TypeError(f"unexpected node in lexical pattern: {e!r}")
-
-    return rule_fixpoint(rules, lambda body, first: heads(body, first)[0], frozenset())
+def _first_chars(e: Expr) -> TokenSet:
+    """FIRST of a leaf or a predicate of a lexical rule (``model.First``),
+    over the character ranges a match can begin with."""
+    if isinstance(e, Literal):
+        text = e.text
+        return TokenSet(frozenset({(text[0], text[0])})) if text else EPSILON_ONLY
+    if isinstance(e, CharClass):
+        return TokenSet(frozenset(e.ranges))
+    if isinstance(e, AnyToken):
+        return _ANY_CHAR
+    if isinstance(e, (Empty, Not)):
+        # !p consumes nothing: what follows it supplies the first char
+        return EPSILON_ONLY
+    raise TypeError(f"unexpected node in lexical pattern: {e!r}")
 
 
 class _Lexer:
@@ -173,10 +152,10 @@ class _Lexer:
         # desugared), then literal kinds, which no rule can refer to
         rules = dict(g.lexical)
         rules.update((kind, Literal(kind[1:-1])) for kind in g.literal_kinds)
-        first = _first_chars(rules)
+        first = First(rules, _first_chars).rules
         self.sources: dict[str, str] = {
             kind: _RegexWriter(rules).write(NonTerminal(kind)) for kind in rules}
-        self._rules = [(kind, re.compile(source).match, first[kind])
+        self._rules = [(kind, re.compile(source).match, first[kind].kinds)
                        for kind, source in self.sources.items()]
         self.by_char: dict[str, tuple] = {}
 
@@ -202,30 +181,22 @@ class TokenStream:
     """The tokens of one source text, kept in two columns: ``kinds`` holds
     the kind of each token (None for a stray character) and ``spans`` its
     ``(start, end)`` offsets, as exact tuples.  The whole text is scanned
-    in one loop the first time a token is asked for (``scan``); nothing is
-    scanned before.  A ``Token`` is built only when ``token(i)`` asks for
-    one, so scanning leaves no object behind that the cyclic collector has
-    to track."""
+    in one loop when the stream is built.  A ``Token`` is built only when
+    ``token(i)`` asks for one, so scanning leaves no object behind that
+    the cyclic collector has to track."""
 
     def __init__(self, grammar: Grammar, text: str):
         self.text = text
-        self._lexer = _lexer(grammar)
         self.kinds: list[str | None] = []
         self.spans: list[tuple[int, int]] = []
-        self._scanned = False
-        self._line_starts = line_starts(text)
-
-    def scan(self) -> None:
-        """Scan the whole text into the columns, unless it is scanned
-        already."""
-        if self._scanned:
-            return
+        # built by the first pos_info
+        self._line_starts: list[int] | None = None
         kinds, spans = self.kinds, self.spans
-        text = self.text
-        n = len(text)
-        by_char = self._lexer.by_char
-        candidates = self._lexer.candidates
+        lexer = _lexer(grammar)
+        by_char = lexer.by_char
+        candidates = lexer.candidates
         skip = LAYOUT.match
+        n = len(text)
         pos = skip(text, 0).end()
         while pos < n:
             ch = text[pos]
@@ -246,11 +217,9 @@ class TokenStream:
             kinds.append(kind)
             spans.append((pos, end))
             pos = skip(text, end).end()
-        self._scanned = True
 
     def token(self, i: int) -> Token | None:
         """i-th token, or None at/after end of input."""
-        self.scan()
         if i < len(self.kinds):
             start, end = self.spans[i]
             return Token(self.kinds[i], self.text[start:end], start, end)
@@ -262,14 +231,12 @@ class TokenStream:
         or end of input (after trailing layout) when i is past the last."""
         if i == 0:
             return self.start_offset(0)
-        self.scan()
         if i - 1 < len(self.spans):
             return self.spans[i - 1][1]
         return self.eof_offset()
 
     def start_offset(self, i: int) -> int:
         """Character offset where token i starts (end of input when past)."""
-        self.scan()
         if i < len(self.spans):
             return self.spans[i][0]
         return self.eof_offset()
@@ -280,4 +247,6 @@ class TokenStream:
 
     def pos_info(self, offset: int) -> tuple[int, int]:
         """1-based (line, column) of a character offset."""
+        if self._line_starts is None:
+            self._line_starts = line_starts(self.text)
         return line_col(self._line_starts, offset)

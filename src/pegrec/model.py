@@ -19,11 +19,14 @@ run on an explicit stack and dispatch on the exact class of a node
 none is subclassed.  Desugaring ``p+`` to ``p p*`` shares p between two
 parents, so a desugared expression is a DAG; a walk visits a shared node
 once, which keeps it linear in the size of the DAG, not of the tree it
-unfolds to.
+unfolds to.  ``First`` is the one FIRST-set and nullability computation:
+``analysis``, the lexer, the matcher's guards and the left-recursion check
+each run it with a ``leaf`` function of their own.
 """
 
 from __future__ import annotations
 
+import copy
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -196,8 +199,6 @@ class Grammar:
 
 # the classes whose one subexpression is ``body``
 _UNARY = frozenset((Star, Not, Optional, Plus, And))
-# the classes that succeed without consuming, whatever their body
-_ALWAYS_NULLABLE = frozenset((Empty, Star, Not, And, Optional))
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
@@ -428,72 +429,146 @@ def valid_by_construction(g: Grammar) -> Grammar:
     return g
 
 
-def nullable_expr(e: Expr, table: dict[str, bool]) -> bool:
-    """Whether e can succeed without consuming input; ``table`` says which
-    rules can."""
-    cls = e.__class__
-    if cls is Sequence:
-        return nullable_expr(e.left, table) and nullable_expr(e.right, table)
-    if cls is Choice:
-        return nullable_expr(e.first, table) or nullable_expr(e.second, table)
-    if cls is NonTerminal:
-        return table.get(e.name, False)
-    if cls is Terminal:
-        return e.kind == EOF_KIND
-    if cls in _ALWAYS_NULLABLE:
-        return True
-    if cls is AnyToken or cls is Throw or cls is CharClass:
-        return False
-    if cls is Literal:
-        return e.text == ""
-    if cls is Plus:
-        return nullable_expr(e.body, table)
-    raise TypeError(f"unknown expression {e!r}")
-
-
-def nullable_map(rules: dict[str, Expr]) -> dict[str, bool]:
-    """Per rule, whether it can succeed without consuming input."""
-    return rule_fixpoint(rules, nullable_expr, False)
-
-
 def rule_fixpoint(rules: dict, value, bottom) -> dict:
     """Per rule, the least fixed point of a monotone ``value(rules[name],
-    table)``, where ``table`` is the result itself, from ``bottom``."""
+    table)``, where ``table`` is the result itself, from ``bottom``.  The
+    rounds run through the rules forwards and backwards in turn, so that
+    a value flows from rule to rule in one round whether the grammar is
+    written top down or bottom up."""
     table = {name: bottom for name in rules}
+    order = list(rules.items())
     changed = True
     while changed:
         changed = False
-        for name, body in rules.items():
+        for name, body in order:
             new = value(body, table)
             if new != table[name]:
                 table[name] = new
                 changed = True
+        order.reverse()
     return table
+
+
+# --- FIRST sets -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TokenSet:
+    """A set of symbols plus an epsilon flag.  The symbols are token kinds
+    at the syntactic level and character ranges at the lexical level."""
+
+    kinds: frozenset
+    has_epsilon: bool = False
+
+    def union(self, other: "TokenSet") -> "TokenSet":
+        return TokenSet(self.kinds | other.kinds, self.has_epsilon or other.has_epsilon)
+
+    def without_epsilon(self) -> "TokenSet":
+        return TokenSet(self.kinds, False)
+
+    def with_epsilon(self) -> "TokenSet":
+        return TokenSet(self.kinds, True)
+
+    def disjoint(self, other: "TokenSet") -> bool:
+        return not (self.kinds & other.kinds)
+
+    def __contains__(self, kind) -> bool:
+        return kind in self.kinds
+
+
+EMPTY_SET = TokenSet(frozenset())
+EPSILON_ONLY = TokenSet(frozenset(), True)
+
+
+class First:
+    """FIRST sets over one set of rules: the symbols a match of an
+    expression can begin with, and epsilon when it can match empty.
+
+    The walk knows sequence, choice, ``*``, ``?``, ``+`` and rule
+    references; ``leaf(node)`` gives the set of any other node, and so the
+    alphabet: token kinds for ``analysis``, character ranges for the lexer.
+    ``rules`` holds each rule's set, a least fixed point computed when the
+    First is built.  From then on a call remembers its result by the
+    node's ``id`` and keeps the node alive, so no other node can take over
+    the id (hashing a frozen node would walk its subtree).  The p of a
+    desugared ``p p*`` is read once, so the walk stays linear on the DAG
+    that desugaring makes, even with the memo off while the rules grow."""
+
+    def __init__(self, rules: dict[str, Expr], leaf):
+        self.leaf = leaf
+        self.rules: dict[str, TokenSet] = rule_fixpoint(rules, self._of, EMPTY_SET)
+        # id(node) -> (node, FIRST(node))
+        self._memo: dict[int, tuple[Expr, TokenSet]] = {}
+
+    def __call__(self, e: Expr) -> TokenSet:
+        return self._of(e, self.rules, self._memo)
+
+    def scratch(self) -> "First":
+        """These FIRST sets with a memo of their own, for nodes that should
+        be remembered only as long as the copy is."""
+        other = copy.copy(self)
+        other._memo = {}
+        return other
+
+    def _of(self, e: Expr, rules: dict[str, TokenSet], memo=None) -> TokenSet:
+        """FIRST of e, given the rule sets; no memo while they grow."""
+        if memo is not None:
+            hit = memo.get(id(e))
+            if hit is not None:
+                return hit[1]
+        cls = e.__class__
+        if cls is NonTerminal:
+            f = rules[e.name]
+        elif cls is Sequence:
+            f = self._of(e.left, rules, memo)
+            right = e.right
+            # p p* begins as p does, and is nullable when p is
+            if f.has_epsilon and (right.__class__ is not Star or right.body is not e.left):
+                f = f.without_epsilon().union(self._of(right, rules, memo))
+        elif cls is Choice:
+            f = self._of(e.first, rules, memo).union(self._of(e.second, rules, memo))
+        elif cls is Star or cls is Optional:
+            f = self._of(e.body, rules, memo).with_epsilon()
+        elif cls is Plus:
+            f = self._of(e.body, rules, memo)
+        else:
+            f = self.leaf(e)
+        if memo is not None:
+            memo[id(e)] = (e, f)
+        return f
+
+
+def _nullable_leaf(e: Expr) -> TokenSet:
+    """FIRST of a leaf or a predicate, reduced to what the left-recursion
+    check asks: whether it matches empty."""
+    cls = e.__class__
+    if (cls is Empty or cls is Not or cls is And or (cls is Literal and not e.text)
+            or cls is Terminal and e.kind == EOF_KIND):
+        return EPSILON_ONLY
+    return EMPTY_SET
 
 
 def _check_left_recursion(rules: dict[str, Expr], what: str) -> None:
     """Conservative reachability check: a rule must not be able to reinvoke
     itself before any input has necessarily been consumed."""
-    nullable = nullable_map(rules)
+    first = First(rules, _nullable_leaf)
 
     def heads(e: Expr, out: set[str]) -> bool:
         """Add to out the rules e can call before it consumes input, and
-        return whether e is nullable: one pass, bottom-up, where asking
-        ``nullable_expr`` at each sequence would walk its left spine again."""
+        return whether e is nullable: one pass, bottom-up, that looks
+        inside predicates too."""
         cls = e.__class__
         if cls is Sequence:
             return heads(e.left, out) and heads(e.right, out)
         if cls is Choice:
-            first = heads(e.first, out)
-            return heads(e.second, out) or first
-        if cls is Plus:
-            return heads(e.body, out)
+            nullable = heads(e.first, out)
+            return heads(e.second, out) or nullable
         if cls is NonTerminal:
             out.add(e.name)
-        elif cls in _UNARY:
+            return first.rules[e.name].has_epsilon
+        if cls in _UNARY:
             heads(e.body, out)
-        # a leaf, or a node nullable whatever its body: no walk below e
-        return nullable_expr(e, nullable)
+            return first(e).has_epsilon
+        return _nullable_leaf(e).has_epsilon
 
     head_map: dict[str, set[str]] = {name: set() for name in rules}
     for name, body in rules.items():

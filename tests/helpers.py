@@ -4,8 +4,9 @@ naive_match is an independent reference implementation of the matching
 semantics over a plain kind sequence, written directly from the defining
 equations with no sharing of engine code, so differential tests mean
 something; naive_tokenize does the same for the lexer, CharLoopScanner
-for the scanner of grammar text, check_left_recursion for the
-left-recursion check of ``validate``, and tuple_structural_eq for
+for the scanner of grammar text, nullable for the epsilon flag of FIRST
+sets, check_left_recursion for the left-recursion check of ``validate``,
+reference_guard for the matcher's guards, and tuple_structural_eq for
 ``ast_structural_eq`` on the tuple nodes of ``Tree.root``.  The generators produce random
 grammars (acyclic by construction: each rule only references later ones)
 and random valid programs for the miniature Java grammar.
@@ -17,23 +18,26 @@ import random
 
 from pegrec.engine import ErrorNode
 from pegrec.model import (
+    And,
     AnyToken,
     CharClass,
     Choice,
     Empty,
     Expr,
+    First,
     Grammar,
     GrammarError,
     Literal,
     NonTerminal,
     Not,
+    Optional,
+    Plus,
     Sequence,
     Star,
     Terminal,
+    Throw,
     children,
     desugar_expr,
-    nullable_expr,
-    nullable_map,
     validate,
 )
 
@@ -263,21 +267,55 @@ class CharLoopScanner:
                 ranges.append((lo, lo))
 
 
-# --- reference left-recursion check ------------------------------------------
+# --- reference nullability and left-recursion check ---------------------------
+
+def _least_fixpoint(rules: dict[str, Expr], value) -> dict[str, bool]:
+    """Per rule, the least fixed point of a monotone ``value(body, table)``
+    from False."""
+    table = {name: False for name in rules}
+    while True:
+        new = {name: value(body, table) for name, body in rules.items()}
+        if new == table:
+            return table
+        table = new
+
+
+def nullable(e: Expr, table: dict[str, bool]) -> bool:
+    """Whether e can succeed without consuming input; ``table`` says which
+    rules can."""
+    if isinstance(e, Sequence):
+        return nullable(e.left, table) and nullable(e.right, table)
+    if isinstance(e, Choice):
+        return nullable(e.first, table) or nullable(e.second, table)
+    if isinstance(e, NonTerminal):
+        return table[e.name]
+    if isinstance(e, Terminal):
+        return e.kind == EOF
+    if isinstance(e, Literal):
+        return e.text == ""
+    if isinstance(e, Plus):
+        return nullable(e.body, table)
+    return isinstance(e, (Empty, Star, Not, Optional, And))
+
+
+def nullable_rules(rules: dict[str, Expr]) -> dict[str, bool]:
+    """Per rule, whether it can succeed without consuming input."""
+    return _least_fixpoint(rules, nullable)
+
 
 def check_left_recursion(rules: dict[str, Expr], what: str) -> None:
     """Reference for ``model._check_left_recursion``: from every rule, in
     declaration order, a search of the rules it can invoke before any input
     has necessarily been consumed, raising on the first rule that reaches
     itself."""
-    nullable = nullable_map(rules)
+    table = nullable_rules(rules)
 
     def heads(e: Expr, out: set[str]) -> None:
         if isinstance(e, NonTerminal):
             out.add(e.name)
         elif isinstance(e, Sequence):
             heads(e.left, out)
-            if nullable_expr(e.left, nullable):
+            if nullable(e.left, table):
                 heads(e.right, out)
         else:
             for child in children(e):
@@ -300,6 +338,48 @@ def check_left_recursion(rules: dict[str, Expr], what: str) -> None:
                 continue
             seen.add(n)
             frontier |= head_map[n]
+
+
+def count_first_calls(monkeypatch) -> list[Expr]:
+    """A list to which every call into the FIRST walk of ``model.First``
+    appends its node, for as long as monkeypatch lasts."""
+    calls: list[Expr] = []
+    real = First._of
+
+    def counted(self, e, rules, memo=None):
+        calls.append(e)
+        return real(self, e, rules, memo)
+    monkeypatch.setattr(First, "_of", counted)
+    return calls
+
+
+# --- reference guards ---------------------------------------------------------
+
+def _acts(e: Expr, table: dict[str, bool], null: dict[str, bool]) -> bool:
+    """Whether e can reach a throw, a predicate or ``.`` before it consumes
+    a token; ``table`` says which rules can, ``null`` which are nullable."""
+    if isinstance(e, (Throw, Not, And, AnyToken)):
+        return True
+    if isinstance(e, NonTerminal):
+        return table[e.name]
+    if isinstance(e, Sequence):
+        return (_acts(e.left, table, null)
+                or nullable(e.left, null) and _acts(e.right, table, null))
+    return any(_acts(child, table, null) for child in children(e))
+
+
+def reference_guard(rules: dict[str, Expr], first_kinds):
+    """Reference for ``engine._Matcher.guard`` over rules: a function of
+    a node that gives ``first_kinds(node)``, or None when the node is
+    nullable or can act before it consumes a token."""
+    null = nullable_rules(rules)
+    acts = _least_fixpoint(rules, lambda body, table: _acts(body, table, null))
+
+    def guard(e: Expr):
+        if nullable(e, null) or _acts(e, acts, null):
+            return None
+        return first_kinds(e)
+    return guard
 
 
 # --- reference structural equality -------------------------------------------

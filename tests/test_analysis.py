@@ -1,5 +1,6 @@
 import copy
 import random
+import sys
 
 from pegrec.analysis import Analysis, TokenSet
 from pegrec.annotate import annotate
@@ -12,11 +13,18 @@ from pegrec.model import (
     Terminal,
     _walk,
     desugar,
-    nullable_map,
     program,
 )
 
-from helpers import ALPHABET, all_inputs, naive_match, random_grammar, render_input
+from helpers import (
+    ALPHABET,
+    all_inputs,
+    naive_match,
+    nullable_rules,
+    random_grammar,
+    reference_guard,
+    render_input,
+)
 
 
 def kinds(ts: TokenSet) -> set[str]:
@@ -135,7 +143,7 @@ def test_first_epsilon_agrees_with_nullable_map(tiny_java, tiny_java_labeled,
     for g in grammars:
         for form in (g, desugar(g)):
             a = Analysis(form)
-            nullable = nullable_map(form.rules)
+            nullable = nullable_rules(form.rules)
             for rule in form.rules:
                 assert a.first_of_rule(rule).has_epsilon == nullable[rule], rule
 
@@ -144,9 +152,11 @@ def test_first_epsilon_agrees_with_nullable_map(tiny_java, tiny_java_labeled,
 
 def unmemoized(a: Analysis) -> Analysis:
     """A copy of a that computes every FIRST set from scratch and FOLLOW
-    at once, as an Analysis without the memo did."""
+    at once, as an Analysis without the memo did: its FIRST walk runs with
+    the memo off, as it does while the rule sets grow."""
     fresh = copy.copy(a)
-    fresh._memo = None
+    fresh.first_of = copy.copy(a.first_of)
+    fresh.first_of._memo = None
     fresh._compute_follow()
     return fresh
 
@@ -218,3 +228,57 @@ def test_compiling_a_matcher_runs_no_follow_fixpoint(monkeypatch, grammar_dir):
     assert outcome.status == "matched" and not outcome.errors
     for g in annotated:
         _Matcher(program(g).grammar)
+
+
+# --- the guards' FIRST sets ----------------------------------------------------
+
+def test_matching_an_expression_adds_nothing_to_the_first_memo():
+    # the FIRST memo once kept every node of every expression matched
+    g = random_grammar(3)
+    k = g.token_kinds()[0]
+
+    def memo_size(calls: int) -> int:
+        for _ in range(calls):
+            match(g, Choice(Star(Terminal(k)), Terminal(k)), "")
+        return len(program(g).matcher.first._memo)
+    assert memo_size(1) == memo_size(2000)
+
+
+def test_guards_agree_with_the_reference(tiny_java, tiny_java_labeled,
+                                         tiny_java_annotated_file):
+    grammars = [tiny_java, tiny_java_labeled, tiny_java_annotated_file]
+    for seed in range(200):
+        grammars += [random_grammar(seed), annotate(random_grammar(seed))[0]]
+    guarded = 0
+    for g in grammars:
+        d = program(g).grammar
+        matcher = _Matcher(d)
+        first = Analysis(d).first_of
+        want = reference_guard(d.rules, lambda e: first(e).kinds)
+        for body in [*d.rules.values(), *d.recovery.values()]:
+            for e in _walk(body):
+                got = matcher.guard(e)
+                assert got == want(e), e
+                guarded += got is not None
+    assert guarded > 1000
+
+
+def test_first_sets_are_linear_in_nested_nullable_plus_depth():
+    # p+ desugars to p p*, which share p; with a nullable p, the rule sets
+    # once walked p twice per level while they grew
+    def calls(build, depth: int) -> int:
+        g = program(parse_grammar("start <- " + "(" * depth + "AA?" + ")+" * depth
+                                  + " ;\nAA <- 'a' ;")).grammar
+        n = 0
+
+        def count(frame, event, arg):
+            nonlocal n
+            n += event == "call"
+        sys.setprofile(count)
+        try:
+            build(g)
+        finally:
+            sys.setprofile(None)
+        return n
+    for build in (Analysis, _Matcher):
+        assert calls(build, 16) <= 2 * calls(build, 8) + 50, build

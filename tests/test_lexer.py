@@ -1,5 +1,4 @@
 import re
-import sys
 from pathlib import Path
 
 import pytest
@@ -32,7 +31,7 @@ from pegrec.model import (
     validate,
 )
 
-from helpers import naive_tokenize, random_program
+from helpers import count_first_calls, naive_tokenize, random_program
 
 
 def toks(grammar, text):
@@ -184,11 +183,13 @@ def test_line_starts_match_a_character_scan():
     for text in ("", "\n", "a\nb", "a\r\nb\n\n", "x\n" * 5 + "y"):
         stream = TokenStream(parse_grammar("start <- . ;"), text)
         want = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
-        assert stream._line_starts == want
+        # built by the first pos_info
+        assert stream._line_starts is None
         for offset in range(len(text) + 1):
             line = text.count("\n", 0, offset) + 1
             col = offset - (text.rfind("\n", 0, offset) + 1) + 1
             assert stream.pos_info(offset) == (line, col)
+        assert stream._line_starts == want
 
 
 # --- differential check against the naive reference lexer ------------------------
@@ -298,44 +299,39 @@ def _module_patterns(module) -> list[re.Pattern]:
     return out
 
 
+def first_chars(rules: dict) -> dict:
+    """The first-character ranges of each lexical rule, as the lexer
+    computes them."""
+    first = model.First(rules, lexer._first_chars)
+    return {name: f.kinds for name, f in first.rules.items()}
+
+
 def test_first_chars_are_linear_in_sequence_depth(monkeypatch):
     # at every level of a left-nested sequence, the first-character sets
     # once asked whether the left operand is nullable, walking its whole
     # spine again
-    calls = []
-    real = model.nullable_expr
-
-    def counted(e, table):
-        calls.append(e)
-        return real(e, table)
-    monkeypatch.setattr(model, "nullable_expr", counted)
+    calls = count_first_calls(monkeypatch)
 
     def count(depth: int) -> int:
         body = Literal("")
         for _ in range(depth):
             body = Sequence(body, Literal("a"))
         calls.clear()
-        assert lexer._first_chars({"AA": body})["AA"] == {("a", "a")}
+        assert first_chars({"AA": body})["AA"] == {("a", "a")}
         return len(calls)
     assert count(400) <= 2 * count(200) + 10
 
 
-def test_first_chars_are_linear_in_nested_plus_depth():
+def test_first_chars_are_linear_in_nested_plus_depth(monkeypatch):
     # p+ desugars to p p*, which share p; with a nullable p, the
     # first-character sets once walked p twice per level
-    def calls(depth: int) -> int:
+    calls = count_first_calls(monkeypatch)
+
+    def count(depth: int) -> int:
         rules = model.desugar(parse_grammar(
             "start <- AA ;\nAA <- " + "(" * depth + "'a'?" + ")+" * depth
             + " ;")).lexical
-        n = 0
-
-        def count(frame, event, arg):
-            nonlocal n
-            n += event == "call" and frame.f_code.co_name == "heads"
-        sys.setprofile(count)
-        try:
-            assert lexer._first_chars(rules)["AA"] == {("a", "a")}
-        finally:
-            sys.setprofile(None)
-        return n
-    assert calls(16) <= 2 * calls(8) + 10
+        calls.clear()
+        assert first_chars(rules)["AA"] == {("a", "a")}
+        return len(calls)
+    assert count(16) <= 2 * count(8) + 10

@@ -38,7 +38,7 @@ from pegrec.model import (
     validate,
 )
 
-from helpers import check_left_recursion, random_grammar
+from helpers import check_left_recursion, count_first_calls, random_grammar
 
 
 def test_lexical_name_convention():
@@ -394,13 +394,7 @@ def test_left_recursion_check_agrees_with_reference():
 def test_left_recursion_check_is_linear_in_sequence_depth(monkeypatch):
     # at every level of a left-nested sequence, the check once asked
     # whether the left operand is nullable, walking its whole spine again
-    calls = []
-    real = model.nullable_expr
-
-    def counted(e, table):
-        calls.append(e)
-        return real(e, table)
-    monkeypatch.setattr(model, "nullable_expr", counted)
+    calls = count_first_calls(monkeypatch)
 
     def count(depth: int) -> int:
         body = Terminal("EOF")
