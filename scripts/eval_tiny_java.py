@@ -19,16 +19,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+# make_mutants sits next to this script, on sys.path as its directory
+from make_mutants import mutants_for
 from pegrec.annotate import annotate
 from pegrec.dsl import load_grammar
-from pegrec.engine import Session
-from pegrec.evaluate import (
-    delete_token,
-    duplicate_token,
-    load_corpus,
-    run_corpus,
-    token_spans,
-)
+from pegrec.evaluate import load_corpus, run_corpus
 
 GRAMMAR = Path(__file__).resolve().parent.parent / "grammars" / "tiny_java.peg"
 
@@ -56,20 +51,9 @@ SAMPLES = {
 def build_corpus(grammar, outdir: Path, count: int, seed: int) -> None:
     rng = random.Random(seed)
     for name, text in SAMPLES.items():
-        spans = token_spans(grammar, text)
-        written = 0
-        attempts = 0
-        while written < count and attempts < count * 20:
-            attempts += 1
-            index = rng.randrange(len(spans))
-            op = rng.choice((delete_token, duplicate_token))
-            mutant = op(grammar, text, index)
-            outcome = Session(grammar, mutant.text).parse()
-            if outcome.ok and not outcome.errors:
-                continue
-            (outdir / f"{name}_{written:03}.bad").write_text(mutant.text)
-            (outdir / f"{name}_{written:03}.ok").write_text(text)
-            written += 1
+        for i, mutant in enumerate(mutants_for(grammar, text, count, rng)):
+            (outdir / f"{name}_{i:03}.bad").write_text(mutant.text)
+            (outdir / f"{name}_{i:03}.ok").write_text(text)
 
 
 def main() -> int:

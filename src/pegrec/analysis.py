@@ -4,8 +4,10 @@ FIRST(p) is the set of token kinds that can begin a successful match of p,
 plus an epsilon marker when p can succeed consuming nothing.  FOLLOW(A) is
 the set of kinds that can appear immediately after a complete match of a
 syntactic rule A, seeded with EOF for the start rule.  Both are least fixed
-points; FIRST is a ``model.First`` over the token kinds.  ``TokenSet``
-is re-exported from ``model``.  Conventions:
+points.  FIRST is a ``model.First`` over the token kinds.  FOLLOW is a
+``model.rule_fixpoint`` over call sites: one walk of each rule body lists
+every rule it calls with the kinds that can come after the call.
+``TokenSet`` is re-exported from ``model``.  Conventions:
 
   - FIRST(throw l) is empty: a throw never begins a match.
   - FIRST(!p) = FIRST(&p) = {epsilon}: predicates consume nothing.
@@ -38,6 +40,7 @@ from .model import (
     Throw,
     TokenSet,
     checked,
+    rule_fixpoint,
 )
 
 
@@ -84,42 +87,51 @@ class Analysis:
 
     def calck(self, e: Expr, flw: TokenSet) -> TokenSet:
         """Kinds that can follow the current point when e then flw remain:
-        FIRST(e) if e is not nullable, else (FIRST(e) minus epsilon) with flw."""
+        FIRST(e) if e is not nullable, else (FIRST(e) minus epsilon) with
+        flw, epsilon included."""
         f = self.first_of(e)
         if not f.has_epsilon:
             return f
-        return f.without_epsilon().union(flw.without_epsilon())
+        return f.without_epsilon().union(flw)
 
     def _compute_follow(self) -> None:
+        """One walk per rule body lists each rule's call sites as (caller,
+        kinds after the call), epsilon meaning that the caller's own FOLLOW
+        comes after it too; ``rule_fixpoint`` then solves the lists."""
         g = self.grammar
-        self._follow = {n: EMPTY_SET for n in g.rules}
-        self._follow[g.start] = TokenSet(frozenset((EOF_KIND,)))
+        calck, first = self.calck, self.first_of
+        sites: dict[str, list] = {name: [] for name in g.rules}
+        sites[g.start].append((None, TokenSet(frozenset((EOF_KIND,)))))
+        for caller, body in g.rules.items():
+            stack = [(body, EPSILON_ONLY)]
+            while stack:
+                e, flw = stack.pop()
+                cls = e.__class__
+                if cls is NonTerminal:
+                    sites[e.name].append((caller, flw))
+                elif cls is Sequence:
+                    right = e.right
+                    # the p of p p* is followed by what its star body is
+                    if right.__class__ is not Star or right.body is not e.left:
+                        stack.append((e.left, calck(right, flw)))
+                    stack.append((right, flw))
+                elif cls is Choice:
+                    stack.append((e.first, flw))
+                    stack.append((e.second, flw))
+                elif cls is Star or cls is Plus:
+                    stack.append((e.body, first(e.body).without_epsilon().union(flw)))
+                elif cls is Optional:
+                    stack.append((e.body, flw))
+                # Not, And: predicates consume nothing; their bodies follow nothing
 
-        def visit(e: Expr, flw: TokenSet) -> None:
-            cls = e.__class__
-            if cls is NonTerminal:
-                merged = self._follow[e.name].union(flw.without_epsilon())
-                if merged != self._follow[e.name]:
-                    self._follow[e.name] = merged
-                    self._dirty = True
-            elif cls is Sequence:
-                visit(e.left, self.calck(e.right, flw))
-                visit(e.right, flw)
-            elif cls is Choice:
-                visit(e.first, flw)
-                visit(e.second, flw)
-            elif cls is Star or cls is Plus:
-                inner = self.first_of(e.body).without_epsilon().union(flw.without_epsilon())
-                visit(e.body, inner)
-            elif cls is Optional:
-                visit(e.body, flw)
-            # Not, And: predicates consume nothing; their bodies follow nothing
-
-        self._dirty = True
-        while self._dirty:
-            self._dirty = False
-            for name, body in g.rules.items():
-                visit(body, self._follow[name])
+        def follow(calls: list, table: dict[str, TokenSet]) -> TokenSet:
+            kinds = set()
+            for caller, flw in calls:
+                kinds |= flw.kinds
+                if flw.has_epsilon:
+                    kinds |= table[caller].kinds
+            return TokenSet(frozenset(kinds))
+        self._follow = rule_fixpoint(sites, follow, EMPTY_SET)
 
     def follow_of(self, rule: str) -> TokenSet:
         if self._follow is None:

@@ -153,9 +153,8 @@ class _Annotator:
     def _follow_kinds(self, flw: TokenSet) -> tuple[str, ...]:
         return tuple(self.analysis.ordered_kinds(flw))
 
-    def _sync_expr(self, flw: TokenSet) -> Expr:
+    def _sync_expr(self, kinds: tuple[str, ...]) -> Expr:
         """(!(f1 / ... / fk) .)* -- skip tokens until a follow kind."""
-        kinds = self._follow_kinds(flw)
         if not kinds:
             return Empty()
         stop = _build_choice([Terminal(k) for k in kinds])
@@ -165,10 +164,11 @@ class _Annotator:
         if not self.insert_enabled:
             return e
         label = self._fresh_label()
-        self.recovery[label] = self._sync_expr(flw)
+        kinds = self._follow_kinds(flw)
+        self.recovery[label] = self._sync_expr(kinds)
         self.report.inserted.append(InsertedSite(
             rule=self.rule, path=_fmt_path(path), label=label,
-            expected=describe(e), followed_by=self._follow_kinds(flw),
+            expected=describe(e), followed_by=kinds,
         ))
         return Choice(e, Throw(label))
 
@@ -183,10 +183,10 @@ class _Annotator:
     def _register_existing(self, label: str, flw: TokenSet, path: list[str]) -> None:
         if label in self.recovery:
             return
-        self.recovery[label] = self._sync_expr(flw)
+        kinds = self._follow_kinds(flw)
+        self.recovery[label] = self._sync_expr(kinds)
         self.report.recovered.append(RecoveredLabel(
-            rule=self.rule, path=_fmt_path(path), label=label,
-            followed_by=self._follow_kinds(flw),
+            rule=self.rule, path=_fmt_path(path), label=label, followed_by=kinds,
         ))
 
     def _register_descend(self, e: Expr, flw: TokenSet, path: list[str]) -> None:
@@ -218,13 +218,14 @@ class _Annotator:
             self._register_descend(parts[0], flw, path)
             return e
 
-        if isinstance(e, Terminal):
+        cls = e.__class__
+        if cls is Terminal:
             if seq:
                 return self._addlab(e, flw, path)
             self._skip(e, "first-position", path)
             return e
 
-        if isinstance(e, NonTerminal):
+        if cls is NonTerminal:
             if not seq:
                 self._skip(e, "first-position", path)
                 return e
@@ -233,13 +234,13 @@ class _Annotator:
                 return e
             return self._addlab(e, flw, path)
 
-        if isinstance(e, Sequence):
+        if cls is Sequence:
             left = self._labexp(e.left, seq, an.calck(e.right, flw), path + ["0"])
             right_seq = seq or not an.first_of(e.left).has_epsilon
             right = self._labexp(e.right, right_seq, flw, path + ["1"])
             return Sequence(left, right)
 
-        if isinstance(e, Choice):
+        if cls is Choice:
             if an.first_of(e.first).disjoint(an.calck(e.second, flw)):
                 first = self._labexp(e.first, False, flw, path + ["0"])
             else:
@@ -254,7 +255,7 @@ class _Annotator:
                 return self._addlab(out, flw, path)
             return out
 
-        if isinstance(e, Star):
+        if cls is Star:
             if not an.first_of(e.body).disjoint(flw):
                 self._skip(e.body, "repetition-overlap", path + ["*"])
                 self._register_descend(e.body, flw, path + ["*"])
@@ -263,8 +264,9 @@ class _Annotator:
                 # report-and-skip inside the loop: a broken element throws,
                 # recovery resynchronizes at the next element start (or a
                 # follow token), and the guard stops the loop cleanly once
-                # a follow token is next
-                self.star_found = True
+                # a follow token is next; a region walked only for its
+                # existing labels gets no star-mode label
+                self.star_found |= self.insert_enabled
                 wide = an.first_of(e.body).without_epsilon().union(
                     flw.without_epsilon())
                 inner = self._labexp(e.body, False, wide, path + ["*"])
@@ -273,7 +275,7 @@ class _Annotator:
                 return Star(Sequence(guard, self._addlab(inner, wide, path + ["*"])))
             return Star(self._labexp(e.body, False, flw, path + ["*"]))
 
-        if isinstance(e, Throw):
+        if cls is Throw:
             self._register_existing(e.label, flw, path)
             return e
 

@@ -92,6 +92,7 @@ from .model import (
     TokenSet,
     check_expr,
     desugar_expr,
+    nesting_guard,
     operands,
     program,
 )
@@ -789,10 +790,8 @@ class Session:
                  messages: dict[str, str] | None = None):
         prog = program(grammar)
         if prog.matcher is None:
-            try:
+            with nesting_guard():
                 prog.matcher = _Matcher(prog.grammar)
-            except RecursionError:
-                raise GrammarError("grammar nested too deeply") from None
         self.grammar = prog.grammar
         self._matcher: _Matcher = prog.matcher
         self.stream = stream = TokenStream(grammar, text)

@@ -6,10 +6,11 @@ equations with no sharing of engine code, so differential tests mean
 something; naive_tokenize does the same for the lexer, CharLoopScanner
 for the scanner of grammar text, nullable for the epsilon flag of FIRST
 sets, check_left_recursion for the left-recursion check of ``validate``,
-reference_guard for the matcher's guards, and tuple_structural_eq for
-``ast_structural_eq`` on the tuple nodes of ``Tree.root``.  The generators produce random
-grammars (acyclic by construction: each rule only references later ones)
-and random valid programs for the miniature Java grammar.
+reference_guard for the matcher's guards, reference_follow for FOLLOW
+sets, and tuple_structural_eq for ``ast_structural_eq`` on the tuple nodes
+of ``Tree.root``.  The generators produce random grammars (acyclic by
+construction: each rule only references later ones) and random valid
+programs for the miniature Java grammar.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from pegrec.model import (
     Star,
     Terminal,
     Throw,
+    TokenSet,
     children,
     desugar_expr,
     validate,
@@ -351,6 +353,49 @@ def count_first_calls(monkeypatch) -> list[Expr]:
         return real(self, e, rules, memo)
     monkeypatch.setattr(First, "_of", counted)
     return calls
+
+
+# --- reference FOLLOW -----------------------------------------------------------
+
+def reference_follow(a) -> dict:
+    """FOLLOW of every rule of ``a.grammar``, as ``Analysis`` once computed
+    it: a recursive walk of every rule body per round, merging into the
+    table until a round changes nothing.  FIRST comes from ``a.first_of``."""
+    g = a.grammar
+    first = a.first_of
+    follow = {n: TokenSet(frozenset()) for n in g.rules}
+    follow[g.start] = TokenSet(frozenset((EOF,)))
+    dirty = True
+
+    def calck(e: Expr, flw: TokenSet) -> TokenSet:
+        f = first(e)
+        if not f.has_epsilon:
+            return f
+        return f.without_epsilon().union(flw.without_epsilon())
+
+    def visit(e: Expr, flw: TokenSet) -> None:
+        nonlocal dirty
+        if isinstance(e, NonTerminal):
+            merged = follow[e.name].union(flw.without_epsilon())
+            if merged != follow[e.name]:
+                follow[e.name] = merged
+                dirty = True
+        elif isinstance(e, Sequence):
+            visit(e.left, calck(e.right, flw))
+            visit(e.right, flw)
+        elif isinstance(e, Choice):
+            visit(e.first, flw)
+            visit(e.second, flw)
+        elif isinstance(e, (Star, Plus)):
+            visit(e.body, first(e.body).without_epsilon().union(flw.without_epsilon()))
+        elif isinstance(e, Optional):
+            visit(e.body, flw)
+
+    while dirty:
+        dirty = False
+        for name, body in g.rules.items():
+            visit(body, follow[name])
+    return follow
 
 
 # --- reference guards ---------------------------------------------------------

@@ -8,6 +8,9 @@ from pegrec.dsl import parse_grammar
 from pegrec.engine import Session, _Matcher, match
 from pegrec.model import (
     Choice,
+    Grammar,
+    Literal,
+    Optional,
     Sequence,
     Star,
     Terminal,
@@ -19,9 +22,11 @@ from pegrec.model import (
 from helpers import (
     ALPHABET,
     all_inputs,
+    count_first_calls,
     naive_match,
     nullable_rules,
     random_grammar,
+    reference_follow,
     reference_guard,
     render_input,
 )
@@ -228,6 +233,62 @@ def test_compiling_a_matcher_runs_no_follow_fixpoint(monkeypatch, grammar_dir):
     assert outcome.status == "matched" and not outcome.errors
     for g in annotated:
         _Matcher(program(g).grammar)
+
+
+# --- FOLLOW over call sites --------------------------------------------------
+
+def test_follow_agrees_with_the_reference(tiny_java, tiny_java_labeled,
+                                          tiny_java_annotated_file):
+    grammars = [tiny_java, tiny_java_labeled, tiny_java_annotated_file]
+    grammars += [random_grammar(seed) for seed in range(400)]
+    grammars += [random_grammar(seed, max_rules=10, depth=5)
+                 for seed in range(1000, 1200)]
+    # random grammars hold no ? or +, which FOLLOW walks before desugaring
+    abc = "AA <- 'a' ;\nBB <- 'b' ;\nCC <- 'c' ;\n%start start ;\n"
+    grammars += [parse_grammar(abc + text) for text in (
+        "start <- (Item BB)+ Tail? CC ;\nItem <- AA Tail? ;\nTail <- BB / CC ;",
+        "start <- Item? Item+ &Tail Tail ;\nItem <- AA (Tail BB)? ;\nTail <- CC+ ;",
+    )]
+    compared = 0
+    for g in grammars:
+        for form in (g, desugar(g), annotate(g)[0]):
+            a = Analysis(form)
+            want = reference_follow(a)
+            for rule in form.rules:
+                assert a.follow_of(rule) == want[rule], rule
+                compared += 1
+    assert compared > 6000
+
+
+def test_follow_is_linear_in_nested_plus_depth(monkeypatch):
+    # p+ desugars to p p*, which share p; FOLLOW once walked p twice per
+    # level, and so 2^depth times in all
+    def calls(depth: int) -> int:
+        g = desugar(parse_grammar("start <- " + "(" * depth + "AA" + ")+" * depth
+                                  + " ;\nAA <- 'a' ;"))
+        a = Analysis(g)
+        counted = count_first_calls(monkeypatch)
+        assert kinds(a.follow_of("start")) == {"EOF"}
+        monkeypatch.undo()
+        return len(counted)
+    assert calls(16) <= 2 * calls(8) + 50
+
+
+def test_follow_of_a_deep_hand_built_grammar_returns():
+    # Analysis accepts a grammar this deep; FOLLOW once recursed twice
+    # per level and raised RecursionError
+    e = Terminal("AA")
+    for _ in range(900):
+        e = Sequence(Terminal("AA"), Optional(e))
+    g = Grammar(rules={"start": e}, lexical={"AA": Literal("a")}, start="start")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        a = Analysis(g)
+        follow = a.follow_of("start")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert kinds(follow) == {"EOF"}
 
 
 # --- the guards' FIRST sets ----------------------------------------------------

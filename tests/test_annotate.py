@@ -168,6 +168,19 @@ def test_star_mode_warns_without_repetition():
     assert any("no eligible repetition" in w for w in report.warnings)
 
 
+@pytest.mark.parametrize("text", [
+    # the one repetition sits in an alternative that gets no labels
+    "start <- (AA BB* CC) / AA DD ;\nDD <- 'd' ;",
+    # the repetition's body overlaps what follows it
+    "start <- AA BB* BB ;",
+    "start <- AA CC ;",
+])
+def test_star_mode_warns_when_it_labels_no_repetition(text):
+    ann, report = annotate(g(text), AnnotatorConfig(star_mode_rules=("start",)))
+    assert report.warnings == ["star-mode rule start has no eligible repetition"]
+    assert grammar_eq(ann, annotate(g(text))[0])
+
+
 def test_star_mode_recovers_inside_repetition():
     plain, _ = annotate(g("start <- AA (BB CC)* ;"))
     # broken element: plain mode throws at the CC site and recovery skips
