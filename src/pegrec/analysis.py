@@ -40,6 +40,7 @@ from .model import (
     Throw,
     TokenSet,
     checked,
+    nesting_guard,
     rule_fixpoint,
 )
 
@@ -134,8 +135,11 @@ class Analysis:
         self._follow = rule_fixpoint(sites, follow, EMPTY_SET)
 
     def follow_of(self, rule: str) -> TokenSet:
+        """FOLLOW(rule); a grammar nested too deeply for the FIRST sets
+        FOLLOW reads is a GrammarError."""
         if self._follow is None:
-            self._compute_follow()
+            with nesting_guard():
+                self._compute_follow()
         return self._follow[rule]
 
     def first_of_rule(self, rule: str) -> TokenSet:

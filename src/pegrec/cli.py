@@ -21,7 +21,7 @@ from .annotate import AnnotatorConfig, annotate
 from .analysis import Analysis
 from .diagnostics import format_error, load_messages, suppress_cascaded
 from .dsl import load_grammar
-from .engine import Session, tree_to_json
+from .engine import Session, tree_to_json_text
 from .evaluate import load_corpus, run_corpus
 from .lexer import read_text
 from .model import GrammarError, serialize_grammar
@@ -99,9 +99,8 @@ def _cmd_parse(args) -> int:
     for err in errors:
         print(format_error(args.file, err), file=sys.stderr)
     if args.json and outcome.tree is not None:
-        # one line: the C encoder runs only without indent, and indenting
-        # grows with the nesting depth on every line
-        sys.stdout.write(json.dumps(tree_to_json(outcome.tree), separators=(",", ":")))
+        # one line, as json.dumps writes tree_to_json's dicts with no indent
+        sys.stdout.write(tree_to_json_text(outcome.tree))
         sys.stdout.write("\n")
     if outcome.status == "failed":
         return 2

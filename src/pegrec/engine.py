@@ -15,10 +15,14 @@ of throw/recover/backtrack cannot diverge).
 
 A grammar is compiled once per Grammar object, on its first parse, and the
 result is kept for as long as the Grammar lives (``model.program``): the
-desugared and validated grammar, its lexer, and one closure per syntactic
-rule and per recovery expression.  A Grammar must therefore not be mutated
-after its first parse.  ``match_expr`` checks its one expression against
-the grammar and compiles it on the spot.
+desugared and validated grammar, its lexer, and generated Python source,
+one function per syntactic rule plus helpers, compiled one function at a
+time (see "compilation" below).  A recovery expression of the form
+``(!p .)*``, which the annotator writes, is kept as the set of kinds it
+stops at, and any other as a function.  A Grammar must therefore not be
+mutated after its first parse.  ``match_expr`` checks its one expression
+against the grammar and compiles it on the spot, unless it is a rule
+reference, which runs the rule's own function.
 
 A ``Session`` scans the whole text when it is built.  The matcher then
 reads the token kinds from a column that ends in ``EOF`` at the token
@@ -35,10 +39,9 @@ and it reaches no throw, no predicate and no ``.`` before its first
 token.  Its guard is then its FIRST set, and at a token outside that set
 it is skipped, since running it would only have failed there.  The one
 trace such a failure leaves, moving ``farthest`` up to the position, is
-made by the skip instead.  A choice takes the alternatives to try from a
-per-kind table built at compile time; a star ends its loop, and ``!p``
-succeeds without running p.  Any other expression has no guard and always
-runs.  FIRST sets alone would not do: FIRST(^l) is empty, so ``[X]^l / Y``
+made by the skip instead.  A choice tests the kind and runs the branch
+written for it at compile time; a star ends its loop, and ``!p`` succeeds
+without running p.  Any other expression has no guard and always runs.  FIRST sets alone would not do: FIRST(^l) is empty, so ``[X]^l / Y``
 pruned by FIRST(X) would match Y silently where it must throw l.  So the
 guards come from a ``model.First`` over the token kinds plus one marker,
 which a throw, a predicate and ``.`` put in their sets: a node whose set
@@ -46,11 +49,11 @@ holds epsilon or the marker gets no guard.
 
 Two fast paths skip work the general case does.  A terminal alternative
 that its guard lets run matches, so no alternative after it runs there
-(``[X]^l`` at an X is just X).  Where the one alternative a choice runs at
-a kind is its last or such a terminal, its failure is the choice's own, so
-the choice calls it without noting where to roll back ``acc`` and the
-error list.  A sequence tests the guard of a guarded star in it before it
-calls the star, which would only end at once.
+(``[X]^l`` at an X is just X), and the branch appends the token without
+testing its kind again.  Where the one alternative a choice runs at a
+kind is its last or such a terminal, its failure is the choice's own, so
+the branch runs it without noting where to roll back ``acc`` and the
+error list.
 
 A parse builds its syntax tree as one column of ints, ``acc``, in
 postorder (``Tree``): a terminal appends its token index, a rule appends
@@ -67,8 +70,10 @@ of their own, so no tree is too deep for them.
 from __future__ import annotations
 
 import copy
+import json
 import reprlib
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -91,6 +96,7 @@ from .model import (
     Throw,
     TokenSet,
     check_expr,
+    children,
     desugar_expr,
     nesting_guard,
     operands,
@@ -252,6 +258,66 @@ def tree_to_json(tree: Tree) -> dict:
             done.append({"error": node.label, "expected": node.expected,
                          "span": list(node.span)})
     return done[0]
+
+
+def tree_to_json_text(tree: Tree) -> str:
+    """``json.dumps(tree_to_json(tree), separators=(",", ":"))``, written
+    from the rows with no dicts.  One pass gives every row its span; a
+    second walks the rows from the root down and right to left, which is
+    reverse postorder, and writes the text backwards.  Neither recurses,
+    so a tree of any depth converts."""
+    rows, kinds, spans, names, nodes = tree.rows, tree.kinds, tree.spans, tree.names, tree.error_nodes
+    n, shift = len(names), tree.shift
+    mask = (1 << shift) - 1
+    starts = [0] * len(rows)
+    ends = [0] * len(rows)
+    for i, x in enumerate(rows):
+        if x >= 0:
+            starts[i], ends[i] = spans[x]
+            continue
+        c = ~x
+        code = c & mask
+        if code < n:
+            starts[i], ends[i] = starts[c >> shift], ends[i - 1]
+        elif code < 2 * n:
+            starts[i] = ends[i] = _anchor(tree, c >> shift)
+        else:
+            starts[i], ends[i] = nodes[c >> shift].span
+    text: dict = {}   # a JSON string per name, kind and label
+
+    def quote(s) -> str:
+        found = text.get(s)
+        if found is None:
+            found = text[s] = json.dumps(s)
+        return found
+    out: list[str] = []
+    # the first and the last row of each rule node being written
+    opened: list[tuple[int, int]] = []
+    for i in range(len(rows) - 1, -1, -1):
+        if opened and i != opened[-1][1] - 1:
+            out.append(",")  # i has a right sibling
+        x = rows[i]
+        if x >= 0:
+            out.append('{"token":%s,"span":[%d,%d]}' % (quote(kinds[x]), starts[i], ends[i]))
+        else:
+            c = ~x
+            code = c & mask
+            if code < n:
+                out.append("]}")
+                opened.append((c >> shift, i))
+            elif code < 2 * n:
+                out.append('{"rule":%s,"span":[%d,%d],"children":[]}'
+                           % (quote(names[code - n]), starts[i], ends[i]))
+            else:
+                node = nodes[c >> shift]
+                out.append('{"error":%s,"expected":%s,"span":[%d,%d]}'
+                           % (quote(node.label), quote(node.expected), starts[i], ends[i]))
+        while opened and opened[-1][0] == i:
+            last = opened.pop()[1]
+            out.append('{"rule":%s,"span":[%d,%d],"children":['
+                       % (quote(names[~rows[last] & mask]), starts[last], ends[last]))
+    out.reverse()
+    return "".join(out)
 
 
 def ast_structural_eq(got: Tree, want: Tree) -> bool:
@@ -443,6 +509,9 @@ class MatchResult:
 
 
 class _Fail:
+    """A failure with a named label: where it was thrown, and whether its
+    error is recorded already."""
+
     __slots__ = ("label", "pos", "logged")
 
     def __init__(self, label: str, pos: int, logged: bool = False):
@@ -456,216 +525,79 @@ DEFAULT_MAX_ERRORS = 50
 
 # --- compilation ------------------------------------------------------------
 #
-# Every desugared expression becomes a closure f(session, pos, acc) that
-# returns the end position or a _Fail and appends the rows of the subtrees
-# it builds to acc.  Sequences and choices are flattened into one closure
-# each, so a parse takes no more stack frames per nesting level than a
-# tree walk.  For the same reason the token dispatch of choices, stars and
-# predicates runs inside their own closures, not in closures of its own.
-# A node that several parents share (desugaring p+ to p p* shares p) is
-# compiled once, and a shared sequence runs as one item of the sequences
-# around it.
+# Every syntactic rule becomes one generated Python function r<id>(s, pos,
+# acc), where s is the Session and acc the rows of the tree being built
+# (``Tree``).  It returns the end position, or a failure below 0: -1
+# (_FAILED) for the plain ``fail`` label, -2 (_THROWN) for a named label,
+# whose _Fail the session keeps in ``failure``.  Only ``Session._throw``
+# makes a -2, and only ``!`` and a recovery expression stop one, so one
+# slot is enough.  A rule function appends its own row.
+#
+# The code of an expression is written where it is used: a sequence as
+# straight-line code that returns on failure, a terminal as a test of
+# ``kinds[pos]``, a choice as an if/elif on the current kind (the plans
+# below), a star as a while loop and ``!`` as a block.  An operand of a
+# choice, a star or ``!`` that is not a leaf, and a node that several
+# parents share (desugaring p+ to p p* shares p), becomes a helper
+# function h<n> instead, written once.  So the source stays linear in the
+# size of the grammar, and no function nests blocks more than a few levels
+# deep.  One exception saves a frame per call: an alternative that a
+# choice runs in one plan only, and last, is written in place when the
+# choice is not itself inside such an alternative.  A recovery expression
+# is a helper too, unless it is ``(!p .)*`` (``_Matcher.stops``).  Each
+# function is compiled on its own, into one namespace per grammar, and
+# helpers of the same source are compiled once.  Compiling costs about a
+# microsecond per token of source, so the code is kept short: a skip goes
+# with the failure or throw after it into one call (``fail``, ``throw``),
+# a block of one statement is one line (``_fold``), and a run of three or
+# more ``[X]^l`` is a loop over (X, l) pairs.
 
-# Plain failures carry no position of their own: each one moves farthest
-# to at least where it happened, and farthest is where a parse that ends
-# in a plain failure reports it.  So one instance serves for all of them.
-_FAILED = _Fail(FAIL, -1)
+_FAILED = -1
+_THROWN = -2
 
 
-def _fail(s: "Session", pos: int) -> _Fail:
+def _fail(s: "Session", pos: int) -> int:
     if pos > s.farthest:
         s.farthest = pos
     return _FAILED
 
 
-def _empty(s, pos, acc):
-    return pos
+def _skip_throw(s: "Session", label: str, pos: int, acc: list) -> int:
+    """A throw where a choice skipped an alternative."""
+    if pos > s.farthest:
+        s.farthest = pos
+    return s._throw(label, pos, acc)
 
 
-def _nothing(s, pos, acc):
-    # what a choice runs last when it skips its last alternative
-    return _FAILED
-
-
-def _eof(s, pos, acc):
-    if pos < s._count:
-        return _fail(s, pos)
-    return pos
-
-
-def _any_token(s, pos, acc):
-    if pos < s._count:
-        acc.append(pos)
-        return pos + 1
-    return _fail(s, pos)
-
-
-def _terminal(kind: str):
-    def terminal(s, pos, acc):
-        if s._kinds[pos] == kind:
-            acc.append(pos)
-            return pos + 1
-        if pos > s.farthest:
-            s.farthest = pos
-        return _FAILED
-    return terminal
-
-
-def _sequence(items: list, guards: list):
-    """A sequence of items.  ``guards[i]`` is item i's guard when item i is
-    a guarded star: the sequence tests it itself and calls the star only
-    when its body can start, since otherwise the star would end at once."""
-    if len(items) == 2 and guards[0] is None:
-        first, second = items
-        guard = guards[1]
-        if guard is None:
-            def pair(s, pos, acc):
-                r = first(s, pos, acc)
-                if r.__class__ is _Fail:
-                    return r
-                return second(s, r, acc)
-            return pair
-
-        def pair_star(s, pos, acc):
-            r = first(s, pos, acc)
-            if r.__class__ is _Fail:
-                return r
-            if s._kinds[r] in guard:
-                return second(s, r, acc)
-            if r > s.farthest:
-                s.farthest = r
-            return r
-        return pair_star
-
-    steps = tuple(zip(items, guards))
-
-    def sequence(s, pos, acc):
-        kinds = s._kinds
-        for item, guard in steps:
-            if guard is not None and kinds[pos] not in guard:
-                if pos > s.farthest:
-                    s.farthest = pos
-                continue
-            pos = item(s, pos, acc)
-            if pos.__class__ is _Fail:
-                return pos
-        return pos
-    return sequence
-
-
-def _plan(alts: list, guards: list, terminal: list, kind):
-    """What a choice does at a token of this kind: the alternatives it tries
-    first, each rolled back when it fails; the one it runs last, whose
-    failure is the choice's own (``_nothing`` when it skips its last
-    alternative); and whether it skips an alternative that would have run
-    had its guard let it.  ``terminal[i]`` says whether alternative i is a
-    terminal other than ``EOF``: one whose guard lets it run here matches,
-    so no alternative after it would run, and none of those counts as
-    skipped."""
+def _plan(guards: list, terminal: list, kind) -> tuple:
+    """What a choice does at a token of this kind, by alternative index:
+    the alternatives it tries first, each rolled back when it fails; the
+    one it runs last, whose failure is the choice's own (None when it skips
+    its last alternative); and whether it skips an alternative that would
+    have run had its guard let it.  ``terminal[i]`` says whether
+    alternative i is a terminal other than ``EOF``: one whose guard lets it
+    run here matches, so no alternative after it would run, and none of
+    those counts as skipped."""
     tried = [i for i, guard in enumerate(guards) if guard is None or kind in guard]
     for n, i in enumerate(tried):
         if terminal[i] and guards[i] is not None:
             # n of the i alternatives before i are tried
-            return tuple(alts[j] for j in tried[:n]), alts[i], n < i
-    skipped = len(tried) < len(alts)
-    if tried and tried[-1] == len(alts) - 1:
-        return tuple(alts[i] for i in tried[:-1]), alts[tried[-1]], skipped
-    return tuple(alts[i] for i in tried), _nothing, skipped
+            return tuple(tried[:n]), i, n < i
+    skipped = len(tried) < len(guards)
+    if tried and tried[-1] == len(guards) - 1:
+        return tuple(tried[:-1]), tried[-1], skipped
+    return tuple(tried), None, skipped
 
 
-def _choice(alts: list, guards: list, terminal: list):
-    table = {kind: _plan(alts, guards, terminal, kind)
-             for kind in set().union(*filter(None, guards))}
-    # kinds no guard holds: stray tokens, end of input
-    other = _plan(alts, guards, terminal, None)
-
-    def choice(s, pos, acc):
-        init, last, skipped = table.get(s._kinds[pos], other)
-        if skipped and pos > s.farthest:
-            s.farthest = pos
-        if init:
-            n_acc = len(acc)
-            errors = s.errors
-            n_err = len(errors)
-            for alt in init:
-                r = alt(s, pos, acc)
-                if r is not _FAILED:
-                    return r
-                del acc[n_acc:]
-                del errors[n_err:]
-        return last(s, pos, acc)
-    return choice
-
-
-def _star(body, guard):
-    def star(s, pos, acc):
-        kinds = s._kinds
-        errors = s.errors
-        while True:
-            if guard is not None and kinds[pos] not in guard:
-                if pos > s.farthest:
-                    s.farthest = pos
-                return pos
-            n_acc, n_err = len(acc), len(errors)
-            r = body(s, pos, acc)
-            if r.__class__ is _Fail:
-                if r is not _FAILED:
-                    return r
-            elif r != pos:
-                pos = r
-                continue
-            # a plain failure ends the loop; so does no progress, where a
-            # nullable body would loop forever
-            del acc[n_acc:]
-            del errors[n_err:]
-            return pos
-    return star
-
-
-def _not(body, guard):
-    def not_(s, pos, acc):
-        if guard is not None and s._kinds[pos] not in guard:
-            if pos > s.farthest:
-                s.farthest = pos
-            return pos
-        n_acc = len(acc)
-        errors = s.errors
-        n_err = len(errors)
-        s.pred_depth += 1
-        try:
-            r = body(s, pos, acc)
-        finally:
-            s.pred_depth -= 1
-        del acc[n_acc:]
-        del errors[n_err:]
-        if r.__class__ is _Fail:
-            return pos
-        return _fail(s, pos)
-    return not_
-
-
-def _rule(name: str, rules: dict, rid: int, nrules: int, shift: int):
-    """The rule closure: it closes its subtree with one row (``Tree``)."""
-    close = ~rid
-    empty = ~(nrules + rid)
-
-    def rule(s, pos, acc):
-        n = len(acc)
-        r = rules[name](s, pos, acc)
-        if r.__class__ is _Fail:
-            return r
-        if len(acc) > n:
-            acc.append(close - (n << shift))
-        else:
-            acc.append(empty - (pos << shift))
-        return r
-    return rule
-
-
-def _throw(label: str):
-    def throw(s, pos, acc):
-        return s._throw(label, pos, acc)
-    return throw
+def _kind_test(var: str, kinds, among: bool = True) -> str:
+    """Source that tests whether the kind in var is one of kinds, or with
+    ``among`` false, none of them."""
+    kinds = sorted(kinds)
+    if not kinds:
+        return str(not among)
+    if len(kinds) == 1:
+        return f"{var} {'==' if among else '!='} {kinds[0]!r}"
+    return f"{var} {'in' if among else 'not in'} {{{', '.join(map(repr, kinds))}}}"
 
 
 # In the FIRST sets of the guards, the mark of a node that can act before
@@ -685,7 +617,9 @@ def _guard_leaf(e: Expr) -> TokenSet:
 
 class _Matcher:
     """The syntactic rules and recovery expressions of one desugared
-    grammar, compiled."""
+    grammar, compiled: ``rules`` maps a rule name to its function, and
+    ``recovery`` a label to its recovery expression's function, or to the
+    kinds it stops at when it is ``(!p .)*`` (``stops``)."""
 
     def __init__(self, g: Grammar):
         self.first = First(g.rules, _guard_leaf)
@@ -693,13 +627,17 @@ class _Matcher:
         self.names = tuple(g.rules)
         self.ids = {name: i for i, name in enumerate(self.names)}
         self.shift = _code_bits(len(self.names))
-        self.rules: dict = {}
-        # one memo for the whole grammar: g keeps its nodes alive
-        memo: dict = {}
-        for name, body in g.rules.items():
-            self.rules[name] = self.compile(body, memo)
-        self.recovery = {lab: self.compile(b, memo) for lab, b in g.recovery.items()}
-        self.start = self.compile(NonTerminal(g.start))
+        self.namespace: dict = {"fail": _fail, "throw": _skip_throw}
+        self.recovery = {lab: self.stops(body) for lab, body in g.recovery.items()}
+        compiled = [lab for lab, stop in self.recovery.items() if stop is None]
+        emit = _Emitter(self, self.namespace,
+                        [*g.rules.values(), *(g.recovery[lab] for lab in compiled)])
+        for rid, body in enumerate(g.rules.values()):
+            emit.rule(rid, body)
+        self.rules = {name: self.namespace[f"r{rid}"] for rid, name in enumerate(self.names)}
+        for lab in compiled:
+            self.recovery[lab] = self.namespace[emit.function(g.recovery[lab])]
+        self.start = self.rules[g.start]
 
     def guard(self, e: Expr) -> frozenset | None:
         """The token kinds at which e can do anything but fail plainly
@@ -710,76 +648,450 @@ class _Matcher:
             return None
         return first.kinds
 
+    def admitted(self, e: Expr) -> frozenset | None:
+        """The kinds at which e is sure to match one token, when e is a
+        terminal or a choice of terminals, each with a guard: its guard."""
+        alts = operands(e, Choice) if e.__class__ is Choice else (e,)
+        for x in alts:
+            if x.__class__ is not Terminal or x.kind == EOF_KIND or self.guard(x) is None:
+                return None
+        return frozenset(x.kind for x in alts)
+
+    def stops(self, e: Expr) -> frozenset | None:
+        """The kinds p matches when e is ``(!p .)*`` and p a terminal or a
+        choice of terminals, the recovery expression the annotator writes:
+        e then takes the tokens up to one of them or the end, and moves
+        farthest to where it stops.  For ``(!EOF .)*`` it is the empty
+        set."""
+        if e.__class__ is not Star:
+            return None
+        body = e.body
+        if (body.__class__ is Sequence and body.left.__class__ is Not
+                and body.right.__class__ is AnyToken):
+            p = body.left.body
+            if p.__class__ is Terminal and p.kind == EOF_KIND:
+                return frozenset()
+            return self.admitted(p)
+        return None
+
     def compile_expr(self, e: Expr):
-        """Closure for desugared e from outside the grammar.  Its FIRST
-        sets go to a memo of their own, so the matcher keeps nothing of
-        it."""
+        """Function for desugared e from outside the grammar: a rule's own
+        function for a rule reference, else one compiled into a copy of the
+        namespace, with FIRST sets in a memo of their own, so the matcher
+        keeps nothing of it."""
+        if e.__class__ is NonTerminal:
+            return self.rules[e.name]
         view = copy.copy(self)
         view.first = self.first.scratch()
-        return view.compile(e)
+        namespace = dict(self.namespace)
+        return namespace[_Emitter(view, namespace, [e]).function(e)]
 
-    def compile(self, e: Expr, memo: dict | None = None):
-        """Closure for desugared e.  A rule reference looks its rule up
-        when it runs, so rules may be compiled in any order.  ``memo``
-        holds, by ``id``, the closure of every node compiled so far, so a
-        node shared by several parents (desugaring ``p+`` to ``p p*``
-        shares p) is compiled once; it must keep those nodes alive."""
-        if memo is None:
-            memo = {}
-        key = id(e)
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = self._compile_node(e, memo)
-        return found
 
-    def _compile_node(self, e: Expr, memo: dict):
+_COMPOSITE = (Sequence, Choice, Star, Not)
+_COMPOUND = ("if ", "elif ", "else:", "while ", "try:", "finally:")
+
+
+def _fold(out: list, head: int) -> None:
+    """Put the block of the if, elif or else at out[head] on one line when
+    its body is one simple statement, or ``pass`` when it is empty."""
+    if len(out) == head + 1:
+        out[head] += " pass"
+    elif len(out) == head + 2:
+        body = out[head + 1].lstrip()
+        if not body.startswith(_COMPOUND):
+            out[head:] = [f"{out[head]} {body}"]
+        elif out[head].endswith("else:") and body.startswith("if "):
+            out[head:] = [f"{out[head][:-5]}el{body}"]
+
+
+def _parent_counts(roots: list) -> dict[int, int]:
+    """How many parents each node of roots that is not a leaf has, by
+    ``id``; being one of the roots counts as one."""
+    counts: dict[int, int] = {}
+    get = counts.get
+    for node in roots:
+        counts[id(node)] = get(id(node), 0) + 1
+    seen: set[int] = set()
+    stack = [node for node in roots if node.__class__ in _COMPOSITE]
+    while stack:
+        node = stack.pop()
+        key = id(node)
+        if key in seen:
+            continue
+        seen.add(key)
+        for kid in children(node):
+            if kid.__class__ in _COMPOSITE:
+                key = id(kid)
+                counts[key] = get(key, 0) + 1
+                stack.append(kid)
+    return counts
+
+
+_PLACED = (Sequence, Star, Not)
+
+
+class _Emitter:
+    """Writes the functions of a matcher and defines them in its namespace.
+    ``roots`` are the expressions given functions of their own; the nodes
+    below them that several parents share get helpers."""
+
+    def __init__(self, matcher: _Matcher, namespace: dict, roots: list):
+        self.guard = matcher.guard
+        self.admitted = matcher.admitted
+        self.stops = matcher.stops
+        self.ids = matcher.ids
+        self.nrules = len(matcher.names)
+        self.shift = matcher.shift
+        self.namespace = namespace
+        self.parents = _parent_counts(roots)
+        self.helpers: dict[int, str] = {}   # id(node) -> its helper's name
+        self.sources: dict[str, str] = {}   # a helper's body -> its name
+        # past every helper name the namespace holds
+        self.count = len(namespace)
+
+    def rule(self, rid: int, body: Expr) -> None:
+        """Define r<rid>, the function of the rule with that id: it closes
+        its subtree with one row."""
+        out = ["    n = len(acc)"]
+        close = f"acc.append({~rid} - (n << {self.shift}))"
+        if self._appends(body):
+            self._seq(body, out, "    ", 0)
+            out.append(f"    {close}")
+        else:
+            out.append("    p = pos")
+            self._seq(body, out, "    ", 0)
+            out.append(f"    if len(acc) > n: {close}")
+            out.append(f"    else: acc.append({~(self.nrules + rid)} - (p << {self.shift}))")
+        out.append("    return pos")
+        self._define(f"r{rid}", out)
+
+    def function(self, e: Expr) -> str:
+        """The name of the helper that matches e."""
+        name = self.helpers.get(id(e))
+        if name is None:
+            out: list[str] = []
+            self._seq(e, out, "    ", 0)
+            # the helper returns what its last call or choice returns
+            last = out[-1] if out else ""
+            if last.startswith("    if (pos := ") and last.endswith(") < 0: return pos"):
+                out[-1] = "    return " + last[15:-17]
+            elif out[-2:] == ["    if r < 0: return r", "    pos = r"]:
+                out[-2:] = ["    return r"]
+            else:
+                out.append("    return pos")
+            key = "\n".join(out)
+            name = self.sources.get(key)
+            if name is None:
+                name = self.sources[key] = f"h{self.count}"
+                self.count += 1
+                self._define(name, out)
+            self.helpers[id(e)] = name
+        return name
+
+    def _define(self, name: str, body: list[str]) -> None:
+        # a function that reads the kind column loads it once
+        if any("kinds[" in line for line in body):
+            body.insert(0, "    kinds = s._kinds")
+        source = f"def {name}(s, pos, acc):\n" + "\n".join(body) + "\n"
+        try:
+            code = compile(source, "<pegrec grammar>", "exec")
+        except (SyntaxError, MemoryError):
+            raise GrammarError("grammar nested too deeply") from None
+        exec(code, self.namespace)
+
+    def _appends(self, e: Expr) -> bool:
+        """Whether every match of e appends a row: a token, a rule or an
+        error node."""
         cls = e.__class__
-        if cls is Empty:
-            return _empty
         if cls is Terminal:
-            return _eof if e.kind == EOF_KIND else _terminal(e.kind)
-        if cls is AnyToken:
-            return _any_token
+            return e.kind != EOF_KIND
         if cls is Sequence:
-            items = self._sequence_items(e, memo)
-            return _sequence([self.compile(x, memo) for x in items],
-                             [self.guard(x.body) if x.__class__ is Star else None
-                              for x in items])
+            return self._appends(e.left) or self._appends(e.right)
         if cls is Choice:
-            alts = operands(e, Choice)
-            return _choice([self.compile(x, memo) for x in alts],
-                           [self.guard(x) for x in alts],
-                           [x.__class__ is Terminal and x.kind != EOF_KIND
-                            for x in alts])
-        if cls is Star:
-            return _star(self.compile(e.body, memo), self.guard(e.body))
-        if cls is Not:
-            return _not(self.compile(e.body, memo), self.guard(e.body))
-        if cls is NonTerminal:
-            return _rule(e.name, self.rules, self.ids[e.name], len(self.names),
-                         self.shift)
-        if cls is Throw:
-            return _throw(e.label)
-        raise TypeError(f"unexpected node in syntactic rule: {e!r}")
+            return self._appends(e.first) and self._appends(e.second)
+        return cls is AnyToken or cls is NonTerminal or cls is Throw
 
-    def _sequence_items(self, e: Sequence, memo: dict) -> list[Expr]:
-        """The operands of the sequence chain e, left to right, as
-        ``operands`` gives them, except that a sequence inside e that is
-        compiled already runs as one item.  The operands are compiled right
-        to left, so in ``p p*`` the star compiles p first and p is then
-        one item, not flattened again."""
-        items: list[Expr] = []
-        stack = [e.left, e.right]
+    def _shared(self, e: Expr) -> bool:
+        return self.parents.get(id(e), 0) > 1
+
+    def _call(self, e: Expr) -> str:
+        cls = e.__class__
+        if cls is NonTerminal:
+            return f"r{self.ids[e.name]}(s, pos, acc)"
+        if cls is Throw:
+            return f"s._throw({e.label!r}, pos, acc)"
+        return f"{self.function(e)}(s, pos, acc)"
+
+    def _seq(self, e: Expr, out: list, ind: str, depth: int) -> None:
+        """Code that matches e at pos: it leaves the end in pos and returns
+        a failure.  ``depth`` is 1 inside an alternative written in place."""
+        # the operands of the sequence chain e, with a shared sequence as
+        # one operand
+        items, stack = [], [e]
         while stack:
             node = stack.pop()
-            if node.__class__ is Sequence and id(node) not in memo:
-                stack.append(node.left)
-                stack.append(node.right)
+            if node.__class__ is Sequence and (node is e or not self._shared(node)):
+                stack += (node.right, node.left)
             else:
-                self.compile(node, memo)
                 items.append(node)
-        items.reverse()
-        return items
+        # [X]^l, the most common choice, as (X, l): written here as _choice
+        # would write it, which takes far longer, and three or more in a
+        # row as one loop
+        expects = [(item.first.kind, item.second.label)
+                   if (item.__class__ is Choice and item.second.__class__ is Throw
+                       and item.first.__class__ is Terminal and item.first.kind != EOF_KIND
+                       and self.guard(item.first) is not None) else None
+                   for item in items]
+        i = 0
+        while i < len(items):
+            item, expect = items[i], expects[i]
+            i += 1
+            cls = item.__class__
+            placed = item is e or not self._shared(item)
+            if expect is not None:
+                run = [expect]
+                while i < len(items) and expects[i] is not None:
+                    run.append(expects[i])
+                    i += 1
+                if len(run) > 2:
+                    out.append(f"{ind}for k, l in {tuple(run)!r}:")
+                    run = [(ind + "    ", "k", "l")]
+                else:
+                    run = [(ind, repr(kind), repr(label)) for kind, label in run]
+                for at, kind, label in run:
+                    out.append(f"{at}if kinds[pos] == {kind}: acc.append(pos); pos += 1")
+                    out.append(f"{at}elif (pos := throw(s, {label}, pos, acc)) < 0: return pos")
+            elif cls is Terminal and item.kind != EOF_KIND:
+                out.append(f"{ind}if kinds[pos] != {item.kind!r}: return fail(s, pos)")
+                out.append(f"{ind}acc.append(pos); pos += 1")
+            elif cls is Terminal:
+                out.append(f"{ind}if pos < s._count: return fail(s, pos)")
+            elif cls is AnyToken:
+                out.append(f"{ind}if pos >= s._count: return fail(s, pos)")
+                out.append(f"{ind}acc.append(pos); pos += 1")
+            elif cls is Empty:
+                pass
+            elif cls is Choice and placed:
+                self._choice(item, out, ind, depth)
+            elif cls is Star and placed:
+                self._star(item, out, ind)
+            elif cls is Not and placed:
+                self._not(item.body, out, ind)
+            else:
+                out.append(f"{ind}if (pos := {self._call(item)}) < 0: return pos")
+
+    def _result(self, e: Expr, out: list, ind: str, admitted: bool = False) -> None:
+        """Code that matches e at pos and leaves its end or failure in r.
+        ``admitted``: e is a terminal that the current kind is known to
+        be."""
+        cls = e.__class__
+        if cls is Terminal and e.kind == EOF_KIND:
+            out.append(f"{ind}r = fail(s, pos) if pos < s._count else pos")
+        elif admitted:
+            out.append(f"{ind}acc.append(pos); r = pos + 1")
+        elif cls is Terminal:
+            out.append(f"{ind}if kinds[pos] == {e.kind!r}: acc.append(pos); r = pos + 1")
+            out.append(f"{ind}else: r = fail(s, pos)")
+        elif cls is AnyToken:
+            out.append(f"{ind}if pos < s._count: acc.append(pos); r = pos + 1")
+            out.append(f"{ind}else: r = fail(s, pos)")
+        elif cls is Empty:
+            out.append(f"{ind}r = pos")
+        else:
+            out.append(f"{ind}r = {self._call(e)}")
+
+    def _star(self, e: Expr, out: list, ind: str) -> None:
+        stop = self.stops(e)
+        if stop is not None:
+            test = f" and {_kind_test('kinds[pos]', stop, False)}" if stop else ""
+            out.append(f"{ind}while pos < s._count{test}: acc.append(pos); pos += 1")
+            out.append(f"{ind}if pos > s.farthest: s.farthest = pos")
+            return
+        body = e.body
+        admitted = self.admitted(body)
+        guard = self.guard(body) if admitted is None else admitted
+        inner = ind + "    "
+        out.append(f"{ind}while {'True' if guard is None else _kind_test('kinds[pos]', guard)}:")
+        if admitted is not None:
+            out.append(f"{inner}acc.append(pos); pos += 1")
+        else:
+            out.append(f"{inner}na = len(acc); ne = len(s.errors)")
+            self._result(body, out, inner)
+            out.append(f"{inner}if r > pos: pos = r; continue")
+            # a plain failure ends the loop; so does no progress, where a
+            # nullable body would loop forever
+            out.append(f"{inner}if r < -1: return r")
+            out.append(f"{inner}del acc[na:]; del s.errors[ne:]")
+            out.append(f"{inner}break")
+        if guard is not None:
+            out.append(f"{ind}else:")
+            out.append(f"{inner}if pos > s.farthest: s.farthest = pos")
+
+    def _not(self, body: Expr, out: list, ind: str) -> None:
+        admitted = self.admitted(body)
+        if admitted is not None:
+            out.append(f"{ind}if {_kind_test('kinds[pos]', admitted)}: return fail(s, pos)")
+            out.append(f"{ind}if pos > s.farthest: s.farthest = pos")
+            return
+        guard = self.guard(body)
+        inner = ind
+        if guard is not None:
+            out.append(f"{ind}if {_kind_test('kinds[pos]', guard)}:")
+            inner = ind + "    "
+        out.append(f"{inner}na = len(acc); ne = len(s.errors)")
+        out.append(f"{inner}s.pred_depth += 1")
+        out.append(f"{inner}try:")
+        self._result(body, out, inner + "    ")
+        out.append(f"{inner}finally:")
+        out.append(f"{inner}    s.pred_depth -= 1")
+        out.append(f"{inner}del acc[na:]; del s.errors[ne:]")
+        out.append(f"{inner}if r >= 0: return fail(s, pos)")
+        if guard is not None:
+            out.append(f"{ind}elif pos > s.farthest: s.farthest = pos")
+
+    def _choice(self, e: Expr, out: list, ind: str, depth: int) -> None:
+        alts = operands(e, Choice)
+        guards = [self.guard(x) for x in alts]
+        terminal = [x.__class__ is Terminal and x.kind != EOF_KIND for x in alts]
+        other = _plan(guards, terminal, None)
+        groups: dict = {}
+        for kind in set().union(*filter(None, guards)):
+            plan = _plan(guards, terminal, kind)
+            if plan != other:
+                groups.setdefault(plan, []).append(kind)
+        if sum(len(plan[0]) for plan in groups) > 4 * len(alts) + 32:
+            # the branches would repeat the alternatives that run at every
+            # kind many times over; running all alternatives in turn has
+            # the same outcome
+            guards = [None] * len(alts)
+            other, groups = _plan(guards, terminal, None), {}
+        plans = [other, *groups]
+        # what every branch does alike is written once: the skip before the
+        # dispatch, and the last alternative after it
+        skipped = all(plan[2] for plan in plans)
+        last = other[1]
+        common = len(plans) > 1 and all(plan[1] == last for plan in plans)
+        runs = Counter(i for plan in plans for i in plan[0])
+        runs.update([last] if common else [plan[1] for plan in plans])
+
+        def admitted(i) -> bool:
+            return terminal[i] and guards[i] is not None
+
+        def inline(i) -> bool:
+            # an alternative written in place: it is no leaf, it runs in one
+            # place only, and the choice is not in such an alternative
+            return (alts[i].__class__ in _PLACED and depth == 0 and runs[i] == 1
+                    and not self._shared(alts[i]))
+
+        def place(i, ind: str) -> None:
+            # the last alternative of a branch that tries none first; its
+            # failure is the choice's own
+            if i is None:
+                out.append(f"{ind}return -1")
+            elif admitted(i):
+                out.append(f"{ind}acc.append(pos); pos += 1")
+            elif inline(i):
+                self._seq(alts[i], out, ind, 1)
+            elif alts[i].__class__ in _PLACED:
+                out.append(f"{ind}if (pos := {self._call(alts[i])}) < 0: return pos")
+            else:
+                self._seq(alts[i], out, ind, depth)
+
+        def finish(i, ind: str) -> None:
+            # the last alternative after those tried first, which leave -1
+            # in r when they all failed plainly
+            if i is not None:
+                head = len(out)
+                out.append(f"{ind}if r == -1:")
+                if inline(i):
+                    self._seq(alts[i], out, ind + "    ", 1)
+                    out.append(f"{ind}    r = pos")
+                else:
+                    self._result(alts[i], out, ind + "    ", admitted(i))
+                _fold(out, head)
+            out.append(f"{ind}if r < 0: return r")
+            out.append(f"{ind}pos = r")
+
+        def run(plan: tuple, ind: str) -> None:
+            init, i, skip = plan
+            skip = skip and not skipped
+            if not init:
+                # a skip goes with a failure or a throw right after it,
+                # which no clean parse runs
+                if common:
+                    out.append(f"{ind}r = {'fail(s, pos)' if skip else '-1'}")
+                elif skip and i is None:
+                    out.append(f"{ind}return fail(s, pos)")
+                elif skip and alts[i].__class__ is Throw:
+                    out.append(f"{ind}if (pos := throw(s, {alts[i].label!r}, pos, acc)) < 0: "
+                               "return pos")
+                else:
+                    if skip:
+                        out.append(f"{ind}if pos > s.farthest: s.farthest = pos")
+                    place(i, ind)
+                return
+            if skip:
+                out.append(f"{ind}if pos > s.farthest: s.farthest = pos")
+            out.append(f"{ind}na = len(acc); ne = len(s.errors)")
+            self._result(alts[init[0]], out, ind)
+            for j in init[1:]:
+                out.append(f"{ind}if r == -1:")
+                out.append(f"{ind}    del acc[na:]; del s.errors[ne:]")
+                self._result(alts[j], out, ind + "    ")
+            out.append(f"{ind}if r == -1: del acc[na:]; del s.errors[ne:]")
+            if not common:
+                finish(i, ind)
+
+        def dispatch(branches: list, var: str, ind: str) -> None:
+            # at most 32 tests in a row: a longer list is split into 32
+            # parts, each tested for all its kinds first
+            size = -(-len(branches) // 32)
+            for n in range(0, len(branches), size):
+                part = branches[n:n + size]
+                kinds = [kind for _, group in part for kind in group]
+                head = len(out)
+                out.append(f"{ind}{'elif' if n else 'if'} {_kind_test(var, kinds)}:")
+                if size > 1:
+                    dispatch(part, var, ind + "    ")
+                else:
+                    out.extend(ind + line for line in part[0][0])
+                    _fold(out, head)
+
+        if skipped:
+            out.append(f"{ind}if pos > s.farthest: s.farthest = pos")
+        if not groups:
+            run(other, ind)
+            return
+        # the code of each branch, written at no indentation, in the order
+        # of the alternatives it runs; kinds whose code is the same share
+        # a branch
+        code: dict[tuple, list] = {}
+        for plan, kinds in sorted(groups.items(), key=lambda item: (
+                (*item[0][0], len(alts) if item[0][1] is None else item[0][1]),
+                sorted(item[1]))):
+            start = len(out)
+            run(plan, "    ")
+            code.setdefault(tuple(out[start:]), []).extend(kinds)
+            del out[start:]
+        start = len(out)
+        run(other, "    ")
+        rest = out[start:]
+        del out[start:]
+        code.pop(tuple(rest), None)
+        if code:
+            var = "kinds[pos]"
+            if len(code) > 1:
+                out.append(f"{ind}k = kinds[pos]")
+                var = "k"
+            dispatch(list(code.items()), var, ind)
+            head = len(out)
+            out.append(f"{ind}else:")
+            out.extend(ind + line for line in rest)
+            _fold(out, head)
+        else:
+            out.extend(ind + line[4:] for line in rest)
+        if common:
+            finish(last, ind)
 
 
 class Session:
@@ -809,6 +1121,8 @@ class Session:
         # leaves its node here unused
         self.error_nodes: list[ErrorNode] = []
         self.guard: set[tuple[str, int]] = set()
+        # the named failure a function returned _THROWN for
+        self.failure: _Fail | None = None
         self.pred_depth = 0
         self.rec_depth = 0
         self.farthest = 0
@@ -833,24 +1147,33 @@ class Session:
             offset=offset, line=line, col=col, token_index=pos,
         ))
 
-    def _throw(self, label: str, pos: int, acc: list):
+    def _throw(self, label: str, pos: int, acc: list) -> int:
         recovery = self._matcher.recovery.get(label)
-        if (recovery is None or self.pred_depth > 0 or self.rec_depth > 0):
-            return _Fail(label, pos)
-        if (label, pos) in self.guard:
-            return _Fail(label, pos)
+        if (recovery is None or self.pred_depth > 0 or self.rec_depth > 0
+                or (label, pos) in self.guard):
+            self.failure = _Fail(label, pos)
+            return _THROWN
         if len(self.errors) >= self.max_errors:
-            return _Fail(label, pos, logged=True)
+            self.failure = _Fail(label, pos, logged=True)
+            return _THROWN
         self.guard.add((label, pos))
         self._record(label, pos)
-        scratch: list = []
-        self.rec_depth += 1
-        try:
-            r = recovery(self, pos, scratch)
-        finally:
-            self.rec_depth -= 1
-        if isinstance(r, _Fail):
-            return _Fail(label, pos, logged=True)
+        if recovery.__class__ is frozenset:
+            # (!p .)*: what it would append is dropped anyway
+            r, kinds, count = pos, self._kinds, self._count
+            while r < count and kinds[r] not in recovery:
+                r += 1
+            if r > self.farthest:
+                self.farthest = r
+        else:
+            self.rec_depth += 1
+            try:
+                r = recovery(self, pos, [])
+            finally:
+                self.rec_depth -= 1
+            if r < 0:
+                self.failure = _Fail(label, pos, logged=True)
+                return _THROWN
         expected = self.grammar.label_descriptions.get(label, label)
         if r > pos:
             # the recovery consumed tokens pos .. r-1
@@ -886,13 +1209,16 @@ class Session:
         except RecursionError:
             return ParseOutcome(status="failed", tree=None,
                                 errors=self._too_deep(), fail_label=FAIL)
-        if isinstance(r, _Fail):
-            if r is _FAILED:
+        if r < 0:
+            if r == _FAILED:
+                label = FAIL
                 self._record(FAIL, self.farthest, "unexpected input")
-            elif not r.logged:
-                self._record(r.label, r.pos)
+            else:
+                label = self.failure.label
+                if not self.failure.logged:
+                    self._record(label, self.failure.pos)
             return ParseOutcome(status="failed", tree=None,
-                                errors=self.errors, fail_label=r.label)
+                                errors=self.errors, fail_label=label)
         if r < self._count:
             self._record(FAIL, r, "expected end of input")
         return ParseOutcome(status="matched", tree=self._tree(acc),
@@ -915,9 +1241,10 @@ class Session:
         except RecursionError:
             return MatchResult(status="failed", end=None, fail_label=FAIL,
                                errors=self._too_deep())
-        if isinstance(r, _Fail):
+        if r < 0:
             return MatchResult(status="failed", end=None,
-                               fail_label=r.label, errors=self.errors)
+                               fail_label=FAIL if r == _FAILED else self.failure.label,
+                               errors=self.errors)
         return MatchResult(status="matched", end=r,
                            errors=self.errors,
                            children=tuple(_tuple_nodes(self._tree(acc))))

@@ -2,6 +2,8 @@ import copy
 import random
 import sys
 
+import pytest
+
 from pegrec.analysis import Analysis, TokenSet
 from pegrec.annotate import annotate
 from pegrec.dsl import parse_grammar
@@ -9,6 +11,7 @@ from pegrec.engine import Session, _Matcher, match
 from pegrec.model import (
     Choice,
     Grammar,
+    GrammarError,
     Literal,
     Optional,
     Sequence,
@@ -289,6 +292,26 @@ def test_follow_of_a_deep_hand_built_grammar_returns():
     finally:
         sys.setrecursionlimit(limit)
     assert kinds(follow) == {"EOF"}
+
+
+def test_follow_of_a_grammar_too_deep_for_first_is_a_grammar_error():
+    # Analysis reads FIRST of the rule bodies only; FOLLOW asks FIRST of
+    # every right-hand side, which recursed past the limit as a raw
+    # RecursionError
+    e = Terminal("BB")
+    for _ in range(990):
+        e = Sequence(Optional(Terminal("BB")), e)
+    g = Grammar(rules={"start": Sequence(Terminal("AA"), e)},
+                lexical={"AA": Literal("a"), "BB": Literal("b")}, start="start")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        a = Analysis(g)
+        with pytest.raises(GrammarError, match="^grammar nested too deeply$"):
+            a.follow_of("start")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert kinds(Analysis(g).follow_of("start")) == {"EOF"}
 
 
 # --- the guards' FIRST sets ----------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 import pegrec
 from pegrec.cli import main
 from pegrec.dsl import parse_grammar
+from pegrec.engine import tree_to_json_text
 from pegrec.model import grammar_eq
 
 SMALL = """\
@@ -291,15 +292,33 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+def _deep_java(tmp_path, depth: int) -> str:
+    return write(tmp_path, f"deep{depth}.java",
+                 "public class A { public static void main ( String [ ] a ) "
+                 "{ x = " + "( " * depth + "1" + " )" * depth + " ; } }")
+
+
 def test_module_runs_cli_and_deep_nesting_exits_2(tmp_path, grammar_dir):
-    # python -m pegrec works without the console script installed
-    source = write(tmp_path, "deep.java",
-                   "public class A { public static void main ( String [ ] a ) "
-                   "{ x = " + "( " * 3000 + "1" + " )" * 3000 + " ; } }")
+    # python -m pegrec works without the console script installed; at about
+    # 6 frames per paren level, 6000 levels overflow the recursion limit
+    # of 20000 a Session sets
+    source = _deep_java(tmp_path, 6000)
     done = run_module("parse", str(grammar_dir / "tiny_java_annotated.peg"), source)
     assert done.returncode == 2
     assert "input nested too deeply" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_json_of_a_deep_tree_prints(tmp_path, grammar_dir):
+    # 3000 levels parse, and their tree, about 10 JSON levels per paren
+    # level, is written without recursion
+    grammar = str(grammar_dir / "tiny_java_annotated.peg")
+    source = _deep_java(tmp_path, 3000)
+    done = run_module("parse", grammar, source, "--json")
+    assert (done.returncode, done.stderr) == (0, "")
+    tree = pegrec.parse(pegrec.load_grammar(grammar), Path(source).read_text()).tree
+    assert done.stdout == tree_to_json_text(tree) + "\n"
+    assert done.stdout.count('{"token":"LPAR"') == 3000 + 1
 
 
 # deeper than both the default recursion limit and the one a Session sets

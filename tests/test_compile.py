@@ -13,7 +13,7 @@ from pegrec import dsl, engine, model
 from pegrec.analysis import Analysis
 from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import load_grammar, parse_grammar
-from pegrec.engine import Session, tree_from_json, tree_to_json
+from pegrec.engine import Session, tree_from_json, tree_to_json, tree_to_json_text
 from pegrec.evaluate import ast_structural_eq, delete_token
 from pegrec.model import (
     Grammar,
@@ -135,6 +135,7 @@ def test_deep_trees_convert_under_the_default_recursion_limit(tiny_java_annotate
     sys.setrecursionlimit(1000)
     try:
         data = tree_to_json(outcome.tree)
+        text = tree_to_json_text(outcome.tree)
         back = tree_from_json(data)
         flat = _flat(outcome.tree.root)
         flat_back = _flat(back.root)
@@ -142,6 +143,8 @@ def test_deep_trees_convert_under_the_default_recursion_limit(tiny_java_annotate
     finally:
         sys.setrecursionlimit(limit)
     assert same and flat_back == flat
+    # json.dumps recurses in C, about 10 times per paren level
+    assert text == json.dumps(data, separators=(",", ":"))
     depth, stack = 0, [(data, 1)]
     while stack:
         node, level = stack.pop()
@@ -174,7 +177,10 @@ def test_parsing_and_converting_leave_no_reference_cycles(tiny_java_annotated_fi
 
 def test_too_deep_nesting_fails_without_a_traceback(tiny_java_annotated_file):
     limit = sys.getrecursionlimit()
-    text = _nested(3000)
+    # a paren level takes about 6 frames, so 3000 levels parse and 6000
+    # overflow the recursion limit of 20000
+    assert Session(tiny_java_annotated_file, _nested(3000)).parse().ok
+    text = _nested(6000)
     outcome = Session(tiny_java_annotated_file, text).parse()
     assert outcome.status == "failed"
     assert outcome.tree is None
@@ -250,23 +256,41 @@ def test_too_deep_a_match_past_end_of_input_fails_without_a_traceback():
             [("input nested too deeply", pos, offset)]
 
 
+def _compiled(monkeypatch) -> list[str]:
+    """The source of every function the engine compiles from now on."""
+    sources: list[str] = []
+
+    def counted(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+    monkeypatch.setattr(engine, "compile", counted, raising=False)
+    return sources
+
+
 def test_nested_plus_compiles_in_linear_time(monkeypatch):
     # desugaring p+ to p p* shares p, so the desugared grammar is a DAG
-    # that doubles per level when walked as a tree
-    calls = []
-    real = engine._Matcher.compile
+    # that doubles per level when walked as a tree; the shared p is one
+    # helper function
+    sources = _compiled(monkeypatch)
 
-    def counted(self, e, *memo):
-        calls.append(e)
-        return real(self, e, *memo)
-    monkeypatch.setattr(engine._Matcher, "compile", counted)
-
-    def count(depth: int) -> tuple[int, int]:
+    def count(depth: int) -> tuple[int, int, int]:
         g = parse_grammar("start <- " + "(" * depth + "'a'" + ")+" * depth + " ;")
-        calls.clear()
+        sources.clear()
         assert Session(g, "a").parse().ok
         walked = len(model._walk(model.program(g).grammar.rules["start"]))
-        return len(calls), walked
-    (calls_8, walked_8), (calls_16, walked_16) = count(8), count(16)
-    assert calls_16 <= 2 * calls_8 + 10
+        return len(sources), sum(s.count("\n") for s in sources), walked
+    (functions_8, lines_8, walked_8), (functions_16, lines_16, walked_16) = count(8), count(16)
+    assert functions_16 <= 2 * functions_8 + 2
+    assert lines_16 <= 2 * lines_8 + 10
     assert walked_16 <= 2 * walked_8 + 10
+
+
+def test_matching_a_rule_reference_compiles_nothing(monkeypatch, tiny_java_annotated_file):
+    session = Session(tiny_java_annotated_file, _nested(3))
+    sources = _compiled(monkeypatch)
+    assert session.match_expr(NonTerminal("Prog")).end == len(session.stream.kinds)
+    assert session.match_expr(NonTerminal("Exp"), 17).end == 24
+    assert sources == []
+    # any other expression is compiled on the spot
+    assert session.match_expr(Sequence(NonTerminal("Exp"), Terminal("SEMI")), 17).end == 25
+    assert len(sources) == 1

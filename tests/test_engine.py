@@ -10,7 +10,7 @@ from pegrec import engine
 from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import load_grammar, parse_grammar
 from pegrec.engine import ErrorNode, RuleNode, Session, TokenLeaf, Tree, match, parse
-from pegrec.engine import tree_from_json, tree_to_json
+from pegrec.engine import tree_from_json, tree_to_json, tree_to_json_text
 from pegrec.evaluate import delete_token, duplicate_token, token_spans
 from pegrec.lexer import Token
 from pegrec.model import (AnyToken, Choice, GrammarError, Literal, NonTerminal,
@@ -307,8 +307,13 @@ def test_tree_json_round_trip(grammar_dir, tiny_java):
     annotated, _ = annotate(tiny_java)
     sources = [_factorial(grammar_dir, fixed=True), _factorial(grammar_dir, fixed=False),
                random_program(5), "public class A { x = @ ; }"]
+    # empty rules, ErrorNodes and names that JSON escapes
+    odd = parse_grammar("%start début ;\ndébut <- Ø [BB]^\u00e9 Ø 'é\\\"'* ;\nØ <- '' ;\n"
+                        "BB <- 'b' ;\n%recovery\n\u00e9 <- (!BB .)* ;\n")
     outcomes = [parse(g(REC), "a x c")] + [parse(annotated, text) for text in sources]
+    outcomes += [parse(odd, text) for text in ("", "b", 'é" x b', 'b é" é"')]
     assert [len(o.errors) for o in outcomes[:3]] == [1, 0, 2]
+    assert [len(o.errors) for o in outcomes[-4:]] == [1, 0, 2, 0]
     assert all(o.tree is not None for o in outcomes)
     for outcome in outcomes:
         data = tree_to_json(outcome.tree)
@@ -316,6 +321,10 @@ def test_tree_json_round_trip(grammar_dir, tiny_java):
         assert back.__class__ is Tree
         assert back == outcome.tree
         assert tree_to_json(back) == data
+        # what pegrec parse --json prints
+        text = json.dumps(data, separators=(",", ":"))
+        assert tree_to_json_text(outcome.tree) == text
+        assert tree_to_json_text(back) == text
         # an ErrorNode comes back as one, every other node as a plain tuple
         assert [n.__class__ for n in _preorder(back.root)] == \
             [n.__class__ for n in _preorder(outcome.tree.root)]
@@ -765,3 +774,21 @@ def test_dispatch_changes_no_outcome_on_tiny_java_mutants(monkeypatch, grammar_d
                     want = Session(plain, text, max_errors=max_errors).parse()
                     got = Session(dispatched, text, max_errors=max_errors).parse()
                     assert _facts(got) == _facts(want), (seed, index, mutate)
+
+
+def test_dispatch_changes_no_outcome_on_wide_choices(monkeypatch):
+    # 40 rule alternatives need more than 32 branches, which are tested in
+    # parts; 20 alternatives that run at every kind ahead of 40 more would
+    # repeat in every branch, so that choice runs every alternative in turn
+    lexicon = "".join(f"K{i} <- 'k{i}' ;\n" for i in range(40))
+    wide = ("start <- (" + " / ".join(f"r{i}" for i in range(40)) + ")* ;\n"
+            + "".join(f"r{i} <- K{i} [K{(i + 1) % 40}]^l{i} ;\n" for i in range(40)))
+    crowded = ("start <- (" + " / ".join(f"!K{i} K{i}" for i in range(20)) + " / "
+               + " / ".join(f"K{i}" for i in range(40)) + ")* K0 ;\n")
+    texts = ["", "k0 k1 k2 k3", "k39 k0 k5", "k3 k3 k4", "k7 k8 x k9 k10", "k12"]
+    for text_of in (wide, crowded):
+        make = lambda: parse_grammar(lexicon + "%start start ;\n" + text_of)
+        plain = _undispatched(monkeypatch, make)
+        dispatched = make()
+        for text in texts:
+            assert _facts(parse(dispatched, text)) == _facts(parse(plain, text)), text
