@@ -17,21 +17,19 @@ A grammar is compiled once per Grammar object, on its first parse, and the
 result is kept for as long as the Grammar lives (``model.program``): the
 desugared and validated grammar, its lexer, and generated Python source,
 one function per syntactic rule plus helpers, compiled one function at a
-time (see "compilation" below).  A recovery expression of the form
-``(!p .)*``, which the annotator writes, is kept as the set of kinds it
-stops at, and any other as a function.  A Grammar must therefore not be
-mutated after its first parse.  ``match_expr`` checks its one expression
-against the grammar and compiles it on the spot, unless it is a rule
-reference, which runs the rule's own function.
+time (see "compilation" below); a recovery expression's function is
+compiled when a parse first recovers with it.  A Grammar must therefore
+not be mutated after its first parse.  ``match_expr`` checks its one
+expression against the grammar and compiles it on the spot, unless it is
+a rule reference, which runs the rule's own function.
 
 A ``Session`` scans the whole text when it is built.  The matcher then
 reads the token kinds from a column that ends in ``EOF`` at the token
-count (and up to the start position, for a match past the end), so a
-terminal compares the kind at its position and dispatch reads it, with no
-bounds check; only ``.`` and ``EOF`` compare the position with the token
-count.
+count (and up to the start position, for a match past the end), so every
+test of the matcher, ``.`` and ``EOF`` too, compares the kind at its
+position, with no bounds check.  No token has the kind ``EOF``.
 
-Choices, repetitions and predicates dispatch on the current token's kind
+Choices, repetitions and predicates look at the current token's kind
 (one-token lookahead; ``EOF`` past the end of input).  Each alternative of
 a choice, each star body and each predicate body gets a guard when it can
 only fail plainly unless it consumes a token first: it is not nullable,
@@ -39,21 +37,20 @@ and it reaches no throw, no predicate and no ``.`` before its first
 token.  Its guard is then its FIRST set, and at a token outside that set
 it is skipped, since running it would only have failed there.  The one
 trace such a failure leaves, moving ``farthest`` up to the position, is
-made by the skip instead.  A choice tests the kind and runs the branch
-written for it at compile time; a star ends its loop, and ``!p`` succeeds
-without running p.  Any other expression has no guard and always runs.  FIRST sets alone would not do: FIRST(^l) is empty, so ``[X]^l / Y``
-pruned by FIRST(X) would match Y silently where it must throw l.  So the
-guards come from a ``model.First`` over the token kinds plus one marker,
-which a throw, a predicate and ``.`` put in their sets: a node whose set
-holds epsilon or the marker gets no guard.
+made by the skip instead: a choice moves it before its first alternative
+at a kind where it skips one, a star when its loop ends, and ``!p`` when
+it succeeds without running p.  Any other expression has no guard and
+always runs.  FIRST sets alone would not do: FIRST(^l) is empty, so
+``[X]^l / Y`` pruned by FIRST(X) would match Y silently where it must
+throw l.  So the guards come from a ``model.First`` over the token kinds
+plus one marker, which a throw, a predicate and ``.`` put in their sets:
+a node whose set holds epsilon or the marker gets no guard.
 
-Two fast paths skip work the general case does.  A terminal alternative
-that its guard lets run matches, so no alternative after it runs there
-(``[X]^l`` at an X is just X), and the branch appends the token without
-testing its kind again.  Where the one alternative a choice runs at a
-kind is its last or such a terminal, its failure is the choice's own, so
-the branch runs it without noting where to roll back ``acc`` and the
-error list.
+A terminal alternative that its guard lets run matches, so no alternative
+after it runs there (``[X]^l`` at an X is just X), and the choice appends
+the token without testing its kind again.  Every alternative but the
+last is rolled back when it fails plainly; the last one's failure is the
+choice's own.
 
 A parse builds its syntax tree as one column of ints, ``acc``, in
 postorder (``Tree``): a terminal appends its token index, a rule appends
@@ -62,7 +59,8 @@ appends one row that points into a short list of ``ErrorNode``s.  The
 matcher makes no node object, so a tree of any size is a few lists that
 the cyclic collector walks as one object each, and a choice, a star or a
 predicate drops what a failed alternative built with ``del acc[n:]``.
-``tree_to_json``, ``Tree.root`` (the tree as exact tuples, built on
+An error recorded by a recovery whose row is gone so is dropped the next
+time the error list is read (``Session._live``).  ``tree_to_json``, ``Tree.root`` (the tree as exact tuples, built on
 request) and ``evaluate.ast_structural_eq`` read the columns with stacks
 of their own, so no tree is too deep for them.
 """
@@ -73,7 +71,6 @@ import copy
 import json
 import reprlib
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -535,22 +532,21 @@ DEFAULT_MAX_ERRORS = 50
 #
 # The code of an expression is written where it is used: a sequence as
 # straight-line code that returns on failure, a terminal as a test of
-# ``kinds[pos]``, a choice as an if/elif on the current kind (the plans
-# below), a star as a while loop and ``!`` as a block.  An operand of a
+# ``kinds[pos]``, a choice as its alternatives in turn, each behind its
+# guard, a star as a while loop and ``!`` as a block.  An operand of a
 # choice, a star or ``!`` that is not a leaf, and a node that several
 # parents share (desugaring p+ to p p* shares p), becomes a helper
 # function h<n> instead, written once.  So the source stays linear in the
 # size of the grammar, and no function nests blocks more than a few levels
-# deep.  One exception saves a frame per call: an alternative that a
-# choice runs in one plan only, and last, is written in place when the
-# choice is not itself inside such an alternative.  A recovery expression
-# is a helper too, unless it is ``(!p .)*`` (``_Matcher.stops``).  Each
+# deep.  One exception saves a frame per call: a choice's last
+# alternative is written in place when the choice is not itself inside
+# such an alternative.  A recovery expression is a helper too.  Each
 # function is compiled on its own, into one namespace per grammar, and
-# helpers of the same source are compiled once.  Compiling costs about a
-# microsecond per token of source, so the code is kept short: a skip goes
-# with the failure or throw after it into one call (``fail``, ``throw``),
-# a block of one statement is one line (``_fold``), and a run of three or
-# more ``[X]^l`` is a loop over (X, l) pairs.
+# helpers of the same source are compiled once.  Compiling takes about a
+# microsecond per token of source, which is most of what building a
+# matcher costs, so ``[X]^l``, the most common choice, is two lines, and
+# a recovery expression is compiled only when a parse first recovers
+# with it.
 
 _FAILED = -1
 _THROWN = -2
@@ -567,26 +563,6 @@ def _skip_throw(s: "Session", label: str, pos: int, acc: list) -> int:
     if pos > s.farthest:
         s.farthest = pos
     return s._throw(label, pos, acc)
-
-
-def _plan(guards: list, terminal: list, kind) -> tuple:
-    """What a choice does at a token of this kind, by alternative index:
-    the alternatives it tries first, each rolled back when it fails; the
-    one it runs last, whose failure is the choice's own (None when it skips
-    its last alternative); and whether it skips an alternative that would
-    have run had its guard let it.  ``terminal[i]`` says whether
-    alternative i is a terminal other than ``EOF``: one whose guard lets it
-    run here matches, so no alternative after it would run, and none of
-    those counts as skipped."""
-    tried = [i for i, guard in enumerate(guards) if guard is None or kind in guard]
-    for n, i in enumerate(tried):
-        if terminal[i] and guards[i] is not None:
-            # n of the i alternatives before i are tried
-            return tuple(tried[:n]), i, n < i
-    skipped = len(tried) < len(guards)
-    if tried and tried[-1] == len(guards) - 1:
-        return tuple(tried[:-1]), tried[-1], skipped
-    return tuple(tried), None, skipped
 
 
 def _kind_test(var: str, kinds, among: bool = True) -> str:
@@ -618,8 +594,8 @@ def _guard_leaf(e: Expr) -> TokenSet:
 class _Matcher:
     """The syntactic rules and recovery expressions of one desugared
     grammar, compiled: ``rules`` maps a rule name to its function, and
-    ``recovery`` a label to its recovery expression's function, or to the
-    kinds it stops at when it is ``(!p .)*`` (``stops``)."""
+    ``recovery`` a label to its recovery expression's, compiled the first
+    time it runs (``recover``)."""
 
     def __init__(self, g: Grammar):
         self.first = First(g.rules, _guard_leaf)
@@ -628,16 +604,23 @@ class _Matcher:
         self.ids = {name: i for i, name in enumerate(self.names)}
         self.shift = _code_bits(len(self.names))
         self.namespace: dict = {"fail": _fail, "throw": _skip_throw}
-        self.recovery = {lab: self.stops(body) for lab, body in g.recovery.items()}
-        compiled = [lab for lab, stop in self.recovery.items() if stop is None]
-        emit = _Emitter(self, self.namespace,
-                        [*g.rules.values(), *(g.recovery[lab] for lab in compiled)])
+        self.emit = _Emitter(self, self.namespace, [*g.rules.values(), *g.recovery.values()])
         for rid, body in enumerate(g.rules.values()):
-            emit.rule(rid, body)
+            self.emit.rule(rid, body)
         self.rules = {name: self.namespace[f"r{rid}"] for rid, name in enumerate(self.names)}
-        for lab in compiled:
-            self.recovery[lab] = self.namespace[emit.function(g.recovery[lab])]
         self.start = self.rules[g.start]
+        self.recovery_exprs = g.recovery
+        self.recovery: dict = {}
+
+    def recover(self, label: str):
+        """The function of label's recovery expression.  Only a parse that
+        recovers runs one, so each is compiled the first time it is asked
+        for."""
+        found = self.recovery.get(label)
+        if found is None:
+            found = self.recovery[label] = self.namespace[
+                self.emit.function(self.recovery_exprs[label])]
+        return found
 
     def guard(self, e: Expr) -> frozenset | None:
         """The token kinds at which e can do anything but fail plainly
@@ -659,10 +642,10 @@ class _Matcher:
 
     def stops(self, e: Expr) -> frozenset | None:
         """The kinds p matches when e is ``(!p .)*`` and p a terminal or a
-        choice of terminals, the recovery expression the annotator writes:
-        e then takes the tokens up to one of them or the end, and moves
-        farthest to where it stops.  For ``(!EOF .)*`` it is the empty
-        set."""
+        choice of terminals, as in the recovery expressions the annotator
+        writes: e then takes the tokens up to one of them or the end, and
+        moves farthest to where it stops.  For ``(!EOF .)*`` it is the
+        empty set."""
         if e.__class__ is not Star:
             return None
         body = e.body
@@ -688,20 +671,6 @@ class _Matcher:
 
 
 _COMPOSITE = (Sequence, Choice, Star, Not)
-_COMPOUND = ("if ", "elif ", "else:", "while ", "try:", "finally:")
-
-
-def _fold(out: list, head: int) -> None:
-    """Put the block of the if, elif or else at out[head] on one line when
-    its body is one simple statement, or ``pass`` when it is empty."""
-    if len(out) == head + 1:
-        out[head] += " pass"
-    elif len(out) == head + 2:
-        body = out[head + 1].lstrip()
-        if not body.startswith(_COMPOUND):
-            out[head:] = [f"{out[head]} {body}"]
-        elif out[head].endswith("else:") and body.startswith("if "):
-            out[head:] = [f"{out[head][:-5]}el{body}"]
 
 
 def _parent_counts(roots: list) -> dict[int, int]:
@@ -771,14 +740,7 @@ class _Emitter:
         if name is None:
             out: list[str] = []
             self._seq(e, out, "    ", 0)
-            # the helper returns what its last call or choice returns
-            last = out[-1] if out else ""
-            if last.startswith("    if (pos := ") and last.endswith(") < 0: return pos"):
-                out[-1] = "    return " + last[15:-17]
-            elif out[-2:] == ["    if r < 0: return r", "    pos = r"]:
-                out[-2:] = ["    return r"]
-            else:
-                out.append("    return pos")
+            out.append("    return pos")
             key = "\n".join(out)
             name = self.sources.get(key)
             if name is None:
@@ -834,43 +796,27 @@ class _Emitter:
                 stack += (node.right, node.left)
             else:
                 items.append(node)
-        # [X]^l, the most common choice, as (X, l): written here as _choice
-        # would write it, which takes far longer, and three or more in a
-        # row as one loop
-        expects = [(item.first.kind, item.second.label)
-                   if (item.__class__ is Choice and item.second.__class__ is Throw
-                       and item.first.__class__ is Terminal and item.first.kind != EOF_KIND
-                       and self.guard(item.first) is not None) else None
-                   for item in items]
-        i = 0
-        while i < len(items):
-            item, expect = items[i], expects[i]
-            i += 1
+        for item in items:
             cls = item.__class__
             placed = item is e or not self._shared(item)
-            if expect is not None:
-                run = [expect]
-                while i < len(items) and expects[i] is not None:
-                    run.append(expects[i])
-                    i += 1
-                if len(run) > 2:
-                    out.append(f"{ind}for k, l in {tuple(run)!r}:")
-                    run = [(ind + "    ", "k", "l")]
-                else:
-                    run = [(ind, repr(kind), repr(label)) for kind, label in run]
-                for at, kind, label in run:
-                    out.append(f"{at}if kinds[pos] == {kind}: acc.append(pos); pos += 1")
-                    out.append(f"{at}elif (pos := throw(s, {label}, pos, acc)) < 0: return pos")
+            if (cls is Choice and item.second.__class__ is Throw
+                    and item.first.__class__ is Terminal and item.first.kind != EOF_KIND
+                    and self.guard(item.first) is not None):
+                # [X]^l, the most common choice, written here as _choice
+                # would write it, which takes far longer
+                out.append(f"{ind}if kinds[pos] == {item.first.kind!r}: acc.append(pos); pos += 1")
+                out.append(f"{ind}elif (pos := throw(s, {item.second.label!r}, pos, acc)) < 0: "
+                           "return pos")
             elif cls is Terminal and item.kind != EOF_KIND:
                 out.append(f"{ind}if kinds[pos] != {item.kind!r}: return fail(s, pos)")
                 out.append(f"{ind}acc.append(pos); pos += 1")
             elif cls is Terminal:
-                out.append(f"{ind}if pos < s._count: return fail(s, pos)")
+                out.append(f"{ind}if kinds[pos] != 'EOF': return fail(s, pos)")
             elif cls is AnyToken:
-                out.append(f"{ind}if pos >= s._count: return fail(s, pos)")
+                out.append(f"{ind}if kinds[pos] == 'EOF': return fail(s, pos)")
                 out.append(f"{ind}acc.append(pos); pos += 1")
             elif cls is Empty:
-                pass
+                out.append(f"{ind}pass")
             elif cls is Choice and placed:
                 self._choice(item, out, ind, depth)
             elif cls is Star and placed:
@@ -886,14 +832,14 @@ class _Emitter:
         be."""
         cls = e.__class__
         if cls is Terminal and e.kind == EOF_KIND:
-            out.append(f"{ind}r = fail(s, pos) if pos < s._count else pos")
+            out.append(f"{ind}r = pos if kinds[pos] == 'EOF' else fail(s, pos)")
         elif admitted:
             out.append(f"{ind}acc.append(pos); r = pos + 1")
         elif cls is Terminal:
             out.append(f"{ind}if kinds[pos] == {e.kind!r}: acc.append(pos); r = pos + 1")
             out.append(f"{ind}else: r = fail(s, pos)")
         elif cls is AnyToken:
-            out.append(f"{ind}if pos < s._count: acc.append(pos); r = pos + 1")
+            out.append(f"{ind}if kinds[pos] != 'EOF': acc.append(pos); r = pos + 1")
             out.append(f"{ind}else: r = fail(s, pos)")
         elif cls is Empty:
             out.append(f"{ind}r = pos")
@@ -903,8 +849,8 @@ class _Emitter:
     def _star(self, e: Expr, out: list, ind: str) -> None:
         stop = self.stops(e)
         if stop is not None:
-            test = f" and {_kind_test('kinds[pos]', stop, False)}" if stop else ""
-            out.append(f"{ind}while pos < s._count{test}: acc.append(pos); pos += 1")
+            stop = _kind_test("kinds[pos]", stop | {EOF_KIND}, False)
+            out.append(f"{ind}while {stop}: acc.append(pos); pos += 1")
             out.append(f"{ind}if pos > s.farthest: s.farthest = pos")
             return
         body = e.body
@@ -915,13 +861,13 @@ class _Emitter:
         if admitted is not None:
             out.append(f"{inner}acc.append(pos); pos += 1")
         else:
-            out.append(f"{inner}na = len(acc); ne = len(s.errors)")
+            out.append(f"{inner}na = len(acc)")
             self._result(body, out, inner)
             out.append(f"{inner}if r > pos: pos = r; continue")
             # a plain failure ends the loop; so does no progress, where a
             # nullable body would loop forever
             out.append(f"{inner}if r < -1: return r")
-            out.append(f"{inner}del acc[na:]; del s.errors[ne:]")
+            out.append(f"{inner}del acc[na:]")
             out.append(f"{inner}break")
         if guard is not None:
             out.append(f"{ind}else:")
@@ -938,160 +884,75 @@ class _Emitter:
         if guard is not None:
             out.append(f"{ind}if {_kind_test('kinds[pos]', guard)}:")
             inner = ind + "    "
-        out.append(f"{inner}na = len(acc); ne = len(s.errors)")
+        out.append(f"{inner}na = len(acc)")
         out.append(f"{inner}s.pred_depth += 1")
         out.append(f"{inner}try:")
         self._result(body, out, inner + "    ")
         out.append(f"{inner}finally:")
         out.append(f"{inner}    s.pred_depth -= 1")
-        out.append(f"{inner}del acc[na:]; del s.errors[ne:]")
+        out.append(f"{inner}del acc[na:]")
         out.append(f"{inner}if r >= 0: return fail(s, pos)")
         if guard is not None:
             out.append(f"{ind}elif pos > s.farthest: s.farthest = pos")
 
     def _choice(self, e: Expr, out: list, ind: str, depth: int) -> None:
+        """The alternatives in turn, each behind its guard, leaving the
+        result in r.  Each but the last is rolled back when it fails
+        plainly; the last one's failure is the choice's own."""
         alts = operands(e, Choice)
         guards = [self.guard(x) for x in alts]
-        terminal = [x.__class__ is Terminal and x.kind != EOF_KIND for x in alts]
-        other = _plan(guards, terminal, None)
-        groups: dict = {}
+        admitted = [x.__class__ is Terminal and x.kind != EOF_KIND and guard is not None
+                    for x, guard in zip(alts, guards)]
+        # a kind at which the choice skips an alternative that would have
+        # run moves farthest to pos, as that alternative's failure would
+        # have moved it; kept holds the kinds at which none is skipped
+        skips = any(guard is not None for guard in guards)
+        kept = set()
         for kind in set().union(*filter(None, guards)):
-            plan = _plan(guards, terminal, kind)
-            if plan != other:
-                groups.setdefault(plan, []).append(kind)
-        if sum(len(plan[0]) for plan in groups) > 4 * len(alts) + 32:
-            # the branches would repeat the alternatives that run at every
-            # kind many times over; running all alternatives in turn has
-            # the same outcome
-            guards = [None] * len(alts)
-            other, groups = _plan(guards, terminal, None), {}
-        plans = [other, *groups]
-        # what every branch does alike is written once: the skip before the
-        # dispatch, and the last alternative after it
-        skipped = all(plan[2] for plan in plans)
-        last = other[1]
-        common = len(plans) > 1 and all(plan[1] == last for plan in plans)
-        runs = Counter(i for plan in plans for i in plan[0])
-        runs.update([last] if common else [plan[1] for plan in plans])
-
-        def admitted(i) -> bool:
-            return terminal[i] and guards[i] is not None
-
-        def inline(i) -> bool:
-            # an alternative written in place: it is no leaf, it runs in one
-            # place only, and the choice is not in such an alternative
-            return (alts[i].__class__ in _PLACED and depth == 0 and runs[i] == 1
-                    and not self._shared(alts[i]))
-
-        def place(i, ind: str) -> None:
-            # the last alternative of a branch that tries none first; its
-            # failure is the choice's own
-            if i is None:
-                out.append(f"{ind}return -1")
-            elif admitted(i):
-                out.append(f"{ind}acc.append(pos); pos += 1")
-            elif inline(i):
-                self._seq(alts[i], out, ind, 1)
-            elif alts[i].__class__ in _PLACED:
-                out.append(f"{ind}if (pos := {self._call(alts[i])}) < 0: return pos")
+            for x, guard, terminal in zip(alts, guards, admitted):
+                if guard is not None and kind not in guard:
+                    break
+                if terminal:
+                    kept.add(kind)
+                    break
             else:
-                self._seq(alts[i], out, ind, depth)
-
-        def finish(i, ind: str) -> None:
-            # the last alternative after those tried first, which leave -1
-            # in r when they all failed plainly
-            if i is not None:
-                head = len(out)
-                out.append(f"{ind}if r == -1:")
-                if inline(i):
-                    self._seq(alts[i], out, ind + "    ", 1)
-                    out.append(f"{ind}    r = pos")
+                kept.add(kind)
+        # most often, kept is the first alternative's guard, and the skip
+        # goes with not running it
+        skip_first = guards[0] is not None and kept == guards[0]
+        if skips and not skip_first:
+            test = f"{_kind_test('kinds[pos]', kept, False)} and " if kept else ""
+            out.append(f"{ind}if {test}pos > s.farthest: s.farthest = pos")
+            if guards[0] is not None:
+                out.append(f"{ind}r = -1")
+        for i, x in enumerate(alts):
+            test = [] if i == 0 else ["r == -1"]
+            if guards[i] is not None:
+                test.append(_kind_test("kinds[pos]", guards[i]))
+            at = ind
+            if test:
+                out.append(f"{ind}if {' and '.join(test)}:")
+                at = ind + "    "
+            if i < len(alts) - 1:
+                if admitted[i]:
+                    out.append(f"{at}acc.append(pos); r = pos + 1")
                 else:
-                    self._result(alts[i], out, ind + "    ", admitted(i))
-                _fold(out, head)
-            out.append(f"{ind}if r < 0: return r")
-            out.append(f"{ind}pos = r")
-
-        def run(plan: tuple, ind: str) -> None:
-            init, i, skip = plan
-            skip = skip and not skipped
-            if not init:
-                # a skip goes with a failure or a throw right after it,
-                # which no clean parse runs
-                if common:
-                    out.append(f"{ind}r = {'fail(s, pos)' if skip else '-1'}")
-                elif skip and i is None:
-                    out.append(f"{ind}return fail(s, pos)")
-                elif skip and alts[i].__class__ is Throw:
-                    out.append(f"{ind}if (pos := throw(s, {alts[i].label!r}, pos, acc)) < 0: "
-                               "return pos")
-                else:
-                    if skip:
-                        out.append(f"{ind}if pos > s.farthest: s.farthest = pos")
-                    place(i, ind)
+                    out.append(f"{at}na = len(acc)")
+                    self._result(x, out, at)
+                    out.append(f"{at}if r == -1: del acc[na:]")
+                if i == 0 and skip_first:
+                    out.append(f"{ind}else: r = fail(s, pos)")
+            elif x.__class__ in _PLACED and depth == 0 and not self._shared(x):
+                # written in place, returning its failure, which saves a
+                # frame per call
+                self._seq(x, out, at, 1)
+                out.append(f"{ind}elif r < 0: return r")
+                out.append(f"{ind}else: pos = r")
                 return
-            if skip:
-                out.append(f"{ind}if pos > s.farthest: s.farthest = pos")
-            out.append(f"{ind}na = len(acc); ne = len(s.errors)")
-            self._result(alts[init[0]], out, ind)
-            for j in init[1:]:
-                out.append(f"{ind}if r == -1:")
-                out.append(f"{ind}    del acc[na:]; del s.errors[ne:]")
-                self._result(alts[j], out, ind + "    ")
-            out.append(f"{ind}if r == -1: del acc[na:]; del s.errors[ne:]")
-            if not common:
-                finish(i, ind)
-
-        def dispatch(branches: list, var: str, ind: str) -> None:
-            # at most 32 tests in a row: a longer list is split into 32
-            # parts, each tested for all its kinds first
-            size = -(-len(branches) // 32)
-            for n in range(0, len(branches), size):
-                part = branches[n:n + size]
-                kinds = [kind for _, group in part for kind in group]
-                head = len(out)
-                out.append(f"{ind}{'elif' if n else 'if'} {_kind_test(var, kinds)}:")
-                if size > 1:
-                    dispatch(part, var, ind + "    ")
-                else:
-                    out.extend(ind + line for line in part[0][0])
-                    _fold(out, head)
-
-        if skipped:
-            out.append(f"{ind}if pos > s.farthest: s.farthest = pos")
-        if not groups:
-            run(other, ind)
-            return
-        # the code of each branch, written at no indentation, in the order
-        # of the alternatives it runs; kinds whose code is the same share
-        # a branch
-        code: dict[tuple, list] = {}
-        for plan, kinds in sorted(groups.items(), key=lambda item: (
-                (*item[0][0], len(alts) if item[0][1] is None else item[0][1]),
-                sorted(item[1]))):
-            start = len(out)
-            run(plan, "    ")
-            code.setdefault(tuple(out[start:]), []).extend(kinds)
-            del out[start:]
-        start = len(out)
-        run(other, "    ")
-        rest = out[start:]
-        del out[start:]
-        code.pop(tuple(rest), None)
-        if code:
-            var = "kinds[pos]"
-            if len(code) > 1:
-                out.append(f"{ind}k = kinds[pos]")
-                var = "k"
-            dispatch(list(code.items()), var, ind)
-            head = len(out)
-            out.append(f"{ind}else:")
-            out.extend(ind + line for line in rest)
-            _fold(out, head)
-        else:
-            out.extend(ind + line[4:] for line in rest)
-        if common:
-            finish(last, ind)
+            else:
+                self._result(x, out, at, admitted[i])
+        out.append(f"{ind}if r < 0: return r")
+        out.append(f"{ind}pos = r")
 
 
 class Session:
@@ -1101,6 +962,11 @@ class Session:
                  max_errors: int = DEFAULT_MAX_ERRORS,
                  messages: dict[str, str] | None = None):
         prog = program(grammar)
+        # generating code for a grammar takes several frames per nesting
+        # level, and the matcher takes about six per nesting level of the
+        # input
+        if sys.getrecursionlimit() < 20000:
+            sys.setrecursionlimit(20000)
         if prog.matcher is None:
             with nesting_guard():
                 prog.matcher = _Matcher(prog.grammar)
@@ -1117,6 +983,9 @@ class Session:
         if messages:
             self.messages.update(messages)
         self.errors: list[ParseError] = []
+        # (index in errors, index in acc, row) of each error recorded with
+        # an error row during the current parse or match (``_live``)
+        self._error_rows: list[tuple[int, int, int]] = []
         # what the error rows of acc point to (``Tree``); a row rolled back
         # leaves its node here unused
         self.error_nodes: list[ErrorNode] = []
@@ -1126,9 +995,6 @@ class Session:
         self.pred_depth = 0
         self.rec_depth = 0
         self.farthest = 0
-        limit = sys.getrecursionlimit()
-        if limit < 20000:
-            sys.setrecursionlimit(20000)
 
     # -- error records --------------------------------------------------------
 
@@ -1147,33 +1013,44 @@ class Session:
             offset=offset, line=line, col=col, token_index=pos,
         ))
 
+    def _live(self, acc: list) -> list[ParseError]:
+        """``errors`` without those whose error rows were rolled back.  A
+        failed alternative deletes the rows it appended to acc and leaves
+        its errors, which are dropped here instead.  Rows are deleted from
+        the end of acc, so those errors are the last ones."""
+        rows = self._error_rows
+        while rows:
+            i, at, row = rows[-1]
+            if at < len(acc) and acc[at] == row:
+                break
+            rows.pop()
+            del self.errors[i:]
+        return self.errors
+
+    def _done(self, acc: list) -> None:
+        """Fix the errors of a parse or match that has returned."""
+        self._live(acc)
+        self._error_rows = []
+
     def _throw(self, label: str, pos: int, acc: list) -> int:
-        recovery = self._matcher.recovery.get(label)
-        if (recovery is None or self.pred_depth > 0 or self.rec_depth > 0
-                or (label, pos) in self.guard):
+        if (label not in self._matcher.recovery_exprs or self.pred_depth > 0
+                or self.rec_depth > 0 or (label, pos) in self.guard):
             self.failure = _Fail(label, pos)
             return _THROWN
-        if len(self.errors) >= self.max_errors:
+        if len(self._live(acc)) >= self.max_errors:
             self.failure = _Fail(label, pos, logged=True)
             return _THROWN
         self.guard.add((label, pos))
         self._record(label, pos)
-        if recovery.__class__ is frozenset:
-            # (!p .)*: what it would append is dropped anyway
-            r, kinds, count = pos, self._kinds, self._count
-            while r < count and kinds[r] not in recovery:
-                r += 1
-            if r > self.farthest:
-                self.farthest = r
-        else:
-            self.rec_depth += 1
-            try:
-                r = recovery(self, pos, [])
-            finally:
-                self.rec_depth -= 1
-            if r < 0:
-                self.failure = _Fail(label, pos, logged=True)
-                return _THROWN
+        recovery = self._matcher.recover(label)
+        self.rec_depth += 1
+        try:
+            r = recovery(self, pos, [])
+        finally:
+            self.rec_depth -= 1
+        if r < 0:
+            self.failure = _Fail(label, pos, logged=True)
+            return _THROWN
         expected = self.grammar.label_descriptions.get(label, label)
         if r > pos:
             # the recovery consumed tokens pos .. r-1
@@ -1183,7 +1060,9 @@ class Session:
             span = (anchor, anchor)
         nodes = self.error_nodes
         matcher = self._matcher
-        acc.append(~((len(nodes) << matcher.shift) | 2 * len(matcher.names)))
+        row = ~((len(nodes) << matcher.shift) | 2 * len(matcher.names))
+        self._error_rows.append((len(self.errors) - 1, len(acc), row))
+        acc.append(row)
         nodes.append(ErrorNode(label, expected, span))
         return r
 
@@ -1194,6 +1073,7 @@ class Session:
         far may belong to alternatives that never finished, so only one
         fatal error is kept, at the farthest position reached."""
         self.errors = []
+        self._error_rows = []
         self._record(FAIL, self.farthest, "input nested too deeply")
         return self.errors
 
@@ -1209,6 +1089,7 @@ class Session:
         except RecursionError:
             return ParseOutcome(status="failed", tree=None,
                                 errors=self._too_deep(), fail_label=FAIL)
+        self._done(acc)
         if r < 0:
             if r == _FAILED:
                 label = FAIL
@@ -1241,6 +1122,7 @@ class Session:
         except RecursionError:
             return MatchResult(status="failed", end=None, fail_label=FAIL,
                                errors=self._too_deep())
+        self._done(acc)
         if r < 0:
             return MatchResult(status="failed", end=None,
                                fail_label=FAIL if r == _FAILED else self.failure.label,

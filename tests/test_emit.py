@@ -4,7 +4,11 @@ for any valid grammar a compiled program or a GrammarError."""
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +165,31 @@ def test_nesting_deeper_than_the_stack_is_a_grammar_error():
             assert exc.message == "grammar nested too deeply"
         else:
             assert outcome.status in ("matched", "failed")
+
+
+_AT_THE_DEFAULT_LIMIT = """
+import sys
+from pegrec.engine import Session
+from pegrec.model import Choice, Grammar, Literal, Not, Sequence, Star, Terminal
+assert sys.getrecursionlimit() == 1000
+wrappers = {"mixed": (Not, Star, lambda x: Choice(x, Terminal("BB"))),
+            "alternating": (lambda x: Choice(Sequence(Terminal("AA"), x), Terminal("BB")),)}
+for shape, depth in (("mixed", 423), ("alternating", 164)):
+    e = Terminal("AA")
+    for n in range(depth):
+        e = wrappers[shape][n % len(wrappers[shape])](e)
+    Session(Grammar(rules={"start": e}, lexical={"AA": Literal("a"), "BB": Literal("b")},
+                    start="start"), "a").parse()
+"""
+
+
+def test_hand_built_nesting_compiles_at_the_default_recursion_limit():
+    # the deepest of each shape that the closures took in a fresh process
+    # with the default limit; generating code takes more frames per level,
+    # so Session raises the limit before it does
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _AT_THE_DEFAULT_LIMIT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
