@@ -13,7 +13,7 @@ from pegrec import dsl, engine, model
 from pegrec.analysis import Analysis
 from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import load_grammar, parse_grammar
-from pegrec.engine import Session, tree_from_json, tree_to_json, tree_to_json_text
+from pegrec.engine import Session, parse, tree_from_json, tree_to_json, tree_to_json_text
 from pegrec.evaluate import ast_structural_eq, delete_token
 from pegrec.model import (
     Grammar,
@@ -265,6 +265,24 @@ def _compiled(monkeypatch) -> list[str]:
         return compile(source, *args)
     monkeypatch.setattr(engine, "compile", counted, raising=False)
     return sources
+
+
+def test_a_recovery_expression_is_compiled_when_first_used(monkeypatch, grammar_dir):
+    g = load_grammar(str(grammar_dir / "tiny_java_annotated.peg"))
+    sources = _compiled(monkeypatch)
+    assert parse(g, _nested(3)).ok
+    # the rules and their helpers, and none of the 40 recovery expressions
+    assert sources and not any("while kinds[pos] not in" in s for s in sources)
+    del sources[:]
+    # a missing ")" recovers with Err_AtomExp_2's (!p .)*, then a missing
+    # ";" with Err_AssignStmt_3's, and the same again compiles nothing
+    broken = ("public class A { public static void main ( String [ ] a ) { "
+              "x = ( 1 ; y = 2 } }")
+    first = parse(g, broken)
+    assert [e.label for e in first.errors] == ["Err_AtomExp_2", "Err_AssignStmt_3"]
+    assert len(sources) == 2 and all("while kinds[pos] not in {" in s for s in sources)
+    assert parse(g, broken).errors == first.errors
+    assert len(sources) == 2
 
 
 def test_nested_plus_compiles_in_linear_time(monkeypatch):

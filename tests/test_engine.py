@@ -777,9 +777,8 @@ def test_dispatch_changes_no_outcome_on_tiny_java_mutants(monkeypatch, grammar_d
 
 
 def test_dispatch_changes_no_outcome_on_wide_choices(monkeypatch):
-    # 40 rule alternatives need more than 32 branches, which are tested in
-    # parts; 20 alternatives that run at every kind ahead of 40 more would
-    # repeat in every branch, so that choice runs every alternative in turn
+    # a choice of 40 guarded rule alternatives, and one where 20
+    # alternatives that run at every kind come ahead of 40 guarded ones
     lexicon = "".join(f"K{i} <- 'k{i}' ;\n" for i in range(40))
     wide = ("start <- (" + " / ".join(f"r{i}" for i in range(40)) + ")* ;\n"
             + "".join(f"r{i} <- K{i} [K{(i + 1) % 40}]^l{i} ;\n" for i in range(40)))
