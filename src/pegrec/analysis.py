@@ -41,6 +41,7 @@ from .model import (
     TokenSet,
     checked,
     nesting_guard,
+    plus_operand,
     rule_fixpoint,
 )
 
@@ -111,11 +112,10 @@ class Analysis:
                 if cls is NonTerminal:
                     sites[e.name].append((caller, flw))
                 elif cls is Sequence:
-                    right = e.right
                     # the p of p p* is followed by what its star body is
-                    if right.__class__ is not Star or right.body is not e.left:
-                        stack.append((e.left, calck(right, flw)))
-                    stack.append((right, flw))
+                    if plus_operand(e) is None:
+                        stack.append((e.left, calck(e.right, flw)))
+                    stack.append((e.right, flw))
                 elif cls is Choice:
                     stack.append((e.first, flw))
                     stack.append((e.second, flw))

@@ -93,10 +93,10 @@ from .model import (
     Throw,
     TokenSet,
     check_expr,
-    children,
     desugar_expr,
     nesting_guard,
     operands,
+    plus_operand,
     program,
 )
 from .lexer import TokenStream
@@ -534,15 +534,16 @@ DEFAULT_MAX_ERRORS = 50
 # straight-line code that returns on failure, a terminal as a test of
 # ``kinds[pos]``, a choice as its alternatives in turn, each behind its
 # guard, a star as a while loop and ``!`` as a block.  An operand of a
-# choice, a star or ``!`` that is not a leaf, and a node that several
-# parents share (desugaring p+ to p p* shares p), becomes a helper
-# function h<n> instead, written once.  So the source stays linear in the
-# size of the grammar, and no function nests blocks more than a few levels
-# deep.  One exception saves a frame per call: a choice's last
-# alternative is written in place when the choice is not itself inside
-# such an alternative.  A recovery expression is a helper too.  Each
-# function is compiled on its own, into one namespace per grammar, and
-# helpers of the same source are compiled once.  Compiling takes about a
+# choice, a star or ``!`` that is not a leaf becomes a helper function
+# h<n> instead, written once, and so does the p of a p p*, the one node
+# desugaring shares (``model.plus_operand``): the sequence calls it as
+# its star does.  So the source stays linear in the size of the grammar,
+# and no function nests blocks more than a few levels deep.  One
+# exception saves a frame per call: a choice's last alternative is
+# written in place when the choice is not itself inside such an
+# alternative.  A recovery expression is a helper too.  Each function is
+# compiled on its own, into one namespace per grammar, and helpers of
+# the same source are compiled once.  Compiling takes about a
 # microsecond per token of source, which is most of what building a
 # matcher costs, so ``[X]^l``, the most common choice, is two lines, and
 # a recovery expression is compiled only when a parse first recovers
@@ -591,11 +592,15 @@ def _guard_leaf(e: Expr) -> TokenSet:
     return EPSILON_ONLY if cls is Empty else _ACTS_SET
 
 
+_PLACED = (Sequence, Star, Not)
+
+
 class _Matcher:
     """The syntactic rules and recovery expressions of one desugared
     grammar, compiled: ``rules`` maps a rule name to its function, and
     ``recovery`` a label to its recovery expression's, compiled the first
-    time it runs (``recover``)."""
+    time it runs (``recover``).  The functions are written by the methods
+    below and defined in ``namespace``."""
 
     def __init__(self, g: Grammar):
         self.first = First(g.rules, _guard_leaf)
@@ -604,9 +609,12 @@ class _Matcher:
         self.ids = {name: i for i, name in enumerate(self.names)}
         self.shift = _code_bits(len(self.names))
         self.namespace: dict = {"fail": _fail, "throw": _skip_throw}
-        self.emit = _Emitter(self, self.namespace, [*g.rules.values(), *g.recovery.values()])
+        self.helpers: dict[int, str] = {}   # id(node) -> its helper's name
+        self.sources: dict[str, str] = {}   # a helper's body -> its name
+        # past every helper name the namespace holds
+        self.count = len(self.namespace)
         for rid, body in enumerate(g.rules.values()):
-            self.emit.rule(rid, body)
+            self.rule(rid, body)
         self.rules = {name: self.namespace[f"r{rid}"] for rid, name in enumerate(self.names)}
         self.start = self.rules[g.start]
         self.recovery_exprs = g.recovery
@@ -619,7 +627,7 @@ class _Matcher:
         found = self.recovery.get(label)
         if found is None:
             found = self.recovery[label] = self.namespace[
-                self.emit.function(self.recovery_exprs[label])]
+                self.function(self.recovery_exprs[label])]
         return found
 
     def guard(self, e: Expr) -> frozenset | None:
@@ -666,57 +674,9 @@ class _Matcher:
             return self.rules[e.name]
         view = copy.copy(self)
         view.first = self.first.scratch()
-        namespace = dict(self.namespace)
-        return namespace[_Emitter(view, namespace, [e]).function(e)]
-
-
-_COMPOSITE = (Sequence, Choice, Star, Not)
-
-
-def _parent_counts(roots: list) -> dict[int, int]:
-    """How many parents each node of roots that is not a leaf has, by
-    ``id``; being one of the roots counts as one."""
-    counts: dict[int, int] = {}
-    get = counts.get
-    for node in roots:
-        counts[id(node)] = get(id(node), 0) + 1
-    seen: set[int] = set()
-    stack = [node for node in roots if node.__class__ in _COMPOSITE]
-    while stack:
-        node = stack.pop()
-        key = id(node)
-        if key in seen:
-            continue
-        seen.add(key)
-        for kid in children(node):
-            if kid.__class__ in _COMPOSITE:
-                key = id(kid)
-                counts[key] = get(key, 0) + 1
-                stack.append(kid)
-    return counts
-
-
-_PLACED = (Sequence, Star, Not)
-
-
-class _Emitter:
-    """Writes the functions of a matcher and defines them in its namespace.
-    ``roots`` are the expressions given functions of their own; the nodes
-    below them that several parents share get helpers."""
-
-    def __init__(self, matcher: _Matcher, namespace: dict, roots: list):
-        self.guard = matcher.guard
-        self.admitted = matcher.admitted
-        self.stops = matcher.stops
-        self.ids = matcher.ids
-        self.nrules = len(matcher.names)
-        self.shift = matcher.shift
-        self.namespace = namespace
-        self.parents = _parent_counts(roots)
-        self.helpers: dict[int, str] = {}   # id(node) -> its helper's name
-        self.sources: dict[str, str] = {}   # a helper's body -> its name
-        # past every helper name the namespace holds
-        self.count = len(namespace)
+        view.namespace = dict(self.namespace)
+        view.helpers, view.sources, view.count = {}, {}, len(view.namespace)
+        return view.namespace[view.function(e)]
 
     def rule(self, rid: int, body: Expr) -> None:
         """Define r<rid>, the function of the rule with that id: it closes
@@ -730,7 +690,7 @@ class _Emitter:
             out.append("    p = pos")
             self._seq(body, out, "    ", 0)
             out.append(f"    if len(acc) > n: {close}")
-            out.append(f"    else: acc.append({~(self.nrules + rid)} - (p << {self.shift}))")
+            out.append(f"    else: acc.append({~(len(self.names) + rid)} - (p << {self.shift}))")
         out.append("    return pos")
         self._define(f"r{rid}", out)
 
@@ -773,9 +733,6 @@ class _Emitter:
             return self._appends(e.first) and self._appends(e.second)
         return cls is AnyToken or cls is NonTerminal or cls is Throw
 
-    def _shared(self, e: Expr) -> bool:
-        return self.parents.get(id(e), 0) > 1
-
     def _call(self, e: Expr) -> str:
         cls = e.__class__
         if cls is NonTerminal:
@@ -787,18 +744,17 @@ class _Emitter:
     def _seq(self, e: Expr, out: list, ind: str, depth: int) -> None:
         """Code that matches e at pos: it leaves the end in pos and returns
         a failure.  ``depth`` is 1 inside an alternative written in place."""
-        # the operands of the sequence chain e, with a shared sequence as
-        # one operand
-        items, stack = [], [e]
+        # the operands of the sequence chain e, each with whether it may be
+        # written in place: not the p of p p*, which the star calls too
+        items, stack = [], [(e, True)]
         while stack:
-            node = stack.pop()
-            if node.__class__ is Sequence and (node is e or not self._shared(node)):
-                stack += (node.right, node.left)
+            node, placed = stack.pop()
+            if node.__class__ is Sequence and placed:
+                stack += ((node.right, True), (node.left, plus_operand(node) is None))
             else:
-                items.append(node)
-        for item in items:
+                items.append((node, placed))
+        for item, placed in items:
             cls = item.__class__
-            placed = item is e or not self._shared(item)
             if (cls is Choice and item.second.__class__ is Throw
                     and item.first.__class__ is Terminal and item.first.kind != EOF_KIND
                     and self.guard(item.first) is not None):
@@ -942,7 +898,7 @@ class _Emitter:
                     out.append(f"{at}if r == -1: del acc[na:]")
                 if i == 0 and skip_first:
                     out.append(f"{ind}else: r = fail(s, pos)")
-            elif x.__class__ in _PLACED and depth == 0 and not self._shared(x):
+            elif x.__class__ in _PLACED and depth == 0:
                 # written in place, returning its failure, which saves a
                 # frame per call
                 self._seq(x, out, at, 1)

@@ -44,6 +44,7 @@ from .model import (
     Star,
     TokenSet,
     operands,
+    plus_operand,
     program,
 )
 
@@ -111,9 +112,10 @@ class _RegexWriter:
         if isinstance(e, Empty):
             return ""
         if isinstance(e, Sequence):
-            if e.right.__class__ is Star and e.right.body is e.left:
+            p = plus_operand(e)
+            if p is not None:
                 # p+ desugared to p p*, which share p: write p once
-                return self._atomic(f"(?:{self.write(e.left)})+")
+                return self._atomic(f"(?:{self.write(p)})+")
             return self.write(e.left) + self.write(e.right)
         if isinstance(e, Choice):
             return self._atomic("|".join(self.write(a) for a in operands(e, Choice)))

@@ -16,10 +16,11 @@ is remembered per object: do not mutate a grammar after its first use.
 The walks of a pass (``_walk``, and the checks and tables built from it)
 run on an explicit stack and dispatch on the exact class of a node
 (``node.__class__ is Choice``): every ``Expr`` class is defined here, and
-none is subclassed.  Desugaring ``p+`` to ``p p*`` shares p between two
-parents, so a desugared expression is a DAG; a walk visits a shared node
-once, which keeps it linear in the size of the DAG, not of the tree it
-unfolds to.  ``First`` is the one FIRST-set and nullability computation:
+none is subclassed.  One rule of sharing: desugaring ``p+`` to ``p p*``
+gives both parts the same p, and no other node has two parents.  Every
+walk and rewrite finds that p with ``plus_operand`` and visits it once,
+so it stays linear in the size of the DAG, not of the tree it unfolds
+to.  ``First`` is the one FIRST-set and nullability computation:
 ``analysis``, the lexer, the matcher's guards and the left-recursion check
 each run it with a ``leaf`` function of their own.
 """
@@ -213,40 +214,48 @@ def children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
+def plus_operand(e: Expr) -> Expr | None:
+    """p, when e is ``p p*`` as desugaring writes ``p+``: a sequence whose
+    star repeats the very node on its left.  Otherwise None."""
+    if e.__class__ is Sequence:
+        right = e.right
+        if right.__class__ is Star and right.body is e.left:
+            return e.left
+    return None
+
+
 def map_children(e: Expr, f) -> Expr:
-    """e rebuilt with f applied to each direct subexpression; a leaf is
-    returned as it is."""
+    """e rebuilt with f applied to each direct subexpression, to the p of
+    ``p p*`` once, so it stays shared; a leaf is returned as it is."""
+    p = plus_operand(e)
+    if p is not None:
+        p = f(p)
+        return Sequence(p, Star(p))
     kids = children(e)
     return type(e)(*map(f, kids)) if kids else e
 
 
 def _walk(e: Expr) -> list[Expr]:
-    """Every node of e in preorder.  A node with children that several
-    parents share (desugaring ``p+`` to ``p p*`` shares p) is listed, and
-    walked below, once, so a walk of a desugared expression is linear in
-    its size."""
+    """Every node of e, each before the nodes below it.  The p of ``p p*``
+    is listed, and walked below, once, after its star."""
     out: list[Expr] = []
-    seen: set[int] = set()
     stack = [e]
     pop, push, add = stack.pop, stack.append, out.append
     while stack:
         node = pop()
-        cls = node.__class__
-        if cls is Sequence or cls is Choice or cls in _UNARY:
-            # only a node with children can make the walk blow up
-            key = id(node)
-            if key in seen:
-                continue
-            seen.add(key)
-            if cls is Sequence:
-                push(node.right)
-                push(node.left)
-            elif cls is Choice:
-                push(node.second)
-                push(node.first)
-            else:
-                push(node.body)
         add(node)
+        cls = node.__class__
+        if cls is Sequence:
+            if plus_operand(node) is None:
+                push(node.right)
+            else:
+                add(node.right)
+            push(node.left)
+        elif cls is Choice:
+            push(node.second)
+            push(node.first)
+        elif cls in _UNARY:
+            push(node.body)
     return out
 
 
@@ -396,10 +405,12 @@ def validate(g: Grammar) -> Grammar:
 def _fill_tables(g: Grammar, rule_nodes, recovery_nodes) -> None:
     """Fill g's tables from the nodes of each rule and recovery body: the
     literal kinds and label descriptions in order of first appearance, the
-    label set, and a default message for each described label."""
+    label set, and a default message for each described label.  A label
+    g describes already keeps its description and its message."""
     literals: dict[str, None] = {}
     labels: set[str] = set()
     descriptions: dict[str, str] = {}
+    kept = g.label_descriptions
     # annotation sites in recovery expressions describe nothing
     for walked, sites in ((rule_nodes, descriptions), (recovery_nodes, {})):
         for nodes in walked:
@@ -412,7 +423,8 @@ def _fill_tables(g: Grammar, rule_nodes, recovery_nodes) -> None:
                     labels.add(node.label)
                 elif cls is Choice and node.second.__class__ is Throw:
                     # an annotation site p / ^l
-                    sites.setdefault(node.second.label, describe(node.first))
+                    lab = node.second.label
+                    sites.setdefault(lab, kept[lab] if lab in kept else describe(node.first))
     g.literal_kinds = tuple(literals)
     g.labels = labels
     g.label_descriptions = descriptions
@@ -489,9 +501,9 @@ class First:
     ``rules`` holds each rule's set, a least fixed point computed when the
     First is built.  From then on a call remembers its result by the
     node's ``id`` and keeps the node alive, so no other node can take over
-    the id (hashing a frozen node would walk its subtree).  The p of a
-    desugared ``p p*`` is read once, so the walk stays linear on the DAG
-    that desugaring makes, even with the memo off while the rules grow."""
+    the id (hashing a frozen node would walk its subtree).  It reads the
+    p of ``p p*`` once (``plus_operand``), so it stays linear on the DAG
+    desugaring makes, even with the memo off while the rules grow."""
 
     def __init__(self, rules: dict[str, Expr], leaf):
         self.leaf = leaf
@@ -520,10 +532,9 @@ class First:
             f = rules[e.name]
         elif cls is Sequence:
             f = self._of(e.left, rules, memo)
-            right = e.right
             # p p* begins as p does, and is nullable when p is
-            if f.has_epsilon and (right.__class__ is not Star or right.body is not e.left):
-                f = f.without_epsilon().union(self._of(right, rules, memo))
+            if f.has_epsilon and plus_operand(e) is None:
+                f = f.without_epsilon().union(self._of(e.right, rules, memo))
         elif cls is Choice:
             f = self._of(e.first, rules, memo).union(self._of(e.second, rules, memo))
         elif cls is Star or cls is Optional:
@@ -722,7 +733,7 @@ def render_expr(e: Expr, prec: int = _CHOICE) -> str:
     if cls is Empty:
         return "''"
     if cls is Terminal:
-        return e.kind  # literal kinds already carry their quotes
+        return _quote(e.kind[1:-1]) if is_literal_kind(e.kind) else e.kind
     if cls is NonTerminal:
         return e.name
     if cls is Throw:

@@ -1,6 +1,7 @@
 """The generated matcher: the parse facts of the closures it replaced, and
 for any valid grammar a compiled program or a GrammarError."""
 
+import copy
 import hashlib
 import itertools
 import json
@@ -24,11 +25,14 @@ from pegrec.model import (
     Literal,
     NonTerminal,
     Not,
+    Plus,
     Sequence,
     Star,
     Terminal,
     Throw,
+    _walk,
     desugar,
+    map_children,
 )
 
 from helpers import (all_inputs, naive_match, random_grammar, random_program,
@@ -81,6 +85,40 @@ def test_tiny_java_mutants_parse_as_the_closures_did(grammar_dir):
                     session = Session(g, text, max_errors=max_errors)
                     h.update(_facts(session, session.parse()))
     assert h.hexdigest() == "ddb5db2f95baf9e0397c89792ecc5c4cce0ce44df0da34c7e01f283389a96bc0"
+
+
+def _with_one_or_more(g: Grammar, seed: int, make) -> Grammar | None:
+    """g with one of its stars b*, picked by seed, replaced by make(b), or
+    None when g has no star."""
+    stars = [e for body in g.rules.values() for e in _walk(body) if e.__class__ is Star]
+    if not stars:
+        return None
+    target = random.Random(seed).choice(stars)
+
+    def rewrite(e):
+        return make(e.body) if e is target else map_children(e, rewrite)
+    return Grammar(rules={name: rewrite(body) for name, body in g.rules.items()},
+                   lexical=dict(g.lexical), start=g.start)
+
+
+def test_plus_parses_as_its_hand_expansion():
+    # desugaring b+ shares b between b and b*; the same expression written
+    # out with two copies of b must parse alike, plainly and annotated
+    texts = [render_input(kinds) for kinds in all_inputs(4)]
+    compared = 0
+    for seed in range(100):
+        # random_grammar makes no star of a nullable body
+        plus = _with_one_or_more(random_grammar(seed), seed, Plus)
+        if plus is None:
+            continue
+        written = _with_one_or_more(random_grammar(seed), seed,
+                                    lambda b: Sequence(b, Star(copy.deepcopy(b))))
+        for a, b in ((plus, written), (annotate(plus)[0], annotate(written)[0])):
+            for text in texts:
+                sa, sb = Session(a, text), Session(b, text)
+                assert _facts(sa, sa.parse()) == _facts(sb, sb.parse()), (seed, text)
+        compared += 1
+    assert compared > 40
 
 
 # --- grammars that are hard to write as Python ---------------------------------

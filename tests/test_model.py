@@ -105,6 +105,17 @@ def test_serialize_round_trips_random_grammars():
         assert grammar_eq(parse_grammar(serialize_grammar(g)), g), seed
 
 
+def test_serialize_round_trips_literals_that_need_escapes():
+    # a literal token kind is written with the escapes the grammar text
+    # needs, not as the kind's raw text
+    g = parse_grammar("start <- 'a\\'b' '\"' 'q\\\\' 'x\\ny' '\\t' '\\r' ;")
+    assert g.literal_kinds == ("'a'b'", "'\"'", "'q\\'", "'x\ny'", "'\t'", "'\r'")
+    text = serialize_grammar(g)
+    assert "start <- 'a\\'b' '\"' 'q\\\\' 'x\\ny' '\\t' '\\r' ;" in text
+    again = parse_grammar(text)
+    assert grammar_eq(again, g) and again.literal_kinds == g.literal_kinds
+
+
 def test_validate_rejects_undefined_rule():
     with pytest.raises(GrammarError, match="undefined"):
         parse_grammar("start <- Other ;")
@@ -341,11 +352,39 @@ def test_passes_keep_validity_by_construction():
 def test_sugared_annotation_keeps_its_description_and_message():
     g = parse_grammar("start <- [AA+]^l ;\nAA <- 'a' ;")
     assert (g.label_descriptions, g.messages) == ({"l": "AA+"}, {"l": "expected AA+"})
-    # the program expects what the desugared body matches; the message the
-    # grammar text was given stays
+    # desugaring keeps the description and the message the grammar text
+    # gave the label
     d = model.program(g).grammar
-    assert (d.label_descriptions, d.messages) == ({"l": "AA AA*"}, {"l": "expected AA+"})
+    assert (d.label_descriptions, d.messages) == ({"l": "AA+"}, {"l": "expected AA+"})
     assert [e.message for e in parse(g, "").errors] == ["expected AA+"]
+    # a recovery's error node expects what the message says
+    g = parse_grammar("start <- AA [BB+]^l CC ;\nAA <- 'a' ;\nBB <- 'b' ;\nCC <- 'c' ;\n"
+                      "%recovery\nl <- (!CC .)* ;")
+    out = parse(g, "a c")
+    assert [e.message for e in out.errors] == ["expected BB+"]
+    assert out.tree.root[2][1] == ("l", "BB+", (2, 2))
+
+
+def _nested_plus(depth: int) -> Grammar:
+    """``start <- ((AA BB)+ BB)+ ... CC ;`` with depth ``+``s."""
+    e = "(AA BB)+"
+    for _ in range(depth - 1):
+        e = f"({e} BB)+"
+    return parse_grammar(f"start <- {e} CC ;\nAA <- 'a' ;\nBB <- 'b' ;\nCC <- 'c' ;")
+
+
+def test_stripping_labels_keeps_nested_plus_shared():
+    # desugaring p+ to p p* shares p; a rewrite that copied it would double
+    # the expression per level of nesting
+    def stripped(depth: int) -> Expr:
+        body = strip_labels(desugar(_nested_plus(depth))).rules["start"]
+        plus = body.left
+        for _ in range(depth):
+            p = model.plus_operand(plus)
+            assert p is not None
+            plus = p.left
+        return body
+    assert len(model._walk(stripped(16))) <= 2 * len(model._walk(stripped(8))) + 10
 
 
 # --- left recursion against the reference check ---------------------------------
