@@ -37,9 +37,9 @@ from .model import (
     Terminal,
     Throw,
     annotation_parts,
-    describe,
     desugar,
     nesting_guard,
+    render_expr,
     strip_labels,
     valid_by_construction,
 )
@@ -168,7 +168,7 @@ class _Annotator:
         self.recovery[label] = self._sync_expr(kinds)
         self.report.inserted.append(InsertedSite(
             rule=self.rule, path=_fmt_path(path), label=label,
-            expected=describe(e), followed_by=kinds,
+            expected=render_expr(e), followed_by=kinds,
         ))
         return Choice(e, Throw(label))
 
@@ -177,7 +177,7 @@ class _Annotator:
             return
         self.report.skipped.append(SkippedSite(
             rule=self.rule, path=_fmt_path(path),
-            reason=reason, expected=describe(e),
+            reason=reason, expected=render_expr(e),
         ))
 
     def _register_existing(self, label: str, flw: TokenSet, path: list[str]) -> None:

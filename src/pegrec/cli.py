@@ -8,7 +8,8 @@
 
 ``parse`` exits 0 on a clean parse, 1 when errors were recovered, and 2
 when the input could not be parsed at all.  ``eval`` exits 1 when any case
-failed outright or detected the wrong label.
+failed outright or detected the wrong label, and 2 when DIR is not a
+directory.
 """
 
 from __future__ import annotations

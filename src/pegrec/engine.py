@@ -14,14 +14,15 @@ the same label has already been attempted at the same position (so a loop
 of throw/recover/backtrack cannot diverge).
 
 A grammar is compiled once per Grammar object, on its first parse, and the
-result is kept for as long as the Grammar lives (``model.program``): the
-desugared and validated grammar, its lexer, and generated Python source,
-one function per syntactic rule plus helpers, compiled one function at a
-time (see "compilation" below); a recovery expression's function is
-compiled when a parse first recovers with it.  A Grammar must therefore
-not be mutated after its first parse.  ``match_expr`` checks its one
-expression against the grammar and compiles it on the spot, unless it is
-a rule reference, which runs the rule's own function.
+result is kept on the grammar, so both are freed together: its desugared
+and validated form (``model.program``), and on that form its lexer and
+generated Python source, one function per syntactic rule plus helpers,
+compiled one function at a time (see "compilation" below); a recovery
+expression's function is compiled when a parse first recovers with it.
+A Grammar must therefore not be mutated after its first parse.
+``match_expr`` checks its one expression against the grammar and
+compiles it on the spot, unless it is a rule reference, which runs the
+rule's own function.
 
 A ``Session`` scans the whole text when it is built.  The matcher then
 reads the token kinds from a column that ends in ``EOF`` at the token
@@ -917,17 +918,16 @@ class Session:
     def __init__(self, grammar: Grammar, text: str,
                  max_errors: int = DEFAULT_MAX_ERRORS,
                  messages: dict[str, str] | None = None):
-        prog = program(grammar)
+        self.grammar = g = program(grammar)
         # generating code for a grammar takes several frames per nesting
         # level, and the matcher takes about six per nesting level of the
         # input
         if sys.getrecursionlimit() < 20000:
             sys.setrecursionlimit(20000)
-        if prog.matcher is None:
+        if g._matcher is None:
             with nesting_guard():
-                prog.matcher = _Matcher(prog.grammar)
-        self.grammar = prog.grammar
-        self._matcher: _Matcher = prog.matcher
+                g._matcher = _Matcher(g)
+        self._matcher: _Matcher = g._matcher
         self.stream = stream = TokenStream(grammar, text)
         # the columns the matcher reads; ``_kinds`` ends in EOF_KIND at the
         # token count, and up to where a match past the end starts

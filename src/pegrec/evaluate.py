@@ -116,8 +116,11 @@ def load_corpus(directory: str | Path) -> list[CorpusCase]:
     <name>.ok (corrected source), <name>.tree (intended tree as JSON), and
     <name>.label (expected first label) refine the check.  ``run_corpus``
     lists a case whose file cannot be read, is not UTF-8, or (``.tree``)
-    holds no tree as unreadable."""
+    holds no tree as unreadable.  A path that is not a directory is an
+    OSError naming it."""
     directory = Path(directory)
+    if not directory.is_dir():
+        raise OSError(f"{directory}: not a directory")
     cases = []
     for bad in sorted(directory.glob("*.bad")):
         stem = bad.with_suffix("")

@@ -10,9 +10,9 @@ over it during recovery; a rule that matches zero characters at a
 position is ignored there.
 
 The lexical rules are compiled once per Grammar object, the first time a
-text is lexed with it, and the compiled form is kept for as long as the
-Grammar lives (``model.program``); a Grammar must therefore not be mutated
-after its first parse.  Each rule becomes one anchored ``re`` pattern.  A
+text is lexed with it, and kept on the grammar's desugared form
+(``model.program``); a Grammar must therefore not be mutated after its
+first parse.  Each rule becomes one anchored ``re`` pattern.  A
 PEG never backtracks into an ordered choice or a repetition, so both become
 atomic groups, spelled ``(?=(?P<aN>...))(?P=aN)`` because ``(?>...)`` needs
 Python 3.11; ``!p`` becomes ``(?!p)`` and a rule reference is inlined,
@@ -173,10 +173,10 @@ class _Lexer:
 
 
 def _lexer(grammar: Grammar) -> _Lexer:
-    prog = program(grammar)
-    if prog.lexer is None:
-        prog.lexer = _Lexer(prog.grammar)
-    return prog.lexer
+    g = program(grammar)
+    if g._lexer is None:
+        g._lexer = _Lexer(g)
+    return g._lexer
 
 
 class TokenStream:

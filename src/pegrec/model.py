@@ -10,8 +10,9 @@ syntactic predicate.
 
 A grammar is checked once (``validate``): by ``parse_grammar``, or, when
 built by hand, on first use (``checked``: parse, match, annotate, Analysis).
-The passes keep validity, so their outputs are not checked again.  Validity
-is remembered per object: do not mutate a grammar after its first use.
+The passes keep validity, so their outputs are not checked again.  A
+grammar remembers that it is valid, and what is compiled from it, in fields
+of its own: do not mutate a grammar after its first use.
 
 The walks of a pass (``_walk``, and the checks and tables built from it)
 run on an explicit stack and dispatch on the exact class of a node
@@ -28,7 +29,6 @@ each run it with a ``leaf`` function of their own.
 from __future__ import annotations
 
 import copy
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -159,16 +159,6 @@ def literal_kind(text: str) -> str:
     return "'" + text + "'"
 
 
-def describe(e: Expr) -> str:
-    """Short human-readable name for what an expression expects."""
-    cls = e.__class__
-    if cls is Terminal:
-        return e.kind
-    if cls is NonTerminal:
-        return e.name
-    return render_expr(e)
-
-
 # --- grammar ----------------------------------------------------------------
 
 @dataclass(eq=False)
@@ -179,6 +169,10 @@ class Grammar:
     priority for longest-match ties.  ``labels`` collects every label thrown
     or attached anywhere.  ``recovery`` maps a label to the expression run
     when that label is thrown; ``messages`` maps a label to diagnostic text.
+
+    The private fields, which ``replace`` does not copy, hold what is
+    built from it on first use: whether it is known valid, its desugared
+    form (``program``), and on that form the lexer and the matcher.
     """
 
     rules: dict[str, Expr]
@@ -191,6 +185,10 @@ class Grammar:
     label_descriptions: dict[str, str] = field(default_factory=dict)
     rule_positions: dict[str, tuple[int, int]] = field(default_factory=dict)
     desugared: bool = False
+    _valid: bool = field(default=False, init=False, repr=False)
+    _compiled: Grammar | None = field(default=None, init=False, repr=False)
+    _lexer: object = field(default=None, init=False, repr=False)
+    _matcher: object = field(default=None, init=False, repr=False)
 
     def token_kinds(self) -> tuple[str, ...]:
         return tuple(self.lexical) + self.literal_kinds
@@ -283,10 +281,6 @@ def annotation_parts(e: Expr) -> tuple[Expr, str] | None:
 
 # --- validation -------------------------------------------------------------
 
-# Grammars known to be valid, keyed on the object like _PROGRAMS.
-_VALID: "weakref.WeakSet[Grammar]" = weakref.WeakSet()
-
-
 @contextmanager
 def nesting_guard():
     """Raise a RecursionError inside as GrammarError("grammar nested too
@@ -304,7 +298,7 @@ def checked(g: Grammar) -> Grammar:
     """g, validated the first time it is used unless it is known valid.  A
     hand-built grammar nested too deeply for ``validate`` to walk is a
     GrammarError."""
-    if g in _VALID:
+    if g._valid:
         return g
     with nesting_guard():
         return validate(g)
@@ -398,7 +392,7 @@ def validate(g: Grammar) -> Grammar:
     if name is not None:
         raise GrammarError(f"lexical rule {name} reaches itself; "
                            "a token must be a regular pattern")
-    _VALID.add(g)
+    g._valid = True
     return g
 
 
@@ -424,7 +418,7 @@ def _fill_tables(g: Grammar, rule_nodes, recovery_nodes) -> None:
                 elif cls is Choice and node.second.__class__ is Throw:
                     # an annotation site p / ^l
                     lab = node.second.label
-                    sites.setdefault(lab, kept[lab] if lab in kept else describe(node.first))
+                    sites.setdefault(lab, kept[lab] if lab in kept else render_expr(node.first))
     g.literal_kinds = tuple(literals)
     g.labels = labels
     g.label_descriptions = descriptions
@@ -437,7 +431,7 @@ def valid_by_construction(g: Grammar) -> Grammar:
     (with a ``messages`` dict of its own): its tables are filled and it is
     remembered as valid, with no check."""
     _fill_tables(g, map(_walk, g.rules.values()), map(_walk, g.recovery.values()))
-    _VALID.add(g)
+    g._valid = True
     return g
 
 
@@ -641,34 +635,13 @@ def desugar(g: Grammar) -> Grammar:
         messages=dict(g.messages), desugared=True))
 
 
-@dataclass(eq=False)
-class Program:
-    """What one grammar compiles to.  ``grammar`` is its desugared,
-    validated form; the lexer and the engine fill in ``lexer`` and
-    ``matcher`` the first time they need them."""
-
-    grammar: Grammar
-    lexer: object = None
-    matcher: object = None
-
-
-# Keyed on the Grammar object: an entry lives as long as its grammar.  A
-# grammar changed after its first parse would keep a stale entry.
-_PROGRAMS: "weakref.WeakKeyDictionary[Grammar, Program]" = weakref.WeakKeyDictionary()
-
-
-def program(g: Grammar) -> Program:
-    """The compiled program of g, checking and desugaring g only the first
-    time it is asked for."""
-    prog = _PROGRAMS.get(g)
-    if prog is None:
-        d = desugar(g)
-        if d is g:
-            # an entry that refers to its own key would never be dropped
-            d = replace(g)
-            _VALID.add(d)
-        prog = _PROGRAMS[g] = Program(d)
-    return prog
+def program(g: Grammar) -> Grammar:
+    """The desugared, validated form of g that the lexer and the matcher
+    are built on and keep theirs in: g itself when it is desugared.  g is
+    checked and desugared only the first time it is asked for."""
+    if g._compiled is None:
+        g._compiled = desugar(g)
+    return g._compiled
 
 
 def strip_labels_expr(e: Expr) -> Expr:

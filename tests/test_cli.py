@@ -212,6 +212,16 @@ def test_eval_label_mismatch_exit_1(capsys, tmp_path, small_grammar):
     assert "label mismatches: 1" in capsys.readouterr().out
 
 
+def test_eval_of_a_path_that_is_not_a_directory_exits_2(capsys, tmp_path, small_grammar):
+    corpus = corpus_with(tmp_path, "miss")
+    for path in (tmp_path / "missing", corpus / "c1.bad"):
+        assert main(["eval", str(small_grammar), str(path)]) == 2
+        assert capsys.readouterr().err == f"pegrec: {path}: not a directory\n"
+    (tmp_path / "empty").mkdir()
+    assert main(["eval", str(small_grammar), str(tmp_path / "empty")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["total", "0"]
+
+
 def test_eval_json(capsys, tmp_path, small_grammar):
     corpus = corpus_with(tmp_path, "miss")
     assert main(["eval", str(small_grammar), str(corpus), "--json"]) == 0

@@ -24,6 +24,7 @@ from pegrec.model import (
     Star,
     Terminal,
     serialize_grammar,
+    strip_labels,
 )
 from pegrec.lexer import TokenStream
 
@@ -80,22 +81,33 @@ def test_grammars_from_the_same_text_parse_alike(grammar_dir):
         _outcome_json(Session(other, BROKEN).parse())
 
 
+def _analysed_and_stripped(text: str) -> Grammar:
+    g = parse_grammar(text.replace("AA*", "[AA*]^l"))
+    Analysis(g).follow_of("start")
+    assert Session(strip_labels(g), "a a").parse().ok
+    return g
+
+
 def test_dropped_grammar_leaves_no_cache_entry():
+    # a grammar keeps what is compiled from it, and both are freed together
     text = "%start start ;\nstart <- AA* ;\nAA <- 'a' ;"
-    for make in (lambda: parse_grammar(text),
-                 # an already desugared grammar is its own desugared form
-                 lambda: model.desugar(parse_grammar(text))):
-        gc.collect()
-        before = len(model._PROGRAMS)
+    for make, is_own_form in (
+            (lambda: parse_grammar(text), False),
+            # an already desugared grammar is its own desugared form
+            (lambda: model.desugar(parse_grammar(text)), True),
+            (lambda: annotate(parse_grammar(text))[0], True),
+            (lambda: _analysed_and_stripped(text), False)):
         grammar = make()
         session = Session(grammar, "a a")
         assert session.parse().ok
-        assert len(model._PROGRAMS) == before + 1
-        ref = weakref.ref(grammar)
-        del grammar, session
+        compiled = grammar._compiled
+        assert (compiled is grammar) == is_own_form
+        assert grammar._valid and compiled._valid and session.grammar is compiled
+        assert compiled._lexer is not None and compiled._matcher is session._matcher
+        refs = [weakref.ref(x) for x in (grammar, compiled, compiled._matcher)]
+        del grammar, session, compiled
         gc.collect()
-        assert ref() is None
-        assert len(model._PROGRAMS) == before
+        assert [ref() for ref in refs] == [None] * 3
 
 
 def _nested(depth: int) -> str:
@@ -295,7 +307,7 @@ def test_nested_plus_compiles_in_linear_time(monkeypatch):
         g = parse_grammar("start <- " + "(" * depth + "'a'" + ")+" * depth + " ;")
         sources.clear()
         assert Session(g, "a").parse().ok
-        walked = len(model._walk(model.program(g).grammar.rules["start"]))
+        walked = len(model._walk(model.program(g).rules["start"]))
         return len(sources), sum(s.count("\n") for s in sources), walked
     (functions_8, lines_8, walked_8), (functions_16, lines_16, walked_16) = count(8), count(16)
     assert functions_16 <= 2 * functions_8 + 2

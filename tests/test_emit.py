@@ -231,3 +231,34 @@ def test_hand_built_nesting_compiles_at_the_default_recursion_limit():
     done = subprocess.run([sys.executable, "-c", _AT_THE_DEFAULT_LIMIT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# --- the generated source of the bundled grammars -------------------------------
+#
+# Count, total length and SHA-256 of every source the matcher compiles, in
+# order, with every recovery expression compiled; a change to the code
+# generator that moves any of them has to say why.
+
+@pytest.mark.parametrize("name, functions, chars, digest", [
+    ("tiny_java.peg", 20, 8925,
+     "9bc2c2163d66d00bd3ff43d51d0ff158d46a0f58ee42c77edbd16becfa7b2fa1"),
+    ("tiny_java_annotated.peg", 43, 17082,
+     "75fe0315fe8d14263dd045b2cbfd50f2e0a1bf53eb0b47271e41926a8394f869"),
+    ("tiny_java_labeled.peg", 20, 12104,
+     "511dc94d4be07e90db11738fd4052af3bd9b783311c5ae1c01c17b0ad7b7bfba"),
+])
+def test_bundled_grammars_compile_to_the_pinned_source(grammar_dir, monkeypatch,
+                                                       name, functions, chars, digest):
+    sources: list[str] = []
+
+    def recording_compile(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr("pegrec.engine.compile", recording_compile, raising=False)
+    g = load_grammar(str(grammar_dir / name))
+    matcher = Session(g, "")._matcher
+    for label in g.recovery:
+        matcher.recover(label)
+    assert (len(sources), sum(map(len, sources))) == (functions, chars)
+    assert hashlib.sha256("".join(sources).encode()).hexdigest() == digest

@@ -1,6 +1,9 @@
 import itertools
 import json
 import random
+import re
+
+import pytest
 
 from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import parse_grammar
@@ -180,6 +183,16 @@ def test_load_corpus_discovers_sidecar_files(tmp_path):
     assert cases[0].ok_path is None and cases[0].expected_label is None
     assert cases[1].ok_path is not None
     assert cases[1].expected_label == "miss"
+
+
+def test_load_corpus_rejects_a_path_that_is_not_a_directory(tmp_path):
+    write_case(tmp_path, "a_case", "a a")
+    for path in (tmp_path / "missing", tmp_path / "a_case.bad"):
+        with pytest.raises(OSError, match=f"^{re.escape(str(path))}: not a directory$"):
+            load_corpus(path)
+    # an empty directory is a corpus of no cases
+    (tmp_path / "empty").mkdir()
+    assert load_corpus(tmp_path / "empty") == []
 
 
 def test_run_case_against_corrected_source(tmp_path):

@@ -341,7 +341,7 @@ def test_passes_keep_validity_by_construction():
             outputs.append(annotate(g, config)[0])
         for out in outputs:
             # the pass made it valid; a check from scratch agrees
-            assert out in model._VALID
+            assert out._valid
             copy = validate(fresh_copy(out))
             assert copy.literal_kinds == out.literal_kinds
             assert copy.labels == out.labels
@@ -354,7 +354,7 @@ def test_sugared_annotation_keeps_its_description_and_message():
     assert (g.label_descriptions, g.messages) == ({"l": "AA+"}, {"l": "expected AA+"})
     # desugaring keeps the description and the message the grammar text
     # gave the label
-    d = model.program(g).grammar
+    d = model.program(g)
     assert (d.label_descriptions, d.messages) == ({"l": "AA+"}, {"l": "expected AA+"})
     assert [e.message for e in parse(g, "").errors] == ["expected AA+"]
     # a recovery's error node expects what the message says
@@ -363,6 +363,21 @@ def test_sugared_annotation_keeps_its_description_and_message():
     out = parse(g, "a c")
     assert [e.message for e in out.errors] == ["expected BB+"]
     assert out.tree.root[2][1] == ("l", "BB+", (2, 2))
+
+
+def test_a_literal_is_described_as_grammar_text():
+    # the literal a'b is written 'a\'b' in a grammar, and so in what a
+    # label on it expects
+    g = parse_grammar("start <- AA [ 'a\\'b' ]^l CC ;\nAA <- 'a' ;\nCC <- 'c' ;\n"
+                      "%recovery\nl <- (!CC .)* ;")
+    assert (g.label_descriptions, g.messages) == \
+        ({"l": "'a\\'b'"}, {"l": "expected 'a\\'b'"})
+    out = parse(g, "a c")
+    assert [e.message for e in out.errors] == ["expected 'a\\'b'"]
+    assert out.tree.root[2][1] == ("l", "'a\\'b'", (2, 2))
+    annotated, report = annotate(parse_grammar("start <- AA 'a\\'b' ;\nAA <- 'a' ;"))
+    assert [site.expected for site in report.inserted] == ["'a\\'b'"]
+    assert annotated.label_descriptions == {"Err_start_1": "'a\\'b'"}
 
 
 def _nested_plus(depth: int) -> Grammar:
