@@ -22,7 +22,7 @@ from .annotate import AnnotatorConfig, annotate
 from .analysis import Analysis
 from .diagnostics import format_error, load_messages, suppress_cascaded
 from .dsl import load_grammar
-from .engine import Session, tree_to_json_text
+from .engine import DEFAULT_MAX_ERRORS, Session, tree_to_json_text
 from .evaluate import load_corpus, run_corpus
 from .lexer import read_text
 from .model import GrammarError, serialize_grammar
@@ -156,14 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the syntax tree as JSON on one line")
     p.add_argument("--suppress-within", type=int, default=0, metavar="N",
                    help="drop errors within N tokens of the previous one")
-    p.add_argument("--max-errors", type=int, default=50)
+    p.add_argument("--max-errors", type=int, default=DEFAULT_MAX_ERRORS)
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("eval", help="rate recovery quality over a corpus")
     p.add_argument("grammar")
     p.add_argument("corpus", help="directory of .bad/.ok/.tree/.label files")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-errors", type=int, default=50)
+    p.add_argument("--max-errors", type=int, default=DEFAULT_MAX_ERRORS)
     p.set_defaults(func=_cmd_eval)
     return parser
 

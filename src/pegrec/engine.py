@@ -9,9 +9,11 @@ Recovery for label l runs the grammar's recovery expression from the throw
 position, typically skipping tokens until a synchronization point.  The
 skipped region becomes an ErrorNode standing in for the subtree that could
 not be built, and parsing resumes after it.  Recovery is suppressed inside
-predicates, inside another recovery, after max_errors diagnostics, and when
-the same label has already been attempted at the same position (so a loop
-of throw/recover/backtrack cannot diverge).
+predicates and inside another recovery (one counter, ``Session.quiet``,
+counts both), after max_errors diagnostics, and when the same label has
+already been attempted at the same position (so a loop of
+throw/recover/backtrack cannot diverge).  All of that state belongs to one
+run: each ``parse`` or ``match_expr`` starts it afresh.
 
 A grammar is compiled once per Grammar object, on its first parse, and the
 result is kept on the grammar, so both are freed together: its desugared
@@ -506,18 +508,6 @@ class MatchResult:
     children: tuple = ()
 
 
-class _Fail:
-    """A failure with a named label: where it was thrown, and whether its
-    error is recorded already."""
-
-    __slots__ = ("label", "pos", "logged")
-
-    def __init__(self, label: str, pos: int, logged: bool = False):
-        self.label = label
-        self.pos = pos
-        self.logged = logged
-
-
 DEFAULT_MAX_ERRORS = 50
 
 
@@ -527,9 +517,10 @@ DEFAULT_MAX_ERRORS = 50
 # acc), where s is the Session and acc the rows of the tree being built
 # (``Tree``).  It returns the end position, or a failure below 0: -1
 # (_FAILED) for the plain ``fail`` label, -2 (_THROWN) for a named label,
-# whose _Fail the session keeps in ``failure``.  Only ``Session._throw``
-# makes a -2, and only ``!`` and a recovery expression stop one, so one
-# slot is enough.  A rule function appends its own row.
+# whose (label, pos, logged) the session keeps in ``failure``: where it
+# was thrown, and whether its error is recorded already.  Only
+# ``Session._throw`` makes a -2, and only ``!`` and a recovery expression
+# stop one, so one slot is enough.  A rule function appends its own row.
 #
 # The code of an expression is written where it is used: a sequence as
 # straight-line code that returns on failure, a terminal as a test of
@@ -842,11 +833,9 @@ class _Matcher:
             out.append(f"{ind}if {_kind_test('kinds[pos]', guard)}:")
             inner = ind + "    "
         out.append(f"{inner}na = len(acc)")
-        out.append(f"{inner}s.pred_depth += 1")
-        out.append(f"{inner}try:")
-        self._result(body, out, inner + "    ")
-        out.append(f"{inner}finally:")
-        out.append(f"{inner}    s.pred_depth -= 1")
+        out.append(f"{inner}s.quiet += 1")
+        self._result(body, out, inner)
+        out.append(f"{inner}s.quiet -= 1")
         out.append(f"{inner}del acc[na:]")
         out.append(f"{inner}if r >= 0: return fail(s, pos)")
         if guard is not None:
@@ -913,7 +902,9 @@ class _Matcher:
 
 
 class Session:
-    """One parse over one input text."""
+    """One input text, scanned when the Session is built.  Each ``parse``
+    and ``match_expr`` on it is a run of its own, from fresh state
+    (``_run``), so every call answers as it would on a new Session."""
 
     def __init__(self, grammar: Grammar, text: str,
                  max_errors: int = DEFAULT_MAX_ERRORS,
@@ -938,19 +929,6 @@ class Session:
         self.messages = dict(self.grammar.messages)
         if messages:
             self.messages.update(messages)
-        self.errors: list[ParseError] = []
-        # (index in errors, index in acc, row) of each error recorded with
-        # an error row during the current parse or match (``_live``)
-        self._error_rows: list[tuple[int, int, int]] = []
-        # what the error rows of acc point to (``Tree``); a row rolled back
-        # leaves its node here unused
-        self.error_nodes: list[ErrorNode] = []
-        self.guard: set[tuple[str, int]] = set()
-        # the named failure a function returned _THROWN for
-        self.failure: _Fail | None = None
-        self.pred_depth = 0
-        self.rec_depth = 0
-        self.farthest = 0
 
     # -- error records --------------------------------------------------------
 
@@ -983,29 +961,22 @@ class Session:
             del self.errors[i:]
         return self.errors
 
-    def _done(self, acc: list) -> None:
-        """Fix the errors of a parse or match that has returned."""
-        self._live(acc)
-        self._error_rows = []
-
     def _throw(self, label: str, pos: int, acc: list) -> int:
-        if (label not in self._matcher.recovery_exprs or self.pred_depth > 0
-                or self.rec_depth > 0 or (label, pos) in self.guard):
-            self.failure = _Fail(label, pos)
+        if (label not in self._matcher.recovery_exprs or self.quiet
+                or (label, pos) in self.guard):
+            self.failure = (label, pos, False)
             return _THROWN
         if len(self._live(acc)) >= self.max_errors:
-            self.failure = _Fail(label, pos, logged=True)
+            self.failure = (label, pos, True)
             return _THROWN
         self.guard.add((label, pos))
         self._record(label, pos)
         recovery = self._matcher.recover(label)
-        self.rec_depth += 1
-        try:
-            r = recovery(self, pos, [])
-        finally:
-            self.rec_depth -= 1
+        self.quiet += 1
+        r = recovery(self, pos, [])
+        self.quiet -= 1
         if r < 0:
-            self.failure = _Fail(label, pos, logged=True)
+            self.failure = (label, pos, True)
             return _THROWN
         expected = self.grammar.label_descriptions.get(label, label)
         if r > pos:
@@ -1024,14 +995,37 @@ class Session:
 
     # -- entry points -----------------------------------------------------------
 
-    def _too_deep(self) -> list[ParseError]:
-        """The errors of a parse that ran out of stack.  Those recorded so
-        far may belong to alternatives that never finished, so only one
-        fatal error is kept, at the farthest position reached."""
-        self.errors = []
-        self._error_rows = []
-        self._record(FAIL, self.farthest, "input nested too deeply")
-        return self.errors
+    def _run(self, body, pos: int) -> tuple[int, list[int]]:
+        """Run the function body at token index pos from fresh state, and
+        return its end or failure with the rows it appended.  Only the
+        errors whose rows are kept are left in ``errors``.  A run out of
+        stack fails with one fatal error at the farthest position reached,
+        since the errors recorded so far may belong to alternatives that
+        never finished."""
+        self.errors: list[ParseError] = []
+        # (index in errors, index in acc, row) of each error recorded with
+        # an error row (``_live``)
+        self._error_rows: list[tuple[int, int, int]] = []
+        # what the error rows of acc point to (``Tree``); a row rolled back
+        # leaves its node here unused
+        self.error_nodes: list[ErrorNode] = []
+        # the (label, position) pairs a recovery has run at
+        self.guard: set[tuple[str, int]] = set()
+        # the named failure a function returned _THROWN for
+        self.failure: tuple[str, int, bool] | None = None
+        # above 0 inside a predicate or a recovery, where a throw only fails
+        self.quiet = 0
+        self.farthest = 0
+        acc: list[int] = []
+        try:
+            r = body(self, pos, acc)
+        except RecursionError:
+            self.errors = []
+            self._record(FAIL, self.farthest, "input nested too deeply")
+            self.failure = (FAIL, self.farthest, True)
+            return _THROWN, acc
+        self._live(acc)
+        return r, acc
 
     def _tree(self, rows: list[int]) -> Tree:
         stream = self.stream
@@ -1039,21 +1033,15 @@ class Session:
                     self.error_nodes, stream.eof_offset())
 
     def parse(self) -> ParseOutcome:
-        acc: list[int] = []
-        try:
-            r = self._matcher.start(self, 0, acc)
-        except RecursionError:
-            return ParseOutcome(status="failed", tree=None,
-                                errors=self._too_deep(), fail_label=FAIL)
-        self._done(acc)
+        r, acc = self._run(self._matcher.start, 0)
         if r < 0:
             if r == _FAILED:
                 label = FAIL
                 self._record(FAIL, self.farthest, "unexpected input")
             else:
-                label = self.failure.label
-                if not self.failure.logged:
-                    self._record(label, self.failure.pos)
+                label, pos, logged = self.failure
+                if not logged:
+                    self._record(label, pos)
             return ParseOutcome(status="failed", tree=None,
                                 errors=self.errors, fail_label=label)
         if r < self._count:
@@ -1071,17 +1059,11 @@ class Session:
             body = self._matcher.compile_expr(expr)
         except RecursionError:
             raise GrammarError("expression nested too deeply") from None
-        acc: list[int] = []
         self._kinds += [EOF_KIND] * (pos + 1 - len(self._kinds))
-        try:
-            r = body(self, pos, acc)
-        except RecursionError:
-            return MatchResult(status="failed", end=None, fail_label=FAIL,
-                               errors=self._too_deep())
-        self._done(acc)
+        r, acc = self._run(body, pos)
         if r < 0:
             return MatchResult(status="failed", end=None,
-                               fail_label=FAIL if r == _FAILED else self.failure.label,
+                               fail_label=FAIL if r == _FAILED else self.failure[0],
                                errors=self.errors)
         return MatchResult(status="matched", end=r,
                            errors=self.errors,

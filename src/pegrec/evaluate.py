@@ -19,11 +19,11 @@ detected, not just that something was.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import (
+    DEFAULT_MAX_ERRORS,
     ParseOutcome,
     Session,
     Tree,
@@ -152,7 +152,7 @@ def _read_tree(path):
 
 
 def run_case(grammar: Grammar, case: CorpusCase,
-             max_errors: int = 50) -> CaseResult:
+             max_errors: int = DEFAULT_MAX_ERRORS) -> CaseResult:
     text = read_text(case.bad_path)
     outcome = Session(grammar, text, max_errors=max_errors).parse()
 
@@ -185,7 +185,7 @@ def run_case(grammar: Grammar, case: CorpusCase,
 
 
 def run_corpus(grammar: Grammar, cases: list[CorpusCase],
-               max_errors: int = 50) -> CorpusSummary:
+               max_errors: int = DEFAULT_MAX_ERRORS) -> CorpusSummary:
     summary = CorpusSummary()
     for case in cases:
         try:
@@ -224,15 +224,3 @@ def duplicate_token(grammar: Grammar, text: str, index: int) -> Mutant:
     s, e = spans[index]
     return Mutant(text[:e] + " " + text[s:e] + text[e:],
                   "duplicate", index, text[s:e])
-
-
-def random_mutants(grammar: Grammar, text: str, count: int,
-                   seed: int = 0) -> list[Mutant]:
-    rng = random.Random(seed)
-    spans = token_spans(grammar, text)
-    out = []
-    for _ in range(count):
-        index = rng.randrange(len(spans))
-        op = rng.choice((delete_token, duplicate_token))
-        out.append(op(grammar, text, index))
-    return out

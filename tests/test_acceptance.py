@@ -259,6 +259,29 @@ def test_annotation_is_transparent_on_valid_programs(tiny_java):
         assert ast_structural_eq(plain.tree, labeled.tree), seed
 
 
+def test_annotation_is_transparent_on_random_grammars():
+    # every input the original grammar parses with no error parses to the
+    # same tree with no error once annotated, in default and in star mode
+    texts = [render_input(seq) for seq in all_inputs(4)]
+    clean = 0
+    for seed in range(200):
+        if seed == 94:
+            continue  # test_annotation_is_transparent_on_random_grammar_94
+        grammar = random_grammar(seed)
+        labeled = [annotate(grammar)[0],
+                   annotate(grammar, AnnotatorConfig(star_mode_rules=tuple(grammar.rules)))[0]]
+        for text in texts:
+            plain = Session(grammar, text).parse()
+            if not plain.ok:
+                continue
+            clean += 1
+            for annotated in labeled:
+                got = Session(annotated, text).parse()
+                assert got.ok and got.end == plain.end, (seed, text)
+                assert got.tree == plain.tree, (seed, text)
+    assert clean > 450
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the annotator labels Rule3's body as if every caller had "
                           "committed, so the annotated grammar rejects b")

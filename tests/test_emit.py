@@ -87,6 +87,35 @@ def test_tiny_java_mutants_parse_as_the_closures_did(grammar_dir):
     assert h.hexdigest() == "ddb5db2f95baf9e0397c89792ecc5c4cce0ce44df0da34c7e01f283389a96bc0"
 
 
+# --- a Session answers alike on every call -------------------------------------
+
+def test_a_reused_session_answers_as_a_fresh_one():
+    texts = [render_input(kinds) for kinds in all_inputs(4)]
+    for seed in range(50):
+        star_rules = tuple(random_grammar(seed).rules)
+        for g in (random_grammar(seed), annotate(random_grammar(seed))[0],
+                  annotate(random_grammar(seed), AnnotatorConfig(star_mode_rules=star_rules))[0]):
+            start = NonTerminal(g.start)
+            for text in texts:
+                fresh = Session(g, text)
+                want = _facts(fresh, fresh.parse())
+                want_match = repr(vars(Session(g, text).match_expr(start, 1)))
+                session = Session(g, text)
+                for _ in range(2):
+                    assert _facts(session, session.parse()) == want, (seed, text)
+                    assert repr(vars(session.match_expr(start, 1))) == want_match, (seed, text)
+
+
+def test_factorial_parses_alike_twice_on_one_session(tiny_java_annotated_file, grammar_dir):
+    session = Session(tiny_java_annotated_file, (grammar_dir / "factorial.java").read_text())
+    first = session.parse()
+    second = session.parse()
+    for outcome in (first, second):
+        assert outcome.status == "matched"
+        assert [e.line for e in outcome.errors] == [5, 7]
+    assert first.tree == second.tree
+
+
 def _with_one_or_more(g: Grammar, seed: int, make) -> Grammar | None:
     """g with one of its stars b*, picked by seed, replaced by make(b), or
     None when g has no star."""

@@ -20,7 +20,6 @@ from pegrec.evaluate import (
     delete_token,
     duplicate_token,
     load_corpus,
-    random_mutants,
     run_case,
     run_corpus,
     token_spans,
@@ -308,13 +307,3 @@ def test_duplicate_token(tiny_java):
     m = duplicate_token(tiny_java, "int x ;", 1)
     assert m.text == "int x x ;"
     assert m.token_index == 1 and m.token_text == "x"
-
-
-def test_random_mutants_are_seeded(tiny_java):
-    text = "int x = 1 + 2 ;"
-    a = random_mutants(tiny_java, text, 10, seed=7)
-    b = random_mutants(tiny_java, text, 10, seed=7)
-    assert a == b
-    assert len(a) == 10
-    assert {m.kind for m in a} <= {"delete", "duplicate"}
-    assert any(m.text != text for m in a)
