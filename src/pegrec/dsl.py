@@ -23,9 +23,9 @@ offset as attributes, and reads names and literals in the same frame as
 the postfix operators after them.  A character-class body is one more
 match, and only its members are visited one by one, to build its ranges.
 A line and column come from a table of line starts
-(``lexer.line_starts``), built when a rule position or an error first
-needs one.  Grammar text nested too deeply for the recursive-descent
-parser is a ``GrammarError``.
+(``lexer.line_starts``), built when an error first needs one.  Grammar
+text nested too deeply for the recursive-descent parser is a
+``GrammarError``.
 """
 
 from __future__ import annotations
@@ -198,7 +198,6 @@ class _Parser:
         rules: dict[str, Expr] = {}
         lexical: dict[str, Expr] = {}
         recovery: dict[str, Expr] = {}
-        positions: dict[str, tuple[int, int]] = {}
         in_recovery = False
 
         while self.kind != "eof":
@@ -232,13 +231,12 @@ class _Parser:
                 if name in rules or name in lexical:
                     raise self.error_at(f"duplicate rule {name}", name_pos)
                 target[name] = body
-                positions[name] = self.line_col(name_pos)
             self.expect(";")
 
         # no rule at all is reported by validate
         return validate(Grammar(
             rules=rules, lexical=lexical, start=start or next(iter(rules), ""),
-            recovery=recovery, rule_positions=positions))
+            recovery=recovery))
 
     def parse_choice(self) -> Expr:
         """Alternatives separated by '/', each a sequence; an empty one

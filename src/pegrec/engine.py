@@ -17,7 +17,7 @@ run: each ``parse`` or ``match_expr`` starts it afresh.
 
 A grammar is compiled once per Grammar object, on its first parse, and the
 result is kept on the grammar, so both are freed together: its desugared
-and validated form (``model.program``), and on that form its lexer and
+and validated form (``model.desugar``), and on that form its lexer and
 generated Python source, one function per syntactic rule plus helpers,
 compiled one function at a time (see "compilation" below); a recovery
 expression's function is compiled when a parse first recovers with it.
@@ -63,9 +63,10 @@ matcher makes no node object, so a tree of any size is a few lists that
 the cyclic collector walks as one object each, and a choice, a star or a
 predicate drops what a failed alternative built with ``del acc[n:]``.
 An error recorded by a recovery whose row is gone so is dropped the next
-time the error list is read (``Session._live``).  ``tree_to_json``, ``Tree.root`` (the tree as exact tuples, built on
-request) and ``evaluate.ast_structural_eq`` read the columns with stacks
-of their own, so no tree is too deep for them.
+time the error list is read (``Session._live``).  ``tree_to_json``,
+``Tree.root`` (the tree as exact tuples, built on request) and
+``evaluate.ast_structural_eq`` read the columns with stacks of their
+own, so no tree is too deep for them.
 """
 
 from __future__ import annotations
@@ -96,11 +97,11 @@ from .model import (
     Throw,
     TokenSet,
     check_expr,
+    desugar,
     desugar_expr,
     nesting_guard,
     operands,
     plus_operand,
-    program,
 )
 from .lexer import TokenStream
 
@@ -909,7 +910,7 @@ class Session:
     def __init__(self, grammar: Grammar, text: str,
                  max_errors: int = DEFAULT_MAX_ERRORS,
                  messages: dict[str, str] | None = None):
-        self.grammar = g = program(grammar)
+        self.grammar = g = desugar(grammar)
         # generating code for a grammar takes several frames per nesting
         # level, and the matcher takes about six per nesting level of the
         # input
@@ -1052,7 +1053,10 @@ class Session:
     def match_expr(self, expr: Expr, pos: int = 0) -> MatchResult:
         """Match expr at token index pos.  An expr that refers to an
         undefined rule or token kind, or that ``validate`` would reject in
-        a rule for another reason, is a GrammarError."""
+        a rule for another reason, is a GrammarError.  A negative pos is a
+        ValueError."""
+        if pos < 0:
+            raise ValueError(f"negative token index {pos}")
         try:
             expr = desugar_expr(expr)
             check_expr(self.grammar, expr, "matched expression")
@@ -1079,5 +1083,6 @@ def parse(grammar: Grammar, text: str,
 
 def match(grammar: Grammar, expr: Expr, text: str, pos: int = 0,
           max_errors: int = DEFAULT_MAX_ERRORS) -> MatchResult:
-    """Match one expression against text starting at token index pos."""
+    """Match one expression against text starting at token index pos.  A
+    negative pos is a ValueError, as for ``Session.match_expr``."""
     return Session(grammar, text, max_errors=max_errors).match_expr(expr, pos)

@@ -11,7 +11,7 @@ position is ignored there.
 
 The lexical rules are compiled once per Grammar object, the first time a
 text is lexed with it, and kept on the grammar's desugared form
-(``model.program``); a Grammar must therefore not be mutated after its
+(``model.desugar``); a Grammar must therefore not be mutated after its
 first parse.  Each rule becomes one anchored ``re`` pattern.  A
 PEG never backtracks into an ordered choice or a repetition, so both become
 atomic groups, spelled ``(?=(?P<aN>...))(?P=aN)`` because ``(?>...)`` needs
@@ -43,9 +43,9 @@ from .model import (
     Sequence,
     Star,
     TokenSet,
+    desugar,
     operands,
     plus_operand,
-    program,
 )
 
 
@@ -173,7 +173,7 @@ class _Lexer:
 
 
 def _lexer(grammar: Grammar) -> _Lexer:
-    g = program(grammar)
+    g = desugar(grammar)
     if g._lexer is None:
         g._lexer = _Lexer(g)
     return g._lexer

@@ -11,8 +11,9 @@ syntactic predicate.
 A grammar is checked once (``validate``): by ``parse_grammar``, or, when
 built by hand, on first use (``checked``: parse, match, annotate, Analysis).
 The passes keep validity, so their outputs are not checked again.  A
-grammar remembers that it is valid, and what is compiled from it, in fields
-of its own: do not mutate a grammar after its first use.
+grammar remembers that it is valid, its desugared form (``desugar``) and
+what is compiled from that, in fields of its own: do not mutate it after
+its first use.
 
 The walks of a pass (``_walk``, and the checks and tables built from it)
 run on an explicit stack and dispatch on the exact class of a node
@@ -29,6 +30,7 @@ each run it with a ``leaf`` function of their own.
 from __future__ import annotations
 
 import copy
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -166,25 +168,24 @@ class Grammar:
     """Rules, token definitions, and the error-handling side tables.
 
     ``rules`` and ``lexical`` are ordered; lexical order is the token
-    priority for longest-match ties.  ``labels`` collects every label thrown
-    or attached anywhere.  ``recovery`` maps a label to the expression run
-    when that label is thrown; ``messages`` maps a label to diagnostic text.
+    priority for longest-match ties.  ``recovery`` maps a label to the
+    expression run when that label is thrown; ``messages`` maps a label to
+    diagnostic text.  ``labels`` (every label thrown or attached anywhere)
+    and ``literal_kinds`` are not given but filled when g is validated.
 
     The private fields, which ``replace`` does not copy, hold what is
     built from it on first use: whether it is known valid, its desugared
-    form (``program``), and on that form the lexer and the matcher.
+    form (``desugar``), and on that form the lexer and the matcher.
     """
 
     rules: dict[str, Expr]
     lexical: dict[str, Expr]
     start: str
-    labels: set[str] = field(default_factory=set)
+    labels: set[str] = field(default_factory=set, init=False)
     recovery: dict[str, Expr] = field(default_factory=dict)
     messages: dict[str, str] = field(default_factory=dict)
-    literal_kinds: tuple[str, ...] = ()
+    literal_kinds: tuple[str, ...] = field(default=(), init=False)
     label_descriptions: dict[str, str] = field(default_factory=dict)
-    rule_positions: dict[str, tuple[int, int]] = field(default_factory=dict)
-    desugared: bool = False
     _valid: bool = field(default=False, init=False, repr=False)
     _compiled: Grammar | None = field(default=None, init=False, repr=False)
     _lexer: object = field(default=None, init=False, repr=False)
@@ -224,13 +225,15 @@ def plus_operand(e: Expr) -> Expr | None:
 
 def map_children(e: Expr, f) -> Expr:
     """e rebuilt with f applied to each direct subexpression, to the p of
-    ``p p*`` once, so it stays shared; a leaf is returned as it is."""
+    ``p p*`` once, so it stays shared; e itself when f returns each of
+    them unchanged, as for a leaf."""
     p = plus_operand(e)
     if p is not None:
-        p = f(p)
-        return Sequence(p, Star(p))
+        q = f(p)
+        return e if q is p else Sequence(q, Star(q))
     kids = children(e)
-    return type(e)(*map(f, kids)) if kids else e
+    new = tuple(map(f, kids))
+    return e if all(map(operator.is_, new, kids)) else type(e)(*new)
 
 
 def _walk(e: Expr) -> list[Expr]:
@@ -557,27 +560,26 @@ def _check_left_recursion(rules: dict[str, Expr], what: str) -> None:
     itself before any input has necessarily been consumed."""
     first = First(rules, _nullable_leaf)
 
-    def heads(e: Expr, out: set[str]) -> bool:
-        """Add to out the rules e can call before it consumes input, and
-        return whether e is nullable: one pass, bottom-up, that looks
-        inside predicates too."""
-        cls = e.__class__
-        if cls is Sequence:
-            return heads(e.left, out) and heads(e.right, out)
-        if cls is Choice:
-            nullable = heads(e.first, out)
-            return heads(e.second, out) or nullable
-        if cls is NonTerminal:
-            out.add(e.name)
-            return first.rules[e.name].has_epsilon
-        if cls in _UNARY:
-            heads(e.body, out)
-            return first(e).has_epsilon
-        return _nullable_leaf(e).has_epsilon
+    def heads(e: Expr) -> set[str]:
+        """Rules e can call before it consumes input, inside predicates too."""
+        out: set[str] = set()
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            cls = node.__class__
+            if cls is NonTerminal:
+                out.add(node.name)
+            elif cls is Sequence:
+                # the right side only after a nullable left; the star of p p*
+                # repeats p, which is on the stack already
+                if first(node.left).has_epsilon and plus_operand(node) is None:
+                    stack.append(node.right)
+                stack.append(node.left)
+            else:
+                stack.extend(children(node))
+        return out
 
-    head_map: dict[str, set[str]] = {name: set() for name in rules}
-    for name, body in rules.items():
-        heads(body, head_map[name])
+    head_map = {name: heads(body) for name, body in rules.items()}
     name = _self_reaching(head_map)
     if name is not None:
         raise GrammarError(f"left recursion detected in {what} {name}")
@@ -623,24 +625,19 @@ def desugar_expr(e: Expr) -> Expr:
 
 
 def desugar(g: Grammar) -> Grammar:
-    """Desugared copy of g.  Idempotent; label set and messages kept."""
-    if checked(g).desugared:
-        return g
-    with nesting_guard():
-        rules = {n: desugar_expr(b) for n, b in g.rules.items()}
-        lexical = {n: desugar_expr(b) for n, b in g.lexical.items()}
-        recovery = {l: desugar_expr(b) for l, b in g.recovery.items()}
-    return valid_by_construction(replace(
-        g, rules=rules, lexical=lexical, recovery=recovery,
-        messages=dict(g.messages), desugared=True))
-
-
-def program(g: Grammar) -> Grammar:
-    """The desugared, validated form of g that the lexer and the matcher
-    are built on and keep theirs in: g itself when it is desugared.  g is
-    checked and desugared only the first time it is asked for."""
+    """g in the core constructors, validated: g itself when no rule holds
+    a ``?``, ``+`` or ``&``, else a copy with g's labels and messages.  It
+    is built once and kept on g, the lexer and the matcher keep theirs on
+    it, and desugaring it again returns it."""
     if g._compiled is None:
-        g._compiled = desugar(g)
+        parts = (checked(g).rules, g.lexical, g.recovery)
+        with nesting_guard():
+            new = [{k: desugar_expr(b) for k, b in part.items()} for part in parts]
+        d = g
+        if any(done[k] is not b for part, done in zip(parts, new) for k, b in part.items()):
+            d = valid_by_construction(replace(g, rules=new[0], lexical=new[1],
+                                              recovery=new[2], messages=dict(g.messages)))
+        g._compiled = d._compiled = d
     return g._compiled
 
 

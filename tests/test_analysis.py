@@ -19,7 +19,6 @@ from pegrec.model import (
     Terminal,
     _walk,
     desugar,
-    program,
 )
 
 from helpers import (
@@ -230,12 +229,12 @@ def test_compiling_a_matcher_runs_no_follow_fixpoint(monkeypatch, grammar_dir):
         raise AssertionError("FOLLOW computed")
     monkeypatch.setattr(Analysis, "_compute_follow", no_follow)
     g = parse_grammar(text)
-    _Matcher(program(g))
+    _Matcher(desugar(g))
     outcome = Session(g, "public class A { public static void main "
                          "( String [ ] a ) { x = 1 ; } }").parse()
     assert outcome.status == "matched" and not outcome.errors
     for g in annotated:
-        _Matcher(program(g))
+        _Matcher(desugar(g))
 
 
 # --- FOLLOW over call sites --------------------------------------------------
@@ -324,7 +323,7 @@ def test_matching_an_expression_adds_nothing_to_the_first_memo():
     def memo_size(calls: int) -> int:
         for _ in range(calls):
             match(g, Choice(Star(Terminal(k)), Terminal(k)), "")
-        return len(program(g)._matcher.first._memo)
+        return len(desugar(g)._matcher.first._memo)
     assert memo_size(1) == memo_size(2000)
 
 
@@ -335,7 +334,7 @@ def test_guards_agree_with_the_reference(tiny_java, tiny_java_labeled,
         grammars += [random_grammar(seed), annotate(random_grammar(seed))[0]]
     guarded = 0
     for g in grammars:
-        d = program(g)
+        d = desugar(g)
         matcher = _Matcher(d)
         first = Analysis(d).first_of
         want = reference_guard(d.rules, lambda e: first(e).kinds)
@@ -351,7 +350,7 @@ def test_first_sets_are_linear_in_nested_nullable_plus_depth():
     # p+ desugars to p p*, which share p; with a nullable p, the rule sets
     # once walked p twice per level while they grew
     def calls(build, depth: int) -> int:
-        g = program(parse_grammar("start <- " + "(" * depth + "AA?" + ")+" * depth
+        g = desugar(parse_grammar("start <- " + "(" * depth + "AA?" + ")+" * depth
                                   + " ;\nAA <- 'a' ;"))
         n = 0
 

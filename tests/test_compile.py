@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from pegrec import dsl, engine, model
+from pegrec import dsl, engine, lexer, model
 from pegrec.analysis import Analysis
 from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import load_grammar, parse_grammar
@@ -40,16 +40,16 @@ def _outcome_json(outcome):
 
 def test_grammar_compiles_once_per_object(grammar_dir, monkeypatch):
     grammar = load_grammar(str(grammar_dir / "tiny_java_annotated.peg"))
-    calls = {"desugar": 0, "validate": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(model, name)):
+    calls = {"_Lexer": 0, "_Matcher": 0, "validate": 0}
+    for module, name in ((lexer, "_Lexer"), (engine, "_Matcher"), (model, "validate")):
+        def counted(*args, _name=name, _real=getattr(module, name)):
             calls[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(model, name, counted)
+        monkeypatch.setattr(module, name, counted)
     first = Session(grammar, BROKEN).parse()
     second = Session(grammar, BROKEN).parse()
     TokenStream(grammar, BROKEN).token(0)
-    assert calls == {"desugar": 1, "validate": 0}
+    assert calls == {"_Lexer": 1, "_Matcher": 1, "validate": 0}
     assert _outcome_json(first) == _outcome_json(second)
 
 
@@ -92,11 +92,12 @@ def test_dropped_grammar_leaves_no_cache_entry():
     # a grammar keeps what is compiled from it, and both are freed together
     text = "%start start ;\nstart <- AA* ;\nAA <- 'a' ;"
     for make, is_own_form in (
-            (lambda: parse_grammar(text), False),
-            # an already desugared grammar is its own desugared form
+            # a grammar with no ?, + or & is its own desugared form
+            (lambda: parse_grammar(text), True),
             (lambda: model.desugar(parse_grammar(text)), True),
             (lambda: annotate(parse_grammar(text))[0], True),
-            (lambda: _analysed_and_stripped(text), False)):
+            (lambda: _analysed_and_stripped(text), True),
+            (lambda: parse_grammar(text.replace("AA*", "AA+")), False)):
         grammar = make()
         session = Session(grammar, "a a")
         assert session.parse().ok
@@ -307,7 +308,7 @@ def test_nested_plus_compiles_in_linear_time(monkeypatch):
         g = parse_grammar("start <- " + "(" * depth + "'a'" + ")+" * depth + " ;")
         sources.clear()
         assert Session(g, "a").parse().ok
-        walked = len(model._walk(model.program(g).rules["start"]))
+        walked = len(model._walk(model.desugar(g).rules["start"]))
         return len(sources), sum(s.count("\n") for s in sources), walked
     (functions_8, lines_8, walked_8), (functions_16, lines_16, walked_16) = count(8), count(16)
     assert functions_16 <= 2 * functions_8 + 2

@@ -1,5 +1,8 @@
 import hashlib
+import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -162,12 +165,6 @@ def test_missing_semicolon():
         parse_grammar("start <- AA\nAA <- 'a' ;")
 
 
-def test_rule_positions_recorded():
-    g = parse_grammar("start <- AA ;\nAA <- 'a' ;")
-    assert g.rule_positions["start"] == (1, 1)
-    assert g.rule_positions["AA"] == (2, 1)
-
-
 def test_names_start_with_a_letter_in_any_script():
     g = parse_grammar("start <- ÄA x² ;\nx² <- ÄA ;\nÄA <- 'ä' ;")
     assert g.rules["start"] == Sequence(Terminal("ÄA"), NonTerminal("x²"))
@@ -328,13 +325,13 @@ def mutate(rng: random.Random, text: str) -> str:
 
 
 def parsed(text: str) -> str:
-    """What parse_grammar makes of text: the grammar's canonical text and
-    rule positions, or the error."""
+    """What parse_grammar makes of text: the grammar's canonical text, or
+    the error."""
     try:
         g = parse_grammar(text)
     except GrammarError as exc:
         return "error " + str(exc)
-    return serialize_grammar(g) + repr(g.rule_positions)
+    return serialize_grammar(g)
 
 
 def test_outputs_and_errors_are_unchanged_on_mutated_grammars():
@@ -342,14 +339,16 @@ def test_outputs_and_errors_are_unchanged_on_mutated_grammars():
     # with one pattern; about 40% of the texts are valid grammars, and the
     # rest give about 130 distinct errors.  It moved once, when a lexical
     # rule that reaches itself became an error: the 44 texts that hold one
-    # were valid grammars before, and no other output changed
+    # were valid grammars before, and no other output changed.  It moved
+    # again when grammars stopped recording rule positions and the
+    # outputs dropped them; no other output changed
     rng = random.Random(2026)
     texts = TEXTS + [mutate(rng, rng.choice(TEXTS)) for _ in range(1000)]
     outputs = list(map(parsed, texts))
     assert sum(out.endswith("reaches itself; a token must be a regular pattern")
                for out in outputs) == 44
     digest = hashlib.sha256("\0".join(outputs).encode()).hexdigest()
-    assert digest == "25e0e742aa2afc2bacad900676960cf245f2df6567a0f8251dc423e621a56571"
+    assert digest == "4e685e9310b18270117dd5d82776d344cae8745351ec5b900e6d492e86023aee"
 
 
 # --- deep nesting ---------------------------------------------------------------
@@ -370,3 +369,43 @@ def test_deep_nesting_is_a_grammar_error(body):
         parse_grammar(f"start <- {body} ;\nAA <- 'a' ;")
     assert exc.value.line == 1
     assert sys.getrecursionlimit() == limit
+
+
+_BEFORE_AND_AFTER_A_PARSE = """
+import json
+from pegrec.dsl import parse_grammar
+from pegrec.engine import parse
+from pegrec.model import GrammarError
+
+def result(text):
+    try:
+        parse_grammar(text)
+    except GrammarError as exc:
+        return str(exc)
+    return "valid"
+
+body = "AA"
+for i in range(1, 401):
+    body = f"[AA {body}]^l{i}"
+text = (f"start <- {body} ;\\nAA <- 'a' ;\\n%recovery\\n"
+        + "".join(f"l{i} <- (!AA .)* ;\\n" for i in range(1, 401)))
+before = result(text)
+parse(parse_grammar("start <- AA ;\\nAA <- 'a' ;"), "a")
+print(json.dumps([before, result(text)]))
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a Session raises the process's recursion limit for good, "
+                          "so the grammar is too deep only before the first parse")
+def test_a_grammar_text_reads_alike_before_and_after_a_parse():
+    # 400 nested annotations, each with its recovery rule, in a fresh
+    # process at the default recursion limit
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _BEFORE_AND_AFTER_A_PARSE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, after = json.loads(done.stdout)
+    assert before == after

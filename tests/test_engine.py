@@ -675,6 +675,15 @@ def test_match_at_and_past_end_of_input():
             ("matched", pos, (("nothing", (5, 5), ()),)), pos
 
 
+def test_a_negative_match_position_is_a_value_error():
+    grammar = g("start <- AA BB ;")
+    for pos in (-1, -2, -3, -4):
+        with pytest.raises(ValueError, match=f"^negative token index {pos}$"):
+            match(grammar, Terminal("AA"), "a b", pos=pos)
+        with pytest.raises(ValueError, match=f"^negative token index {pos}$"):
+            Session(grammar, "a b").match_expr(Terminal("AA"), pos)
+
+
 def test_fatal_error_where_every_alternative_was_skipped():
     # nothing but the inner choice, whose alternatives are both skipped at
     # the second 'a', reaches token 1

@@ -7,7 +7,7 @@ import pytest
 from pegrec import model
 from pegrec.analysis import Analysis
 from pegrec.annotate import AnnotatorConfig, annotate
-from pegrec.dsl import parse_grammar
+from pegrec.dsl import load_grammar, parse_grammar
 from pegrec.engine import match, parse
 from pegrec.model import (
     Annotated,
@@ -220,6 +220,45 @@ def test_desugar_is_idempotent(tiny_java):
     assert d2 is d1
 
 
+def test_desugar_copies_only_a_grammar_with_sugar():
+    annotated = load_grammar(str(GRAMMAR_DIR / "tiny_java_annotated.peg"))
+    assert desugar(annotated) is annotated
+    # NUMBER <- [0-9]+ is sugar
+    sugared = load_grammar(str(GRAMMAR_DIR / "tiny_java.peg"))
+    d = desugar(sugared)
+    assert d is not sugared and desugar(sugared) is d and desugar(d) is d
+    assert render_expr(d.lexical["NUMBER"]) == "[0-9] [0-9]*"
+
+
+@pytest.mark.parametrize("name", ["desugared", "rule_positions", "labels", "literal_kinds"])
+def test_a_grammar_takes_only_what_it_is_given(name):
+    with pytest.raises(TypeError):
+        Grammar({"start": Terminal("'x'")}, {}, "start", **{name: None})
+    assert not hasattr(model, "program")
+
+
+AB = {"AA": Literal("a"), "BB": Literal("b")}
+HAND_BUILT_SUGAR = [
+    ("start <- AA? BB ;", {"start": Sequence(Optional(Terminal("AA")), Terminal("BB"))}, AB),
+    ("start <- AA+ BB ;", {"start": Sequence(Plus(Terminal("AA")), Terminal("BB"))}, AB),
+    ("start <- &AA . BB ;",
+     {"start": Sequence(Sequence(And(Terminal("AA")), AnyToken()), Terminal("BB"))}, AB),
+    ("start <- AA BB ;", {"start": Sequence(Terminal("AA"), Terminal("BB"))},
+     {"AA": Plus(Literal("a")), "BB": Literal("b")}),
+]
+
+
+@pytest.mark.parametrize("text, rules, lexical", HAND_BUILT_SUGAR,
+                         ids=["optional", "plus", "and", "lexical-plus"])
+def test_hand_built_sugar_parses_as_its_grammar_text(text, rules, lexical):
+    lexical_text = "".join(f"\n{name} <- {render_expr(body)} ;"
+                           for name, body in lexical.items())
+    written = parse_grammar(text + lexical_text)
+    hand_built = Grammar(rules, lexical, "start")
+    for source in ("", "a", "b", "a b", "a a b", "aa b", "b b", "a a"):
+        assert parse(hand_built, source) == parse(written, source), source
+
+
 def test_grammar_eq_ignores_messages(tiny_java_labeled):
     other = parse_grammar(serialize_grammar(tiny_java_labeled))
     other.messages["rpw"] = "changed"
@@ -262,13 +301,12 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("desugared", [False, True], ids=["sugared", "desugared"])
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 @pytest.mark.parametrize("fault", INVALID)
-def test_invalid_hand_built_grammar_fails_at_every_entry_point(fault, entry, desugared):
+def test_invalid_hand_built_grammar_fails_at_every_entry_point(fault, entry):
     with pytest.raises(GrammarError) as expected:
         validate(Grammar(INVALID[fault](), {}, "start"))
-    grammar = Grammar(INVALID[fault](), {}, "start", desugared=desugared)
+    grammar = Grammar(INVALID[fault](), {}, "start")
     with pytest.raises(GrammarError) as got:
         ENTRY_POINTS[entry](grammar)
     assert (got.value.message, got.value.line, got.value.col) == \
@@ -315,7 +353,7 @@ def test_deeply_nested_hand_built_grammar_is_a_grammar_error(entry, shape):
 
 
 def test_hand_built_desugared_grammar_collects_its_literal_kinds():
-    g = Grammar({"start": Terminal("'x'")}, {}, "start", desugared=True)
+    g = Grammar({"start": Terminal("'x'")}, {}, "start")
     assert parse(g, "x").ok
     assert g.literal_kinds == ("'x'",)
     assert Analysis(Grammar({"start": Terminal("'x'")}, {}, "start")).all_kinds == {"'x'"}
@@ -323,8 +361,7 @@ def test_hand_built_desugared_grammar_collects_its_literal_kinds():
 
 def fresh_copy(g: Grammar) -> Grammar:
     return Grammar(rules=dict(g.rules), lexical=dict(g.lexical), start=g.start,
-                   recovery=dict(g.recovery), messages=dict(g.messages),
-                   desugared=g.desugared)
+                   recovery=dict(g.recovery), messages=dict(g.messages))
 
 
 GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
@@ -354,7 +391,7 @@ def test_sugared_annotation_keeps_its_description_and_message():
     assert (g.label_descriptions, g.messages) == ({"l": "AA+"}, {"l": "expected AA+"})
     # desugaring keeps the description and the message the grammar text
     # gave the label
-    d = model.program(g)
+    d = desugar(g)
     assert (d.label_descriptions, d.messages) == ({"l": "AA+"}, {"l": "expected AA+"})
     assert [e.message for e in parse(g, "").errors] == ["expected AA+"]
     # a recovery's error node expects what the message says
@@ -460,6 +497,26 @@ def test_left_recursion_check_is_linear_in_sequence_depth(monkeypatch):
     assert count(400) <= 2 * count(200) + 10
 
 
+def test_left_recursion_check_is_linear_in_nested_nullable_plus_depth():
+    # p+ desugars to p p*, which share p; with a nullable p, the check once
+    # walked p twice per level
+    def calls(depth: int) -> int:
+        rules = desugar(parse_grammar("start <- " + "(" * depth + "AA?" + ")+" * depth
+                                      + " ;\nAA <- 'a' ;")).rules
+        n = 0
+
+        def count(frame, event, arg):
+            nonlocal n
+            n += event == "call"
+        sys.setprofile(count)
+        try:
+            model._check_left_recursion(rules, "rule")
+        finally:
+            sys.setprofile(None)
+        return n
+    assert calls(16) <= 2 * calls(8) + 50
+
+
 def inject_left_recursion(text: str, rng: random.Random) -> str:
     """A bundled grammar text with a rule reference put at the front of a
     rule body, directly or after a nullable prefix."""
@@ -477,7 +534,7 @@ def parse_result(text: str):
         g = parse_grammar(text)
     except GrammarError as exc:
         return exc.message, exc.line, exc.col
-    return serialize_grammar(g), g.rule_positions
+    return serialize_grammar(g)
 
 
 def test_left_recursion_errors_on_mutated_grammar_texts(monkeypatch):
