@@ -301,12 +301,22 @@ ENTRY_POINTS = {
 }
 
 
+def with_sugar(rules: dict) -> dict:
+    """rules with start followed by an optional 'b', so that desugaring
+    them would build a copy."""
+    return {**rules, "start": Sequence(rules["start"], Optional(Terminal("'b'")))}
+
+
+# a sugared grammar is one that desugar would copy, a desugared one is its
+# own desugared form; either way the validation error comes first
+@pytest.mark.parametrize("sugared", [True, False], ids=["sugared", "desugared"])
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 @pytest.mark.parametrize("fault", INVALID)
-def test_invalid_hand_built_grammar_fails_at_every_entry_point(fault, entry):
+def test_invalid_hand_built_grammar_fails_at_every_entry_point(fault, entry, sugared):
+    make = (lambda: with_sugar(INVALID[fault]())) if sugared else INVALID[fault]
     with pytest.raises(GrammarError) as expected:
-        validate(Grammar(INVALID[fault](), {}, "start"))
-    grammar = Grammar(INVALID[fault](), {}, "start")
+        validate(Grammar(make(), {}, "start"))
+    grammar = Grammar(make(), {}, "start")
     with pytest.raises(GrammarError) as got:
         ENTRY_POINTS[entry](grammar)
     assert (got.value.message, got.value.line, got.value.col) == \
