@@ -49,7 +49,8 @@ from .model import (
 class AnnotatorConfig:
     """preserve_existing keeps hand-written annotations as-is and only adds
     what they are missing (recovery expressions, labels elsewhere).
-    star_mode_rules opts listed rules into recovering inside repetitions."""
+    star_mode_rules opts listed rules into recovering inside repetitions.
+    label_prefix, empty or a grammar name, begins each fresh label."""
 
     preserve_existing: bool = False
     star_mode_rules: tuple[str, ...] = ()
@@ -303,6 +304,10 @@ def annotate(grammar: Grammar,
 
 def _annotate(grammar: Grammar,
               config: AnnotatorConfig) -> tuple[Grammar, AnnotationReport]:
+    # a name is a letter or "_" and then word characters, as dsl reads it
+    p = config.label_prefix
+    if p and not (p.replace("_", "a").isalnum() and (p[0].isalpha() or p[0] == "_")):
+        raise GrammarError(f"label prefix {p!r} does not start a grammar name")
     worker = _Annotator(grammar, config)
     g = worker.grammar
 
@@ -320,6 +325,5 @@ def _annotate(grammar: Grammar,
                 f"star-mode rule {name} has no eligible repetition")
 
     # only fresh labels, each with a recovery expression over known kinds
-    out = valid_by_construction(replace(
-        g, rules=new_rules, recovery=worker.recovery, messages=dict(g.messages)))
+    out = valid_by_construction(replace(g, rules=new_rules, recovery=worker.recovery))
     return out, worker.report

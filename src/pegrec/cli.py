@@ -88,9 +88,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_parse(args) -> int:
     grammar = load_grammar(args.grammar)
-    messages = None
-    if args.messages:
-        messages = load_messages(args.messages, grammar)
+    messages = load_messages(args.messages, grammar) if args.messages else None
     text = read_text(args.file)
     outcome = Session(grammar, text, max_errors=args.max_errors,
                       messages=messages).parse()
@@ -118,6 +116,13 @@ def _cmd_eval(args) -> int:
     else:
         print(summary.table())
     return summary.exit_code
+
+
+def _at_least_one(text: str) -> int:
+    # a parse that may record no error fails with none to report
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,14 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the syntax tree as JSON on one line")
     p.add_argument("--suppress-within", type=int, default=0, metavar="N",
                    help="drop errors within N tokens of the previous one")
-    p.add_argument("--max-errors", type=int, default=DEFAULT_MAX_ERRORS)
+    p.add_argument("--max-errors", type=_at_least_one, default=DEFAULT_MAX_ERRORS)
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("eval", help="rate recovery quality over a corpus")
     p.add_argument("grammar")
     p.add_argument("corpus", help="directory of .bad/.ok/.tree/.label files")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-errors", type=int, default=DEFAULT_MAX_ERRORS)
+    p.add_argument("--max-errors", type=_at_least_one, default=DEFAULT_MAX_ERRORS)
     p.set_defaults(func=_cmd_eval)
     return parser
 

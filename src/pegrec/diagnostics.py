@@ -16,9 +16,10 @@ def format_error(filename: str, err: ParseError) -> str:
 
 
 def load_messages(path: str, grammar: Grammar | None = None) -> dict[str, str]:
-    """Label-to-message table from a JSON file, merged over the grammar's
-    defaults.  Unknown labels are kept but flagged with a warning so a
-    renamed label does not silently lose its message."""
+    """The label-to-message table of a JSON file, for ``Session``'s
+    ``messages``, which override the grammar's own and its defaults.  A
+    label the grammar does not know is kept but flagged with a warning, so
+    a renamed label does not silently lose its message."""
     try:
         data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -29,13 +30,10 @@ def load_messages(path: str, grammar: Grammar | None = None) -> dict[str, str]:
         isinstance(k, str) and isinstance(v, str) for k, v in data.items()
     ):
         raise GrammarError(f"message file {path} must map label names to strings")
-    merged: dict[str, str] = dict(grammar.messages) if grammar is not None else {}
-    if grammar is not None:
-        for label in data:
-            if label not in grammar.labels:
-                warnings.warn(f"message for unknown label {label!r} in {path}")
-    merged.update(data)
-    return merged
+    for label in data:
+        if grammar is not None and label not in grammar.labels:
+            warnings.warn(f"message for unknown label {label!r} in {path}")
+    return data
 
 
 def suppress_cascaded(errors: list[ParseError], window: int) -> list[ParseError]:

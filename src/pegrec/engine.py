@@ -927,16 +927,15 @@ class Session:
         self._kinds: list[str | None] = stream.kinds + [EOF_KIND]
         self._spans = stream.spans
         self.max_errors = max_errors
-        self.messages = dict(self.grammar.messages)
-        if messages:
-            self.messages.update(messages)
+        self.messages = {**g.messages, **(messages or {})}
 
     # -- error records --------------------------------------------------------
 
     def _message_for(self, label: str) -> str:
         msg = self.messages.get(label)
         if msg is None:
-            msg = f"unexpected input ({label})"
+            desc = self.grammar.label_descriptions.get(label)
+            msg = f"unexpected input ({label})" if desc is None else f"expected {desc}"
         return msg
 
     def _record(self, label: str, pos: int, message: str | None = None) -> None:

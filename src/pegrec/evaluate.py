@@ -83,9 +83,7 @@ class CorpusSummary:
     @property
     def exit_code(self) -> int:
         # unreadable inputs are reported but do not fail the run
-        if self.count(FAILED) or self.label_mismatches:
-            return 1
-        return 0
+        return 1 if self.count(FAILED) or self.label_mismatches else 0
 
     def table(self) -> str:
         total = len(self.results)
@@ -169,7 +167,6 @@ def run_case(grammar: Grammar, case: CorpusCase,
 
     rating = classify_recovery(outcome, intended)
     if intended is None and rating != FAILED:
-        rating = NEEDS_REVIEW
         note = note or "no intended tree to compare against"
 
     first_label = outcome.errors[0].label if outcome.errors else None

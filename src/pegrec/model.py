@@ -170,8 +170,9 @@ class Grammar:
     ``rules`` and ``lexical`` are ordered; lexical order is the token
     priority for longest-match ties.  ``recovery`` maps a label to the
     expression run when that label is thrown; ``messages`` maps a label to
-    diagnostic text.  ``labels`` (every label thrown or attached anywhere)
-    and ``literal_kinds`` are not given but filled when g is validated.
+    diagnostic text, else a parse reads ``expected`` and its entry in
+    ``label_descriptions``, which like ``labels`` (every label thrown or
+    attached anywhere) and ``literal_kinds`` is filled when g is validated.
 
     The private fields, which ``replace`` does not copy, hold what is
     built from it on first use: whether it is known valid, its desugared
@@ -185,7 +186,7 @@ class Grammar:
     recovery: dict[str, Expr] = field(default_factory=dict)
     messages: dict[str, str] = field(default_factory=dict)
     literal_kinds: tuple[str, ...] = field(default=(), init=False)
-    label_descriptions: dict[str, str] = field(default_factory=dict)
+    label_descriptions: dict[str, str] = field(default_factory=dict, init=False)
     _valid: bool = field(default=False, init=False, repr=False)
     _compiled: Grammar | None = field(default=None, init=False, repr=False)
     _lexer: object = field(default=None, init=False, repr=False)
@@ -341,8 +342,8 @@ def validate(g: Grammar) -> Grammar:
     recursion (direct or through nullable prefixes), a lexical rule that
     reaches itself (a token is a regular pattern), throws of the reserved
     label ``fail``, and recovery rules for labels that are never thrown.
-    Also collects anonymous literal token kinds, the label set, and default
-    per-label descriptions/messages.
+    Also collects anonymous literal token kinds, the label set, and the
+    per-label descriptions.
     """
     if not g.rules:
         raise GrammarError("grammar has no syntactic rules")
@@ -400,14 +401,13 @@ def validate(g: Grammar) -> Grammar:
 
 
 def _fill_tables(g: Grammar, rule_nodes, recovery_nodes) -> None:
-    """Fill g's tables from the nodes of each rule and recovery body: the
-    literal kinds and label descriptions in order of first appearance, the
-    label set, and a default message for each described label.  A label
-    g describes already keeps its description and its message."""
+    """Fill g's derived tables from the nodes of each rule and recovery
+    body: the literal kinds in order of first appearance, the label set,
+    and each label's description, rendered from its first annotation site.
+    What g was given is left alone."""
     literals: dict[str, None] = {}
     labels: set[str] = set()
     descriptions: dict[str, str] = {}
-    kept = g.label_descriptions
     # annotation sites in recovery expressions describe nothing
     for walked, sites in ((rule_nodes, descriptions), (recovery_nodes, {})):
         for nodes in walked:
@@ -420,19 +420,16 @@ def _fill_tables(g: Grammar, rule_nodes, recovery_nodes) -> None:
                     labels.add(node.label)
                 elif cls is Choice and node.second.__class__ is Throw:
                     # an annotation site p / ^l
-                    lab = node.second.label
-                    sites.setdefault(lab, kept[lab] if lab in kept else render_expr(node.first))
+                    if node.second.label not in sites:
+                        sites[node.second.label] = render_expr(node.first)
     g.literal_kinds = tuple(literals)
     g.labels = labels
     g.label_descriptions = descriptions
-    for lab, desc in descriptions.items():
-        g.messages.setdefault(lab, f"expected {desc}")
 
 
 def valid_by_construction(g: Grammar) -> Grammar:
-    """g, built by a pass from a valid grammar in a way that keeps it valid
-    (with a ``messages`` dict of its own): its tables are filled and it is
-    remembered as valid, with no check."""
+    """g, built by a pass from a valid grammar in a way that keeps it valid:
+    its tables are filled and it is remembered as valid, with no check."""
     _fill_tables(g, map(_walk, g.rules.values()), map(_walk, g.recovery.values()))
     g._valid = True
     return g
@@ -626,17 +623,17 @@ def desugar_expr(e: Expr) -> Expr:
 
 def desugar(g: Grammar) -> Grammar:
     """g in the core constructors, validated: g itself when no rule holds
-    a ``?``, ``+`` or ``&``, else a copy with g's labels and messages.  It
-    is built once and kept on g, the lexer and the matcher keep theirs on
-    it, and desugaring it again returns it."""
+    a ``?``, ``+`` or ``&``, else a copy with g's tables (``[p+]^l`` still
+    expects ``p+``).  It is built once and kept on g, the lexer and the
+    matcher keep theirs on it, and desugaring it again returns it."""
     if g._compiled is None:
         parts = (checked(g).rules, g.lexical, g.recovery)
         with nesting_guard():
             new = [{k: desugar_expr(b) for k, b in part.items()} for part in parts]
         d = g
         if any(done[k] is not b for part, done in zip(parts, new) for k, b in part.items()):
-            d = valid_by_construction(replace(g, rules=new[0], lexical=new[1],
-                                              recovery=new[2], messages=dict(g.messages)))
+            d = copy.copy(g)
+            d.rules, d.lexical, d.recovery = new
         g._compiled = d._compiled = d
     return g._compiled
 

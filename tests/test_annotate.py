@@ -14,6 +14,7 @@ from pegrec.model import (
     Throw,
     annotation_parts,
     grammar_eq,
+    serialize_grammar,
     strip_labels,
 )
 
@@ -155,6 +156,17 @@ def test_label_prefix_configurable():
     ann, report = annotate(g("start <- AA BB ;"),
                            AnnotatorConfig(label_prefix="E"))
     assert [s.label for s in report.inserted] == ["E_start_1"]
+
+
+def test_label_prefix_must_begin_a_name(tiny_java):
+    # <prefix>_<Rule>_<n> is a name in grammar text for these prefixes, so
+    # the annotated grammar reads back as it was written
+    for prefix in ["", "Err", "_", "é"]:
+        ann, _ = annotate(tiny_java, AnnotatorConfig(label_prefix=prefix))
+        assert grammar_eq(parse_grammar(serialize_grammar(ann)), ann), prefix
+    for prefix in ["9x", "a b", "a-b", "é!", "-"]:
+        with pytest.raises(GrammarError, match=f"label prefix {prefix!r}"):
+            annotate(tiny_java, AnnotatorConfig(label_prefix=prefix))
 
 
 def test_star_mode_requires_known_rule():

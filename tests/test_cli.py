@@ -66,6 +66,16 @@ def test_annotate_preserve_and_prefix(capsys, grammar_dir):
     assert "Err_" not in captured.out
 
 
+@pytest.mark.parametrize("prefix", ["9x", "a b", "a-b"])
+def test_annotate_rejects_a_prefix_that_is_no_name(capsys, grammar_dir, prefix):
+    # a label such a prefix begins could not be read back
+    code = main(["annotate", str(grammar_dir / "tiny_java.peg"), "--prefix", prefix])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("pegrec: ") and repr(prefix) in captured.err
+
+
 def test_annotate_report_to_json_file(tmp_path, grammar_dir):
     out = tmp_path / "annotated.peg"
     report_path = tmp_path / "report.json"
@@ -181,6 +191,19 @@ e <- (!CC .)* ;
     assert capsys.readouterr().err.count("syntax error") == 2
     assert main(["parse", grammar, src, "--suppress-within", "5"]) == 1
     assert capsys.readouterr().err.count("syntax error") == 1
+
+
+@pytest.mark.parametrize("command", ["parse", "eval"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_errors_below_one_is_a_usage_error(capsys, tmp_path, small_grammar,
+                                               command, value):
+    # a parse that may record no error would fail with none to print
+    target = write(tmp_path, "in.txt", "a a") if command == "parse" else str(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(small_grammar), target, "--max-errors", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pegrec " + command) and "--max-errors" in err
 
 
 def test_parse_missing_file_exits_2(capsys, small_grammar):

@@ -39,13 +39,14 @@ def test_suppress_measures_from_last_kept():
     assert [e.token_index for e in kept] == [10, 21]
 
 
-def test_load_messages_merges_over_defaults(tmp_path):
+def test_load_messages_returns_the_file_table_and_parse_keeps_defaults(tmp_path):
     g = parse_grammar("start <- AA [BB]^miss [AA]^also ;\nAA <- 'a' ;\nBB <- 'b' ;")
     path = tmp_path / "messages.json"
     path.write_text(json.dumps({"miss": "b goes here"}))
     merged = load_messages(str(path), g)
-    assert merged["miss"] == "b goes here"
-    assert merged["also"] == "expected AA"
+    assert merged == {"miss": "b goes here"}
+    # a label the file leaves out still reads what its site expects
+    assert [e.message for e in parse(g, "a b", messages=merged).errors] == ["expected AA"]
 
 
 def test_load_messages_warns_on_unknown_label(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import json
@@ -593,6 +594,38 @@ def test_match_never_overruns_and_is_a_prefix(seed, letters):
     result = match(grammar, NonTerminal(grammar.start), text)
     if result.status == "matched":
         assert 0 <= result.end <= len(letters)
+
+
+@functools.cache
+def _grammar_form(seed: int, form: str):
+    """random_grammar(seed) as written, annotated, or annotated with every
+    rule in star mode; built once per test run."""
+    g = random_grammar(seed)
+    if form == "plain":
+        return g
+    config = AnnotatorConfig(star_mode_rules=tuple(g.rules) if form == "star" else ())
+    return annotate(g, config)[0]
+
+
+# text pieces: the tokens, layout, a comment opener, and characters that
+# start no token of the a/b/c grammars
+_ODD_TEXT = st.lists(st.sampled_from(
+    ["a", "b", "c", " ", "\n", "\t", "//", "'", '"', "[", "]", "(", ")", "é", "\x00"]),
+    max_size=12).map("".join)
+
+
+@given(st.integers(0, 199), st.sampled_from(["plain", "annotated", "star"]), _ODD_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_every_parse_and_match_returns_an_outcome(seed, form, text):
+    grammar = _grammar_form(seed, form)
+    outcome = parse(grammar, text)
+    assert isinstance(outcome, engine.ParseOutcome)
+    assert (outcome.tree is None) == (outcome.status == "failed")
+    if outcome.status == "failed":
+        assert outcome.errors
+    for name in grammar.rules:
+        for pos in range(9):
+            assert isinstance(match(grammar, NonTerminal(name), text, pos), engine.MatchResult)
 
 
 # --- token dispatch -------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_validate_rejects(build, message):
 def test_validate_collects_labels_and_messages():
     g = parse_grammar("start <- AA [BB]^miss ;\nAA <- 'a' ;\nBB <- 'b' ;")
     assert g.labels == {"miss"}
-    assert g.messages["miss"] == "expected BB"
+    assert g.messages == {}
     assert g.label_descriptions["miss"] == "BB"
 
 
@@ -235,6 +235,46 @@ def test_a_grammar_takes_only_what_it_is_given(name):
     with pytest.raises(TypeError):
         Grammar({"start": Terminal("'x'")}, {}, "start", **{name: None})
     assert not hasattr(model, "program")
+
+
+ABC_TOKENS = "AA <- 'a' ;\nBB <- 'b' ;\nCC <- 'c' ;"
+
+
+def test_validation_writes_nothing_it_was_given(monkeypatch):
+    with pytest.raises(TypeError):
+        Grammar({"start": Terminal("'x'")}, {}, "start", label_descriptions={})
+    g = parse_grammar("start <- AA [BB]^miss ;\nAA <- 'a' ;\nBB <- 'b' ;")
+    assert g.messages == {}
+    assert [e.message for e in parse(g, "a a").errors] == ["expected BB"]
+    assert g.messages == {}
+    # two grammars given one messages dict each form their own defaults
+    shared: dict[str, str] = {}
+    abc = {"AA": Literal("a"), "BB": Literal("b"), "CC": Literal("c")}
+    for kind in ("BB", "CC"):
+        body = Sequence(Terminal("AA"), Annotated(Terminal(kind), "l"))
+        hand_built = Grammar({"start": body}, dict(abc), "start", messages=shared)
+        assert [e.message for e in parse(hand_built, "a").errors] == [f"expected {kind}"]
+    assert shared == {}
+    # a label whose annotation site is stripped reads as any bare throw
+    g = strip_labels(parse_grammar("start <- AA [BB]^l / CC ^l ;\n" + ABC_TOKENS))
+    assert [e.message for e in parse(g, "c").errors] == ["unexpected input (l)"]
+    # a desugared copy keeps its grammar's tables without filling them again
+    g = parse_grammar("start <- [AA+]^l ;\nAA <- 'a' ;")
+    monkeypatch.setattr(model, "_fill_tables", None)
+    d = desugar(g)
+    assert d is not g
+    assert (d.labels, d.literal_kinds, d.label_descriptions) == \
+        (g.labels, g.literal_kinds, g.label_descriptions)
+
+
+def test_preserved_annotation_reads_alike_before_and_after_a_round_trip():
+    g = parse_grammar("start <- AA [BB+]^l CC ;\n" + ABC_TOKENS)
+    annotated, _ = annotate(g, AnnotatorConfig(preserve_existing=True))
+    reread = parse_grammar(serialize_grammar(annotated))
+    assert annotated.label_descriptions == reread.label_descriptions
+    assert annotated.label_descriptions["l"] == "BB BB*"
+    messages = [[e.message for e in parse(x, "a c").errors] for x in (annotated, reread)]
+    assert messages == [["expected BB BB*"]] * 2
 
 
 AB = {"AA": Literal("a"), "BB": Literal("b")}
@@ -398,11 +438,11 @@ def test_passes_keep_validity_by_construction():
 
 def test_sugared_annotation_keeps_its_description_and_message():
     g = parse_grammar("start <- [AA+]^l ;\nAA <- 'a' ;")
-    assert (g.label_descriptions, g.messages) == ({"l": "AA+"}, {"l": "expected AA+"})
+    assert (g.label_descriptions, g.messages) == ({"l": "AA+"}, {})
     # desugaring keeps the description and the message the grammar text
     # gave the label
     d = desugar(g)
-    assert (d.label_descriptions, d.messages) == ({"l": "AA+"}, {"l": "expected AA+"})
+    assert (d.label_descriptions, d.messages) == ({"l": "AA+"}, {})
     assert [e.message for e in parse(g, "").errors] == ["expected AA+"]
     # a recovery's error node expects what the message says
     g = parse_grammar("start <- AA [BB+]^l CC ;\nAA <- 'a' ;\nBB <- 'b' ;\nCC <- 'c' ;\n"
@@ -417,8 +457,7 @@ def test_a_literal_is_described_as_grammar_text():
     # label on it expects
     g = parse_grammar("start <- AA [ 'a\\'b' ]^l CC ;\nAA <- 'a' ;\nCC <- 'c' ;\n"
                       "%recovery\nl <- (!CC .)* ;")
-    assert (g.label_descriptions, g.messages) == \
-        ({"l": "'a\\'b'"}, {"l": "expected 'a\\'b'"})
+    assert (g.label_descriptions, g.messages) == ({"l": "'a\\'b'"}, {})
     out = parse(g, "a c")
     assert [e.message for e in out.errors] == ["expected 'a\\'b'"]
     assert out.tree.root[2][1] == ("l", "'a\\'b'", (2, 2))
