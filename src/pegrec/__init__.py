@@ -9,9 +9,7 @@ from .engine import (
     MatchResult,
     ParseError,
     ParseOutcome,
-    RuleNode,
     Session,
-    TokenLeaf,
     Tree,
     ast_structural_eq,
     match,
@@ -42,9 +40,7 @@ __all__ = [
     "MatchResult",
     "ParseError",
     "ParseOutcome",
-    "RuleNode",
     "Session",
-    "TokenLeaf",
     "TokenSet",
     "Tree",
     "annotate",

@@ -7,7 +7,7 @@ import warnings
 
 from .engine import ParseError
 from .lexer import read_text
-from .model import Grammar, GrammarError
+from .model import Grammar, GrammarError, checked
 
 
 def format_error(filename: str, err: ParseError) -> str:
@@ -18,8 +18,8 @@ def format_error(filename: str, err: ParseError) -> str:
 def load_messages(path: str, grammar: Grammar | None = None) -> dict[str, str]:
     """The label-to-message table of a JSON file, for ``Session``'s
     ``messages``, which override the grammar's own and its defaults.  A
-    label the grammar does not know is kept but flagged with a warning, so
-    a renamed label does not silently lose its message."""
+    label unknown to the grammar, validated first, is kept but flagged
+    with a warning, so a renamed label does not lose its message."""
     try:
         data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -30,8 +30,9 @@ def load_messages(path: str, grammar: Grammar | None = None) -> dict[str, str]:
         isinstance(k, str) and isinstance(v, str) for k, v in data.items()
     ):
         raise GrammarError(f"message file {path} must map label names to strings")
+    known = data if grammar is None else checked(grammar).labels
     for label in data:
-        if grammar is not None and label not in grammar.labels:
+        if label not in known:
             warnings.warn(f"message for unknown label {label!r} in {path}")
     return data
 

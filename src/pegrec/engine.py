@@ -63,10 +63,10 @@ matcher makes no node object, so a tree of any size is a few lists that
 the cyclic collector walks as one object each, and a choice, a star or a
 predicate drops what a failed alternative built with ``del acc[n:]``.
 An error recorded by a recovery whose row is gone so is dropped the next
-time the error list is read (``Session._live``).  ``tree_to_json``,
-``Tree.root`` (the tree as exact tuples, built on request) and
-``evaluate.ast_structural_eq`` read the columns with stacks of their
-own, so no tree is too deep for them.
+time the error list is read (``Session._live``).  ``tree_to_json``
+(dicts, a tree's one Python shape), ``tree_to_json_text`` (one reverse
+pass, whose texts ``Tree.__eq__`` compares) and ``ast_structural_eq``
+read the columns with stacks of their own, so no tree is too deep.
 """
 
 from __future__ import annotations
@@ -108,18 +108,6 @@ from .lexer import TokenStream
 
 # --- syntax trees -----------------------------------------------------------
 
-def TokenLeaf(kind: str | None, span: tuple[int, int]) -> tuple:
-    """A token leaf: the exact tuple ``(kind, span)``.  ``kind`` is None for
-    a stray character taken by ``.``."""
-    return (kind, span)
-
-
-def RuleNode(name: str, span: tuple[int, int], children: tuple = ()) -> tuple:
-    """A rule node: the exact tuple ``(name, span, children)``, where
-    ``children`` is an exact tuple of nodes."""
-    return (name, span, tuple(children))
-
-
 class ErrorNode(NamedTuple):
     """Placeholder for input that was skipped (or found missing) while
     recovering from ``label``.  ``expected`` names what should have been
@@ -150,8 +138,8 @@ class Tree:
 
     A rule node's span runs from its first child's start to its last
     child's end; an empty rule's starts and ends where token ``arg``
-    starts, or at ``eof`` past the last token.  ``root`` builds the tuple
-    nodes on each read.  Trees compare equal when their roots do."""
+    starts, or at ``eof`` past the last token.  Trees compare equal when
+    their JSON texts (``tree_to_json_text``) do."""
 
     __slots__ = ("rows", "kinds", "spans", "names", "error_nodes", "eof", "shift")
 
@@ -165,16 +153,10 @@ class Tree:
         self.eof = eof
         self.shift = _code_bits(len(names))
 
-    @property
-    def root(self) -> tuple:
-        """The start rule's node as exact tuples: ``(name, span,
-        children)`` and ``(kind, span)``, with the ``ErrorNode``s."""
-        return _tuple_nodes(self)[0]
-
     def __eq__(self, other):
         if other.__class__ is not Tree:
             return NotImplemented
-        return self.root == other.root
+        return tree_to_json_text(self) == tree_to_json_text(other)
 
     __hash__ = None
 
@@ -182,52 +164,13 @@ class Tree:
         return f"<Tree of {len(self.rows)} nodes>"
 
 
-def _tuple_nodes(tree: Tree) -> list:
-    """The top-level nodes of the rows as exact tuples, left to right.  A
-    token leaf holds the ``spans`` tuple, and a rule node with one child
-    holds that child's span tuple."""
-    rows, kinds, spans, names = tree.rows, tree.kinds, tree.spans, tree.names
-    n, shift = len(names), tree.shift
-    mask = (1 << shift) - 1
-    done: list = []            # nodes whose parent is not closed yet
-    depth = [0] * len(rows)    # len(done) where the subtree of a row began
-    for i, x in enumerate(rows):
-        if x >= 0:
-            depth[i] = len(done)
-            done.append((kinds[x], spans[x]))
-            continue
-        c = ~x
-        code = c & mask
-        if code < n:
-            d = depth[c >> shift]
-            children = tuple(done[d:])
-            del done[d:]
-            first = children[0]
-            span = first.span if first.__class__ is ErrorNode else first[1]
-            if len(children) > 1:
-                last = children[-1]
-                end = last.span if last.__class__ is ErrorNode else last[1]
-                span = (span[0], end[1])
-            done.append((names[code], span, children))
-            continue
-        depth[i] = len(done)
-        if code < 2 * n:
-            anchor = _anchor(tree, c >> shift)
-            done.append((names[code - n], (anchor, anchor), ()))
-        else:
-            done.append(tree.error_nodes[c >> shift])
-    return done
-
-
 def _anchor(tree: Tree, pos: int) -> int:
     spans = tree.spans
     return spans[pos][0] if pos < len(spans) else tree.eof
 
 
-def tree_to_json(tree: Tree) -> dict:
-    """The tree as nested dicts and lists, the shape ``pegrec parse --json``
-    prints.  It walks the rows once with a stack of its own, so a tree of
-    any depth converts."""
+def _json_nodes(tree: Tree) -> list[dict]:
+    """The top-level nodes of the rows, left to right, as ``tree_to_json``'s."""
     rows, kinds, spans, names = tree.rows, tree.kinds, tree.spans, tree.names
     n, shift = len(names), tree.shift
     mask = (1 << shift) - 1
@@ -258,32 +201,24 @@ def tree_to_json(tree: Tree) -> dict:
             node = tree.error_nodes[c >> shift]
             done.append({"error": node.label, "expected": node.expected,
                          "span": list(node.span)})
-    return done[0]
+    return done
+
+
+def tree_to_json(tree: Tree) -> dict:
+    """The tree as ``pegrec parse --json`` prints it: ``{"rule", "span",
+    "children"}``, ``{"token", "span"}`` and ``{"error", "expected", "span"}``."""
+    return _json_nodes(tree)[0]
 
 
 def tree_to_json_text(tree: Tree) -> str:
     """``json.dumps(tree_to_json(tree), separators=(",", ":"))``, written
-    from the rows with no dicts.  One pass gives every row its span; a
-    second walks the rows from the root down and right to left, which is
-    reverse postorder, and writes the text backwards.  Neither recurses,
-    so a tree of any depth converts."""
+    backwards in one pass over the rows from the root down and right to
+    left (reverse postorder).  A rule's close row precedes its subtree,
+    whose first row closes nothing: the rule ends where the next such row
+    ends, and starts where its first row starts, where its opener goes."""
     rows, kinds, spans, names, nodes = tree.rows, tree.kinds, tree.spans, tree.names, tree.error_nodes
     n, shift = len(names), tree.shift
     mask = (1 << shift) - 1
-    starts = [0] * len(rows)
-    ends = [0] * len(rows)
-    for i, x in enumerate(rows):
-        if x >= 0:
-            starts[i], ends[i] = spans[x]
-            continue
-        c = ~x
-        code = c & mask
-        if code < n:
-            starts[i], ends[i] = starts[c >> shift], ends[i - 1]
-        elif code < 2 * n:
-            starts[i] = ends[i] = _anchor(tree, c >> shift)
-        else:
-            starts[i], ends[i] = nodes[c >> shift].span
     text: dict = {}   # a JSON string per name, kind and label
 
     def quote(s) -> str:
@@ -292,31 +227,40 @@ def tree_to_json_text(tree: Tree) -> str:
             found = text[s] = json.dumps(s)
         return found
     out: list[str] = []
-    # the first and the last row of each rule node being written
-    opened: list[tuple[int, int]] = []
+    # [first row, close row, end] per open rule; the last pending lack end
+    opened: list[list[int]] = []
+    pending = 0
     for i in range(len(rows) - 1, -1, -1):
         if opened and i != opened[-1][1] - 1:
             out.append(",")  # i has a right sibling
         x = rows[i]
         if x >= 0:
-            out.append('{"token":%s,"span":[%d,%d]}' % (quote(kinds[x]), starts[i], ends[i]))
+            start, end = spans[x]
+            out.append('{"token":%s,"span":[%d,%d]}' % (quote(kinds[x]), start, end))
         else:
             c = ~x
             code = c & mask
             if code < n:
                 out.append("]}")
-                opened.append((c >> shift, i))
-            elif code < 2 * n:
+                opened.append([c >> shift, i, 0])
+                pending += 1
+                continue
+            if code < 2 * n:
+                start = end = _anchor(tree, c >> shift)
                 out.append('{"rule":%s,"span":[%d,%d],"children":[]}'
-                           % (quote(names[code - n]), starts[i], ends[i]))
+                           % (quote(names[code - n]), start, end))
             else:
                 node = nodes[c >> shift]
+                start, end = node.span
                 out.append('{"error":%s,"expected":%s,"span":[%d,%d]}'
-                           % (quote(node.label), quote(node.expected), starts[i], ends[i]))
+                           % (quote(node.label), quote(node.expected), start, end))
+        while pending:
+            opened[-pending][2] = end
+            pending -= 1
         while opened and opened[-1][0] == i:
-            last = opened.pop()[1]
+            _, last, stop = opened.pop()
             out.append('{"rule":%s,"span":[%d,%d],"children":['
-                       % (quote(names[~rows[last] & mask]), starts[last], ends[last]))
+                       % (quote(names[~rows[last] & mask]), start, stop))
     out.reverse()
     return "".join(out)
 
@@ -500,7 +444,7 @@ class ParseOutcome:
 
 @dataclass
 class MatchResult:
-    """Result of matching a single expression (not a whole file)."""
+    """Result of matching a single expression; its ``children`` are ``tree_to_json`` nodes."""
 
     status: str
     end: int | None
@@ -634,10 +578,10 @@ class _Matcher:
 
     def admitted(self, e: Expr) -> frozenset | None:
         """The kinds at which e is sure to match one token, when e is a
-        terminal or a choice of terminals, each with a guard: its guard."""
+        terminal other than ``EOF`` or a choice of such: their kinds."""
         alts = operands(e, Choice) if e.__class__ is Choice else (e,)
         for x in alts:
-            if x.__class__ is not Terminal or x.kind == EOF_KIND or self.guard(x) is None:
+            if x.__class__ is not Terminal or x.kind == EOF_KIND:
                 return None
         return frozenset(x.kind for x in alts)
 
@@ -749,8 +693,8 @@ class _Matcher:
         for item, placed in items:
             cls = item.__class__
             if (cls is Choice and item.second.__class__ is Throw
-                    and item.first.__class__ is Terminal and item.first.kind != EOF_KIND
-                    and self.guard(item.first) is not None):
+                    and item.first.__class__ is Terminal
+                    and self.admitted(item.first) is not None):
                 # [X]^l, the most common choice: two lines, where _choice
                 # writes six, and compiling costs per token of source
                 out.append(f"{ind}if kinds[pos] == {item.first.kind!r}: acc.append(pos); pos += 1")
@@ -848,8 +792,7 @@ class _Matcher:
         plainly; the last one's failure is the choice's own."""
         alts = operands(e, Choice)
         guards = [self.guard(x) for x in alts]
-        admitted = [x.__class__ is Terminal and x.kind != EOF_KIND and guard is not None
-                    for x, guard in zip(alts, guards)]
+        admitted = [self.admitted(x) is not None for x in alts]
         # a kind at which the choice skips an alternative that would have
         # run moves farthest to pos, as that alternative's failure would
         # have moved it; kept holds the kinds at which none is skipped
@@ -1070,7 +1013,7 @@ class Session:
                                errors=self.errors)
         return MatchResult(status="matched", end=r,
                            errors=self.errors,
-                           children=tuple(_tuple_nodes(self._tree(acc))))
+                           children=tuple(_json_nodes(self._tree(acc))))
 
 
 def parse(grammar: Grammar, text: str,

@@ -20,11 +20,12 @@ run on an explicit stack and dispatch on the exact class of a node
 (``node.__class__ is Choice``): every ``Expr`` class is defined here, and
 none is subclassed.  One rule of sharing: desugaring ``p+`` to ``p p*``
 gives both parts the same p, and no other node has two parents.  Every
-walk and rewrite finds that p with ``plus_operand`` and visits it once,
-so it stays linear in the size of the DAG, not of the tree it unfolds
-to.  ``First`` is the one FIRST-set and nullability computation:
-``analysis``, the lexer, the matcher's guards and the left-recursion check
-each run it with a ``leaf`` function of their own.
+walk and rewrite but ``annotate._Annotator._labexp``, which unfolds the
+sharing, finds that p with ``plus_operand`` and visits it once, so it
+stays linear in the size of the DAG, not of the tree it unfolds to.
+``First`` is the one FIRST-set and nullability computation: ``analysis``,
+the lexer, the matcher's guards and the left-recursion check each run it
+with a ``leaf`` function of their own.
 """
 
 from __future__ import annotations

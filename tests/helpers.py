@@ -7,8 +7,8 @@ something; naive_tokenize does the same for the lexer, CharLoopScanner
 for the scanner of grammar text, nullable for the epsilon flag of FIRST
 sets, check_left_recursion for the left-recursion check of ``validate``,
 reference_guard for the matcher's guards, reference_follow for FOLLOW
-sets, and tuple_structural_eq for ``ast_structural_eq`` on the tuple nodes
-of ``Tree.root``.  The generators produce random grammars (acyclic by
+sets, and json_structural_eq for ``ast_structural_eq`` on the dicts of
+``tree_to_json``.  The generators produce random grammars (acyclic by
 construction: each rule only references later ones) and random valid
 programs for the miniature Java grammar.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 
-from pegrec.engine import ErrorNode
 from pegrec.model import (
     And,
     AnyToken,
@@ -429,28 +428,26 @@ def reference_guard(rules: dict[str, Expr], first_kinds):
 
 # --- reference structural equality -------------------------------------------
 
-def tuple_structural_eq(got, want) -> bool:
-    """Reference for ``evaluate.ast_structural_eq``, on the tuple nodes of
-    ``Tree.root``: equality ignoring spans, where an ErrorNode on either
-    side matches one node whose rule name or token kind equals its
-    expectation, and two ErrorNodes match when they expect the same."""
-    got_error = got.__class__ is ErrorNode
-    want_error = want.__class__ is ErrorNode
+def json_structural_eq(got: dict, want: dict) -> bool:
+    """Reference for ``engine.ast_structural_eq``, on the dicts of
+    ``tree_to_json``: equality ignoring spans, where an error node on
+    either side matches one node whose rule name or token kind equals its
+    expectation, and two error nodes match when they expect the same."""
+    got_error, want_error = "error" in got, "error" in want
     if got_error or want_error:
         if got_error and want_error:
-            return got.expected == want.expected
+            return got["expected"] == want["expected"]
         node, err = (want, got) if got_error else (got, want)
-        # a rule node's name and a token leaf's kind both come first
-        return node[0] == err.expected
-    if len(got) != len(want) or got[0] != want[0]:
+        name = node["rule"] if "rule" in node else node["token"]
+        return name == err["expected"]
+    if ("rule" in got) != ("rule" in want):
         return False
-    if len(got) == 2:
-        return True
-    got_children, want_children = got[2], want[2]
-    if len(got_children) != len(want_children):
+    if "token" in got:
+        return got["token"] == want["token"]
+    if got["rule"] != want["rule"] or len(got["children"]) != len(want["children"]):
         return False
-    for a, b in zip(got_children, want_children):
-        if not tuple_structural_eq(a, b):
+    for a, b in zip(got["children"], want["children"]):
+        if not json_structural_eq(a, b):
             return False
     return True
 

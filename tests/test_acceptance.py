@@ -17,7 +17,7 @@ import pytest
 from pegrec.analysis import Analysis
 from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.diagnostics import format_error, load_messages
-from pegrec.engine import ErrorNode, Session, match
+from pegrec.engine import Session, match, tree_to_json
 from pegrec.evaluate import (
     EXCELLENT,
     FAILED,
@@ -162,13 +162,10 @@ CORPUS_ROWS = [
 ]
 
 
-def count_error_nodes(node) -> int:
-    if isinstance(node, ErrorNode):
+def count_error_nodes(node: dict) -> int:
+    if "error" in node:
         return 1
-    if len(node) == 3:
-        _, _, children = node
-        return sum(count_error_nodes(c) for c in children)
-    return 0
+    return sum(count_error_nodes(c) for c in node.get("children", ()))
 
 
 def sync_kinds(expr) -> set[str]:
@@ -245,7 +242,7 @@ def test_sample_program_messages_and_recovery(grammar_dir, tiny_java_labeled):
         "factorial.java:5: syntax error, missing ')' in while",
         "factorial.java:7: syntax error, missing ';' in assignment",
     ]
-    assert count_error_nodes(outcome.tree.root) == 2
+    assert count_error_nodes(tree_to_json(outcome.tree)) == 2
 
 
 def test_annotation_is_transparent_on_valid_programs(tiny_java):

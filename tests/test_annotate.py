@@ -2,7 +2,7 @@ import pytest
 
 from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import parse_grammar
-from pegrec.engine import ErrorNode, parse
+from pegrec.engine import parse, tree_to_json
 from pegrec.model import (
     AnyToken,
     Choice,
@@ -203,7 +203,7 @@ def test_star_mode_recovers_inside_repetition():
     assert out.status == "matched"
     assert out.errors  # the bad element was reported
     # and the loop carried on: the last (BB CC) group is in the tree
-    kinds = ["err" if isinstance(c, ErrorNode) else c[0] for c in out.tree.root[2]]
+    kinds = ["err" if "error" in c else c["token"] for c in tree_to_json(out.tree)["children"]]
     assert kinds.count("CC") == 2
 
 

@@ -128,14 +128,15 @@ def test_deep_nesting_parses_as_before(tiny_java_annotated_file):
     assert Session(tiny_java_annotated_file, _nested(1400)).parse().ok
 
 
-def _flat(root) -> list:
-    """The nodes of a tuple tree in preorder, without their children."""
+def _flat(root: dict) -> list:
+    """The nodes of a tree's dicts in preorder, each with the count of its
+    children in place of them."""
     out, stack = [], [root]
     while stack:
         node = stack.pop()
-        if node.__class__ is tuple and len(node) == 3:
-            out.append(node[:2] + (len(node[2]),))
-            stack.extend(reversed(node[2]))
+        if "children" in node:
+            out.append({**node, "children": len(node["children"])})
+            stack.extend(reversed(node["children"]))
         else:
             out.append(node)
     return out
@@ -150,8 +151,8 @@ def test_deep_trees_convert_under_the_default_recursion_limit(tiny_java_annotate
         data = tree_to_json(outcome.tree)
         text = tree_to_json_text(outcome.tree)
         back = tree_from_json(data)
-        flat = _flat(outcome.tree.root)
-        flat_back = _flat(back.root)
+        flat = _flat(data)
+        flat_back = _flat(tree_to_json(back))
         same = ast_structural_eq(outcome.tree, back)
     finally:
         sys.setrecursionlimit(limit)
@@ -164,6 +165,14 @@ def test_deep_trees_convert_under_the_default_recursion_limit(tiny_java_annotate
         depth = max(depth, level)
         stack.extend((child, level + 1) for child in node.get("children", ()))
     assert depth > 5 * 1400
+
+
+def test_deep_trees_compare_equal(tiny_java_annotated_file):
+    # equality compares the trees' JSON texts, whose writer keeps a stack
+    # of its own
+    tree = Session(tiny_java_annotated_file, _nested(3000)).parse().tree
+    assert tree == tree
+    assert tree == tree_from_json(tree_to_json(tree))
 
 
 def test_parsing_and_converting_leave_no_reference_cycles(tiny_java_annotated_file):
@@ -181,7 +190,7 @@ def test_parsing_and_converting_leave_no_reference_cycles(tiny_java_annotated_fi
         data = tree_to_json(outcome.tree)
         back = tree_from_json(data)
         assert ast_structural_eq(back, outcome.tree)
-        root = back.root
+        root = tree_to_json(back)
         del outcome, data, back, root
         assert gc.collect() == 0
     finally:

@@ -1,11 +1,12 @@
 import json
+import warnings
 
 import pytest
 
 from pegrec.diagnostics import format_error, load_messages, suppress_cascaded
 from pegrec.dsl import parse_grammar
 from pegrec.engine import ParseError, parse
-from pegrec.model import GrammarError
+from pegrec.model import Annotated, Grammar, GrammarError, Literal, Sequence, Terminal
 
 
 def err(token_index: int, label: str = "x") -> ParseError:
@@ -55,6 +56,20 @@ def test_load_messages_warns_on_unknown_label(tmp_path):
     path.write_text(json.dumps({"mis": "typo"}))
     with pytest.warns(UserWarning, match="unknown label 'mis'"):
         load_messages(str(path), g)
+
+
+def test_load_messages_knows_the_labels_of_a_hand_built_grammar(tmp_path):
+    # a grammar's labels are derived when it is validated, which for one
+    # built by hand and not used yet is load_messages' own check
+    aa = Terminal("AA")
+    g = Grammar(rules={"start": Sequence(aa, Annotated(aa, "l"))},
+                lexical={"AA": Literal("a")}, start="start")
+    path = tmp_path / "messages.json"
+    path.write_text(json.dumps({"l": "custom", "zz": "x"}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert load_messages(str(path), g) == {"l": "custom", "zz": "x"}
+    assert [str(w.message) for w in caught] == [f"message for unknown label 'zz' in {path}"]
 
 
 def test_load_messages_rejects_malformed_json(tmp_path):

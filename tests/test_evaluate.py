@@ -7,7 +7,7 @@ import pytest
 
 from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import parse_grammar
-from pegrec.engine import parse, tree_from_json
+from pegrec.engine import parse, tree_from_json, tree_to_json
 from pegrec.evaluate import (
     EXCELLENT,
     FAILED,
@@ -25,7 +25,7 @@ from pegrec.evaluate import (
     token_spans,
 )
 
-from helpers import random_grammar, random_program, tuple_structural_eq
+from helpers import json_structural_eq, random_grammar, random_program
 
 RECOVERING = """\
 start <- AA [BB]^miss AA ;
@@ -102,19 +102,19 @@ def test_error_node_inside_tree():
 
 
 def _agree(trees) -> tuple[int, int]:
-    """Check ast_structural_eq against the tuple reference on every ordered
-    pair of trees; (pairs, equal pairs)."""
+    """Check ast_structural_eq against the reference over the trees' dicts
+    on every ordered pair of trees; (pairs, equal pairs)."""
     pairs = equal = 0
-    roots = [t.root for t in trees]
+    roots = [tree_to_json(t) for t in trees]
     for (a, root_a), (b, root_b) in itertools.permutations(zip(trees, roots), 2):
-        want = tuple_structural_eq(root_a, root_b)
+        want = json_structural_eq(root_a, root_b)
         assert ast_structural_eq(a, b) == want, (root_a, root_b)
         pairs += 1
         equal += want
     return pairs, equal
 
 
-def test_eq_agrees_with_the_tuple_reference_on_tiny_java_mutants(tiny_java_annotated_file):
+def test_eq_agrees_with_the_dict_reference_on_tiny_java_mutants(tiny_java_annotated_file):
     g = tiny_java_annotated_file
     rng = random.Random(11)
     pairs = equal = 0
@@ -132,7 +132,7 @@ def test_eq_agrees_with_the_tuple_reference_on_tiny_java_mutants(tiny_java_annot
     assert pairs > 600 and 300 < equal < pairs - 200
 
 
-def test_eq_agrees_with_the_tuple_reference_on_random_grammars():
+def test_eq_agrees_with_the_dict_reference_on_random_grammars():
     texts = [" ".join(chars) for n in range(4) for chars in itertools.product("abc", repeat=n)]
     pairs = equal = 0
     for seed in range(30):

@@ -8,7 +8,7 @@ from pegrec import model
 from pegrec.analysis import Analysis
 from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import load_grammar, parse_grammar
-from pegrec.engine import match, parse
+from pegrec.engine import match, parse, tree_to_json
 from pegrec.model import (
     Annotated,
     And,
@@ -449,7 +449,7 @@ def test_sugared_annotation_keeps_its_description_and_message():
                       "%recovery\nl <- (!CC .)* ;")
     out = parse(g, "a c")
     assert [e.message for e in out.errors] == ["expected BB+"]
-    assert out.tree.root[2][1] == ("l", "BB+", (2, 2))
+    assert tree_to_json(out.tree)["children"][1] == {"error": "l", "expected": "BB+", "span": [2, 2]}
 
 
 def test_a_literal_is_described_as_grammar_text():
@@ -460,7 +460,8 @@ def test_a_literal_is_described_as_grammar_text():
     assert (g.label_descriptions, g.messages) == ({"l": "'a\\'b'"}, {})
     out = parse(g, "a c")
     assert [e.message for e in out.errors] == ["expected 'a\\'b'"]
-    assert out.tree.root[2][1] == ("l", "'a\\'b'", (2, 2))
+    assert tree_to_json(out.tree)["children"][1] == \
+        {"error": "l", "expected": "'a\\'b'", "span": [2, 2]}
     annotated, report = annotate(parse_grammar("start <- AA 'a\\'b' ;\nAA <- 'a' ;"))
     assert [site.expected for site in report.inserted] == ["'a\\'b'"]
     assert annotated.label_descriptions == {"Err_start_1": "'a\\'b'"}
