@@ -17,7 +17,7 @@ def format_error(filename: str, err: ParseError) -> str:
 
 def load_messages(path: str, grammar: Grammar | None = None) -> dict[str, str]:
     """The label-to-message table of a JSON file, for ``Session``'s
-    ``messages``, which override the grammar's own and its defaults.  A
+    ``messages``, which override the default messages.  A
     label unknown to the grammar, validated first, is kept but flagged
     with a warning, so a renamed label does not lose its message."""
     try:
@@ -26,6 +26,11 @@ def load_messages(path: str, grammar: Grammar | None = None) -> dict[str, str]:
         raise GrammarError(
             f"malformed message file {path}: {exc.msg}",
             exc.lineno, exc.colno) from exc
+    except RecursionError:
+        raise GrammarError(f"message file {path} nested too deeply") from None
+    except ValueError as exc:
+        # an integer longer than int's string-conversion limit
+        raise GrammarError(f"malformed message file {path}: {exc}") from None
     if not isinstance(data, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in data.items()
     ):

@@ -63,11 +63,11 @@ from .model import (
 # or the end of the text.  Python's \w is exactly str.isalnum() or "_"; a
 # name must start with a letter (str.isalpha()) or "_", which is checked
 # on its own for a "word" that does not start with an ASCII one.  No group
-# matches at a character that starts no token.  The layout is atomic,
-# spelled as in ``lexer``, so a failed match cannot find a token inside a
-# comment by giving back part of it.
+# matches at a character that starts no token.  ``LAYOUT`` is possessive,
+# so a failed match cannot find a token inside a comment by giving back
+# part of it.
 _TOKEN = re.compile(
-    rf"(?=(?P<layout>{LAYOUT.pattern}))(?P=layout)"
+    LAYOUT.pattern
     + r"""(?:(?P<name>[A-Za-z_]\w*)"""
     + r"""|(?P<punct><-|[/()+*?!&.;^\[\]%])"""
     + r"""|(?P<literal>'(?P<single>[^'\\\n]*(?:\\.[^'\\\n]*)*)(?P<end1>')?"""

@@ -870,7 +870,7 @@ class Session:
         self._kinds: list[str | None] = stream.kinds + [EOF_KIND]
         self._spans = stream.spans
         self.max_errors = max_errors
-        self.messages = {**g.messages, **(messages or {})}
+        self.messages = messages or {}
 
     # -- error records --------------------------------------------------------
 

@@ -54,7 +54,7 @@ class CorpusCase:
     bad_path: Path
     ok_path: Path | None = None
     tree_path: Path | None = None
-    expected_label: str | None = None
+    label_path: Path | None = None
 
 
 @dataclass
@@ -125,15 +125,12 @@ def load_corpus(directory: str | Path) -> list[CorpusCase]:
         ok = stem.with_suffix(".ok")
         tree = stem.with_suffix(".tree")
         label = stem.with_suffix(".label")
-        expected_label = None
-        if label.exists():
-            expected_label = read_text(label).strip() or None
         cases.append(CorpusCase(
             name=bad.stem,
             bad_path=bad,
             ok_path=ok if ok.exists() else None,
             tree_path=tree if tree.exists() else None,
-            expected_label=expected_label,
+            label_path=label if label.exists() else None,
         ))
     return cases
 
@@ -152,6 +149,9 @@ def _read_tree(path):
 def run_case(grammar: Grammar, case: CorpusCase,
              max_errors: int = DEFAULT_MAX_ERRORS) -> CaseResult:
     text = read_text(case.bad_path)
+    expected_label = None
+    if case.label_path is not None:
+        expected_label = read_text(case.label_path).strip() or None
     outcome = Session(grammar, text, max_errors=max_errors).parse()
 
     intended = None
@@ -170,13 +170,12 @@ def run_case(grammar: Grammar, case: CorpusCase,
         note = note or "no intended tree to compare against"
 
     first_label = outcome.errors[0].label if outcome.errors else None
-    label_ok = (case.expected_label is None
-                or first_label == case.expected_label)
+    label_ok = expected_label is None or first_label == expected_label
     return CaseResult(
         name=case.name, rating=rating,
         error_count=len(outcome.errors),
         first_label=first_label,
-        expected_label=case.expected_label,
+        expected_label=expected_label,
         label_ok=label_ok, note=note,
     )
 

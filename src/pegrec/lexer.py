@@ -12,14 +12,14 @@ position is ignored there.
 The lexical rules are compiled once per Grammar object, the first time a
 text is lexed with it, and kept on the grammar's desugared form
 (``model.desugar``); a Grammar must therefore not be mutated after its
-first parse.  Each rule becomes one anchored ``re`` pattern.  A
-PEG never backtracks into an ordered choice or a repetition, so both become
-atomic groups, spelled ``(?=(?P<aN>...))(?P=aN)`` because ``(?>...)`` needs
-Python 3.11; ``!p`` becomes ``(?!p)`` and a rule reference is inlined,
-which ends because no lexical rule reaches itself (``model.validate``).  A
-table filled lazily per character lists the rules whose FIRST set
-(``model.First`` over character ranges) holds that character, so each
-position tries only those.
+first parse.  Each rule becomes one anchored ``re`` pattern.  A PEG never
+backtracks into an ordered choice or a repetition, so both are atomic: a
+choice becomes the atomic group ``(?>a|b)``, ``p*`` the possessive
+``(?:p)*+`` and ``p+`` (desugared to ``p p*``) ``(?:p)++``.  ``!p``
+becomes ``(?!p)`` and a rule reference is inlined, which ends because no
+lexical rule reaches itself (``model.validate``).  A table filled lazily
+per character lists the rules whose FIRST set (``model.First`` over
+character ranges) holds that character, so each position tries only those.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class Token(NamedTuple):
 
 
 # blanks and // line comments; the grammar text (``dsl``) uses the same
-LAYOUT = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
+LAYOUT = re.compile(r"(?:[ \t\r\n]++|//[^\n]*+)*+")
 # FIRST set of AnyToken: the range of every character
 _ANY_CHAR = TokenSet(frozenset({("\0", "\U0010ffff")}))
 
@@ -88,46 +88,35 @@ def line_col(starts: list[int], offset: int) -> tuple[int, int]:
     return line, offset - starts[line - 1] + 1
 
 
-class _RegexWriter:
+def _regex(e: Expr, rules: dict[str, Expr]) -> str:
     """Regex source of one lexical pattern with PEG's match semantics."""
-
-    def __init__(self, rules: dict[str, Expr]):
-        self.rules = rules
-        self.groups = 0
-
-    def _atomic(self, body: str) -> str:
-        self.groups += 1
-        name = f"a{self.groups}"
-        return f"(?=(?P<{name}>{body}))(?P={name})"
-
-    def write(self, e: Expr) -> str:
-        if isinstance(e, Literal):
-            return re.escape(e.text)
-        if isinstance(e, CharClass):
-            parts = [re.escape(lo) if lo == hi else f"{re.escape(lo)}-{re.escape(hi)}"
-                     for lo, hi in e.ranges if lo <= hi]
-            return f"[{''.join(parts)}]" if parts else "(?!)"
-        if isinstance(e, AnyToken):
-            return "(?s:.)"
-        if isinstance(e, Empty):
-            return ""
-        if isinstance(e, Sequence):
-            p = plus_operand(e)
-            if p is not None:
-                # p+ desugared to p p*, which share p: write p once
-                return self._atomic(f"(?:{self.write(p)})+")
-            return self.write(e.left) + self.write(e.right)
-        if isinstance(e, Choice):
-            return self._atomic("|".join(self.write(a) for a in operands(e, Choice)))
-        if isinstance(e, Star):
-            return self._atomic(f"(?:{self.write(e.body)})*")
-        if isinstance(e, Not):
-            return f"(?!{self.write(e.body)})"
-        if isinstance(e, NonTerminal):
-            # the body's own choices and repetitions are atomic, so it has
-            # at most one match and needs no atomic group of its own
-            return f"(?:{self.write(self.rules[e.name])})"
-        raise TypeError(f"unexpected node in lexical pattern: {e!r}")
+    if isinstance(e, Literal):
+        return re.escape(e.text)
+    if isinstance(e, CharClass):
+        parts = [re.escape(lo) if lo == hi else f"{re.escape(lo)}-{re.escape(hi)}"
+                 for lo, hi in e.ranges if lo <= hi]
+        return f"[{''.join(parts)}]" if parts else "(?!)"
+    if isinstance(e, AnyToken):
+        return "(?s:.)"
+    if isinstance(e, Empty):
+        return ""
+    if isinstance(e, Sequence):
+        p = plus_operand(e)
+        if p is not None:
+            # p+ desugared to p p*, which share p: write p once
+            return f"(?:{_regex(p, rules)})++"
+        return _regex(e.left, rules) + _regex(e.right, rules)
+    if isinstance(e, Choice):
+        return f"(?>{'|'.join(_regex(a, rules) for a in operands(e, Choice))})"
+    if isinstance(e, Star):
+        return f"(?:{_regex(e.body, rules)})*+"
+    if isinstance(e, Not):
+        return f"(?!{_regex(e.body, rules)})"
+    if isinstance(e, NonTerminal):
+        # the body's own choices and repetitions are atomic, so it has
+        # at most one match and needs no atomic group of its own
+        return f"(?:{_regex(rules[e.name], rules)})"
+    raise TypeError(f"unexpected node in lexical pattern: {e!r}")
 
 
 def _first_chars(e: Expr) -> TokenSet:
@@ -156,7 +145,7 @@ class _Lexer:
         rules.update((kind, Literal(kind[1:-1])) for kind in g.literal_kinds)
         first = First(rules, _first_chars).rules
         self.sources: dict[str, str] = {
-            kind: _RegexWriter(rules).write(NonTerminal(kind)) for kind in rules}
+            kind: _regex(NonTerminal(kind), rules) for kind in rules}
         self._rules = [(kind, re.compile(source).match, first[kind].kinds)
                        for kind, source in self.sources.items()]
         self.by_char: dict[str, tuple] = {}

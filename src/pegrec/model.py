@@ -170,10 +170,10 @@ class Grammar:
 
     ``rules`` and ``lexical`` are ordered; lexical order is the token
     priority for longest-match ties.  ``recovery`` maps a label to the
-    expression run when that label is thrown; ``messages`` maps a label to
-    diagnostic text, else a parse reads ``expected`` and its entry in
-    ``label_descriptions``, which like ``labels`` (every label thrown or
-    attached anywhere) and ``literal_kinds`` is filled when g is validated.
+    expression run when that label is thrown.  Validating g fills
+    ``labels`` (every label thrown or attached anywhere), ``literal_kinds``
+    and ``label_descriptions``, what each label's annotation site expects,
+    which a parse's default message ``expected <description>`` reads.
 
     The private fields, which ``replace`` does not copy, hold what is
     built from it on first use: whether it is known valid, its desugared
@@ -185,7 +185,6 @@ class Grammar:
     start: str
     labels: set[str] = field(default_factory=set, init=False)
     recovery: dict[str, Expr] = field(default_factory=dict)
-    messages: dict[str, str] = field(default_factory=dict)
     literal_kinds: tuple[str, ...] = field(default=(), init=False)
     label_descriptions: dict[str, str] = field(default_factory=dict, init=False)
     _valid: bool = field(default=False, init=False, repr=False)
@@ -653,8 +652,7 @@ def strip_labels(g: Grammar) -> Grammar:
     thrown = {node.label for body in rules.values() for node in _walk(body)
               if node.__class__ is Throw}
     return valid_by_construction(replace(
-        g, rules=rules, recovery={l: b for l, b in g.recovery.items() if l in thrown},
-        messages={l: t for l, t in g.messages.items() if l in thrown}))
+        g, rules=rules, recovery={l: b for l, b in g.recovery.items() if l in thrown}))
 
 
 # --- serialization ----------------------------------------------------------
@@ -755,8 +753,7 @@ def serialize_grammar(g: Grammar) -> str:
 
 def grammar_eq(a: Grammar, b: Grammar) -> bool:
     """Structural equality of the parts that carry meaning.  Rule order
-    matters (it is token priority on the lexical side); messages and source
-    positions do not."""
+    matters (it is token priority on the lexical side)."""
     return (list(a.rules) == list(b.rules) and list(a.lexical) == list(b.lexical)
             and a.start == b.start and a.labels == b.labels
             and a.rules == b.rules and a.lexical == b.lexical

@@ -176,6 +176,17 @@ def test_parse_custom_messages(capsys, tmp_path, small_grammar):
     assert "b required" in capsys.readouterr().err
 
 
+def test_messages_file_nested_too_deeply_exits_2(capsys, tmp_path, small_grammar):
+    msgs = write(tmp_path, "deep.json", "[" * 100000 + "]" * 100000)
+    argv = ["parse", str(small_grammar), write(tmp_path, "in.txt", "a a"),
+            "--messages", msgs]
+    want = f"pegrec: message file {msgs} nested too deeply\n"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == want
+    done = run_module(*argv)
+    assert (done.returncode, done.stderr) == (2, want)
+
+
 def test_parse_suppress_within(capsys, tmp_path):
     grammar = write(tmp_path, "g.peg", """\
 start <- Item Item Item ;
@@ -256,28 +267,24 @@ def test_eval_json(capsys, tmp_path, small_grammar):
 # --- files that are not UTF-8 ---------------------------------------------------
 
 @pytest.mark.parametrize("command", ["parse", "parse --messages", "analyze",
-                                     "annotate", "eval", "eval .label"])
+                                     "annotate", "eval"])
 def test_file_that_is_not_utf8_exits_2(capsys, tmp_path, small_grammar, command):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"start <- AA ;\xff")
     grammar, source = str(small_grammar), write(tmp_path, "in.txt", "a b a")
-    if command == "eval .label":
-        bad = corpus_with(tmp_path, "miss") / "c1.label"
-        bad.write_bytes(b"\xff")
     argv = {
         "parse": ["parse", grammar, str(bad)],
         "parse --messages": ["parse", grammar, source, "--messages", str(bad)],
         "analyze": ["analyze", str(bad)],
         "annotate": ["annotate", str(bad)],
         "eval": ["eval", str(bad), str(tmp_path)],
-        "eval .label": ["eval", grammar, str(bad.parent)],
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(
         f"pegrec: {bad}: 'utf-8' codec can't decode byte 0xff")
 
 
-@pytest.mark.parametrize("suffix", [".bad", ".ok"])
+@pytest.mark.parametrize("suffix", [".bad", ".ok", ".label"])
 def test_eval_reports_a_case_that_is_not_utf8_as_unreadable(capsys, tmp_path,
                                                             small_grammar, suffix):
     # as a case file that cannot be opened: named, and the run goes on

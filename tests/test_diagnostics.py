@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import pytest
@@ -78,6 +79,22 @@ def test_load_messages_rejects_malformed_json(tmp_path):
     with pytest.raises(GrammarError) as exc:
         load_messages(str(path))
     assert exc.value.line is not None
+
+
+def test_load_messages_rejects_a_file_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(GrammarError, match=f"^message file {re.escape(str(path))} "
+                                           "nested too deeply$"):
+        load_messages(str(path))
+
+
+def test_load_messages_rejects_an_integer_too_long_to_convert(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"miss": ' + "1" * 5000 + "}")
+    with pytest.raises(GrammarError, match=f"^malformed message file {re.escape(str(path))}: "
+                                           "Exceeds the limit"):
+        load_messages(str(path))
 
 
 def test_load_messages_rejects_non_string_values(tmp_path):

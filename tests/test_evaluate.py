@@ -179,9 +179,9 @@ def test_load_corpus_discovers_sidecar_files(tmp_path):
     write_case(tmp_path, "a_case", "a a")
     cases = load_corpus(tmp_path)
     assert [c.name for c in cases] == ["a_case", "b_case"]
-    assert cases[0].ok_path is None and cases[0].expected_label is None
+    assert cases[0].ok_path is None and cases[0].label_path is None
     assert cases[1].ok_path is not None
-    assert cases[1].expected_label == "miss"
+    assert cases[1].label_path == tmp_path / "b_case.label"
 
 
 def test_load_corpus_rejects_a_path_that_is_not_a_directory(tmp_path):
@@ -246,6 +246,24 @@ def test_run_corpus_reports_unreadable_inputs(tmp_path):
     assert len(summary.unreadable) == 1
     assert summary.unreadable[0].startswith("ghost:")
     # unreadable inputs are surfaced but do not turn the run into a failure
+    assert summary.exit_code == 0
+
+
+@pytest.mark.parametrize("label", ["bytes", "directory"])
+def test_run_corpus_lists_a_label_file_it_cannot_read_as_unreadable(tmp_path, label):
+    g = parse_grammar(RECOVERING)
+    write_case(tmp_path, "a_good", "a a", ok="a b a", label="miss")
+    write_case(tmp_path, "b_bad", "a a", ok="a b a")
+    path = tmp_path / "b_bad.label"
+    if label == "bytes":
+        path.write_bytes(b"\xff\xfe")
+    else:
+        path.mkdir()
+    summary = run_corpus(g, load_corpus(tmp_path))
+    assert [(r.name, r.rating, r.label_ok) for r in summary.results] == \
+        [("a_good", EXCELLENT, True)]
+    [unreadable] = summary.unreadable
+    assert unreadable.startswith("b_bad: ") and str(path) in unreadable
     assert summary.exit_code == 0
 
 

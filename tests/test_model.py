@@ -191,7 +191,6 @@ def test_validate_rejects(build, message):
 def test_validate_collects_labels_and_messages():
     g = parse_grammar("start <- AA [BB]^miss ;\nAA <- 'a' ;\nBB <- 'b' ;")
     assert g.labels == {"miss"}
-    assert g.messages == {}
     assert g.label_descriptions["miss"] == "BB"
 
 
@@ -230,7 +229,8 @@ def test_desugar_copies_only_a_grammar_with_sugar():
     assert render_expr(d.lexical["NUMBER"]) == "[0-9] [0-9]*"
 
 
-@pytest.mark.parametrize("name", ["desugared", "rule_positions", "labels", "literal_kinds"])
+@pytest.mark.parametrize("name", ["desugared", "rule_positions", "labels", "literal_kinds",
+                                  "messages"])
 def test_a_grammar_takes_only_what_it_is_given(name):
     with pytest.raises(TypeError):
         Grammar({"start": Terminal("'x'")}, {}, "start", **{name: None})
@@ -244,17 +244,13 @@ def test_validation_writes_nothing_it_was_given(monkeypatch):
     with pytest.raises(TypeError):
         Grammar({"start": Terminal("'x'")}, {}, "start", label_descriptions={})
     g = parse_grammar("start <- AA [BB]^miss ;\nAA <- 'a' ;\nBB <- 'b' ;")
-    assert g.messages == {}
     assert [e.message for e in parse(g, "a a").errors] == ["expected BB"]
-    assert g.messages == {}
-    # two grammars given one messages dict each form their own defaults
-    shared: dict[str, str] = {}
+    # two grammars that differ in one annotated kind form their own defaults
     abc = {"AA": Literal("a"), "BB": Literal("b"), "CC": Literal("c")}
     for kind in ("BB", "CC"):
         body = Sequence(Terminal("AA"), Annotated(Terminal(kind), "l"))
-        hand_built = Grammar({"start": body}, dict(abc), "start", messages=shared)
+        hand_built = Grammar({"start": body}, dict(abc), "start")
         assert [e.message for e in parse(hand_built, "a").errors] == [f"expected {kind}"]
-    assert shared == {}
     # a label whose annotation site is stripped reads as any bare throw
     g = strip_labels(parse_grammar("start <- AA [BB]^l / CC ^l ;\n" + ABC_TOKENS))
     assert [e.message for e in parse(g, "c").errors] == ["unexpected input (l)"]
@@ -297,12 +293,6 @@ def test_hand_built_sugar_parses_as_its_grammar_text(text, rules, lexical):
     hand_built = Grammar(rules, lexical, "start")
     for source in ("", "a", "b", "a b", "a a b", "aa b", "b b", "a a"):
         assert parse(hand_built, source) == parse(written, source), source
-
-
-def test_grammar_eq_ignores_messages(tiny_java_labeled):
-    other = parse_grammar(serialize_grammar(tiny_java_labeled))
-    other.messages["rpw"] = "changed"
-    assert grammar_eq(tiny_java_labeled, other)
 
 
 def test_grammar_eq_sees_rule_changes(tiny_java):
@@ -411,7 +401,7 @@ def test_hand_built_desugared_grammar_collects_its_literal_kinds():
 
 def fresh_copy(g: Grammar) -> Grammar:
     return Grammar(rules=dict(g.rules), lexical=dict(g.lexical), start=g.start,
-                   recovery=dict(g.recovery), messages=dict(g.messages))
+                   recovery=dict(g.recovery))
 
 
 GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
@@ -433,16 +423,14 @@ def test_passes_keep_validity_by_construction():
             assert copy.literal_kinds == out.literal_kinds
             assert copy.labels == out.labels
             assert copy.label_descriptions == out.label_descriptions
-            assert copy.messages == out.messages
 
 
 def test_sugared_annotation_keeps_its_description_and_message():
     g = parse_grammar("start <- [AA+]^l ;\nAA <- 'a' ;")
-    assert (g.label_descriptions, g.messages) == ({"l": "AA+"}, {})
-    # desugaring keeps the description and the message the grammar text
-    # gave the label
+    assert g.label_descriptions == {"l": "AA+"}
+    # desugaring keeps the description the grammar text gave the label
     d = desugar(g)
-    assert (d.label_descriptions, d.messages) == ({"l": "AA+"}, {})
+    assert d.label_descriptions == {"l": "AA+"}
     assert [e.message for e in parse(g, "").errors] == ["expected AA+"]
     # a recovery's error node expects what the message says
     g = parse_grammar("start <- AA [BB+]^l CC ;\nAA <- 'a' ;\nBB <- 'b' ;\nCC <- 'c' ;\n"
@@ -457,7 +445,7 @@ def test_a_literal_is_described_as_grammar_text():
     # label on it expects
     g = parse_grammar("start <- AA [ 'a\\'b' ]^l CC ;\nAA <- 'a' ;\nCC <- 'c' ;\n"
                       "%recovery\nl <- (!CC .)* ;")
-    assert (g.label_descriptions, g.messages) == ({"l": "'a\\'b'"}, {})
+    assert g.label_descriptions == {"l": "'a\\'b'"}
     out = parse(g, "a c")
     assert [e.message for e in out.errors] == ["expected 'a\\'b'"]
     assert tree_to_json(out.tree)["children"][1] == \
