@@ -19,7 +19,6 @@ overlaps its follow set.  Every skip is reported with its reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import reduce
 
 from .analysis import Analysis, TokenSet
@@ -28,10 +27,12 @@ from .model import (
     Choice,
     Empty,
     Expr,
+    FrozenRecord,
     Grammar,
     GrammarError,
     NonTerminal,
     Not,
+    Record,
     Sequence,
     Star,
     Terminal,
@@ -45,51 +46,57 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class AnnotatorConfig:
+class AnnotatorConfig(FrozenRecord):
     """preserve_existing keeps hand-written annotations as-is and only adds
     what they are missing (recovery expressions, labels elsewhere).
     star_mode_rules opts listed rules into recovering inside repetitions.
     label_prefix, empty or a grammar name, begins each fresh label."""
 
-    preserve_existing: bool = False
-    star_mode_rules: tuple[str, ...] = ()
-    label_prefix: str = "Err"
+    _fields = ("preserve_existing", "star_mode_rules", "label_prefix")
+
+    def __init__(self, preserve_existing: bool = False,
+                 star_mode_rules: tuple[str, ...] = (), label_prefix: str = "Err"):
+        vars(self).update(preserve_existing=preserve_existing,
+                          star_mode_rules=star_mode_rules, label_prefix=label_prefix)
 
 
-@dataclass(frozen=True)
-class InsertedSite:
-    rule: str
-    path: str
-    label: str
-    expected: str
-    followed_by: tuple[str, ...]
+class InsertedSite(FrozenRecord):
+    _fields = ("rule", "path", "label", "expected", "followed_by")
+
+    def __init__(self, rule: str, path: str, label: str, expected: str,
+                 followed_by: tuple[str, ...]):
+        vars(self).update(rule=rule, path=path, label=label, expected=expected,
+                          followed_by=followed_by)
 
 
-@dataclass(frozen=True)
-class SkippedSite:
-    rule: str
-    path: str
-    reason: str  # first-position | nullable | non-disjoint-choice | repetition-overlap
-    expected: str
+class SkippedSite(FrozenRecord):
+    # reason: first-position | nullable | non-disjoint-choice | repetition-overlap
+    _fields = ("rule", "path", "reason", "expected")
+
+    def __init__(self, rule: str, path: str, reason: str, expected: str):
+        vars(self).update(rule=rule, path=path, reason=reason, expected=expected)
 
 
-@dataclass(frozen=True)
-class RecoveredLabel:
+class RecoveredLabel(FrozenRecord):
     """An existing label that was given a synthesized recovery expression."""
 
-    rule: str
-    path: str
-    label: str
-    followed_by: tuple[str, ...]
+    _fields = ("rule", "path", "label", "followed_by")
+
+    def __init__(self, rule: str, path: str, label: str, followed_by: tuple[str, ...]):
+        vars(self).update(rule=rule, path=path, label=label, followed_by=followed_by)
 
 
-@dataclass
-class AnnotationReport:
-    inserted: list[InsertedSite] = field(default_factory=list)
-    skipped: list[SkippedSite] = field(default_factory=list)
-    recovered: list[RecoveredLabel] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class AnnotationReport(Record):
+    _fields = ("inserted", "skipped", "recovered", "warnings")
+
+    def __init__(self, inserted: list[InsertedSite] | None = None,
+                 skipped: list[SkippedSite] | None = None,
+                 recovered: list[RecoveredLabel] | None = None,
+                 warnings: list[str] | None = None):
+        self.inserted = [] if inserted is None else inserted
+        self.skipped = [] if skipped is None else skipped
+        self.recovered = [] if recovered is None else recovered
+        self.warnings = [] if warnings is None else warnings
 
     def to_json(self) -> dict:
         return {
@@ -325,5 +332,6 @@ def _annotate(grammar: Grammar,
                 f"star-mode rule {name} has no eligible repetition")
 
     # only fresh labels, each with a recovery expression over known kinds
-    out = valid_by_construction(replace(g, rules=new_rules, recovery=worker.recovery))
+    out = valid_by_construction(
+        Grammar(new_rules, g.lexical, g.start, worker.recovery))
     return out, worker.report

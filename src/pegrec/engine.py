@@ -75,7 +75,6 @@ import copy
 import json
 import reprlib
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .model import (
@@ -87,10 +86,12 @@ from .model import (
     Expr,
     FAIL,
     First,
+    FrozenRecord,
     Grammar,
     GrammarError,
     NonTerminal,
     Not,
+    Record,
     Sequence,
     Star,
     Terminal,
@@ -415,42 +416,47 @@ _short = reprlib.repr
 
 # --- diagnostics ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(FrozenRecord):
     """One recorded syntax error.  ``offset``/``line``/``col`` point at the
     end of the last token consumed before the failure (start of input when
     nothing was consumed, end of input when everything was)."""
 
-    label: str
-    message: str
-    offset: int
-    line: int
-    col: int
-    token_index: int
+    _fields = ("label", "message", "offset", "line", "col", "token_index")
+
+    def __init__(self, label: str, message: str, offset: int, line: int, col: int,
+                 token_index: int):
+        vars(self).update(label=label, message=message, offset=offset, line=line,
+                          col=col, token_index=token_index)
 
 
-@dataclass
-class ParseOutcome:
-    status: str  # "matched" or "failed"
-    tree: Tree | None
-    errors: list[ParseError]
-    end: int | None = None
-    fail_label: str | None = None
+class ParseOutcome(Record):
+    _fields = ("status", "tree", "errors", "end", "fail_label")
+
+    def __init__(self, status: str, tree: Tree | None, errors: list[ParseError],
+                 end: int | None = None, fail_label: str | None = None):
+        self.status = status  # "matched" or "failed"
+        self.tree = tree
+        self.errors = errors
+        self.end = end
+        self.fail_label = fail_label
 
     @property
     def ok(self) -> bool:
         return self.status == "matched" and not self.errors
 
 
-@dataclass
-class MatchResult:
+class MatchResult(Record):
     """Result of matching a single expression; its ``children`` are ``tree_to_json`` nodes."""
 
-    status: str
-    end: int | None
-    fail_label: str | None = None
-    errors: list[ParseError] = field(default_factory=list)
-    children: tuple = ()
+    _fields = ("status", "end", "fail_label", "errors", "children")
+
+    def __init__(self, status: str, end: int | None, fail_label: str | None = None,
+                 errors: list[ParseError] | None = None, children: tuple = ()):
+        self.status = status
+        self.end = end
+        self.fail_label = fail_label
+        self.errors = [] if errors is None else errors
+        self.children = children
 
 
 DEFAULT_MAX_ERRORS = 50

@@ -19,7 +19,6 @@ detected, not just that something was.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import (
@@ -31,7 +30,7 @@ from .engine import (
     tree_from_json,
 )
 from .lexer import TokenStream, read_text
-from .model import Grammar
+from .model import FrozenRecord, Grammar, Record
 
 EXCELLENT = "excellent"
 NEEDS_REVIEW = "needs-review"
@@ -48,30 +47,37 @@ def classify_recovery(outcome: ParseOutcome, intended: Tree | None) -> str:
 
 # --- corpus ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorpusCase:
-    name: str
-    bad_path: Path
-    ok_path: Path | None = None
-    tree_path: Path | None = None
-    label_path: Path | None = None
+class CorpusCase(FrozenRecord):
+    _fields = ("name", "bad_path", "ok_path", "tree_path", "label_path")
+
+    def __init__(self, name: str, bad_path: Path, ok_path: Path | None = None,
+                 tree_path: Path | None = None, label_path: Path | None = None):
+        vars(self).update(name=name, bad_path=bad_path, ok_path=ok_path,
+                          tree_path=tree_path, label_path=label_path)
 
 
-@dataclass
-class CaseResult:
-    name: str
-    rating: str
-    error_count: int
-    first_label: str | None
-    expected_label: str | None
-    label_ok: bool
-    note: str = ""
+class CaseResult(Record):
+    _fields = ("name", "rating", "error_count", "first_label", "expected_label",
+               "label_ok", "note")
+
+    def __init__(self, name: str, rating: str, error_count: int, first_label: str | None,
+                 expected_label: str | None, label_ok: bool, note: str = ""):
+        self.name = name
+        self.rating = rating
+        self.error_count = error_count
+        self.first_label = first_label
+        self.expected_label = expected_label
+        self.label_ok = label_ok
+        self.note = note
 
 
-@dataclass
-class CorpusSummary:
-    results: list[CaseResult] = field(default_factory=list)
-    unreadable: list[str] = field(default_factory=list)
+class CorpusSummary(Record):
+    _fields = ("results", "unreadable")
+
+    def __init__(self, results: list[CaseResult] | None = None,
+                 unreadable: list[str] | None = None):
+        self.results = [] if results is None else results
+        self.unreadable = [] if unreadable is None else unreadable
 
     def count(self, rating: str) -> int:
         return sum(1 for r in self.results if r.rating == rating)
@@ -121,10 +127,9 @@ def load_corpus(directory: str | Path) -> list[CorpusCase]:
         raise OSError(f"{directory}: not a directory")
     cases = []
     for bad in sorted(directory.glob("*.bad")):
-        stem = bad.with_suffix("")
-        ok = stem.with_suffix(".ok")
-        tree = stem.with_suffix(".tree")
-        label = stem.with_suffix(".label")
+        # the name with only ".bad" dropped: fact.v1.bad pairs with fact.v1.ok
+        ok, tree, label = (bad.with_name(bad.stem + ext)
+                           for ext in (".ok", ".tree", ".label"))
         cases.append(CorpusCase(
             name=bad.stem,
             bad_path=bad,
@@ -193,14 +198,15 @@ def run_corpus(grammar: Grammar, cases: list[CorpusCase],
 
 # --- mutation ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Mutant:
+class Mutant(FrozenRecord):
     """A single-token edit of a valid source text."""
 
-    text: str
-    kind: str          # "delete" or "duplicate"
-    token_index: int
-    token_text: str
+    _fields = ("text", "kind", "token_index", "token_text")
+
+    def __init__(self, text: str, kind: str, token_index: int, token_text: str):
+        # kind: "delete" or "duplicate"
+        vars(self).update(text=text, kind=kind, token_index=token_index,
+                          token_text=token_text)
 
 
 def token_spans(grammar: Grammar, text: str) -> list[tuple[int, int]]:

@@ -15,13 +15,20 @@ grammar remembers that it is valid, its desugared form (``desugar``) and
 what is compiled from that, in fields of its own: do not mutate it after
 its first use.
 
+Nodes are plain classes with ``__slots__`` on one base, ``FrozenRecord``:
+immutable, and with ``==``, ``hash`` and ``repr`` over the fields each
+class lists in ``_fields``.  All three run on explicit stacks, so they
+work at any depth; a node's hash is computed once and kept, and ``==``
+compares each pair of nodes once.  Importing the module generates no
+code.
+
 The walks of a pass (``_walk``, and the checks and tables built from it)
-run on an explicit stack and dispatch on the exact class of a node
+run on an explicit stack too and dispatch on the exact class of a node
 (``node.__class__ is Choice``): every ``Expr`` class is defined here, and
-none is subclassed.  One rule of sharing: desugaring ``p+`` to ``p p*``
-gives both parts the same p, and no other node has two parents.  Every
-walk and rewrite but ``annotate._Annotator._labexp``, which unfolds the
-sharing, finds that p with ``plus_operand`` and visits it once, so it
+no node class is subclassed.  One rule of sharing: desugaring ``p+`` to
+``p p*`` gives both parts the same p, and no other node has two parents.
+Every walk and rewrite but ``annotate._Annotator._labexp``, which unfolds
+the sharing, finds that p with ``plus_operand`` and visits it once, so it
 stays linear in the size of the DAG, not of the tree it unfolds to.
 ``First`` is the one FIRST-set and nullability computation: ``analysis``,
 the lexer, the matcher's guards and the left-recursion check each run it
@@ -33,7 +40,6 @@ from __future__ import annotations
 import copy
 import operator
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 
 FAIL = "fail"
 EOF_KIND = "EOF"
@@ -54,92 +60,207 @@ class GrammarError(Exception):
         return self.message
 
 
+# --- records ----------------------------------------------------------------
+
+_set = object.__setattr__
+
+
+class Record:
+    """Base of pegrec's record classes: ``==`` and ``repr`` over the fields
+    a class names in ``_fields``, in that order, as a dataclass's would.
+    A field that holds a record of the same class on both sides is compared
+    on an explicit stack, with a memo of the pairs of nodes already
+    compared, so no nesting is too deep and a shared node is compared once
+    per pair.  ``repr`` also runs on a stack.  A mutable record is not
+    hashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        seen = set()
+        while pairs:
+            a, b = pairs.pop()
+            for name in a._fields:
+                x = getattr(a, name)
+                y = getattr(b, name)
+                if x is y:
+                    continue
+                if isinstance(x, Record) and x.__class__ is y.__class__:
+                    key = (id(x), id(y))
+                    if key not in seen:
+                        seen.add(key)
+                        pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        out = []
+        # a record still to render, or the text of what is rendered already
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, Record):
+                out.append(item)
+                continue
+            parts = [f"{item.__class__.__qualname__}("]
+            for i, name in enumerate(item._fields):
+                value = getattr(item, name)
+                parts.append(f"{', ' if i else ''}{name}=")
+                parts.append(value if isinstance(value, Record) else repr(value))
+            parts.append(")")
+            stack.extend(reversed(parts))
+        return "".join(out)
+
+
+class FrozenRecord(Record):
+    """A record that cannot change: assigning or deleting an attribute
+    raises ``AttributeError``.  Its hash is computed once, children first
+    on an explicit stack, and kept.  A copy is built by the constructor
+    from the fields, so every field is a constructor argument in order."""
+
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        stack = [self]
+        while stack:
+            rec = stack[-1]
+            if hasattr(rec, "_hash"):
+                stack.pop()
+                continue
+            values = tuple(getattr(rec, name) for name in rec._fields)
+            below = [v for v in values
+                     if isinstance(v, FrozenRecord) and not hasattr(v, "_hash")]
+            if below:
+                stack.extend(below)
+            else:
+                stack.pop()
+                # each record below returns the hash it keeps: no recursion
+                _set(rec, "_hash", hash(values))
+        return self._hash
+
+
 # --- expression nodes ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Expr:
-    pass
+class Expr(FrozenRecord):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Empty(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Terminal(Expr):
     """Matches one token of the given kind.  The reserved kind ``EOF``
     succeeds without consuming exactly at end of input."""
 
-    kind: str
+    __slots__ = _fields = ("kind",)
+
+    def __init__(self, kind: str):
+        _set(self, "kind", kind)
 
 
-@dataclass(frozen=True)
 class NonTerminal(Expr):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Sequence(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Choice(Expr):
-    first: Expr
-    second: Expr
+    __slots__ = _fields = ("first", "second")
+
+    def __init__(self, first: Expr, second: Expr):
+        _set(self, "first", first)
+        _set(self, "second", second)
 
 
-@dataclass(frozen=True)
-class Star(Expr):
-    body: Expr
+class _Unary(Expr):
+    """The fields of the nodes with one subexpression; never built itself."""
+
+    __slots__ = _fields = ("body",)
+
+    def __init__(self, body: Expr):
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Not(Expr):
-    body: Expr
+class Star(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Not(_Unary):
+    __slots__ = ()
+
+
 class Throw(Expr):
-    label: str
+    __slots__ = _fields = ("label",)
+
+    def __init__(self, label: str):
+        _set(self, "label", label)
 
 
-@dataclass(frozen=True)
 class AnyToken(Expr):
     """One token at the syntactic level, one character at the lexical level."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Literal(Expr):
     """Exact character string; lexical rules only."""
 
-    text: str
+    __slots__ = _fields = ("text",)
+
+    def __init__(self, text: str):
+        _set(self, "text", text)
 
 
-@dataclass(frozen=True)
 class CharClass(Expr):
     """Set of character ranges; lexical rules only."""
 
-    ranges: tuple[tuple[str, str], ...]
+    __slots__ = _fields = ("ranges",)
+
+    def __init__(self, ranges: tuple[tuple[str, str], ...]):
+        _set(self, "ranges", ranges)
 
 
 # Surface sugar.  Desugaring removes these three.
 
-@dataclass(frozen=True)
-class Optional(Expr):
-    body: Expr
+class Optional(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Plus(Expr):
-    body: Expr
+class Plus(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And(Expr):
-    body: Expr
+class And(_Unary):
+    __slots__ = ()
 
 
 def Annotated(body: Expr, label: str) -> Expr:
@@ -164,8 +285,7 @@ def literal_kind(text: str) -> str:
 
 # --- grammar ----------------------------------------------------------------
 
-@dataclass(eq=False)
-class Grammar:
+class Grammar(Record):
     """Rules, token definitions, and the error-handling side tables.
 
     ``rules`` and ``lexical`` are ordered; lexical order is the token
@@ -175,22 +295,31 @@ class Grammar:
     and ``label_descriptions``, what each label's annotation site expects,
     which a parse's default message ``expected <description>`` reads.
 
-    The private fields, which ``replace`` does not copy, hold what is
+    The private fields, which the constructor starts empty, hold what is
     built from it on first use: whether it is known valid, its desugared
-    form (``desugar``), and on that form the lexer and the matcher.
+    form (``desugar``), and on that form the lexer and the matcher.  Two
+    grammars are equal only when they are the same object (``grammar_eq``
+    compares their parts).
     """
 
-    rules: dict[str, Expr]
-    lexical: dict[str, Expr]
-    start: str
-    labels: set[str] = field(default_factory=set, init=False)
-    recovery: dict[str, Expr] = field(default_factory=dict)
-    literal_kinds: tuple[str, ...] = field(default=(), init=False)
-    label_descriptions: dict[str, str] = field(default_factory=dict, init=False)
-    _valid: bool = field(default=False, init=False, repr=False)
-    _compiled: Grammar | None = field(default=None, init=False, repr=False)
-    _lexer: object = field(default=None, init=False, repr=False)
-    _matcher: object = field(default=None, init=False, repr=False)
+    _fields = ("rules", "lexical", "start", "labels", "recovery", "literal_kinds",
+               "label_descriptions")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, rules: dict[str, Expr], lexical: dict[str, Expr], start: str,
+                 recovery: dict[str, Expr] | None = None):
+        self.rules = rules
+        self.lexical = lexical
+        self.start = start
+        self.labels: set[str] = set()
+        self.recovery = {} if recovery is None else recovery
+        self.literal_kinds: tuple[str, ...] = ()
+        self.label_descriptions: dict[str, str] = {}
+        self._valid = False
+        self._compiled: Grammar | None = None
+        self._lexer = None
+        self._matcher = None
 
     def token_kinds(self) -> tuple[str, ...]:
         return tuple(self.lexical) + self.literal_kinds
@@ -457,13 +586,15 @@ def rule_fixpoint(rules: dict, value, bottom) -> dict:
 
 # --- FIRST sets -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TokenSet:
+class TokenSet(FrozenRecord):
     """A set of symbols plus an epsilon flag.  The symbols are token kinds
     at the syntactic level and character ranges at the lexical level."""
 
-    kinds: frozenset
-    has_epsilon: bool = False
+    __slots__ = _fields = ("kinds", "has_epsilon")
+
+    def __init__(self, kinds: frozenset, has_epsilon: bool = False):
+        _set(self, "kinds", kinds)
+        _set(self, "has_epsilon", has_epsilon)
 
     def union(self, other: "TokenSet") -> "TokenSet":
         return TokenSet(self.kinds | other.kinds, self.has_epsilon or other.has_epsilon)
@@ -495,7 +626,9 @@ class First:
     ``rules`` holds each rule's set, a least fixed point computed when the
     First is built.  From then on a call remembers its result by the
     node's ``id`` and keeps the node alive, so no other node can take over
-    the id (hashing a frozen node would walk its subtree).  It reads the
+    the id.  A hit by id costs neither the first hash of the node, which
+    walks its subtree, nor a field-by-field comparison with an equal node
+    built apart, as a memo keyed by the node would.  It reads the
     p of ``p p*`` once (``plus_operand``), so it stays linear on the DAG
     desugaring makes, even with the memo off while the rules grow."""
 
@@ -651,8 +784,8 @@ def strip_labels(g: Grammar) -> Grammar:
         rules = {n: strip_labels_expr(b) for n, b in checked(g).rules.items()}
     thrown = {node.label for body in rules.values() for node in _walk(body)
               if node.__class__ is Throw}
-    return valid_by_construction(replace(
-        g, rules=rules, recovery={l: b for l, b in g.recovery.items() if l in thrown}))
+    return valid_by_construction(Grammar(
+        rules, g.lexical, g.start, {l: b for l, b in g.recovery.items() if l in thrown}))
 
 
 # --- serialization ----------------------------------------------------------

@@ -184,6 +184,20 @@ def test_load_corpus_discovers_sidecar_files(tmp_path):
     assert cases[1].label_path == tmp_path / "b_case.label"
 
 
+def test_load_corpus_pairs_a_dotted_name_with_its_own_sidecars(tmp_path):
+    # a decoy fact.ok, .tree and .label sit beside the sidecars of fact.v1
+    write_case(tmp_path, "fact", "a a", ok="a b a", tree={"rule": "S"}, label="decoy")
+    write_case(tmp_path, "fact.v1", "a a", ok="a b a", tree={"rule": "S"}, label="miss")
+    write_case(tmp_path, "fact.v2", "a a")
+    cases = {c.name: c for c in load_corpus(tmp_path)}
+    assert sorted(cases) == ["fact", "fact.v1", "fact.v2"]
+    v1 = cases["fact.v1"]
+    assert (v1.ok_path, v1.tree_path, v1.label_path) == tuple(
+        tmp_path / f"fact.v1.{ext}" for ext in ("ok", "tree", "label"))
+    v2 = cases["fact.v2"]
+    assert (v2.ok_path, v2.tree_path, v2.label_path) == (None, None, None)
+
+
 def test_load_corpus_rejects_a_path_that_is_not_a_directory(tmp_path):
     write_case(tmp_path, "a_case", "a a")
     for path in (tmp_path / "missing", tmp_path / "a_case.bad"):

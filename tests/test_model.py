@@ -1,4 +1,9 @@
+import copy
+import json
+import os
+import pickle
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -585,3 +590,115 @@ def test_left_recursion_errors_on_mutated_grammar_texts(monkeypatch):
     want = [parse_result(text) for text in mutated]
     assert got == want
     assert sum(isinstance(r[0], str) and "left recursion" in r[0] for r in got) > 50
+
+
+# --- nodes and records: plain classes ------------------------------------------
+
+def _chain(depth: int) -> Expr:
+    e = Terminal("AA")
+    for _ in range(depth):
+        e = Sequence(e, Terminal("AA"))
+    return e
+
+
+def test_a_deep_node_compares_hashes_and_prints_without_recursion():
+    a, b = _chain(3000), _chain(3000)
+    ga, gb = (Grammar({"start": e}, {"AA": Literal("a")}, "start") for e in (a, b))
+    # a fresh process's limit, which a Session raises
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        equal = a == b
+        hashes = hash(a), hash(b)
+        text = repr(a)
+        same = grammar_eq(ga, gb)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert equal and same
+    assert hashes[0] == hashes[1]
+    assert text == ("Sequence(left=" * 3000 + "Terminal(kind='AA')"
+                    + ", right=Terminal(kind='AA'))" * 3000)
+    assert a != _chain(2999)
+    assert Sequence(a, Empty()) != Sequence(b, AnyToken())
+
+
+def test_separately_built_nested_plus_compares_once_per_shared_node():
+    # p+ desugars to p p*, which share p; a comparison that unfolded the
+    # sharing would take about 2^40 steps here
+    def built(inner: str) -> Expr:
+        text = ("start <- " + "(" * 40 + inner + "?" + ")+" * 40
+                + " ;\nAA <- 'a' ;\nBB <- 'b' ;")
+        return desugar(parse_grammar(text)).rules["start"]
+    a, b = built("AA"), built("AA")
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != built("BB")
+
+
+def test_nodes_are_immutable_and_copy_through_their_constructors():
+    t = Terminal("AA")
+    for change in (lambda: setattr(t, "kind", "BB"), lambda: delattr(t, "kind"),
+                   lambda: setattr(t, "other", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert t.kind == "AA"
+    e = Sequence(t, Star(Choice(t, Empty())))
+    hash(e)
+    for other in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert other is not e
+        assert other == e and hash(other) == hash(e)
+    assert Sequence(left=t, right=t) == Sequence(t, t)
+    assert Star(t) != Not(t) and Terminal("AA") != NonTerminal("AA")
+
+
+_FRESH_IMPORT = """
+import sys
+import pegrec
+loaded = "dataclasses" in sys.modules
+import json
+from pegrec.annotate import InsertedSite
+from pegrec.engine import ParseError
+from pegrec.evaluate import CaseResult
+from pegrec.model import Choice, Empty, Sequence, Star, Terminal, TokenSet
+t = Terminal("AA")
+records = (ParseError("l", "expected AA", 3, 1, 4, 1),
+           CaseResult("c", "excellent", 0, None, None, True),
+           InsertedSite("start", "1", "Err_start_1", "AA", ("BB", "EOF")))
+print(json.dumps({
+    "dataclasses": loaded,
+    "reprs": [repr(t), repr(Sequence(t, Star(Choice(t, Empty())))),
+              repr(TokenSet(frozenset()))] + [repr(r) for r in records],
+    "fields": [list(vars(r)) for r in records],
+}))
+"""
+
+
+def test_import_builds_no_dataclass_and_records_keep_their_field_order():
+    # the order of a record's fields is the order of vars(), which the
+    # frozen digests of errors and ratings read
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _FRESH_IMPORT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["dataclasses"] is False
+    assert out["reprs"] == [
+        "Terminal(kind='AA')",
+        "Sequence(left=Terminal(kind='AA'), right=Star(body=Choice("
+        "first=Terminal(kind='AA'), second=Empty())))",
+        "TokenSet(kinds=frozenset(), has_epsilon=False)",
+        "ParseError(label='l', message='expected AA', offset=3, line=1, col=4, "
+        "token_index=1)",
+        "CaseResult(name='c', rating='excellent', error_count=0, first_label=None, "
+        "expected_label=None, label_ok=True, note='')",
+        "InsertedSite(rule='start', path='1', label='Err_start_1', expected='AA', "
+        "followed_by=('BB', 'EOF'))",
+    ]
+    assert out["fields"] == [
+        ["label", "message", "offset", "line", "col", "token_index"],
+        ["name", "rating", "error_count", "first_label", "expected_label", "label_ok",
+         "note"],
+        ["rule", "path", "label", "expected", "followed_by"],
+    ]
