@@ -68,7 +68,8 @@ class Analysis:
         self.all_kinds = frozenset(kinds)
         self._kind_order = {k: i for i, k in enumerate(kinds)}
         self._any = TokenSet(self.all_kinds)
-        self.first_of = First(grammar.rules, self._leaf)
+        with nesting_guard():
+            self.first_of = First(grammar.rules, self._leaf)
         self._follow: dict[str, TokenSet] | None = None
 
     # -- FIRST ---------------------------------------------------------------

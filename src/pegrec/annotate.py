@@ -296,6 +296,7 @@ def _fmt_path(path: list[str]) -> str:
     return "/".join(path) if path else "."
 
 
+@nesting_guard()
 def annotate(grammar: Grammar,
              config: AnnotatorConfig | None = None) -> tuple[Grammar, AnnotationReport]:
     """Annotated copy of the grammar plus a report of what was done.
@@ -305,12 +306,7 @@ def annotate(grammar: Grammar,
     counting sites left to right within each rule.  A hand-built grammar
     nested too deeply to desugar or annotate is a GrammarError.
     """
-    with nesting_guard():
-        return _annotate(grammar, config or AnnotatorConfig())
-
-
-def _annotate(grammar: Grammar,
-              config: AnnotatorConfig) -> tuple[Grammar, AnnotationReport]:
+    config = config or AnnotatorConfig()
     # a name is a letter or "_" and then word characters, as dsl reads it
     p = config.label_prefix
     if p and not (p.replace("_", "a").isalnum() and (p[0].isalpha() or p[0] == "_")):

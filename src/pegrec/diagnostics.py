@@ -7,7 +7,7 @@ import warnings
 
 from .engine import ParseError
 from .lexer import read_text
-from .model import Grammar, GrammarError, checked
+from .model import Grammar, GrammarError, checked, nesting_guard
 
 
 def format_error(filename: str, err: ParseError) -> str:
@@ -21,13 +21,12 @@ def load_messages(path: str, grammar: Grammar | None = None) -> dict[str, str]:
     label unknown to the grammar, validated first, is kept but flagged
     with a warning, so a renamed label does not lose its message."""
     try:
-        data = json.loads(read_text(path))
+        with nesting_guard(f"message file {path} nested too deeply"):
+            data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise GrammarError(
             f"malformed message file {path}: {exc.msg}",
             exc.lineno, exc.colno) from exc
-    except RecursionError:
-        raise GrammarError(f"message file {path} nested too deeply") from None
     except ValueError as exc:
         # an integer longer than int's string-conversion limit
         raise GrammarError(f"malformed message file {path}: {exc}") from None

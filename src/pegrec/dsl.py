@@ -54,6 +54,7 @@ from .model import (
     Throw,
     is_lexical_name,
     literal_kind,
+    nesting_guard,
     validate,
 )
 
@@ -327,11 +328,12 @@ class _Parser:
 def parse_grammar(text: str) -> Grammar:
     """Parse grammar text into a validated Grammar."""
     parser = _Parser(text)
-    try:
-        return parser.parse_grammar()
-    except RecursionError:
-        # the parser and validate recurse once per nesting level
-        raise parser.error("grammar nested too deeply") from None
+    with nesting_guard():
+        try:
+            return parser.parse_grammar()
+        except RecursionError:
+            # the parser and validate recurse once per nesting level
+            raise parser.error("grammar nested too deeply") from None
 
 
 def load_grammar(path: str) -> Grammar:

@@ -28,7 +28,7 @@ rule's own function.
 
 A ``Session`` scans the whole text when it is built.  The matcher then
 reads the token kinds from a column that ends in ``EOF`` at the token
-count (and up to the start position, for a match past the end), so every
+count and one past it, where a match past the end runs, so every
 test of the matcher, ``.`` and ``EOF`` too, compares the kind at its
 position, with no bounds check.  No token has the kind ``EOF``.
 
@@ -74,7 +74,6 @@ from __future__ import annotations
 import copy
 import json
 import reprlib
-import sys
 from typing import NamedTuple
 
 from .model import (
@@ -860,20 +859,15 @@ class Session:
                  max_errors: int = DEFAULT_MAX_ERRORS,
                  messages: dict[str, str] | None = None):
         self.grammar = g = desugar(grammar)
-        # generating code for a grammar takes several frames per nesting
-        # level, and the matcher takes about six per nesting level of the
-        # input
-        if sys.getrecursionlimit() < 20000:
-            sys.setrecursionlimit(20000)
         if g._matcher is None:
             with nesting_guard():
                 g._matcher = _Matcher(g)
         self._matcher: _Matcher = g._matcher
         self.stream = stream = TokenStream(grammar, text)
         # the columns the matcher reads; ``_kinds`` ends in EOF_KIND at the
-        # token count, and up to where a match past the end starts
+        # token count and one past it, where a match past the end runs
         self._count = len(stream.kinds)
-        self._kinds: list[str | None] = stream.kinds + [EOF_KIND]
+        self._kinds: list[str | None] = stream.kinds + [EOF_KIND, EOF_KIND]
         self._spans = stream.spans
         self.max_errors = max_errors
         self.messages = messages or {}
@@ -966,13 +960,14 @@ class Session:
         self.quiet = 0
         self.farthest = 0
         acc: list[int] = []
-        try:
-            r = body(self, pos, acc)
-        except RecursionError:
-            self.errors = []
-            self._record(FAIL, self.farthest, "input nested too deeply")
-            self.failure = (FAIL, self.farthest, True)
-            return _THROWN, acc
+        with nesting_guard():
+            try:
+                r = body(self, pos, acc)
+            except RecursionError:
+                self.errors = []
+                self._record(FAIL, self.farthest, "input nested too deeply")
+                self.failure = (FAIL, self.farthest, True)
+                return _THROWN, acc
         self._live(acc)
         return r, acc
 
@@ -1005,19 +1000,22 @@ class Session:
         ValueError."""
         if pos < 0:
             raise ValueError(f"negative token index {pos}")
-        try:
+        with nesting_guard("expression nested too deeply"):
             expr = desugar_expr(expr)
             check_expr(self.grammar, expr, "matched expression")
             body = self._matcher.compile_expr(expr)
-        except RecursionError:
-            raise GrammarError("expression nested too deeply") from None
-        self._kinds += [EOF_KIND] * (pos + 1 - len(self._kinds))
-        r, acc = self._run(body, pos)
+        # a match past the end consumes nothing: it runs one past the last token
+        at = min(pos, self._count + 1)
+        r, acc = self._run(body, at)
+        if at < pos:
+            self.farthest = pos if self.farthest == at else self.farthest
+            self.errors = [ParseError(**{**vars(e), "token_index": pos})
+                           if e.token_index == at else e for e in self.errors]
         if r < 0:
             return MatchResult(status="failed", end=None,
                                fail_label=FAIL if r == _FAILED else self.failure[0],
                                errors=self.errors)
-        return MatchResult(status="matched", end=r,
+        return MatchResult(status="matched", end=r - at + pos,
                            errors=self.errors,
                            children=tuple(_json_nodes(self._tree(acc))))
 

@@ -30,7 +30,7 @@ from .engine import (
     tree_from_json,
 )
 from .lexer import TokenStream, read_text
-from .model import FrozenRecord, Grammar, Record
+from .model import FrozenRecord, Grammar, Record, nesting_guard
 
 EXCELLENT = "excellent"
 NEEDS_REVIEW = "needs-review"
@@ -145,10 +145,11 @@ def _read_tree(path):
     A file that holds no such tree is an OSError naming it, like one that
     cannot be read."""
     text = read_text(path)
-    try:
-        return tree_from_json(json.loads(text))
-    except (ValueError, RecursionError) as exc:
-        raise OSError(f"{path}: not a JSON syntax tree: {exc!r}") from None
+    with nesting_guard():
+        try:
+            return tree_from_json(json.loads(text))
+        except (ValueError, RecursionError) as exc:
+            raise OSError(f"{path}: not a JSON syntax tree: {exc!r}") from None
 
 
 def run_case(grammar: Grammar, case: CorpusCase,

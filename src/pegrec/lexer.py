@@ -44,6 +44,7 @@ from .model import (
     Star,
     TokenSet,
     desugar,
+    nesting_guard,
     operands,
     plus_operand,
 )
@@ -164,7 +165,8 @@ class _Lexer:
 def _lexer(grammar: Grammar) -> _Lexer:
     g = desugar(grammar)
     if g._lexer is None:
-        g._lexer = _Lexer(g)
+        with nesting_guard():
+            g._lexer = _Lexer(g)
     return g._lexer
 
 

@@ -32,17 +32,22 @@ the sharing, finds that p with ``plus_operand`` and visits it once, so it
 stays linear in the size of the DAG, not of the tree it unfolds to.
 ``First`` is the one FIRST-set and nullability computation: ``analysis``,
 the lexer, the matcher's guards and the left-recursion check each run it
-with a ``leaf`` function of their own.
+with a ``leaf`` function of their own.  Every public call runs its
+recursive work under ``nesting_guard``, the one owner of the stack budget.
 """
 
 from __future__ import annotations
 
+import _thread
 import copy
 import operator
+import sys
 from contextlib import contextmanager
 
 FAIL = "fail"
 EOF_KIND = "EOF"
+STACK_BUDGET = 20000  # frames; the matcher takes about six per nesting level
+_lock, _calls_in_flight, _limit_found = _thread.allocate_lock(), 0, 0
 
 
 class GrammarError(Exception):
@@ -415,16 +420,26 @@ def annotation_parts(e: Expr) -> tuple[Expr, str] | None:
 # --- validation -------------------------------------------------------------
 
 @contextmanager
-def nesting_guard():
-    """Raise a RecursionError inside as GrammarError("grammar nested too
-    deeply"), the error ``dsl.parse_grammar`` gives for deeply nested text.
-    ``validate`` takes one frame per nesting level, and the passes after it
-    (desugaring, stripping labels, annotating, compiling) take more, so a
-    grammar valid at one depth can still be too deep for them."""
+def nesting_guard(message: str = "grammar nested too deeply"):
+    """Run the body at a recursion limit of at least ``STACK_BUDGET``, and
+    raise a RecursionError inside as GrammarError(message).  The first
+    guarded call in flight, in any thread, raises a lower limit and the
+    last to leave restores it; other threads see the raise meanwhile."""
+    global _calls_in_flight, _limit_found
+    with _lock:
+        if not _calls_in_flight:
+            _limit_found = sys.getrecursionlimit()
+            sys.setrecursionlimit(max(_limit_found, STACK_BUDGET))
+        _calls_in_flight += 1
     try:
         yield
     except RecursionError:
-        raise GrammarError("grammar nested too deeply") from None
+        raise GrammarError(message) from None
+    finally:
+        with _lock:
+            _calls_in_flight -= 1
+            if not _calls_in_flight:
+                sys.setrecursionlimit(_limit_found)
 
 
 def checked(g: Grammar) -> Grammar:
@@ -778,10 +793,10 @@ def strip_labels_expr(e: Expr) -> Expr:
     return map_children(e, strip_labels_expr)
 
 
+@nesting_guard()
 def strip_labels(g: Grammar) -> Grammar:
     """Remove every annotation site; bare throws are left alone."""
-    with nesting_guard():
-        rules = {n: strip_labels_expr(b) for n, b in checked(g).rules.items()}
+    rules = {n: strip_labels_expr(b) for n, b in checked(g).rules.items()}
     thrown = {node.label for body in rules.values() for node in _walk(body)
               if node.__class__ is Throw}
     return valid_by_construction(Grammar(
@@ -864,10 +879,11 @@ def render_expr(e: Expr, prec: int = _CHOICE) -> str:
     raise TypeError(f"cannot render {e!r}")
 
 
+@nesting_guard()
 def serialize_grammar(g: Grammar) -> str:
     """Canonical text form.  Annotation sites (p / ^l) print as [p]^l, so
-    annotated grammars diff cleanly."""
-    lines = [f"%start {g.start} ;", ""]
+    annotated grammars diff cleanly.  A hand-built g is checked first."""
+    lines = [f"%start {checked(g).start} ;", ""]
     for name, body in g.rules.items():
         lines.append(f"{name} <- {render_expr(body)} ;")
     if g.lexical:

@@ -10,12 +10,17 @@ reference_guard for the matcher's guards, reference_follow for FOLLOW
 sets, and json_structural_eq for ``ast_structural_eq`` on the dicts of
 ``tree_to_json``.  The generators produce random grammars (acyclic by
 construction: each rule only references later ones) and random valid
-programs for the miniature Java grammar.
+programs for the miniature Java grammar.  run_fresh runs a script in a
+new Python process, which starts at the default recursion limit.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from pegrec.model import (
     And,
@@ -592,3 +597,13 @@ def random_program(seed: int) -> str:
 def fix_factorial(text: str) -> str:
     """grammars/factorial.java with its two syntax errors corrected."""
     return text.replace("while(0 < n {", "while(0 < n) {").replace("n - 1\n", "n - 1;\n")
+
+
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c script args`` in a new process that imports pegrec from
+    this source tree."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=120)

@@ -296,9 +296,11 @@ def test_follow_of_a_deep_hand_built_grammar_returns():
 def test_follow_of_a_grammar_too_deep_for_first_is_a_grammar_error():
     # Analysis reads FIRST of the rule bodies only; FOLLOW asks FIRST of
     # every right-hand side, which recursed past the limit as a raw
-    # RecursionError
+    # RecursionError.  The chain is deeper than the stack budget of
+    # pegrec's calls (model.STACK_BUDGET), so only a caller whose own limit
+    # is higher gets its FOLLOW
     e = Terminal("BB")
-    for _ in range(990):
+    for _ in range(25000):
         e = Sequence(Optional(Terminal("BB")), e)
     g = Grammar(rules={"start": Sequence(Terminal("AA"), e)},
                 lexical={"AA": Literal("a"), "BB": Literal("b")}, start="start")
@@ -308,9 +310,11 @@ def test_follow_of_a_grammar_too_deep_for_first_is_a_grammar_error():
         a = Analysis(g)
         with pytest.raises(GrammarError, match="^grammar nested too deeply$"):
             a.follow_of("start")
+        sys.setrecursionlimit(30000)
+        assert kinds(Analysis(g).follow_of("start")) == {"EOF"}
+        assert sys.getrecursionlimit() == 30000
     finally:
         sys.setrecursionlimit(limit)
-    assert kinds(Analysis(g).follow_of("start")) == {"EOF"}
 
 
 # --- the guards' FIRST sets ----------------------------------------------------

@@ -340,8 +340,8 @@ def _deep_java(tmp_path, depth: int) -> str:
 
 def test_module_runs_cli_and_deep_nesting_exits_2(tmp_path, grammar_dir):
     # python -m pegrec works without the console script installed; at about
-    # 6 frames per paren level, 6000 levels overflow the recursion limit
-    # of 20000 a Session sets
+    # 6 frames per paren level, 6000 levels overflow the stack budget of
+    # 20000 frames a pegrec call runs under
     source = _deep_java(tmp_path, 6000)
     done = run_module("parse", str(grammar_dir / "tiny_java_annotated.peg"), source)
     assert done.returncode == 2
@@ -361,7 +361,7 @@ def test_json_of_a_deep_tree_prints(tmp_path, grammar_dir):
     assert done.stdout.count('{"token":"LPAR"') == 3000 + 1
 
 
-# deeper than both the default recursion limit and the one a Session sets
+# deeper than the stack budget of a pegrec call (model.STACK_BUDGET)
 DEEP_GRAMMAR = "start <- " + "(" * 30000 + "AA" + ")" * 30000 + " ;\nAA <- 'a' ;\n"
 
 

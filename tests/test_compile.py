@@ -116,11 +116,22 @@ def _nested(depth: int) -> str:
             + "( " * depth + "1" + " )" * depth + " ; } }")
 
 
+def _reference_dumps(data, **options) -> str:
+    """json.dumps of a deep tree, which recurses in C about 10 times per
+    paren level, past the default recursion limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20000))
+    try:
+        return json.dumps(data, **options)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_deep_nesting_parses_as_before(tiny_java_annotated_file):
     outcome = Session(tiny_java_annotated_file, _nested(1000)).parse()
     assert outcome.ok
     # digest of the tree the interpreting engine built for this input
-    digest = hashlib.sha256(json.dumps(tree_to_json(outcome.tree)).encode())
+    digest = hashlib.sha256(_reference_dumps(tree_to_json(outcome.tree)).encode())
     assert digest.hexdigest() == \
         "1fd8d8d109fcc78b3ac0e1438078294610b0b948922581b605b46cc0acd91e5c"
     # the interpreting engine reached about 1420 levels under the same
@@ -157,8 +168,7 @@ def test_deep_trees_convert_under_the_default_recursion_limit(tiny_java_annotate
     finally:
         sys.setrecursionlimit(limit)
     assert same and flat_back == flat
-    # json.dumps recurses in C, about 10 times per paren level
-    assert text == json.dumps(data, separators=(",", ":"))
+    assert text == _reference_dumps(data, separators=(",", ":"))
     depth, stack = 0, [(data, 1)]
     while stack:
         node, level = stack.pop()
@@ -200,7 +210,7 @@ def test_parsing_and_converting_leave_no_reference_cycles(tiny_java_annotated_fi
 def test_too_deep_nesting_fails_without_a_traceback(tiny_java_annotated_file):
     limit = sys.getrecursionlimit()
     # a paren level takes about 6 frames, so 3000 levels parse and 6000
-    # overflow the recursion limit of 20000
+    # overflow the stack budget of 20000 frames
     assert Session(tiny_java_annotated_file, _nested(3000)).parse().ok
     text = _nested(6000)
     outcome = Session(tiny_java_annotated_file, text).parse()

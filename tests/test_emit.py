@@ -272,7 +272,7 @@ for shape, depth in (("mixed", 423), ("alternating", 164)):
 def test_hand_built_nesting_compiles_at_the_default_recursion_limit():
     # the deepest of each shape that the closures took in a fresh process
     # with the default limit; generating code takes more frames per level,
-    # so Session raises the limit before it does
+    # so it runs under the stack budget of a pegrec call
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)

@@ -710,6 +710,30 @@ def test_match_at_and_past_end_of_input():
             ("matched", pos, ({"rule": "nothing", "span": [5, 5], "children": []},)), pos
 
 
+def test_a_match_far_past_the_end_of_input_answers_as_one_just_past_it():
+    # the kind column once grew to the start position, one entry per token
+    # index, so this start asked for terabytes
+    grammar = g("start <- [AA]^l ;\nnothing <- '' ;\n%recovery\nl <- (!AA .)* ;")
+    text = "a b  "
+    far = 10**12
+    for expr in (Terminal("EOF"), Terminal("AA"), Not(AnyToken()), AnyToken(),
+                 NonTerminal("nothing"), NonTerminal("start")):
+        near_session, far_session = Session(grammar, text), Session(grammar, text)
+        near = near_session.match_expr(expr, 3)
+        got = far_session.match_expr(expr, far)
+        assert (got.status, got.fail_label, got.children) == \
+            (near.status, near.fail_label, near.children), expr
+        assert got.end == (None if near.end is None else far), expr
+        assert far_session.farthest == (far if near_session.farthest == 3 else 0), expr
+        assert [vars(e) for e in got.errors] == \
+            [{**vars(e), "token_index": far} for e in near.errors], expr
+    # the recovery ran where the match started
+    got = match(grammar, NonTerminal("start"), text, far)
+    assert [(e.label, e.token_index, e.offset) for e in got.errors] == [("l", far, 5)]
+    assert got.children == ({"rule": "start", "span": [5, 5],
+                             "children": [{"error": "l", "expected": "AA", "span": [5, 5]}]},)
+
+
 def test_a_negative_match_position_is_a_value_error():
     grammar = g("start <- AA BB ;")
     for pos in (-1, -2, -3, -4):

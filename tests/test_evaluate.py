@@ -6,8 +6,8 @@ import re
 import pytest
 
 from pegrec.annotate import AnnotatorConfig, annotate
-from pegrec.dsl import parse_grammar
-from pegrec.engine import parse, tree_from_json, tree_to_json
+from pegrec.dsl import load_grammar, parse_grammar
+from pegrec.engine import parse, tree_from_json, tree_to_json, tree_to_json_text
 from pegrec.evaluate import (
     EXCELLENT,
     FAILED,
@@ -25,7 +25,7 @@ from pegrec.evaluate import (
     token_spans,
 )
 
-from helpers import json_structural_eq, random_grammar, random_program
+from helpers import json_structural_eq, random_grammar, random_program, run_fresh
 
 RECOVERING = """\
 start <- AA [BB]^miss AA ;
@@ -279,6 +279,31 @@ def test_run_corpus_lists_a_label_file_it_cannot_read_as_unreadable(tmp_path, la
     [unreadable] = summary.unreadable
     assert unreadable.startswith("b_bad: ") and str(path) in unreadable
     assert summary.exit_code == 0
+
+
+_RUN_CORPUS = """
+import json, sys
+from pegrec import load_grammar
+from pegrec.evaluate import load_corpus, run_corpus
+limit = sys.getrecursionlimit()
+summary = run_corpus(load_grammar(sys.argv[1]), load_corpus(sys.argv[2]))
+print(json.dumps([[(r.name, r.rating) for r in summary.results], summary.unreadable,
+                  sys.getrecursionlimit() == limit]))
+"""
+
+
+def test_a_deep_tree_case_reads_in_a_fresh_process(tmp_path, grammar_dir):
+    # json.loads recurses in C about 10 times per paren level, so the
+    # .tree file of 1400 levels is readable only inside pegrec's budget
+    grammar = str(grammar_dir / "tiny_java_annotated.peg")
+    program = ("public class A { public static void main ( String [ ] a ) { x = "
+               + "( " * 1400 + "1" + " )" * 1400 + " ; } }")
+    (tmp_path / "deep.bad").write_text(program)
+    tree = parse(load_grammar(grammar), program).tree
+    (tmp_path / "deep.tree").write_text(tree_to_json_text(tree))
+    done = run_fresh(_RUN_CORPUS, grammar, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[["deep", EXCELLENT]], [], True]
 
 
 # --- summary -------------------------------------------------------------

@@ -13,7 +13,10 @@ from pegrec import model
 from pegrec.analysis import Analysis
 from pegrec.annotate import AnnotatorConfig, annotate
 from pegrec.dsl import load_grammar, parse_grammar
-from pegrec.engine import match, parse, tree_to_json
+from pegrec.diagnostics import load_messages
+from pegrec.engine import Session, match, parse, tree_to_json
+from pegrec.evaluate import load_corpus, run_corpus
+from pegrec.lexer import TokenStream
 from pegrec.model import (
     Annotated,
     And,
@@ -43,7 +46,7 @@ from pegrec.model import (
     validate,
 )
 
-from helpers import check_left_recursion, count_first_calls, random_grammar
+from helpers import check_left_recursion, count_first_calls, random_grammar, run_fresh
 
 
 def test_lexical_name_convention():
@@ -333,6 +336,8 @@ ENTRY_POINTS = {
     "Analysis": Analysis,
     "desugar": desugar,
     "strip_labels": strip_labels,
+    "serialize_grammar": serialize_grammar,
+    "TokenStream": lambda g: TokenStream(g, ""),
 }
 
 
@@ -358,7 +363,7 @@ def test_invalid_hand_built_grammar_fails_at_every_entry_point(fault, entry, sug
         (expected.value.message, expected.value.line, expected.value.col)
 
 
-# deeper than both the default recursion limit and the one a Session sets
+# deeper than the stack budget of a pegrec call (model.STACK_BUDGET)
 DEPTH = 30000
 
 
@@ -371,7 +376,7 @@ def nested(wrap, depth: int) -> Expr:
 
 NESTED = {
     "sequence": lambda: nested(lambda e: Sequence(e, Empty()), DEPTH),
-    # validate walks these at a Session's limit, but desugaring or
+    # validate walks these within the stack budget, but desugaring or
     # stripping labels (two frames a level) cannot
     "not-pairs": lambda: nested(lambda e: Not(Not(e)), 5000),
     "and-chain": lambda: nested(And, 5000),
@@ -389,12 +394,141 @@ DEEP_CASES = ([(entry, "sequence") for entry in ENTRY_POINTS]
 @pytest.mark.parametrize("entry, shape", DEEP_CASES,
                          ids=[e if s == "sequence" else f"{e}-{s}" for e, s in DEEP_CASES])
 def test_deeply_nested_hand_built_grammar_is_a_grammar_error(entry, shape):
-    parse(parse_grammar("start <- 'a' ;"), "a")
     limit = sys.getrecursionlimit()
-    assert limit >= 20000
+    parse(parse_grammar("start <- 'a' ;"), "a")
+    assert sys.getrecursionlimit() == limit
     with pytest.raises(GrammarError, match="^grammar nested too deeply$"):
         ENTRY_POINTS[entry](Grammar({"start": NESTED[shape]()}, {}, "start"))
     assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_chain_within_the_budget_passes_every_entry_point_at_the_default_limit(entry):
+    # serialize_grammar once recursed past the caller's limit on it
+    assert model.STACK_BUDGET < DEPTH
+    grammar = Grammar({"start": nested(lambda e: Sequence(e, Empty()), 3000)}, {}, "start")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        ENTRY_POINTS[entry](grammar)
+        after = sys.getrecursionlimit()
+    except RecursionError:
+        # out of stack; pytest's report of the error, 1000 frames over deep
+        # nodes, would take minutes
+        after = None
+    finally:
+        sys.setrecursionlimit(limit)
+    assert after == 1000
+
+
+def _public_calls(tmp_path: Path) -> dict:
+    """One call of each public function, by name; a call named
+    "...-too-deep" raises."""
+    java = str(GRAMMAR_DIR / "tiny_java_annotated.peg")
+    program = "public class A { public static void main ( String [ ] a ) { x = ( 1 ) ; } }"
+    (tmp_path / "messages.json").write_text('{"Err_Prog_1": "a class"}')
+    # deeper than the highest caller limit below, which a caller keeps
+    (tmp_path / "deep.json").write_text("[" * 26000 + "]" * 26000)
+    (tmp_path / "case.bad").write_text(program.replace("x =", "x"))
+    (tmp_path / "case.ok").write_text(program)
+    deep = Grammar({"start": nested(lambda e: Sequence(e, Empty()), DEPTH)}, {}, "start")
+
+    def fresh() -> Grammar:
+        return load_grammar(java)
+
+    return {
+        "parse": lambda: parse(fresh(), program),
+        # fails with "input nested too deeply" at either caller limit
+        "parse_deep_input": lambda: parse(
+            fresh(), program.replace("( 1 )", "( " * 6000 + "1" + " )" * 6000)),
+        "match": lambda: match(fresh(), NonTerminal("Prog"), program, 10**12),
+        "Session": lambda: Session(fresh(), program),
+        "parse_grammar": lambda: parse_grammar("start <- 'a' ;"),
+        "parse_grammar-too-deep": lambda: parse_grammar(
+            "start <- " + "(" * DEPTH + "'a'" + ")" * DEPTH + " ;"),
+        "load_grammar": fresh,
+        "annotate": lambda: annotate(load_grammar(str(GRAMMAR_DIR / "tiny_java.peg"))),
+        "annotate-too-deep": lambda: annotate(deep),
+        "Analysis": lambda: Analysis(fresh()).follow_of("Stmt"),
+        "desugar": lambda: desugar(fresh()),
+        "strip_labels": lambda: strip_labels(fresh()),
+        "serialize_grammar": lambda: serialize_grammar(fresh()),
+        "serialize_grammar-too-deep": lambda: serialize_grammar(deep),
+        "TokenStream": lambda: TokenStream(fresh(), program),
+        "load_messages": lambda: load_messages(str(tmp_path / "messages.json"), fresh()),
+        "load_messages-too-deep": lambda: load_messages(str(tmp_path / "deep.json")),
+        "run_corpus": lambda: run_corpus(fresh(), load_corpus(tmp_path)),
+    }
+
+
+@pytest.mark.parametrize("caller_limit", [1000, 25000])
+def test_every_public_call_leaves_the_recursion_limit_as_it_found_it(tmp_path, caller_limit):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(caller_limit)
+    try:
+        for name, call in _public_calls(tmp_path).items():
+            if name.endswith("-too-deep"):
+                with pytest.raises(GrammarError, match="nested too deeply$"):
+                    call()
+            else:
+                call()
+            assert sys.getrecursionlimit() == caller_limit, name
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+_TWO_THREADS = """
+import json, sys, threading
+from pegrec import annotate, load_grammar, parse, parse_grammar
+limit = sys.getrecursionlimit()
+# switch threads often, so that each leaves calls while the other runs one
+sys.setswitchinterval(1e-5)
+java = load_grammar(sys.argv[1])
+deep = ("public class A { public static void main ( String [ ] a ) { x = "
+        + "( " * 3000 + "1" + " )" * 3000 + " ; } }")
+small = "start <- AA BB* ;\\nAA <- 'a' ;\\nBB <- 'b' ;"
+results, done = {"short": 0, "failed": []}, threading.Event()
+
+def deep_parse():
+    try:
+        results["deep"] = [parse(java, deep).status for _ in range(5)]
+    finally:
+        done.set()
+
+def short_calls():
+    while True:
+        try:
+            g = parse_grammar(small)
+            annotate(g)
+            if not parse(g, "a b b").ok:
+                results["failed"].append("parse")
+        except Exception as exc:
+            results["failed"].append(repr(exc))
+        results["short"] += 1
+        if done.is_set():
+            return
+
+threads = [threading.Thread(target=f, daemon=True) for f in (short_calls, deep_parse)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+results["alive"] = [t.is_alive() for t in threads]
+results["restored"] = sys.getrecursionlimit() == limit
+print(json.dumps(results))
+"""
+
+
+def test_two_threads_share_the_stack_budget():
+    # with no count of the calls in flight, a call that left restored the
+    # limit it found: it lowered the limit under the other thread's deep
+    # parse, or left the limit raised after both threads were done
+    done = run_fresh(_TWO_THREADS, str(GRAMMAR_DIR / "tiny_java_annotated.peg"))
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["alive"] == [False, False]
+    assert (out["deep"], out["failed"], out["restored"]) == (["matched"] * 5, [], True)
+    assert out["short"] > 0
 
 
 def test_hand_built_desugared_grammar_collects_its_literal_kinds():
@@ -604,7 +738,7 @@ def _chain(depth: int) -> Expr:
 def test_a_deep_node_compares_hashes_and_prints_without_recursion():
     a, b = _chain(3000), _chain(3000)
     ga, gb = (Grammar({"start": e}, {"AA": Literal("a")}, "start") for e in (a, b))
-    # a fresh process's limit, which a Session raises
+    # a fresh process's limit
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
