@@ -1,20 +1,24 @@
 """Automatic insertion of error labels and recovery expressions.
 
-The annotator walks each syntactic rule tracking two facts about the
+The annotator walks each syntactic rule tracking three facts about the
 current position: whether some input must already have been consumed on
-the way here (``seq``), and which token kinds may legally follow the
-current expression (``flw``).  A terminal or non-nullable nonterminal at a
-``seq`` position cannot fail by ordinary alternation, only by broken
-input, so it is wrapped in an annotation [p]^l with a fresh label.  Each
-fresh label gets a synthesized recovery expression (!(f1 / ... / fk) .)*
-that skips tokens until one of the follow kinds, letting the parse resume
-where the enclosing context can continue.
+the way here (``seq``), which token kinds may legally follow the current
+expression (``flw``), and whether the walk may insert labels here
+(``insert``).  A terminal or non-nullable nonterminal at a ``seq``
+position cannot fail by ordinary alternation, only by broken input, so it
+is wrapped in an annotation [p]^l with a fresh label.  Each fresh label
+gets a synthesized recovery expression (!(f1 / ... / fk) .)* that skips
+tokens until one of the follow kinds, letting the parse resume where the
+enclosing context can continue.
 
 Sites are left unlabeled when labeling could change the accepted language:
 the first position of a rule or alternative (failure there must stay an
 ordinary backtrack), a nullable nonterminal, an alternative whose FIRST
 overlaps what follows the choice, and a repetition whose body's FIRST
-overlaps its follow set.  Every skip is reported with its reason.
+overlaps its follow set.  Every skip is reported with its reason.  Inside
+such an alternative or repetition body, and inside a hand-written
+annotation, ``insert`` is off: the walk adds and reports nothing there and
+only gives hand-written labels a recovery expression.
 """
 
 from __future__ import annotations
@@ -127,10 +131,6 @@ class AnnotationReport(Record):
         return "\n".join(lines)
 
 
-def _build_choice(alternatives: list[Expr]) -> Expr:
-    return reduce(lambda a, b: Choice(a, b), alternatives)
-
-
 class _Annotator:
     def __init__(self, grammar: Grammar, config: AnnotatorConfig):
         self.config = config
@@ -146,7 +146,6 @@ class _Annotator:
         self.counter = 0
         self.star_mode = False
         self.star_found = False
-        self.insert_enabled = True
 
     # -- helpers ---------------------------------------------------------------
 
@@ -158,21 +157,18 @@ class _Annotator:
                 self.used_labels.add(candidate)
                 return candidate
 
-    def _follow_kinds(self, flw: TokenSet) -> tuple[str, ...]:
-        return tuple(self.analysis.ordered_kinds(flw))
-
     def _sync_expr(self, kinds: tuple[str, ...]) -> Expr:
         """(!(f1 / ... / fk) .)* -- skip tokens until a follow kind."""
         if not kinds:
             return Empty()
-        stop = _build_choice([Terminal(k) for k in kinds])
+        stop = reduce(Choice, [Terminal(k) for k in kinds])
         return Star(Sequence(Not(stop), AnyToken()))
 
-    def _addlab(self, e: Expr, flw: TokenSet, path: list[str]) -> Expr:
-        if not self.insert_enabled:
+    def _addlab(self, e: Expr, flw: TokenSet, path: list[str], insert: bool) -> Expr:
+        if not insert:
             return e
         label = self._fresh_label()
-        kinds = self._follow_kinds(flw)
+        kinds = tuple(self.analysis.ordered_kinds(flw))
         self.recovery[label] = self._sync_expr(kinds)
         self.report.inserted.append(InsertedSite(
             rule=self.rule, path=_fmt_path(path), label=label,
@@ -180,8 +176,8 @@ class _Annotator:
         ))
         return Choice(e, Throw(label))
 
-    def _skip(self, e: Expr, reason: str, path: list[str]) -> None:
-        if not self.insert_enabled:
+    def _skip(self, e: Expr, reason: str, path: list[str], insert: bool) -> None:
+        if not insert:
             return
         self.report.skipped.append(SkippedSite(
             rule=self.rule, path=_fmt_path(path),
@@ -191,21 +187,11 @@ class _Annotator:
     def _register_existing(self, label: str, flw: TokenSet, path: list[str]) -> None:
         if label in self.recovery:
             return
-        kinds = self._follow_kinds(flw)
+        kinds = tuple(self.analysis.ordered_kinds(flw))
         self.recovery[label] = self._sync_expr(kinds)
         self.report.recovered.append(RecoveredLabel(
             rule=self.rule, path=_fmt_path(path), label=label, followed_by=kinds,
         ))
-
-    def _register_descend(self, e: Expr, flw: TokenSet, path: list[str]) -> None:
-        """Walk a region the algorithm must not relabel, only to give any
-        hand-written labels inside it a recovery expression."""
-        saved = self.insert_enabled
-        self.insert_enabled = False
-        try:
-            self._labexp(e, False, flw, path)
-        finally:
-            self.insert_enabled = saved
 
     # -- the walk ----------------------------------------------------------------
 
@@ -214,59 +200,59 @@ class _Annotator:
         self.counter = 0
         self.star_mode = star_mode
         self.star_found = False
-        return self._labexp(body, False, self.analysis.follow_of(name), [])
+        return self._labexp(body, False, self.analysis.follow_of(name), [], True)
 
-    def _labexp(self, e: Expr, seq: bool, flw: TokenSet, path: list[str]) -> Expr:
+    def _labexp(self, e: Expr, seq: bool, flw: TokenSet, path: list[str],
+                insert: bool) -> Expr:
+        """e with labels added where the algorithm allows, given ``seq``,
+        ``flw`` and ``insert`` at e as the module docstring describes them;
+        ``path`` locates e in its rule for the report."""
         an = self.analysis
 
         parts = annotation_parts(e)
         if parts is not None:
             # existing annotation (preserve mode): keep it, fill in recovery
             self._register_existing(parts[1], flw, path)
-            self._register_descend(parts[0], flw, path)
+            self._labexp(parts[0], False, flw, path, insert=False)
             return e
 
         cls = e.__class__
-        if cls is Terminal:
-            if seq:
-                return self._addlab(e, flw, path)
-            self._skip(e, "first-position", path)
+        if cls is Terminal or cls is NonTerminal:
+            if not seq:
+                reason = "first-position"
+            elif cls is NonTerminal and an.first_of(e).has_epsilon:
+                reason = "nullable"
+            else:
+                return self._addlab(e, flw, path, insert)
+            self._skip(e, reason, path, insert)
             return e
 
-        if cls is NonTerminal:
-            if not seq:
-                self._skip(e, "first-position", path)
-                return e
-            if an.first_of(e).has_epsilon:
-                self._skip(e, "nullable", path)
-                return e
-            return self._addlab(e, flw, path)
-
         if cls is Sequence:
-            left = self._labexp(e.left, seq, an.calck(e.right, flw), path + ["0"])
+            left = self._labexp(e.left, seq, an.calck(e.right, flw),
+                                path + ["0"], insert)
             right_seq = seq or not an.first_of(e.left).has_epsilon
-            right = self._labexp(e.right, right_seq, flw, path + ["1"])
+            right = self._labexp(e.right, right_seq, flw, path + ["1"], insert)
             return Sequence(left, right)
 
         if cls is Choice:
             if an.first_of(e.first).disjoint(an.calck(e.second, flw)):
-                first = self._labexp(e.first, False, flw, path + ["0"])
+                first = self._labexp(e.first, False, flw, path + ["0"], insert)
             else:
                 # relabeling here could steal inputs from the second
                 # alternative; existing labels still deserve recovery
-                self._skip(e.first, "non-disjoint-choice", path + ["0"])
-                self._register_descend(e.first, flw, path + ["0"])
+                self._skip(e.first, "non-disjoint-choice", path + ["0"], insert)
+                self._labexp(e.first, False, flw, path + ["0"], insert=False)
                 first = e.first
-            second = self._labexp(e.second, False, flw, path + ["1"])
+            second = self._labexp(e.second, False, flw, path + ["1"], insert)
             out = Choice(first, second)
             if seq and not an.first_of(e).has_epsilon:
-                return self._addlab(out, flw, path)
+                return self._addlab(out, flw, path, insert)
             return out
 
         if cls is Star:
             if not an.first_of(e.body).disjoint(flw):
-                self._skip(e.body, "repetition-overlap", path + ["*"])
-                self._register_descend(e.body, flw, path + ["*"])
+                self._skip(e.body, "repetition-overlap", path + ["*"], insert)
+                self._labexp(e.body, False, flw, path + ["*"], insert=False)
                 return e
             if self.star_mode and flw.kinds:
                 # report-and-skip inside the loop: a broken element throws,
@@ -274,14 +260,14 @@ class _Annotator:
                 # follow token), and the guard stops the loop cleanly once
                 # a follow token is next; a region walked only for its
                 # existing labels gets no star-mode label
-                self.star_found |= self.insert_enabled
+                self.star_found |= insert
                 wide = an.first_of(e.body).without_epsilon().union(
                     flw.without_epsilon())
-                inner = self._labexp(e.body, False, wide, path + ["*"])
-                guard = Not(_build_choice(
-                    [Terminal(k) for k in self._follow_kinds(flw)]))
-                return Star(Sequence(guard, self._addlab(inner, wide, path + ["*"])))
-            return Star(self._labexp(e.body, False, flw, path + ["*"]))
+                inner = self._labexp(e.body, False, wide, path + ["*"], insert)
+                stop = reduce(Choice, [Terminal(k) for k in an.ordered_kinds(flw)])
+                site = self._addlab(inner, wide, path + ["*"], insert)
+                return Star(Sequence(Not(stop), site))
+            return Star(self._labexp(e.body, False, flw, path + ["*"], insert))
 
         if cls is Throw:
             self._register_existing(e.label, flw, path)

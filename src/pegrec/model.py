@@ -654,7 +654,12 @@ class First:
         self._memo: dict[int, tuple[Expr, TokenSet]] = {}
 
     def __call__(self, e: Expr) -> TokenSet:
-        return self._of(e, self.rules, self._memo)
+        try:
+            return self._of(e, self.rules, self._memo)
+        except RecursionError:
+            # too deep for the caller's limit: once more within the budget
+            with nesting_guard():
+                return self._of(e, self.rules, self._memo)
 
     def scratch(self) -> "First":
         """These FIRST sets with a memo of their own, for nodes that should
@@ -806,36 +811,26 @@ def strip_labels(g: Grammar) -> Grammar:
 # --- serialization ----------------------------------------------------------
 
 _ESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", "\\": "\\\\"}
+_QUOTE_ESCAPES = str.maketrans(_ESCAPES | {"'": "\\'"})
+_CLASS_ESCAPES = str.maketrans(_ESCAPES | {c: "\\" + c for c in "]-["})
 
 
 def _quote(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ch == "'":
-            out.append("\\'")
-        else:
-            out.append(ch)
-    return "'" + "".join(out) + "'"
+    return "'" + text.translate(_QUOTE_ESCAPES) + "'"
 
 
 def _class_text(ranges: tuple[tuple[str, str], ...]) -> str:
-    def esc(ch: str) -> str:
-        if ch in _ESCAPES:
-            return _ESCAPES[ch]
-        if ch in "]-[\\":
-            return "\\" + ch
-        return ch
-
-    parts = []
-    for lo, hi in ranges:
-        parts.append(esc(lo) if lo == hi else f"{esc(lo)}-{esc(hi)}")
-    return "[" + "".join(parts) + "]"
+    esc = _CLASS_ESCAPES
+    return "[" + "".join(lo.translate(esc) if lo == hi
+                         else f"{lo.translate(esc)}-{hi.translate(esc)}"
+                         for lo, hi in ranges) + "]"
 
 
 # Precedence levels: choice < sequence < prefix < postfix.
 _CHOICE, _SEQ, _PREFIX, _POSTFIX = 0, 1, 2, 3
+# the text before and after the body of each unary operator
+_UNARY_OPS = {Star: ("", "*"), Plus: ("", "+"), Optional: ("", "?"),
+              Not: ("!", ""), And: ("&", "")}
 
 
 def render_expr(e: Expr, prec: int = _CHOICE) -> str:
@@ -866,16 +861,9 @@ def render_expr(e: Expr, prec: int = _CHOICE) -> str:
     if cls is Choice:
         text = f"{render_expr(e.first, _CHOICE)} / {render_expr(e.second, _SEQ)}"
         return f"({text})" if prec > _CHOICE else text
-    if cls is Star:
-        return f"{render_expr(e.body, _POSTFIX + 1)}*"
-    if cls is Plus:
-        return f"{render_expr(e.body, _POSTFIX + 1)}+"
-    if cls is Optional:
-        return f"{render_expr(e.body, _POSTFIX + 1)}?"
-    if cls is Not:
-        return f"!{render_expr(e.body, _POSTFIX + 1)}"
-    if cls is And:
-        return f"&{render_expr(e.body, _POSTFIX + 1)}"
+    if cls in _UNARY_OPS:
+        before, after = _UNARY_OPS[cls]
+        return f"{before}{render_expr(e.body, _POSTFIX + 1)}{after}"
     raise TypeError(f"cannot render {e!r}")
 
 

@@ -142,6 +142,22 @@ def test_preserve_mode_reaches_labels_in_unannotatable_spots():
     text = "start <- AA ([BB]^inner CC / '') BB ;"
     ann, report = annotate(g(text), AnnotatorConfig(preserve_existing=True))
     assert "inner" in ann.recovery
+    # inside an overlapping repetition body and inside a hand-written
+    # annotation the walk only gives existing labels recovery: it inserts
+    # and skips nothing there
+    for text, recovered, skipped in [
+        ("start <- AA ([BB]^inner CC)* BB ;",
+         [("0/1/*/0", "inner", ("CC",))],
+         [("0/0", "first-position"), ("0/1/*", "repetition-overlap")]),
+        ("start <- AA [BB [CC]^inner BB]^outer CC ;",
+         [("0/1", "outer", ("CC",)), ("0/1/0/1", "inner", ("BB",))],
+         [("0/0", "first-position")]),
+    ]:
+        ann, report = annotate(g(text), AnnotatorConfig(preserve_existing=True))
+        assert [(r.path, r.label, r.followed_by) for r in report.recovered] == recovered
+        assert [(s.path, s.label) for s in report.inserted] == [("1", "Err_start_1")]
+        assert [(s.path, s.reason) for s in report.skipped] == skipped
+        assert report.warnings == []
 
 
 def test_fresh_labels_avoid_collisions():

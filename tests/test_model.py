@@ -122,6 +122,18 @@ def test_serialize_round_trips_literals_that_need_escapes():
     assert "start <- 'a\\'b' '\"' 'q\\\\' 'x\\ny' '\\t' '\\r' ;" in text
     again = parse_grammar(text)
     assert grammar_eq(again, g) and again.literal_kinds == g.literal_kinds
+    # lexical rules: a quote and a backslash in a literal; in a class, the
+    # characters that close it, make a range or open it, the escaped
+    # controls, and a range whose ends are escaped
+    lines = [r"XX <- 'it\'s a \\ path' ;", r"YY <- [\]\-\[\\\n\t\r\[-\]a-c] ;"]
+    g = parse_grammar("start <- XX YY ;\n" + "\n".join(lines))
+    assert g.lexical["XX"] == Literal("it's a \\ path")
+    assert g.lexical["YY"] == CharClass((("]", "]"), ("-", "-"), ("[", "["), ("\\", "\\"),
+                                         ("\n", "\n"), ("\t", "\t"), ("\r", "\r"),
+                                         ("[", "]"), ("a", "c")))
+    text = serialize_grammar(g)
+    assert text.endswith("\n\n" + "\n".join(lines) + "\n")
+    assert grammar_eq(parse_grammar(text), g)
 
 
 def test_validate_rejects_undefined_rule():
@@ -334,6 +346,8 @@ ENTRY_POINTS = {
     "match": lambda g: match(g, NonTerminal("start"), ""),
     "annotate": annotate,
     "Analysis": Analysis,
+    "first_of": lambda g: Analysis(g).first_of(g.rules[g.start]),
+    "calck": lambda g: Analysis(g).calck(g.rules[g.start], model.EPSILON_ONLY),
     "desugar": desugar,
     "strip_labels": strip_labels,
     "serialize_grammar": serialize_grammar,
@@ -404,7 +418,8 @@ def test_deeply_nested_hand_built_grammar_is_a_grammar_error(entry, shape):
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_a_chain_within_the_budget_passes_every_entry_point_at_the_default_limit(entry):
-    # serialize_grammar once recursed past the caller's limit on it
+    # serialize_grammar, first_of and calck once recursed past the
+    # caller's limit on it
     assert model.STACK_BUDGET < DEPTH
     grammar = Grammar({"start": nested(lambda e: Sequence(e, Empty()), 3000)}, {}, "start")
     limit = sys.getrecursionlimit()
