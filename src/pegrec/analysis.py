@@ -30,6 +30,7 @@ from .model import (
     Expr,
     First,
     Grammar,
+    GrammarError,
     NonTerminal,
     Not,
     Optional,
@@ -136,14 +137,18 @@ class Analysis:
         self._follow = rule_fixpoint(sites, follow, EMPTY_SET)
 
     def follow_of(self, rule: str) -> TokenSet:
-        """FOLLOW(rule); a grammar nested too deeply for the FIRST sets
-        FOLLOW reads is a GrammarError."""
+        """FOLLOW(rule); an unknown rule, or a grammar nested too deeply
+        for the FIRST sets FOLLOW reads, is a GrammarError."""
+        if rule not in self.grammar.rules:
+            raise GrammarError(f"unknown rule '{rule}'")
         if self._follow is None:
             with nesting_guard():
                 self._compute_follow()
         return self._follow[rule]
 
     def first_of_rule(self, rule: str) -> TokenSet:
+        if rule not in self.grammar.rules:
+            raise GrammarError(f"unknown rule '{rule}'")
         return self.first_of.rules[rule]
 
     # -- display -------------------------------------------------------------

@@ -509,11 +509,9 @@ def _skip_throw(s: "Session", label: str, pos: int, acc: list) -> int:
 
 
 def _kind_test(var: str, kinds, among: bool = True) -> str:
-    """Source that tests whether the kind in var is one of kinds, or with
-    ``among`` false, none of them."""
+    """Source that tests whether the kind in var is one of kinds (never
+    empty), or with ``among`` false, none of them."""
     kinds = sorted(kinds)
-    if not kinds:
-        return str(not among)
     if len(kinds) == 1:
         return f"{var} {'==' if among else '!='} {kinds[0]!r}"
     return f"{var} {'in' if among else 'not in'} {{{', '.join(map(repr, kinds))}}}"
@@ -591,13 +589,11 @@ class _Matcher:
         return frozenset(x.kind for x in alts)
 
     def stops(self, e: Expr) -> frozenset | None:
-        """The kinds p matches when e is ``(!p .)*`` and p a terminal or a
-        choice of terminals, as in the recovery expressions the annotator
-        writes: e then takes the tokens up to one of them or the end, and
-        moves farthest to where it stops.  For ``(!EOF .)*`` it is the
-        empty set."""
-        if e.__class__ is not Star:
-            return None
+        """The kinds p matches when the star e is ``(!p .)*`` and p a
+        terminal or a choice of terminals, as in the recovery expressions the
+        annotator writes: e then takes the tokens up to one of them or the
+        end, and moves farthest to where it stops.  For ``(!EOF .)*`` it is
+        the empty set."""
         body = e.body
         if (body.__class__ is Sequence and body.left.__class__ is Not
                 and body.right.__class__ is AnyToken):

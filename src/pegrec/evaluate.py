@@ -216,6 +216,8 @@ def token_spans(grammar: Grammar, text: str) -> list[tuple[int, int]]:
 
 
 def delete_token(grammar: Grammar, text: str, index: int) -> Mutant:
+    if index < 0:
+        raise ValueError(f"negative token index {index}")
     spans = token_spans(grammar, text)
     s, e = spans[index]
     # a space keeps the neighbors from fusing into one token
@@ -223,6 +225,8 @@ def delete_token(grammar: Grammar, text: str, index: int) -> Mutant:
 
 
 def duplicate_token(grammar: Grammar, text: str, index: int) -> Mutant:
+    if index < 0:
+        raise ValueError(f"negative token index {index}")
     spans = token_spans(grammar, text)
     s, e = spans[index]
     return Mutant(text[:e] + " " + text[s:e] + text[e:],

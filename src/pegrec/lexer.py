@@ -113,27 +113,22 @@ def _regex(e: Expr, rules: dict[str, Expr]) -> str:
         return f"(?:{_regex(e.body, rules)})*+"
     if isinstance(e, Not):
         return f"(?!{_regex(e.body, rules)})"
-    if isinstance(e, NonTerminal):
-        # the body's own choices and repetitions are atomic, so it has
-        # at most one match and needs no atomic group of its own
-        return f"(?:{_regex(rules[e.name], rules)})"
-    raise TypeError(f"unexpected node in lexical pattern: {e!r}")
+    # a rule reference: the body's own choices and repetitions are atomic,
+    # so it has at most one match and needs no atomic group of its own
+    return f"(?:{_regex(rules[e.name], rules)})"
 
 
 def _first_chars(e: Expr) -> TokenSet:
     """FIRST of a leaf or a predicate of a lexical rule (``model.First``),
     over the character ranges a match can begin with."""
     if isinstance(e, Literal):
-        text = e.text
-        return TokenSet(frozenset({(text[0], text[0])})) if text else EPSILON_ONLY
+        return TokenSet(frozenset({(e.text[0], e.text[0])})) if e.text else EPSILON_ONLY
     if isinstance(e, CharClass):
         return TokenSet(frozenset(e.ranges))
     if isinstance(e, AnyToken):
         return _ANY_CHAR
-    if isinstance(e, (Empty, Not)):
-        # !p consumes nothing: what follows it supplies the first char
-        return EPSILON_ONLY
-    raise TypeError(f"unexpected node in lexical pattern: {e!r}")
+    # Empty, or !p, which consumes nothing: what follows supplies the first char
+    return EPSILON_ONLY
 
 
 class _Lexer:
@@ -212,7 +207,9 @@ class TokenStream:
             pos = skip(text, end).end()
 
     def token(self, i: int) -> Token | None:
-        """i-th token, or None at/after end of input."""
+        """i-th token, or None at/after end of input; a negative i is a ValueError."""
+        if i < 0:
+            raise ValueError(f"negative token index {i}")
         if i < len(self.kinds):
             start, end = self.spans[i]
             return Token(self.kinds[i], self.text[start:end], start, end)

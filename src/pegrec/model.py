@@ -10,10 +10,12 @@ syntactic predicate.
 
 A grammar is checked once (``validate``): by ``parse_grammar``, or, when
 built by hand, on first use (``checked``: parse, match, annotate, Analysis).
-The passes keep validity, so their outputs are not checked again.  A
-grammar remembers that it is valid, its desugared form (``desugar``) and
-what is compiled from that, in fields of its own: do not mutate it after
-its first use.
+``validate`` is the one gate: the tables ``_check_nodes`` reads decide
+what a node may be and hold, and the layers after it assume those shapes
+with no fallback of their own.  The passes keep validity, so their outputs
+are not checked again.  A grammar remembers that it is valid, its
+desugared form (``desugar``) and what is compiled from that, in fields of
+its own: do not mutate it after its first use.
 
 Nodes are plain classes with ``__slots__`` on one base, ``FrozenRecord``:
 immutable, and with ``==``, ``hash`` and ``repr`` over the fields each
@@ -24,12 +26,13 @@ code.
 
 The walks of a pass (``_walk``, and the checks and tables built from it)
 run on an explicit stack too and dispatch on the exact class of a node
-(``node.__class__ is Choice``): every ``Expr`` class is defined here, and
-no node class is subclassed.  One rule of sharing: desugaring ``p+`` to
-``p p*`` gives both parts the same p, and no other node has two parents.
-Every walk and rewrite but ``annotate._Annotator._labexp``, which unfolds
-the sharing, finds that p with ``plus_operand`` and visits it once, so it
-stays linear in the size of the DAG, not of the tree it unfolds to.
+(``node.__class__ is Choice``): every ``Expr`` class is defined here, no
+node class is subclassed, and ``validate`` rejects an object of any other.
+One rule of sharing: desugaring ``p+`` to ``p p*`` gives both parts the
+same p, and no other node has two parents.  Every walk and rewrite but
+``annotate._Annotator._labexp``, which unfolds the sharing, finds that p
+with ``plus_operand`` and visits it once, so it stays linear in the size of
+the DAG, not of the tree it unfolds to.
 ``First`` is the one FIRST-set and nullability computation: ``analysis``,
 the lexer, the matcher's guards and the left-recursion check each run it
 with a ``leaf`` function of their own.  Every public call runs its
@@ -453,45 +456,70 @@ def checked(g: Grammar) -> Grammar:
 
 
 def check_expr(g: Grammar, e: Expr, where: str) -> None:
-    """Reject what a syntactic expression may not hold in g: an undefined
-    rule or token kind, a character-level pattern, or a throw of ``fail``.
-    ``where`` names the expression in messages."""
-    _check_syntactic(g, where, _walk(e))
+    """``validate``'s checks of a syntactic rule, on e, named ``where``."""
+    _check_nodes(g, where, _walk(e), False)
 
 
-def _check_syntactic(g: Grammar, where: str, nodes: list[Expr]) -> None:
-    """``check_expr`` on the nodes of an expression (``_walk``)."""
+# the Expr classes with nothing of their own to check
+_PLAIN = frozenset((Empty, Sequence, Choice, AnyToken)) | _UNARY
+# the other Expr classes: the one field of each, and what it must hold
+_SHAPES = {Terminal: ("kind", "a str"), NonTerminal: ("name", "a str"),
+           Throw: ("label", "a str"), Literal: ("text", "a str"),
+           CharClass: ("ranges", "a tuple of (lo, hi) pairs of single characters")}
+# the classes each level bans, by whether it is lexical
+_BANNED = {False: dict.fromkeys((Literal, CharClass),
+                                "character-level pattern in syntactic rule {}"),
+           True: {Throw: "labels are not allowed in lexical rule {}",
+                  Terminal: "token reference in lexical rule {}; use a literal"}}
+
+
+def _check_nodes(g: Grammar, where: str, nodes: list, lexical: bool) -> None:
+    """Reject what the nodes (``_walk``) of ``where``, lexical or not, may not hold."""
+    banned = _BANNED[lexical]
     for node in nodes:
         cls = node.__class__
-        if cls is NonTerminal:
-            if node.name not in g.rules:
-                raise GrammarError(f"undefined nonterminal {node.name!r} in {where}")
-        elif cls is Terminal:
-            kind = node.kind
-            if (not is_literal_kind(kind) and kind != EOF_KIND
-                    and kind not in g.lexical):
-                raise GrammarError(f"undefined token kind {kind!r} in {where}")
-        elif cls is Literal or cls is CharClass:
-            raise GrammarError(f"character-level pattern in syntactic rule {where}")
-        elif cls is Throw and node.label == FAIL:
+        if cls in _PLAIN:
+            continue
+        if cls not in _SHAPES:
+            raise GrammarError(f"{where} holds a {cls.__name__}, not an expression")
+        field, shape = _SHAPES[cls]
+        value = getattr(node, field)
+        if not (isinstance(value, str) if cls is not CharClass else isinstance(value, tuple)
+                and all(isinstance(pair, tuple) and len(pair) == 2 and all(
+                    isinstance(c, str) and len(c) == 1 for c in pair) for pair in value)):
+            raise GrammarError(f"{cls.__name__}.{field} in {where} must be {shape}")
+        if cls in banned:
+            raise GrammarError(banned[cls].format(where))
+        if cls is NonTerminal and value not in (g.lexical if lexical else g.rules):
+            raise GrammarError(
+                f"lexical rule {where} references {value!r}, which is not a lexical rule"
+                if lexical else f"undefined nonterminal {value!r} in {where}")
+        if cls is Terminal and not (is_literal_kind(value) or value == EOF_KIND
+                                    or value in g.lexical):
+            raise GrammarError(f"undefined token kind {value!r} in {where}")
+        if cls is Throw and value == FAIL:
             raise GrammarError(f"label {FAIL!r} is reserved and cannot be thrown")
 
 
 def validate(g: Grammar) -> Grammar:
     """Check structural consistency and fill the derived tables.
 
-    Rejects rule names of the wrong kind (the grammar text tells syntactic
-    from lexical rules by the name alone), a lexical rule for the reserved
-    kind ``EOF``, undefined references, left
-    recursion (direct or through nullable prefixes), a lexical rule that
-    reaches itself (a token is a regular pattern), throws of the reserved
-    label ``fail``, and recovery rules for labels that are never thrown.
-    Also collects anonymous literal token kinds, the label set, and the
-    per-label descriptions.
+    Rejects parts that are not dicts keyed by str, malformed nodes, rule
+    names of the wrong kind (the grammar text tells syntactic from lexical
+    rules by the name alone), a lexical rule for the reserved kind ``EOF``,
+    undefined references, left recursion (direct or through nullable
+    prefixes), a lexical rule that reaches itself (a token is a regular
+    pattern), throws of the reserved label ``fail``, and recovery rules for
+    labels that are never thrown.  Also collects anonymous literal token
+    kinds, the label set, and the per-label descriptions.
     """
+    for field in ("rules", "lexical", "recovery"):
+        part = getattr(g, field)
+        if not isinstance(part, dict) or not all(isinstance(k, str) for k in part):
+            raise GrammarError(f"Grammar.{field} must be a dict keyed by str")
     if not g.rules:
         raise GrammarError("grammar has no syntactic rules")
-    if g.start not in g.rules:
+    if not isinstance(g.start, str) or g.start not in g.rules:
         raise GrammarError(f"start rule {g.start!r} is not defined")
     for name in g.rules:
         if is_lexical_name(name):
@@ -502,29 +530,15 @@ def validate(g: Grammar) -> Grammar:
     if EOF_KIND in g.lexical:
         raise GrammarError(f"token kind {EOF_KIND!r} is reserved for end of input")
 
-    def check_lexical_refs(rule: str, nodes: list[Expr]) -> None:
-        for node in nodes:
-            cls = node.__class__
-            if cls is NonTerminal:
-                if node.name not in g.lexical:
-                    raise GrammarError(
-                        f"lexical rule {rule} references {node.name!r}, "
-                        "which is not a lexical rule")
-            elif cls is Throw:
-                raise GrammarError(f"labels are not allowed in lexical rule {rule}")
-            elif cls is Terminal:
-                raise GrammarError(
-                    f"token reference in lexical rule {rule}; use a literal")
-
     rule_nodes = [_walk(body) for body in g.rules.values()]
     lexical_nodes = [_walk(body) for body in g.lexical.values()]
     recovery_nodes = [_walk(body) for body in g.recovery.values()]
     for name, nodes in zip(g.rules, rule_nodes):
-        _check_syntactic(g, name, nodes)
+        _check_nodes(g, name, nodes, False)
     for name, nodes in zip(g.lexical, lexical_nodes):
-        check_lexical_refs(name, nodes)
+        _check_nodes(g, name, nodes, True)
     for lab, nodes in zip(g.recovery, recovery_nodes):
-        _check_syntactic(g, f"recovery for {lab}", nodes)
+        _check_nodes(g, f"recovery for {lab}", nodes, False)
     _fill_tables(g, rule_nodes, recovery_nodes)
     for lab in g.recovery:
         if lab not in g.labels:
@@ -861,10 +875,8 @@ def render_expr(e: Expr, prec: int = _CHOICE) -> str:
     if cls is Choice:
         text = f"{render_expr(e.first, _CHOICE)} / {render_expr(e.second, _SEQ)}"
         return f"({text})" if prec > _CHOICE else text
-    if cls in _UNARY_OPS:
-        before, after = _UNARY_OPS[cls]
-        return f"{before}{render_expr(e.body, _POSTFIX + 1)}{after}"
-    raise TypeError(f"cannot render {e!r}")
+    before, after = _UNARY_OPS[cls]
+    return f"{before}{render_expr(e.body, _POSTFIX + 1)}{after}"
 
 
 @nesting_guard()

@@ -106,6 +106,16 @@ def test_predicate_body_gets_no_follow():
     assert kinds(a.follow_of("Item")) == {"BB"}
 
 
+@pytest.mark.parametrize("method", ["first_of_rule", "follow_of"])
+def test_an_unknown_rule_is_a_grammar_error(method):
+    a = Analysis(parse_grammar("start <- AA ;\nAA <- 'a' ;"))
+    with pytest.raises(GrammarError, match="^unknown rule 'Nope'$"):
+        getattr(a, method)("Nope")
+    # a lexical rule is no rule of FIRST or FOLLOW either
+    with pytest.raises(GrammarError, match="^unknown rule 'AA'$"):
+        getattr(a, method)("AA")
+
+
 def test_calck_uses_follow_only_when_nullable():
     g = parse_grammar("start <- AA BB* CC ;\nAA <- 'a' ;\nBB <- 'b' ;\nCC <- 'c' ;")
     a = Analysis(g)

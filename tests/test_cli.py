@@ -123,8 +123,10 @@ def test_analyze_single_rule_lists_kinds(capsys, small_grammar, tmp_path):
 
 
 def test_analyze_unknown_rule_exits_2(capsys, small_grammar):
-    assert main(["analyze", str(small_grammar), "--first", "Nope"]) == 2
-    assert "unknown rule" in capsys.readouterr().err
+    # Analysis raises the error; the command prints it as one line
+    for flag in ("--first", "--follow"):
+        assert main(["analyze", str(small_grammar), flag, "Nope"]) == 2
+        assert capsys.readouterr() == ("", "pegrec: unknown rule 'Nope'\n")
 
 
 # --- parse -------------------------------------------------------------------

@@ -531,7 +531,11 @@ def test_rule_node_spans_cover_their_children(grammar_dir, tiny_java):
      "undefined token kind 'NOPE' in matched expression"),
     (Literal("a"), "character-level pattern in syntactic rule matched expression"),
     (Throw("fail"), "label 'fail' is reserved and cannot be thrown"),
-], ids=["rule", "token-kind", "literal", "fail"])
+    # hand-built shapes: these once failed as "expression nested too deeply"
+    # and with an AttributeError
+    ("oops", "matched expression holds a str, not an expression"),
+    (Terminal(3), "Terminal.kind in matched expression must be a str"),
+], ids=["rule", "token-kind", "literal", "fail", "foreign-node", "kind-type"])
 def test_match_rejects_an_expression_the_grammar_cannot_run(expr, message):
     grammar = g("start <- AA ;")
     with pytest.raises(GrammarError) as exc:

@@ -364,3 +364,10 @@ def test_duplicate_token(tiny_java):
     m = duplicate_token(tiny_java, "int x ;", 1)
     assert m.text == "int x x ;"
     assert m.token_index == 1 and m.token_text == "x"
+
+
+@pytest.mark.parametrize("mutate", [delete_token, duplicate_token])
+def test_a_negative_token_index_is_a_value_error(tiny_java, mutate):
+    # it once counted from the end and recorded token_index -1
+    with pytest.raises(ValueError, match="^negative token index -1$"):
+        mutate(tiny_java, "int x ;", -1)

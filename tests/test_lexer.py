@@ -94,6 +94,14 @@ def test_spans_and_positions(tiny_java):
     assert stream.pos_info(0) == (1, 1)
 
 
+def test_a_negative_token_index_is_a_value_error(tiny_java):
+    stream = TokenStream(tiny_java, "public class A { }")
+    assert stream.token(4).kind == "RCUR" and stream.token(5) is None
+    # it once counted from the end, and token(-1) was the RCUR
+    with pytest.raises(ValueError, match="^negative token index -1$"):
+        stream.token(-1)
+
+
 def test_frontier_offsets(tiny_java):
     stream = TokenStream(tiny_java, "  int x  ")
     # before anything is consumed: start of the first token

@@ -202,6 +202,16 @@ def test_validate_rejects_labels_in_lexical_rules():
     # match, and its tokens would look like the end to the matcher
     (lambda: parse_grammar("start <- EOF AA / AA ;\nEOF <- 'x' ;\nAA <- 'a' ;"),
      "token kind 'EOF' is reserved for end of input"),
+    # shapes only a grammar built by hand can take
+    (lambda: validate(Grammar({"start": Sequence(Terminal("'a'"), "oops")}, {}, "start")),
+     "^start holds a str, not an expression$"),
+    (lambda: validate(Grammar({"start": Annotated(Terminal("'a'"), 5)}, {}, "start")),
+     "^Throw.label in start must be a str$"),
+    (lambda: validate(Grammar({"start": Terminal("AA")}, {"AA": CharClass("ab")}, "start")),
+     r"^CharClass.ranges in AA must be a tuple of \(lo, hi\) pairs of single characters$"),
+    (lambda: validate(Grammar({"start": Terminal("'a'")}, {}, "start", {1: Empty()})),
+     "^Grammar.recovery must be a dict keyed by str$"),
+    (lambda: validate(Grammar({}, {}, "start")), "^grammar has no syntactic rules$"),
 ])
 def test_validate_rejects(build, message):
     with pytest.raises(GrammarError, match=message):
@@ -339,6 +349,32 @@ INVALID = {
                                                         Terminal("'a'")),
                                                Terminal("'a'"))},
     "reserved-label": lambda: {"start": Annotated(Terminal("'a'"), "fail")},
+    # shapes only a grammar built by hand can take, which once escaped as a
+    # TypeError, an AttributeError or "grammar nested too deeply"
+    "foreign-node": lambda: {"start": "oops"},
+    "terminal-kind": lambda: {"start": Terminal(3)},
+    "nonterminal-name": lambda: {"start": NonTerminal(3)},
+    "throw-label": lambda: {"start": Annotated(Terminal("'a'"), 5)},
+    "literal-text": lambda: {"start": Literal(5)},
+    "charclass-ranges": lambda: {"start": CharClass("ab")},
+    "rule-name": lambda: {"start": Terminal("'a'"), 3: Terminal("'a'")},
+}
+# faults in the other parts: (rules, lexical rules, recovery)
+INVALID_PARTS = {
+    "lexical-foreign-node": lambda: ({"start": Terminal("AA")}, {"AA": "a"}, {}),
+    "lexical-literal-text": lambda: ({"start": Terminal("AA")}, {"AA": Literal(5)}, {}),
+    "lexical-charclass-str": lambda: ({"start": Terminal("AA")}, {"AA": CharClass("ab")}, {}),
+    # once compiled silently to [ab-c]
+    "lexical-charclass-range": lambda: ({"start": Terminal("AA")},
+                                        {"AA": CharClass((("ab", "c"),))}, {}),
+    "lexical-charclass-pair": lambda: ({"start": Terminal("AA")},
+                                       {"AA": CharClass((("a",),))}, {}),
+    "lexical-rule-name": lambda: ({"start": Terminal("AA")},
+                                  {"AA": Literal("a"), 3: Literal("b")}, {}),
+    "recovery-foreign-node": lambda: ({"start": Annotated(Terminal("'a'"), "x")}, {},
+                                      {"x": "oops"}),
+    "recovery-not-a-dict": lambda: ({"start": Terminal("'a'")}, {}, [1]),
+    "recovery-label": lambda: ({"start": Annotated(Terminal("'a'"), "x")}, {}, {1: Empty()}),
 }
 
 ENTRY_POINTS = {
@@ -365,12 +401,17 @@ def with_sugar(rules: dict) -> dict:
 # own desugared form; either way the validation error comes first
 @pytest.mark.parametrize("sugared", [True, False], ids=["sugared", "desugared"])
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
-@pytest.mark.parametrize("fault", INVALID)
+@pytest.mark.parametrize("fault", [*INVALID, *INVALID_PARTS])
 def test_invalid_hand_built_grammar_fails_at_every_entry_point(fault, entry, sugared):
-    make = (lambda: with_sugar(INVALID[fault]())) if sugared else INVALID[fault]
+    def make() -> Grammar:
+        rules, lexical, recovery = ((INVALID[fault](), {}, {}) if fault in INVALID
+                                    else INVALID_PARTS[fault]())
+        return Grammar(with_sugar(rules) if sugared else rules, lexical, "start", recovery)
+
     with pytest.raises(GrammarError) as expected:
-        validate(Grammar(make(), {}, "start"))
-    grammar = Grammar(make(), {}, "start")
+        validate(make())
+    assert "nested too deeply" not in expected.value.message
+    grammar = make()
     with pytest.raises(GrammarError) as got:
         ENTRY_POINTS[entry](grammar)
     assert (got.value.message, got.value.line, got.value.col) == \
@@ -411,8 +452,17 @@ def test_deeply_nested_hand_built_grammar_is_a_grammar_error(entry, shape):
     limit = sys.getrecursionlimit()
     parse(parse_grammar("start <- 'a' ;"), "a")
     assert sys.getrecursionlimit() == limit
-    with pytest.raises(GrammarError, match="^grammar nested too deeply$"):
-        ENTRY_POINTS[entry](Grammar({"start": NESTED[shape]()}, {}, "start"))
+    grammar = Grammar({"start": NESTED[shape]()}, {}, "start")
+    try:
+        ENTRY_POINTS[entry](grammar)
+        outcome = "returned"
+    except GrammarError as exc:
+        outcome = str(exc)
+    except Exception as exc:
+        # pytest's report of a raw error, thousands of frames over deep
+        # nodes, would take minutes
+        outcome = type(exc).__name__
+    assert outcome == "grammar nested too deeply"
     assert sys.getrecursionlimit() == limit
 
 
