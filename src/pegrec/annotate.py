@@ -43,6 +43,7 @@ from .model import (
     Throw,
     annotation_parts,
     desugar,
+    is_name,
     nesting_guard,
     render_expr,
     strip_labels,
@@ -293,9 +294,8 @@ def annotate(grammar: Grammar,
     nested too deeply to desugar or annotate is a GrammarError.
     """
     config = config or AnnotatorConfig()
-    # a name is a letter or "_" and then word characters, as dsl reads it
     p = config.label_prefix
-    if p and not (p.replace("_", "a").isalnum() and (p[0].isalpha() or p[0] == "_")):
+    if p and not is_name(p):
         raise GrammarError(f"label prefix {p!r} does not start a grammar name")
     worker = _Annotator(grammar, config)
     g = worker.grammar

@@ -14,6 +14,9 @@ in a lexical rule).  ``''`` is the empty expression.  ``//`` starts a
 comment.  An empty choice alternative is allowed and means empty.  A name
 starts with a letter or ``_`` and goes on with letters, digits and ``_``,
 in any script.  The reserved kind ``EOF`` matches end of input.
+``model`` states the operators with their spellings and levels
+(``OPERATORS``), the escape pairs (``ESCAPES``) and the names
+(``is_name``) once, for this reader and for ``serialize_grammar``.
 
 The parser scans each token with one ``re`` match: layout (blanks and
 comments, the token lexer's ``lexer.LAYOUT``), then a name, punctuation,
@@ -34,7 +37,10 @@ import re
 
 from .lexer import LAYOUT, line_col, line_starts, read_text
 from .model import (
-    And,
+    ESCAPES,
+    OPERATORS,
+    POSTFIX,
+    PREFIX,
     AnyToken,
     Annotated,
     CharClass,
@@ -45,14 +51,11 @@ from .model import (
     GrammarError,
     Literal,
     NonTerminal,
-    Not,
-    Optional,
-    Plus,
     Sequence,
-    Star,
     Terminal,
     Throw,
     is_lexical_name,
+    is_name,
     literal_kind,
     nesting_guard,
     validate,
@@ -61,20 +64,17 @@ from .model import (
 # One token after layout, named by the group that matches: a name, the
 # punctuation, a quoted literal (plain characters and escape pairs up to
 # the closing quote, which is missing when the literal is unterminated),
-# or the end of the text.  Python's \w is exactly str.isalnum() or "_"; a
-# name must start with a letter (str.isalpha()) or "_", which is checked
-# on its own for a "word" that does not start with an ASCII one.  No group
-# matches at a character that starts no token.  ``LAYOUT`` is possessive,
-# so a failed match cannot find a token inside a comment by giving back
-# part of it.
+# or the end of the text.  A name is a run of \w that ``is_name`` then
+# checks for its first character.  No group matches at a character that
+# starts no token.  ``LAYOUT`` is possessive, so a failed match cannot
+# find a token inside a comment by giving back part of it.
 _TOKEN = re.compile(
     LAYOUT.pattern
-    + r"""(?:(?P<name>[A-Za-z_]\w*)"""
+    + r"""(?:(?P<name>\w+)"""
     + r"""|(?P<punct><-|[/()+*?!&.;^\[\]%])"""
     + r"""|(?P<literal>'(?P<single>[^'\\\n]*(?:\\.[^'\\\n]*)*)(?P<end1>')?"""
     + r"""|"(?P<double>[^"\\\n]*(?:\\.[^"\\\n]*)*)(?P<end2>")?)"""
-    + r"""|(?P<eof>\Z)"""
-    + r"""|(?P<word>\w+))""", re.S)
+    + r"""|(?P<eof>\Z))""", re.S)
 # a character-class member: a character or an escape pair
 _CLASS_CHAR = r"[^\]\\\n]|\\."
 # the members up to the closing ']'; group 1 is missing when unterminated
@@ -82,17 +82,20 @@ _CLASS = re.compile(rf"(?:{_CLASS_CHAR})*(\])?", re.S)
 # one class item: a member, or a range of two
 _CLASS_ITEM = re.compile(rf"({_CLASS_CHAR})(?:-({_CLASS_CHAR}))?", re.S)
 _ESCAPE = re.compile(r"\\(.)", re.S)
-_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
+# the character each escape pair stands for, as ``model`` writes them
+_UNESCAPES = {pair[1]: c for c, pair in ESCAPES.items()}
 
-# the tokens that start a sequence item, and the postfix operators
-_SEQ_STARTERS = frozenset(("name", "literal", "(", "[", "!", "&", ".", "^"))
-_POSTFIX = {"*": Star, "+": Plus, "?": Optional}
+# the prefix and the postfix operators, as ``model`` spells them, and the
+# tokens that start a sequence item
+_PREFIX = {spelling: cls for cls, (spelling, level, _) in OPERATORS.items() if level == PREFIX}
+_POSTFIX = {spelling: cls for cls, (spelling, level, _) in OPERATORS.items() if level == POSTFIX}
+_SEQ_STARTERS = frozenset(("name", "literal", "(", "[", ".", "^", *_PREFIX))
 
 
 def _unescape(s: str) -> str:
     if "\\" not in s:
         return s
-    return _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), s)
+    return _ESCAPE.sub(lambda m: _UNESCAPES.get(m[1], m[1]), s)
 
 
 class _Parser:
@@ -108,7 +111,7 @@ class _Parser:
         self.end = 0
         self._starts: list[int] | None = None
         self.in_lexical = False
-        # is_lexical_name per name seen
+        # is_lexical_name per name seen, each checked by is_name once
         self._lexical: dict[str, bool] = {}
         self.advance()
 
@@ -142,8 +145,13 @@ class _Parser:
         if kind == "punct":
             self.kind = self.text = m[kind]
         elif kind == "name":
+            word = m[kind]
+            if word not in self._lexical:
+                if not is_name(word):
+                    raise self.error_at(f"unexpected character {word[0]!r}", self.pos)
+                self._lexical[word] = is_lexical_name(word)
             self.kind = kind
-            self.text = m[kind]
+            self.text = word
         elif kind == "literal":
             body, close = ((m["single"], m["end1"]) if m["single"] is not None
                            else (m["double"], m["end2"]))
@@ -151,15 +159,9 @@ class _Parser:
                 raise self._stop_error("unterminated literal", self.end)
             self.kind = kind
             self.text = _unescape(body)
-        elif kind == "eof":
+        else:
             self.kind = kind
             self.text = ""
-        else:
-            word = m[kind]
-            if not word[0].isalpha():
-                raise self.error_at(f"unexpected character {word[0]!r}", self.pos)
-            self.kind = "name"
-            self.text = word
 
     def scan_class(self) -> CharClass:
         """Called at a '[' token; consumes through the closing ']'.  The
@@ -187,12 +189,6 @@ class _Parser:
         text = self.text
         self.advance()
         return text
-
-    def is_lexical(self, name: str) -> bool:
-        lexical = self._lexical.get(name)
-        if lexical is None:
-            lexical = self._lexical[name] = is_lexical_name(name)
-        return lexical
 
     def parse_grammar(self) -> Grammar:
         start: str | None = None
@@ -226,7 +222,7 @@ class _Parser:
                     raise self.error_at(f"duplicate recovery rule {name}", name_pos)
                 recovery[name] = body
             else:
-                self.in_lexical = self.is_lexical(name)
+                self.in_lexical = self._lexical[name]
                 body = self.parse_choice()
                 target = lexical if self.in_lexical else rules
                 if name in rules or name in lexical:
@@ -264,12 +260,12 @@ class _Parser:
             pos = self.pos
             self.advance()
             if self.in_lexical:
-                if not self.is_lexical(name):
+                if not self._lexical[name]:
                     raise self.error_at(
                         f"lexical rules may only reference lexical rules, not {name!r}",
                         pos)
                 e = NonTerminal(name)
-            elif self.is_lexical(name):
+            elif self._lexical[name]:
                 e = Terminal(name)
             else:
                 e = NonTerminal(name)
@@ -282,12 +278,9 @@ class _Parser:
                 e = Literal(text)
             else:
                 e = Terminal(literal_kind(text))
-        elif kind == "!":
+        elif kind in _PREFIX:
             self.advance()
-            return Not(self.parse_prefix())
-        elif kind == "&":
-            self.advance()
-            return And(self.parse_prefix())
+            return _PREFIX[kind](self.parse_prefix())
         else:
             e = self.parse_atom()
         while True:

@@ -723,15 +723,12 @@ class _Matcher:
     def _result(self, e: Expr, out: list, ind: str, admitted: bool = False) -> None:
         """Code that matches e at pos and leaves its end or failure in r.
         ``admitted``: e is a terminal that the current kind is known to
-        be."""
+        be, as every caller knows a terminal other than ``EOF`` to be."""
         cls = e.__class__
         if cls is Terminal and e.kind == EOF_KIND:
             out.append(f"{ind}r = pos if kinds[pos] == 'EOF' else fail(s, pos)")
         elif admitted:
             out.append(f"{ind}acc.append(pos); r = pos + 1")
-        elif cls is Terminal:
-            out.append(f"{ind}if kinds[pos] == {e.kind!r}: acc.append(pos); r = pos + 1")
-            out.append(f"{ind}else: r = fail(s, pos)")
         elif cls is AnyToken:
             out.append(f"{ind}if kinds[pos] != 'EOF': acc.append(pos); r = pos + 1")
             out.append(f"{ind}else: r = fail(s, pos)")

@@ -95,7 +95,7 @@ def _regex(e: Expr, rules: dict[str, Expr]) -> str:
         return re.escape(e.text)
     if isinstance(e, CharClass):
         parts = [re.escape(lo) if lo == hi else f"{re.escape(lo)}-{re.escape(hi)}"
-                 for lo, hi in e.ranges if lo <= hi]
+                 for lo, hi in e.ranges]
         return f"[{''.join(parts)}]" if parts else "(?!)"
     if isinstance(e, AnyToken):
         return "(?s:.)"

@@ -17,6 +17,10 @@ are not checked again.  A grammar remembers that it is valid, its
 desugared form (``desugar``) and what is compiled from that, in fields of
 its own: do not mutate it after its first use.
 
+The grammar text is stated here once, for ``dsl``'s reader and for
+``serialize_grammar``: the operators (``OPERATORS``), the escape pairs
+(``ESCAPES``) and the names (``is_name``).
+
 Nodes are plain classes with ``__slots__`` on one base, ``FrozenRecord``:
 immutable, and with ``==``, ``hash`` and ``repr`` over the fields each
 class lists in ``_fields``.  All three run on explicit stacks, so they
@@ -283,6 +287,12 @@ def is_lexical_name(name: str) -> bool:
     return len(name) >= 2 and name.upper() == name and any(c.isalpha() for c in name)
 
 
+def is_name(text: str) -> bool:
+    """Whether grammar text can spell text as a name: a letter or "_", then
+    letters, digits and "_", in any script (``re``'s ``\\w``)."""
+    return (text[:1].isalpha() or text[:1] == "_") and text.replace("_", "a").isalnum()
+
+
 def is_literal_kind(kind: str) -> bool:
     return kind.startswith("'")
 
@@ -488,6 +498,10 @@ def _check_nodes(g: Grammar, where: str, nodes: list, lexical: bool) -> None:
                 and all(isinstance(pair, tuple) and len(pair) == 2 and all(
                     isinstance(c, str) and len(c) == 1 for c in pair) for pair in value)):
             raise GrammarError(f"{cls.__name__}.{field} in {where} must be {shape}")
+        if cls is CharClass:
+            for lo, hi in value:
+                if hi < lo:
+                    raise GrammarError(f"bad range {lo!r}-{hi!r} in {where}")
         if cls in banned:
             raise GrammarError(banned[cls].format(where))
         if cls is NonTerminal and value not in (g.lexical if lexical else g.rules):
@@ -824,9 +838,11 @@ def strip_labels(g: Grammar) -> Grammar:
 
 # --- serialization ----------------------------------------------------------
 
-_ESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", "\\": "\\\\"}
-_QUOTE_ESCAPES = str.maketrans(_ESCAPES | {"'": "\\'"})
-_CLASS_ESCAPES = str.maketrans(_ESCAPES | {c: "\\" + c for c in "]-["})
+# The grammar text's escape pairs, which ``dsl`` reads back; any other
+# character after a backslash stands for itself.
+ESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", "\\": "\\\\"}
+_QUOTE_ESCAPES = str.maketrans(ESCAPES | {"'": "\\'"})
+_CLASS_ESCAPES = str.maketrans(ESCAPES | {c: "\\" + c for c in "]-["})
 
 
 def _quote(text: str) -> str:
@@ -840,25 +856,25 @@ def _class_text(ranges: tuple[tuple[str, str], ...]) -> str:
                          for lo, hi in ranges) + "]"
 
 
-# Precedence levels: choice < sequence < prefix < postfix.
-_CHOICE, _SEQ, _PREFIX, _POSTFIX = 0, 1, 2, 3
-# the text before and after the body of each unary operator
-_UNARY_OPS = {Star: ("", "*"), Plus: ("", "+"), Optional: ("", "?"),
-              Not: ("!", ""), And: ("&", "")}
+# The grammar text's operators, which ``dsl`` reads back, loosest first:
+# each class's spelling, its level, and the level each operand needs to go
+# without parentheses (chains nest to the left; ``p**``, ``!!p``, ``!p*``).
+CHOICE, SEQUENCE, PREFIX, POSTFIX = range(4)
+OPERATORS = {Choice: (" / ", CHOICE, (CHOICE, SEQUENCE)),
+             Sequence: (" ", SEQUENCE, (SEQUENCE, PREFIX)),
+             Not: ("!", PREFIX, (PREFIX,)), And: ("&", PREFIX, (PREFIX,)),
+             Star: ("*", POSTFIX, (POSTFIX,)), Plus: ("+", POSTFIX, (POSTFIX,)),
+             Optional: ("?", POSTFIX, (POSTFIX,))}
 
 
-def render_expr(e: Expr, prec: int = _CHOICE) -> str:
-    parts = annotation_parts(e)
-    if parts is not None:
-        body, lab = parts
-        return f"[{render_expr(body)}]^{lab}"
+def render_expr(e: Expr, prec: int = CHOICE) -> str:
     cls = e.__class__
-    if cls is Empty:
-        return "''"
     if cls is Terminal:
         return _quote(e.kind[1:-1]) if is_literal_kind(e.kind) else e.kind
     if cls is NonTerminal:
         return e.name
+    if cls is Empty:
+        return "''"
     if cls is Throw:
         return f"^{e.label}"
     if cls is AnyToken:
@@ -867,23 +883,52 @@ def render_expr(e: Expr, prec: int = _CHOICE) -> str:
         return _quote(e.text)
     if cls is CharClass:
         return _class_text(e.ranges)
-    if cls is Sequence:
-        # left-associative: a left-nested chain prints flat and reparses
-        # to the same shape; right-nesting keeps explicit parens
-        text = f"{render_expr(e.left, _SEQ)} {render_expr(e.right, _PREFIX)}"
-        return f"({text})" if prec > _SEQ else text
-    if cls is Choice:
-        text = f"{render_expr(e.first, _CHOICE)} / {render_expr(e.second, _SEQ)}"
-        return f"({text})" if prec > _CHOICE else text
-    before, after = _UNARY_OPS[cls]
-    return f"{before}{render_expr(e.body, _POSTFIX + 1)}{after}"
+    parts = annotation_parts(e) if cls is Choice else None
+    if parts is not None:
+        body, lab = parts
+        return f"[{render_expr(body)}]^{lab}"
+    spelling, level, needs = OPERATORS[cls]
+    if level == PREFIX:
+        text = spelling + render_expr(e.body, needs[0])
+    elif level == POSTFIX:
+        text = render_expr(e.body, needs[0]) + spelling
+    else:
+        first, second = children(e)
+        text = render_expr(first, needs[0]) + spelling + render_expr(second, needs[1])
+    return f"({text})" if prec > level else text
+
+
+def _check_writable(g: Grammar) -> None:
+    """Raise GrammarError at a part of g that would not read back as itself:
+    a rule name or label that is not ``is_name`` (a named token kind is a
+    lexical rule's name), a literal kind that is not a quoted text, or an
+    empty literal.  Names are looked at first, rules in order and labels
+    sorted, then the literals in the order they are written."""
+    for what, names in (("rule name", [*g.rules, *g.lexical]), ("label", sorted(g.labels))):
+        for name in names:
+            if not is_name(name):
+                raise _unwritable(what, name)
+    for kind in g.literal_kinds:
+        if len(kind) < 3 or not kind.endswith("'"):
+            raise _unwritable("token kind", kind)
+    for body in g.lexical.values():
+        for node in _walk(body):
+            if node.__class__ is Literal and not node.text:
+                raise _unwritable("literal", node.text)
+
+
+def _unwritable(what: str, value: str) -> GrammarError:
+    return GrammarError(f"cannot write {what} {value!r} as grammar text")
 
 
 @nesting_guard()
 def serialize_grammar(g: Grammar) -> str:
-    """Canonical text form.  Annotation sites (p / ^l) print as [p]^l, so
-    annotated grammars diff cleanly.  A hand-built g is checked first."""
-    lines = [f"%start {checked(g).start} ;", ""]
+    """Canonical text form, which ``parse_grammar`` reads back as g.
+    Annotation sites (p / ^l) print as [p]^l, so annotated grammars diff
+    cleanly.  A hand-built g is checked first, and one that the text cannot
+    spell (``_check_writable``) is a GrammarError."""
+    _check_writable(checked(g))
+    lines = [f"%start {g.start} ;", ""]
     for name, body in g.rules.items():
         lines.append(f"{name} <- {render_expr(body)} ;")
     if g.lexical:

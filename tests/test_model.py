@@ -91,6 +91,12 @@ def test_render_round_trip_shapes():
         "AA ^boom BB",
         "''",
         ". .",
+        # a prefix operand of a postfix operator keeps its parentheses
+        "(!AA)* BB",
+        "(&AA)+ BB",
+        "(!AA)? BB",
+        "!AA* BB",
+        "AA** BB",
     ]
     for text in cases:
         g = parse_grammar(f"start <- {text} ;\nAA <- 'a' ;\nBB <- 'b' ;\nCC <- 'c' ;")
@@ -111,6 +117,34 @@ def test_serialize_round_trips_random_grammars():
     for seed in range(50):
         g = random_grammar(seed)
         assert grammar_eq(parse_grammar(serialize_grammar(g)), g), seed
+
+
+# valid grammars that the grammar text cannot spell: each would read back
+# as another grammar, or not at all
+UNWRITABLE = {
+    "rule-name-space": ({"x y": Terminal("'a'")}, {}, {}, "rule name 'x y'"),
+    "rule-name-empty": ({"": Terminal("'a'")}, {}, {}, "rule name ''"),
+    # a named token kind is a lexical rule's name
+    "token-kind-space": ({"start": Terminal("A A")}, {"A A": Literal("a")}, {},
+                         "rule name 'A A'"),
+    "label-space": ({"start": Annotated(Terminal("'a'"), "x y")}, {}, {"x y": Empty()},
+                    "label 'x y'"),
+    # once printed as '' (the empty expression) twice, and as 'a'
+    "literal-kind-quote": ({"start": Terminal("'")}, {}, {}, "token kind \"'\""),
+    "literal-kind-empty": ({"start": Terminal("''")}, {}, {}, "token kind \"''\""),
+    "literal-kind-open": ({"start": Terminal("'ab")}, {}, {}, "token kind \"'ab\""),
+    "literal-empty": ({"start": Terminal("AA")}, {"AA": Literal("")}, {}, "literal ''"),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE)
+def test_serialize_refuses_what_the_text_cannot_spell(case):
+    rules, lexical, recovery, part = UNWRITABLE[case]
+    g = Grammar(rules, lexical, next(iter(rules)), recovery)
+    validate(g)
+    with pytest.raises(GrammarError) as got:
+        serialize_grammar(g)
+    assert got.value.message == f"cannot write {part} as grammar text"
 
 
 def test_serialize_round_trips_literals_that_need_escapes():
@@ -369,6 +403,9 @@ INVALID_PARTS = {
                                         {"AA": CharClass((("ab", "c"),))}, {}),
     "lexical-charclass-pair": lambda: ({"start": Terminal("AA")},
                                        {"AA": CharClass((("a",),))}, {}),
+    # the DSL's "bad range"; once compiled silently to a class without it
+    "lexical-charclass-reversed": lambda: ({"start": Terminal("AA")},
+                                           {"AA": CharClass((("b", "a"),))}, {}),
     "lexical-rule-name": lambda: ({"start": Terminal("AA")},
                                   {"AA": Literal("a"), 3: Literal("b")}, {}),
     "recovery-foreign-node": lambda: ({"start": Annotated(Terminal("'a'"), "x")}, {},
