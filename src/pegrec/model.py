@@ -49,7 +49,7 @@ import _thread
 import copy
 import operator
 import sys
-from contextlib import contextmanager
+from contextlib import ContextDecorator
 
 FAIL = "fail"
 EOF_KIND = "EOF"
@@ -432,27 +432,39 @@ def annotation_parts(e: Expr) -> tuple[Expr, str] | None:
 
 # --- validation -------------------------------------------------------------
 
-@contextmanager
-def nesting_guard(message: str = "grammar nested too deeply"):
+class nesting_guard(ContextDecorator):
     """Run the body at a recursion limit of at least ``STACK_BUDGET``, and
-    raise a RecursionError inside as GrammarError(message).  The first
-    guarded call in flight, in any thread, raises a lower limit and the
-    last to leave restores it; other threads see the raise meanwhile."""
-    global _calls_in_flight, _limit_found
-    with _lock:
-        if not _calls_in_flight:
-            _limit_found = sys.getrecursionlimit()
-            sys.setrecursionlimit(max(_limit_found, STACK_BUDGET))
-        _calls_in_flight += 1
-    try:
-        yield
-    except RecursionError:
-        raise GrammarError(message) from None
-    finally:
-        with _lock:
+    raise a RecursionError inside as GrammarError(message); as a decorator,
+    each call of the function runs so.  The first guarded call in flight,
+    in any thread, raises a lower limit and the last to leave restores it;
+    other threads see the raise meanwhile.  A guard keeps no state of its
+    own, so one instance serves any number of calls at once."""
+
+    def __init__(self, message: str = "grammar nested too deeply"):
+        self.message = message
+
+    def __enter__(self) -> None:
+        global _calls_in_flight, _limit_found
+        _lock.acquire()
+        try:
+            if not _calls_in_flight:
+                _limit_found = sys.getrecursionlimit()
+                sys.setrecursionlimit(max(_limit_found, STACK_BUDGET))
+            _calls_in_flight += 1
+        finally:
+            _lock.release()
+
+    def __exit__(self, kind, value, traceback) -> None:
+        global _calls_in_flight
+        _lock.acquire()
+        try:
             _calls_in_flight -= 1
             if not _calls_in_flight:
                 sys.setrecursionlimit(_limit_found)
+        finally:
+            _lock.release()
+        if isinstance(value, RecursionError):
+            raise GrammarError(self.message) from None
 
 
 def checked(g: Grammar) -> Grammar:

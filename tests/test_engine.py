@@ -1,3 +1,4 @@
+import copy
 import functools
 import gc
 import itertools
@@ -518,9 +519,62 @@ def test_rule_node_spans_cover_their_children(grammar_dir, tiny_java):
                 continue
             assert node["span"] == [children[0]["span"][0], children[-1]["span"][1]]
             if len(children) == 1:
-                assert node["span"] == children[0]["span"]
+                assert node["span"] is children[0]["span"]
                 unary += 1
     assert unary > 50
+
+
+def _shared_containers(nodes: list[dict]) -> tuple[int, int]:
+    """The distinct span lists and distinct children lists of the nodes,
+    against what a tree that shares only one-child rules' spans has."""
+    rules = [node for node in nodes if "rule" in node]
+    one_child = sum(len(node["children"]) == 1 for node in rules)
+    assert len({id(node) for node in nodes}) == len(nodes)
+    assert len({id(node["span"]) for node in nodes}) == len(nodes) - one_child
+    assert len({id(node["children"]) for node in rules}) == len(rules)
+    return one_child
+
+
+def test_a_tree_shares_nothing_but_one_child_rules_spans(grammar_dir, tiny_java):
+    assert sum(_shared_containers(_preorder(tree_to_json(outcome.tree)))
+               for _, outcome in _parsed_sessions(grammar_dir, tiny_java)) > 50
+
+
+@pytest.mark.parametrize("grammar, text, at", [
+    ("start <- AA part CC ;\npart <- [BB]^miss ;\n%recovery\nmiss <- (!CC .)* ;",
+     "a x c", 2),
+    ("start <- wrap AA ;\nwrap <- opt ;\nopt <- BB? ;", "a", 1),
+], ids=["error-node", "empty-rule"])
+def test_a_one_child_rule_shares_any_only_child_s_span(grammar, text, at):
+    # at: the one-child rule's place in preorder, just before its child
+    nodes = _preorder(tree_to_json(parse(g(grammar), text).tree))
+    assert _shared_containers(nodes) == 1
+    parent, child = nodes[at:at + 2]
+    assert "error" in child or child["children"] == []
+    assert parent["children"] == [child] and parent["span"] is child["span"]
+
+
+def test_a_match_result_shares_one_child_rules_spans():
+    result = match(g("start <- wrap ;\nwrap <- AA ;"), NonTerminal("start"), "a b")
+    [start] = result.children
+    nodes = _preorder(start)
+    assert [node.get("rule", node.get("token")) for node in nodes] == ["start", "wrap", "AA"]
+    assert _shared_containers(nodes) == 2
+    assert start["span"] is nodes[1]["span"] is nodes[2]["span"] == [0, 1]
+
+
+def test_editing_a_json_copy_of_a_tree_leaves_the_tree_alone():
+    tree = tree_to_json(parse(g("start <- wrap BB ;\nwrap <- AA ;"), "a b").tree)
+    text = json.dumps(tree)
+    unshared = json.loads(text)
+    unshared["children"][0]["span"][1] = 7
+    unshared["children"][0]["children"].clear()
+    assert json.dumps(tree) == text
+    assert unshared["children"][0]["children"] == [] and tree["children"][0]["children"]
+    assert unshared["children"][0]["span"] == [0, 7]
+    # copy.deepcopy keeps the sharing of the tree it copies
+    deep = copy.deepcopy(tree)
+    assert deep == tree and deep["children"][0]["span"] is deep["children"][0]["children"][0]["span"]
 
 
 # --- expressions given to match -------------------------------------------------

@@ -633,6 +633,57 @@ def test_two_threads_share_the_stack_budget():
     assert out["short"] > 0
 
 
+_GUARDS_IN_THREADS = """
+import json, sys, threading, time
+from pegrec import model
+limit = sys.getrecursionlimit()
+get_limit, set_limit = sys.getrecursionlimit, sys.setrecursionlimit
+
+def yielding(f):
+    # let another thread run between a guard's test of the count and its
+    # reading or setting of the limit
+    def call(*args):
+        time.sleep(0)
+        return f(*args)
+    return call
+
+sys.getrecursionlimit, sys.setrecursionlimit = yielding(get_limit), yielding(set_limit)
+sys.setswitchinterval(1e-6)
+low = []
+
+@model.nesting_guard()
+def guarded(depth):
+    # nested guards, as a pegrec call that calls another has
+    if get_limit() < model.STACK_BUDGET:
+        low.append(depth)
+    if depth:
+        with model.nesting_guard():
+            guarded(depth - 1)
+
+def calls():
+    for _ in range(500):
+        guarded(1)
+
+threads = [threading.Thread(target=calls, daemon=True) for _ in range(3)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+print(json.dumps({"alive": [t.is_alive() for t in threads], "low": len(low),
+                  "in_flight": model._calls_in_flight, "restored": get_limit() == limit}))
+"""
+
+
+def test_guards_in_more_threads_than_cores_keep_the_count():
+    # with no lock round the count of calls in flight, two calls that both
+    # found none raised the limit in turn, and the last to leave restored
+    # the raised one
+    done = run_fresh(_GUARDS_IN_THREADS)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"alive": [False] * 3, "low": 0, "in_flight": 0,
+                                       "restored": True}
+
+
 def test_hand_built_desugared_grammar_collects_its_literal_kinds():
     g = Grammar({"start": Terminal("'x'")}, {}, "start")
     assert parse(g, "x").ok

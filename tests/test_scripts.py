@@ -69,3 +69,21 @@ def test_make_mutants_skips_a_broken_source_and_mutates_a_clean_one(
     for stem in stems:
         assert (out / f"{stem}.ok").read_text() == text
         assert not parse(annotated, (out / f"{stem}.bad").read_text()).ok
+
+
+def test_bench_tree_json_splits_one_small_file(tmp_path):
+    out = tmp_path / "bench.json"
+    done = run_script("bench_tree_json.py", "--files", "1", "--rounds", "1", "-o", str(out))
+    assert (done.returncode, done.stderr) == (0, "")
+    data = json.loads(out.read_text())
+    assert data["rounds"] == 1 and len(data["per_round"]) == 1
+    assert set(data["median_ms_per_round"]) == {
+        "Session", "parse", "tree_to_json", "tree_to_json_text", "tree_to_json_gc_off"}
+    assert data["machine"]["python"].split()[1] == ".".join(map(str, sys.version_info[:3]))
+    [(name, shapes)] = data["files"].items()
+    assert name == "1k_00" and shapes["tokens"] == shapes["token"] == data["tokens_per_round"]
+    rules = shapes["rule_one_child"] + shapes["rule_more_children"] + shapes["rule_empty"]
+    assert shapes["nodes"] == shapes["token"] + shapes["error"] + rules
+    # a dict per node, a span list per node but a one-child rule's, a
+    # children list per rule
+    assert shapes["containers"] == 2 * shapes["nodes"] - shapes["rule_one_child"] + rules
