@@ -2,7 +2,7 @@
 """Split the time of ``pegrec parse --json`` on clean tiny-Java files by step.
 
 Builds the files of pegbench's clean_files workload (12 of about 1k tokens,
-4 of 10k and 1 of 40k, from ``pegbench/gen.py`` with ``random.Random(seed)``)
+4 of 10k and 1 of 40k, from ``pegbench/gen.py`` with ``random.Random(SEED)``)
 and times, per file, ``Session`` (lexing), ``parse``, ``tree_to_json`` and
 ``tree_to_json_text`` with the cyclic collector on and ``gc.freeze()``
 before each step, as ``pegbench/run.py`` does before each operation;
@@ -39,6 +39,8 @@ sys.path.insert(0, str(ROOT / "pegbench"))
 import gen  # noqa: E402  (the benchmark's generator, read-only)
 from pegrec import load_grammar, load_messages  # noqa: E402
 from pegrec.engine import Session, tree_to_json, tree_to_json_text  # noqa: E402
+
+SEED = 1  # the generator's seed: pegbench/run.py's default --seed
 
 CLASSES = (("1k", 1000, 12), ("10k", 10000, 4), ("40k", 40000, 1))
 STEPS = ("Session", "parse", "tree_to_json", "tree_to_json_text",
@@ -94,7 +96,6 @@ def shapes(tree: dict) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--files", type=int, default=sum(c for _, _, c in CLASSES),
                         help="time only the first N files (default: all 17)")
     parser.add_argument("--rounds", type=int, default=7)
@@ -107,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("ignore")
         messages = load_messages(str(ROOT / "grammars" / "tiny_java_messages.json"),
                                  grammar)
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     # the first N files of the full set: the generator draws them in order
     files = [(f"{cls}_{i:02}", gen.program(gen.BASE, rng, size))
              for cls, size, i in islice(((cls, size, i) for cls, size, count in CLASSES
@@ -175,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
                 "and tree_to_json_text, collector on, gc.freeze() before each step; "
                 "tree_to_json_gc_off is tree_to_json again with the collector off",
         "machine": machine(),
-        "seed": args.seed,
+        "seed": SEED,
         "rounds": args.rounds,
         "tokens_per_round": sum(f["tokens"] for f in per_file.values()),
         "median_ms_per_round": {k: round(median(r["ms"][k] for r in rounds), 2)

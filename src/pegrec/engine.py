@@ -221,19 +221,6 @@ def tree_to_json(tree: Tree) -> dict:
     return _json_nodes(tree)[0]
 
 
-class _Openers(dict):
-    """``fmt % json.dumps(key)`` per key, made on first lookup."""
-
-    __slots__ = ("fmt",)
-
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-
-    def __missing__(self, key) -> str:
-        found = self[key] = self.fmt % json.dumps(key)
-        return found
-
-
 def tree_to_json_text(tree: Tree) -> str:
     """``json.dumps(tree_to_json(tree), separators=(",", ":"))``, written
     backwards in one pass over the rows from the root down and right to
@@ -245,8 +232,8 @@ def tree_to_json_text(tree: Tree) -> str:
     rows, kinds, spans, names, nodes = tree.rows, tree.kinds, tree.spans, tree.names, tree.error_nodes
     n, shift = len(names), tree.shift
     mask = (1 << shift) - 1
-    token_open = _Openers('{"token":%s,"span":[')
-    rule_open = _Openers('{"rule":%s,"span":[')
+    rule_open = ['{"rule":%s,"span":[' % json.dumps(s) for s in names]
+    token_open: dict = {}  # the same per token kind, made on first use
     out: list[str] = []
     # [first row, close row, end] per open rule; the last pending lack end
     opened: list[list[int]] = []
@@ -257,7 +244,11 @@ def tree_to_json_text(tree: Tree) -> str:
         x = rows[i]
         if x >= 0:
             start, end = spans[x]
-            out.append(f"{token_open[kinds[x]]}{start},{end}]}}")
+            kind = kinds[x]
+            opener = token_open.get(kind)
+            if opener is None:
+                opener = token_open[kind] = '{"token":%s,"span":[' % json.dumps(kind)
+            out.append(f"{opener}{start},{end}]}}")
         else:
             c = ~x
             code = c & mask
@@ -268,7 +259,7 @@ def tree_to_json_text(tree: Tree) -> str:
                 continue
             if code < 2 * n:
                 start = end = _anchor(tree, c >> shift)
-                out.append(f'{rule_open[names[code - n]]}{start},{end}],"children":[]}}')
+                out.append(f'{rule_open[code - n]}{start},{end}],"children":[]}}')
             else:
                 node = nodes[c >> shift]
                 start, end = node.span
@@ -279,7 +270,7 @@ def tree_to_json_text(tree: Tree) -> str:
             pending -= 1
         while opened and opened[-1][0] == i:
             _, last, stop = opened.pop()
-            out.append(f'{rule_open[names[~rows[last] & mask]]}{start},{stop}],"children":[')
+            out.append(f'{rule_open[~rows[last] & mask]}{start},{stop}],"children":[')
     out.reverse()
     return "".join(out)
 

@@ -524,9 +524,9 @@ def test_rule_node_spans_cover_their_children(grammar_dir, tiny_java):
     assert unary > 50
 
 
-def _shared_containers(nodes: list[dict]) -> tuple[int, int]:
-    """The distinct span lists and distinct children lists of the nodes,
-    against what a tree that shares only one-child rules' spans has."""
+def _shared_containers(nodes: list[dict]) -> int:
+    """Checks that the nodes share no dict or children list and no span
+    list but a one-child rule's; returns the count of one-child rules."""
     rules = [node for node in nodes if "rule" in node]
     one_child = sum(len(node["children"]) == 1 for node in rules)
     assert len({id(node) for node in nodes}) == len(nodes)
