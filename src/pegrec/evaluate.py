@@ -215,19 +215,23 @@ def token_spans(grammar: Grammar, text: str) -> list[tuple[int, int]]:
     return TokenStream(grammar, text).spans
 
 
-def delete_token(grammar: Grammar, text: str, index: int) -> Mutant:
+def _token_span(grammar: Grammar, text: str, index: int) -> tuple[int, int]:
+    """The span of token index of text; an index out of range is a ValueError."""
     if index < 0:
         raise ValueError(f"negative token index {index}")
     spans = token_spans(grammar, text)
-    s, e = spans[index]
+    if index >= len(spans):
+        raise ValueError(f"token index {index} is past the last of {len(spans)} tokens")
+    return spans[index]
+
+
+def delete_token(grammar: Grammar, text: str, index: int) -> Mutant:
+    s, e = _token_span(grammar, text, index)
     # a space keeps the neighbors from fusing into one token
     return Mutant(text[:s] + " " + text[e:], "delete", index, text[s:e])
 
 
 def duplicate_token(grammar: Grammar, text: str, index: int) -> Mutant:
-    if index < 0:
-        raise ValueError(f"negative token index {index}")
-    spans = token_spans(grammar, text)
-    s, e = spans[index]
+    s, e = _token_span(grammar, text, index)
     return Mutant(text[:e] + " " + text[s:e] + text[e:],
                   "duplicate", index, text[s:e])

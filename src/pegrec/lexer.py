@@ -17,9 +17,37 @@ backtracks into an ordered choice or a repetition, so both are atomic: a
 choice becomes the atomic group ``(?>a|b)``, ``p*`` the possessive
 ``(?:p)*+`` and ``p+`` (desugared to ``p p*``) ``(?:p)++``.  ``!p``
 becomes ``(?!p)`` and a rule reference is inlined, which ends because no
-lexical rule reaches itself (``model.validate``).  A table filled lazily
-per character lists the rules whose FIRST set (``model.First`` over
-character ranges) holds that character, so each position tries only those.
+lexical rule reaches itself (``model.validate``).
+
+The candidates for a character are the rules whose FIRST set
+(``model.First`` over character ranges) holds it.  A plan per character,
+made on first sight of it, lexes a token with one ``re`` call where it
+can: the characters with the same candidates share one group pattern
+``(?:(A1)|(A2)|...|(.))`` followed by the layout, so a match gives the
+kind (``lastindex``), the token's span, and where the next token starts.
+``re`` takes the first alternative that matches, so the alternatives are
+ordered to make that the token the longest-match rule picks.  A literal
+text that two rules share is kept by the earlier one; the later can never
+win.  A group gets one pattern when
+
+(a) all its candidates are literals: longest first;
+(b) it has no literal and one other rule, which cannot match empty: that
+    rule alone (a rule that can keeps the loop, which ignores a zero-width
+    match);
+(c) besides literals, it has one other rule N, a run ``C0 C1*`` of two
+    character classes (``C+`` is ``C C*``).  A literal K is covered
+    by N when K[0] is in C0 and every later character of K in C1: where K
+    matches, N matches at least as much, so K wins only when N's match is
+    K's text and K is declared before N.  Those Ks make a table from text
+    to kind, read after N matches; a covered K declared after N never
+    wins and is dropped.  N stops inside an uncovered literal, which so
+    wins wherever it matches: those come before N, longest first.
+
+The last alternative, one character of no kind, matches where nothing
+else does.  Any other group keeps a loop that tries each candidate and
+takes the longest match, the earlier on a tie, ignoring a zero-width one;
+each candidate's pattern also ends in the layout, so the winner's match
+gives the next position.
 """
 
 from __future__ import annotations
@@ -131,30 +159,95 @@ def _first_chars(e: Expr) -> TokenSet:
     return EPSILON_ONLY
 
 
+def _run(e: Expr) -> tuple[tuple, tuple] | None:
+    """The ranges of C0 and C1 when e is a run ``C0 C1*`` of two character
+    classes (``C+`` desugars to ``C C*``); otherwise None."""
+    if e.__class__ is Sequence and e.left.__class__ is CharClass:
+        star = e.right
+        if star.__class__ is Star and star.body.__class__ is CharClass:
+            return e.left.ranges, star.body.ranges
+    return None
+
+
+def _within(ch: str, ranges) -> bool:
+    return any(lo <= ch <= hi for lo, hi in ranges)
+
+
+# the last alternative of a group pattern: a character that no rule
+# starts, or no rule matches at, is a token of no kind
+_STRAY = "((?s:.))"
+_stray_token = re.compile(_STRAY + LAYOUT.pattern).match
+
+
 class _Lexer:
-    """The compiled lexical rules of one grammar."""
+    """The lexical rules of one grammar, and the plan for each first
+    character seen so far, a tuple ``(match, kinds, keyed, table)``.  A
+    group pattern's ``match`` never fails: alternative i matched names
+    ``kinds[i]``, unless i is ``keyed`` and the text it matched is in
+    ``table``.  The loop has ``match`` None and ``kinds`` the candidates
+    as ``(kind, match)`` pairs."""
 
     def __init__(self, g: Grammar):
         # token kinds in priority order: named rules as declared (already
         # desugared), then literal kinds, which no rule can refer to
         rules = dict(g.lexical)
         rules.update((kind, Literal(kind[1:-1])) for kind in g.literal_kinds)
-        first = First(rules, _first_chars).rules
+        self._rules = rules
+        self._first = First(rules, _first_chars).rules
         self.sources: dict[str, str] = {
             kind: _regex(NonTerminal(kind), rules) for kind in rules}
-        self._rules = [(kind, re.compile(source).match, first[kind].kinds)
-                       for kind, source in self.sources.items()]
         self.by_char: dict[str, tuple] = {}
+        # the candidate kinds of a character -> its plan
+        self._plans: dict[tuple[str, ...], tuple] = {}
 
-    def candidates(self, ch: str) -> tuple:
-        """(kind, match) for each rule that can start with ch, in priority
-        order."""
-        found = self.by_char.get(ch)
+    @nesting_guard()
+    def plan(self, ch: str) -> tuple:
+        """The plan for a token that starts with ch; compiling a pattern
+        recurses once per level of a rule's nesting."""
+        group = tuple(kind for kind, f in self._first.items() if _within(ch, f.kinds))
+        found = self._plans.get(group)
         if found is None:
-            found = self.by_char[ch] = tuple(
-                (kind, fn) for kind, fn, ranges in self._rules
-                if any(lo <= ch <= hi for lo, hi in ranges))
+            found = self._plans[group] = self._group_plan(group)
+        self.by_char[ch] = found
         return found
+
+    def _group_plan(self, group: tuple[str, ...]) -> tuple:
+        rules, rank = self._rules, list(self._rules).index
+        texts: dict[str, str] = {}  # literal text -> its earliest kind
+        others = []
+        for kind in group:
+            if rules[kind].__class__ is Literal:
+                texts.setdefault(rules[kind].text, kind)
+            else:
+                others.append(kind)
+        # longest first, so that re's first match is the longest
+        literals = sorted(texts.items(), key=lambda item: -len(item[0]))
+        table: dict[str, str] = {}
+        if others:
+            name = others[0]
+            run = _run(rules[name])
+            if len(others) > 1 or (literals and run is None) or self._first[name].has_epsilon:
+                return None, tuple(
+                    (kind, re.compile(f"({self.sources[kind]}){LAYOUT.pattern}").match)
+                    for kind in group), 0, None
+            if run is not None:
+                # rule (c): where a covered literal matches, the run matches
+                # at least as much, so it wins only on a tie
+                c0, c1 = run
+                uncovered = []
+                for text, kind in literals:
+                    if _within(text[0], c0) and all(_within(c, c1) for c in text[1:]):
+                        if rank(kind) < rank(name):
+                            table[text] = kind
+                    else:
+                        uncovered.append((text, kind))
+                literals = uncovered
+        alts = [(re.escape(text), kind) for text, kind in literals]
+        alts += [(self.sources[kind], kind) for kind in others]
+        source = "".join(f"({s})|" for s, _ in alts)
+        return (re.compile(f"(?:{source}{_STRAY}){LAYOUT.pattern}").match,
+                (None, *(kind for _, kind in alts), None),
+                len(alts) if table else 0, table)
 
 
 def _lexer(grammar: Grammar) -> _Lexer:
@@ -163,6 +256,19 @@ def _lexer(grammar: Grammar) -> _Lexer:
         with nesting_guard():
             g._lexer = _Lexer(g)
     return g._lexer
+
+
+def _longest(candidates: tuple, text: str, pos: int) -> tuple[str | None, int, int]:
+    """(kind, end, next) of the longest match among candidates, the
+    earlier on a tie; a zero-width match does not count."""
+    kind, end, after = None, pos, 0
+    for k, match in candidates:
+        m = match(text, pos)
+        if m is not None and m.end(1) > end:
+            kind, end, after = k, m.end(1), m.end()
+    if kind is None:
+        return None, pos + 1, _stray_token(text, pos).end()
+    return kind, end, after
 
 
 class TokenStream:
@@ -182,29 +288,26 @@ class TokenStream:
         kinds, spans = self.kinds, self.spans
         lexer = _lexer(grammar)
         by_char = lexer.by_char
-        candidates = lexer.candidates
-        skip = LAYOUT.match
+        plan = lexer.plan
         n = len(text)
-        pos = skip(text, 0).end()
+        pos = LAYOUT.match(text, 0).end()
         while pos < n:
-            ch = text[pos]
-            cands = by_char.get(ch)
-            if cands is None:
-                cands = candidates(ch)
-            kind = None
-            end = pos
-            for k, match in cands:
+            match, names, keyed, table = by_char.get(text[pos]) or plan(text[pos])
+            if match is not None:
+                # one call: the token, then the layout after it
                 m = match(text, pos)
-                if m is not None:
-                    e = m.end()
-                    if e > end:
-                        kind, end = k, e
-            if kind is None:
-                # a stray character: a one-char token of no kind
-                end = pos + 1
-            kinds.append(kind)
-            spans.append((pos, end))
-            pos = skip(text, end).end()
+                i = m.lastindex
+                kind = names[i]
+                if i == keyed:
+                    kind = table.get(m.group(i), kind)
+                kinds.append(kind)
+                spans.append(m.span(i))
+                pos = m.end()
+            else:
+                kind, end, after = _longest(names, text, pos)
+                kinds.append(kind)
+                spans.append((pos, end))
+                pos = after
 
     def token(self, i: int) -> Token | None:
         """i-th token, or None at/after end of input; a negative i is a ValueError."""

@@ -55,6 +55,8 @@ FAIL = "fail"
 EOF_KIND = "EOF"
 STACK_BUDGET = 20000  # frames; the matcher takes about six per nesting level
 _lock, _calls_in_flight, _limit_found = _thread.allocate_lock(), 0, 0
+# the limit found could not be restored where the last call left
+_restore_pending = False
 
 
 class GrammarError(Exception):
@@ -437,30 +439,43 @@ class nesting_guard(ContextDecorator):
     raise a RecursionError inside as GrammarError(message); as a decorator,
     each call of the function runs so.  The first guarded call in flight,
     in any thread, raises a lower limit and the last to leave restores it;
-    other threads see the raise meanwhile.  A guard keeps no state of its
-    own, so one instance serves any number of calls at once."""
+    other threads see the raise meanwhile.  When the last call to leave
+    is deeper in its thread's stack than the limit found allows, it does
+    not raise: the restore waits for the next guarded call to leave from
+    a frame where it can, and a call entered meanwhile does not take the
+    raised limit for the caller's.  A guard keeps no state of its own, so
+    one instance serves any number of calls at once."""
 
     def __init__(self, message: str = "grammar nested too deeply"):
         self.message = message
 
     def __enter__(self) -> None:
-        global _calls_in_flight, _limit_found
+        global _calls_in_flight, _limit_found, _restore_pending
         _lock.acquire()
         try:
             if not _calls_in_flight:
-                _limit_found = sys.getrecursionlimit()
+                limit = sys.getrecursionlimit()
+                # unless the caller has set a limit since, the one found
+                # before is still to be restored
+                if not (_restore_pending and limit == max(_limit_found, STACK_BUDGET)):
+                    _limit_found = limit
+                _restore_pending = False
                 sys.setrecursionlimit(max(_limit_found, STACK_BUDGET))
             _calls_in_flight += 1
         finally:
             _lock.release()
 
     def __exit__(self, kind, value, traceback) -> None:
-        global _calls_in_flight
+        global _calls_in_flight, _restore_pending
         _lock.acquire()
         try:
             _calls_in_flight -= 1
             if not _calls_in_flight:
-                sys.setrecursionlimit(_limit_found)
+                try:
+                    sys.setrecursionlimit(_limit_found)
+                except RecursionError:
+                    # this frame is deeper than that limit allows
+                    _restore_pending = True
         finally:
             _lock.release()
         if isinstance(value, RecursionError):

@@ -10,12 +10,14 @@ reference_guard for the matcher's guards, reference_follow for FOLLOW
 sets, and json_structural_eq for ``ast_structural_eq`` on the dicts of
 ``tree_to_json``.  The generators produce random grammars (acyclic by
 construction: each rule only references later ones) and random valid
-programs for the miniature Java grammar.  run_fresh runs a script in a
-new Python process, which starts at the default recursion limit.
+programs for the miniature Java grammar, and pegbench_gen loads the
+benchmark's own program generator.  run_fresh runs a script in a new
+Python process, which starts at the default recursion limit.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 import subprocess
@@ -607,3 +609,17 @@ def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", script, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def pegbench_gen():
+    """The module ``pegbench/gen.py``, which builds tiny-Java programs
+    from their derivations; loaded once, read-only."""
+    name = "pegbench_gen"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "pegbench" / "gen.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses look the module up while the class is built
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]

@@ -367,7 +367,17 @@ def test_duplicate_token(tiny_java):
 
 
 @pytest.mark.parametrize("mutate", [delete_token, duplicate_token])
-def test_a_negative_token_index_is_a_value_error(tiny_java, mutate):
+@pytest.mark.parametrize("text, index, message", [
     # it once counted from the end and recorded token_index -1
-    with pytest.raises(ValueError, match="^negative token index -1$"):
-        mutate(tiny_java, "int x ;", -1)
+    pytest.param("int x ;", -1, "^negative token index -1$", id="negative"),
+    # past the end was a raw IndexError from the token spans
+    pytest.param("public class", 2, "^token index 2 is past the last of 2 tokens$",
+                 id="at_the_end"),
+    pytest.param("public class", 5, "^token index 5 is past the last of 2 tokens$",
+                 id="past_the_end"),
+    pytest.param("", 0, "^token index 0 is past the last of 0 tokens$", id="no_tokens"),
+])
+def test_a_negative_token_index_is_a_value_error(tiny_java, mutate, text, index, message):
+    with pytest.raises(ValueError, match=message):
+        mutate(tiny_java, text, index)
+    assert mutate(tiny_java, "public class", 1).token_text == "class"

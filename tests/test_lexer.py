@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from pegrec.model import (
     validate,
 )
 
-from helpers import count_first_calls, naive_tokenize, random_program
+from helpers import count_first_calls, naive_tokenize, pegbench_gen, random_program
 
 
 def toks(grammar, text):
@@ -275,12 +276,105 @@ def _lexical(rules: str):
 # a rule reference inside a predicate, and p+ with a nullable p
 @example(_lexical("RA <- !RB . ;\nRB <- '(' 'a'* ')' ;"), "(a) )( (")
 @example(_lexical("RA <- ('a' 'b'? / '')+ 'b' ;"), "aab ab b")
+# literals beside a run, declared before and after it, one the run does
+# not cover, two with one text, and two runs with a first character in
+# common
+@example(_lexical("RA <- 'ab' ;\nRB <- [a-b][a-b]* ;\nRC <- 'ba' ;\nRD <- 'a-b' ;"),
+         "ab abb ba bab a-b a-bb a- a")
+@example(_lexical("RA <- 'b' ;\nRB <- [ab]+ ;\nRC <- 'b' ;\nRD <- 'a' ;"), "b bb a ab")
+@example(_lexical("RA <- [a-b]+ ;\nRB <- 'a' [a\\-]* ;\nRC <- 'ab' ;"), "a ab a-a aab")
 def test_lexer_agrees_with_naive_reference(grammar, text):
     stream = TokenStream(grammar, text)
     got = []
     while (t := stream.token(len(got))) is not None:
         got.append((t.kind, t.text, t.start))
     assert got == naive_tokenize(grammar, text)
+
+
+# --- the plan: one pattern per group of first characters ---------------------
+
+def _char_class(draw) -> CharClass:
+    chars = st.sampled_from("-ab")
+    ranges = tuple(tuple(sorted((draw(chars), draw(chars))))
+                   for _ in range(draw(st.integers(1, 2))))
+    return CharClass(ranges)
+
+
+@st.composite
+def run_grammars(draw):
+    """Literals over 'ab-' beside runs ``C0 C1*`` and ``C+`` of classes
+    over 'ab-', declared in any order, then anonymous literal kinds: the
+    shapes for which the lexer writes a keyword table, drops a literal
+    that never wins, or keeps its loop."""
+    texts = st.text(alphabet="ab-", min_size=1, max_size=3)
+    lexical = {}
+    for name in ["RA", "RB", "RC", "RD", "RE"][:draw(st.integers(1, 5))]:
+        shape = draw(st.sampled_from(["literal", "literal", "run", "plus"]))
+        if shape == "literal":
+            lexical[name] = Literal(draw(texts))
+        elif shape == "run":
+            lexical[name] = Sequence(_char_class(draw), Star(_char_class(draw)))
+        else:
+            lexical[name] = Plus(_char_class(draw))
+    start = AnyToken()
+    for text in draw(st.lists(texts, max_size=3, unique=True)):
+        start = Choice(Terminal(literal_kind(text)), start)
+    return validate(Grammar(rules={"start": Star(start)}, lexical=lexical,
+                            start="start"))
+
+
+@given(run_grammars(), st.text(alphabet="aab-- c", max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_lexer_plan_agrees_with_naive_reference(grammar, text):
+    stream = TokenStream(grammar, text)
+    assert [(kind, text[start:end], start)
+            for kind, (start, end) in zip(stream.kinds, stream.spans)] == \
+        naive_tokenize(grammar, text)
+
+
+def _takes_the_loop(grammar, ch: str) -> bool:
+    return _lexer(grammar).plan(ch)[0] is None
+
+
+def test_the_plan_keeps_the_loop_only_where_no_rule_applies():
+    # (a) literals only; (b) one rule that cannot match empty; (c) one run
+    # beside literals
+    g = _lexical("RA <- 'ab' ;\nRB <- [a-b][a-b]* ;\nRC <- 'ba' ;\nRD <- 'a-b' ;\n"
+                 "RE <- '-' / '--' ;\nRF <- [0-9]+ ;\nRG <- '==' ;\nRH <- '=' ;")
+    assert not any(_takes_the_loop(g, ch) for ch in "ab-0=@")
+    # two rules that are not literals, a rule that is no run beside a
+    # literal, a rule that can match empty
+    for rules in ("RA <- [a-b]+ ;\nRB <- 'a' [a\\-]* ;",
+                  "RA <- 'a' ;\nRB <- 'a' ('b' / 'c') ;",
+                  "RA <- 'a'* ;"):
+        assert _takes_the_loop(_lexical(rules), "a")
+    # a covered literal declared before the run is looked up in the table;
+    # one declared after it never wins and is dropped
+    g = _lexical("RA <- 'ab' ;\nRB <- [ab]+ ;\nRC <- 'ba' ;")
+    assert _lexer(g).plan("a")[1:] == ((None, "RB", None), 1, {"ab": "RA"})
+    assert _lexer(g).plan("b")[1:] == ((None, "RB", None), 0, {})
+    assert toks(g, "ab ba abb") == [("RA", "ab"), ("RB", "ba"), ("RB", "abb")]
+
+
+def test_no_tiny_java_character_takes_the_loop(tiny_java):
+    # the keywords are covered by NAME, System.out.println is not, '==' and
+    # '=' are literals only and NUMBER stands alone
+    assert not any(_takes_the_loop(tiny_java, chr(c)) for c in range(128))
+
+
+def test_tiny_java_lexes_as_the_reference_does(tiny_java):
+    gen = pegbench_gen()
+    texts = ["publicx iff int_ String1 System.out.printlnx a==b=c",
+             "public if int String System.out.println System.out.print Systemx "
+             "class1 mainly while_ elsewhere voids static_ a===b",
+             "if(x==1){int y=2;}else{System.out.println(y);}//done"]
+    texts += [gen.program(gen.BASE, random.Random(seed), 1000).text for seed in (1, 2)]
+    for text in texts:
+        stream = TokenStream(tiny_java, text)
+        assert [(kind, text[start:end], start)
+                for kind, (start, end) in zip(stream.kinds, stream.spans)] == \
+            naive_tokenize(tiny_java, text)
+    assert len(stream.kinds) > 1000
 
 
 def first_chars(rules: dict) -> dict:

@@ -684,6 +684,58 @@ def test_guards_in_more_threads_than_cores_keep_the_count():
                                        "restored": True}
 
 
+_LEAVES_LAST_FROM_DEEP = """
+import json, sys, threading
+from pegrec import model
+limit = sys.getrecursionlimit()
+entered, main_left = threading.Event(), threading.Event()
+out = {}
+
+def deep(n):
+    if n:
+        return deep(n - 1)
+    with model.nesting_guard():
+        entered.set()
+        main_left.wait(30)
+    out["after_deep_exit"] = sys.getrecursionlimit()
+
+def second():
+    try:
+        deep(3000)
+    except BaseException as exc:
+        out["raised"] = repr(exc)
+
+with model.nesting_guard():
+    t = threading.Thread(target=second)
+    t.start()
+    entered.wait(30)
+main_left.set()
+t.join(30)
+with model.nesting_guard():
+    out["inside"] = sys.getrecursionlimit()
+out["after"] = sys.getrecursionlimit()
+sys.setrecursionlimit(1500)
+with model.nesting_guard():
+    pass
+out["set_by_caller"] = sys.getrecursionlimit()
+print(json.dumps([limit, out]))
+"""
+
+
+def test_a_guard_that_leaves_last_from_deep_in_the_stack_does_not_raise():
+    # the second thread leaves its guard last, 3000 frames down, where the
+    # limit of 1000 found by the main thread cannot be set: it once raised
+    # a raw RecursionError there and left the limit raised for good
+    done = run_fresh(_LEAVES_LAST_FROM_DEEP)
+    assert done.returncode == 0, done.stderr
+    limit, out = json.loads(done.stdout)
+    # the restore waits for the next guard to leave from a shallow frame,
+    # and that guard did not take the raised limit for the caller's
+    assert limit == 1000
+    assert out == {"after_deep_exit": model.STACK_BUDGET, "inside": model.STACK_BUDGET,
+                   "after": 1000, "set_by_caller": 1500}
+
+
 def test_hand_built_desugared_grammar_collects_its_literal_kinds():
     g = Grammar({"start": Terminal("'x'")}, {}, "start")
     assert parse(g, "x").ok

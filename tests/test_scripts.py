@@ -87,3 +87,18 @@ def test_bench_tree_json_splits_one_small_file(tmp_path):
     # a dict per node, a span list per node but a one-child rule's, a
     # children list per rule
     assert shapes["containers"] == 2 * shapes["nodes"] - shapes["rule_one_child"] + rules
+
+
+def test_bench_lexer_times_the_first_file_of_each_set(tmp_path):
+    out = tmp_path / "bench.json"
+    done = run_script("bench_lexer.py", "--files", "1", "--rounds", "1", "-o", str(out))
+    assert (done.returncode, done.stderr) == (0, "")
+    data = json.loads(out.read_text())
+    assert data["rounds"] == 1 and len(data["per_round_ms"]) == 1
+    assert data["machine"]["python"].split()[1] == ".".join(map(str, sys.version_info[:3]))
+    assert set(data["sets"]) == {"clean_files", "broken_files", "eval_corpus"}
+    for entry in data["sets"].values():
+        assert entry["texts"] == 1 and entry["tok_s"] > 0
+        # tiny-Java lexes every token with one pattern per first character
+        assert entry["paths"]["loop"] == 0
+        assert sum(entry["paths"].values()) == entry["tokens"] > 0
