@@ -39,13 +39,13 @@ EVAL_PROGRAMS, EVAL_TOKENS = 400, 44
 
 
 def clean_texts(rng: random.Random):
-    for cls, size, count in CLASSES:
+    for _, size, count in CLASSES:
         for _ in range(count):
             yield gen.program(gen.BASE, rng, size).text
 
 
 def broken_texts(grammar, rng: random.Random):
-    for cls, size, count in BROKEN:
+    for _, size, count in BROKEN:
         for _ in range(count):
             prog = gen.program(gen.BASE, rng, size)
             yield gen.mutate(grammar, prog, rng, max(1, round(len(prog.tokens) / 1000)))
