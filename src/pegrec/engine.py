@@ -861,6 +861,9 @@ class Session:
     def __init__(self, grammar: Grammar, text: str,
                  max_errors: int = DEFAULT_MAX_ERRORS,
                  messages: dict[str, str] | None = None):
+        # a parse that may record no error fails with none to report
+        if max_errors < 1:
+            raise ValueError(f"max_errors must be at least 1, got {max_errors}")
         self.grammar = g = desugar(grammar)
         if g._matcher is None:
             with nesting_guard():

@@ -17,7 +17,9 @@ backtracks into an ordered choice or a repetition, so both are atomic: a
 choice becomes the atomic group ``(?>a|b)``, ``p*`` the possessive
 ``(?:p)*+`` and ``p+`` (desugared to ``p p*``) ``(?:p)++``.  ``!p``
 becomes ``(?!p)`` and a rule reference is inlined, which ends because no
-lexical rule reaches itself (``model.validate``).
+lexical rule reaches itself (``model.validate``).  Each reference can
+double a pattern, so a rule whose inlined size is over ``PATTERN_BUDGET``
+is a GrammarError, raised before any pattern is built.
 
 The candidates for a character are the rules whose FIRST set
 (``model.First`` over character ranges) holds it.  A plan per character,
@@ -37,11 +39,14 @@ win.  A group gets one pattern when
 (c) besides literals, it has one other rule N, a run ``C0 C1*`` of two
     character classes (``C+`` is ``C C*``).  A literal K is covered
     by N when K[0] is in C0 and every later character of K in C1: where K
-    matches, N matches at least as much, so K wins only when N's match is
-    K's text and K is declared before N.  Those Ks make a table from text
-    to kind, read after N matches; a covered K declared after N never
-    wins and is dropped.  N stops inside an uncovered literal, which so
-    wins wherever it matches: those come before N, longest first.
+    matches, N matches at least as much, so K wins only where N's match is
+    K's text, which is where the next character is not in C1, and only if
+    K is declared before N.  Such a K becomes the alternative
+    ``K(?!C1)``; a covered K declared after N never wins and is dropped.
+    N stops inside an uncovered literal, which so wins wherever it
+    matches; it is longer than any covered K that matches there, as a
+    prefix of K would be covered too.  The uncovered literals come first,
+    longest first, then the covered Ks, then N.
 
 The last alternative, one character of no kind, matches where nothing
 else does.  Any other group keeps a loop that tries each candidate and
@@ -65,12 +70,14 @@ from .model import (
     Expr,
     First,
     Grammar,
+    GrammarError,
     Literal,
     NonTerminal,
     Not,
     Sequence,
     Star,
     TokenSet,
+    _walk,
     desugar,
     nesting_guard,
     operands,
@@ -85,6 +92,9 @@ class Token(NamedTuple):
     end: int
 
 
+# the largest size (``_pattern_size``) a lexical rule's pattern may have
+# once its rule references are inlined; each reference can double it
+PATTERN_BUDGET = 100_000
 # blanks and // line comments; the grammar text (``dsl``) uses the same
 LAYOUT = re.compile(r"(?:[ \t\r\n]++|//[^\n]*+)*+")
 # FIRST set of AnyToken: the range of every character
@@ -146,6 +156,26 @@ def _regex(e: Expr, rules: dict[str, Expr]) -> str:
     return f"(?:{_regex(rules[e.name], rules)})"
 
 
+def _pattern_size(name: str, rules: dict[str, Expr], sizes: dict[str, int]) -> int:
+    """About the length of a rule's ``_regex``: one per node, and one per
+    character of a literal or range of a class, each reference counting
+    the size of its rule; sizes memoizes every rule reached."""
+    size = sizes.get(name)
+    if size is None:
+        size = 0
+        for node in _walk(rules[name]):
+            cls = node.__class__
+            if cls is NonTerminal:
+                size += _pattern_size(node.name, rules, sizes)
+            elif cls is Literal:
+                size += len(node.text)
+            elif cls is CharClass:
+                size += len(node.ranges)
+            size += 1
+        sizes[name] = size
+    return size
+
+
 def _first_chars(e: Expr) -> TokenSet:
     """FIRST of a leaf or a predicate of a lexical rule (``model.First``),
     over the character ranges a match can begin with."""
@@ -181,11 +211,10 @@ _stray_token = re.compile(_STRAY + LAYOUT.pattern).match
 
 class _Lexer:
     """The lexical rules of one grammar, and the plan for each first
-    character seen so far, a tuple ``(match, kinds, keyed, table)``.  A
-    group pattern's ``match`` never fails: alternative i matched names
-    ``kinds[i]``, unless i is ``keyed`` and the text it matched is in
-    ``table``.  The loop has ``match`` None and ``kinds`` the candidates
-    as ``(kind, match)`` pairs."""
+    character seen so far, a pair ``(match, kinds)``.  A group pattern's
+    ``match`` never fails, and alternative i matched names ``kinds[i]``.
+    The loop has ``match`` None and ``kinds`` the candidates as
+    ``(kind, match)`` pairs."""
 
     def __init__(self, g: Grammar):
         # token kinds in priority order: named rules as declared (already
@@ -193,6 +222,12 @@ class _Lexer:
         rules = dict(g.lexical)
         rules.update((kind, Literal(kind[1:-1])) for kind in g.literal_kinds)
         self._rules = rules
+        sizes: dict[str, int] = {}
+        for name in g.lexical:
+            size = _pattern_size(name, rules, sizes)
+            if size > PATTERN_BUDGET:
+                raise GrammarError(f"lexical rule {name} is too large a pattern once its rule "
+                                   f"references are inlined (size {size}, budget {PATTERN_BUDGET})")
         self._first = First(rules, _first_chars).rules
         self.sources: dict[str, str] = {
             kind: _regex(NonTerminal(kind), rules) for kind in rules}
@@ -222,32 +257,31 @@ class _Lexer:
                 others.append(kind)
         # longest first, so that re's first match is the longest
         literals = sorted(texts.items(), key=lambda item: -len(item[0]))
-        table: dict[str, str] = {}
+        alts = [(re.escape(text), kind) for text, kind in literals]
         if others:
             name = others[0]
             run = _run(rules[name])
             if len(others) > 1 or (literals and run is None) or self._first[name].has_epsilon:
                 return None, tuple(
                     (kind, re.compile(f"({self.sources[kind]}){LAYOUT.pattern}").match)
-                    for kind in group), 0, None
+                    for kind in group)
             if run is not None:
                 # rule (c): where a covered literal matches, the run matches
                 # at least as much, so it wins only on a tie
                 c0, c1 = run
-                uncovered = []
+                tie = f"(?!{_regex(CharClass(c1), rules)})"
+                uncovered, covered = [], []
                 for text, kind in literals:
                     if _within(text[0], c0) and all(_within(c, c1) for c in text[1:]):
                         if rank(kind) < rank(name):
-                            table[text] = kind
+                            covered.append((re.escape(text) + tie, kind))
                     else:
-                        uncovered.append((text, kind))
-                literals = uncovered
-        alts = [(re.escape(text), kind) for text, kind in literals]
-        alts += [(self.sources[kind], kind) for kind in others]
+                        uncovered.append((re.escape(text), kind))
+                alts = uncovered + covered
+            alts.append((self.sources[name], name))
         source = "".join(f"({s})|" for s, _ in alts)
         return (re.compile(f"(?:{source}{_STRAY}){LAYOUT.pattern}").match,
-                (None, *(kind for _, kind in alts), None),
-                len(alts) if table else 0, table)
+                (None, *(kind for _, kind in alts), None))
 
 
 def _lexer(grammar: Grammar) -> _Lexer:
@@ -292,15 +326,12 @@ class TokenStream:
         n = len(text)
         pos = LAYOUT.match(text, 0).end()
         while pos < n:
-            match, names, keyed, table = by_char.get(text[pos]) or plan(text[pos])
+            match, names = by_char.get(text[pos]) or plan(text[pos])
             if match is not None:
                 # one call: the token, then the layout after it
                 m = match(text, pos)
                 i = m.lastindex
-                kind = names[i]
-                if i == keyed:
-                    kind = table.get(m.group(i), kind)
-                kinds.append(kind)
+                kinds.append(names[i])
                 spans.append(m.span(i))
                 pos = m.end()
             else:

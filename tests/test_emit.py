@@ -68,7 +68,10 @@ def _tuple_nodes(nodes) -> tuple:
 # --- the same facts as the closures ------------------------------------------
 #
 # Both digests were computed with the closure interpreter this matcher
-# replaced, from the same code as below.
+# replaced, from the same code as below.  The second once also hashed a
+# run with max_errors=0 after each pair, now a ValueError; it was taken
+# again without those runs from a matcher that still gave the closures'
+# digest with them.
 
 def test_random_grammars_parse_as_the_closures_did():
     texts = [" ".join(chars) for n in range(5) for chars in itertools.product("abc?", repeat=n)]
@@ -98,10 +101,10 @@ def test_tiny_java_mutants_parse_as_the_closures_did(grammar_dir):
         for index in rng.sample(range(count), 4):
             for mutate in (delete_token, duplicate_token):
                 text = mutate(g, program, index).text
-                for max_errors in (50, 2, 0):
+                for max_errors in (50, 2):
                     session = Session(g, text, max_errors=max_errors)
                     h.update(_facts(session, session.parse()))
-    assert h.hexdigest() == "ddb5db2f95baf9e0397c89792ecc5c4cce0ce44df0da34c7e01f283389a96bc0"
+    assert h.hexdigest() == "722e06d82574832874a33beaf66e2ac6e9eea8c22cafa04316f6cbfcfee084cf"
 
 
 # --- a Session answers alike on every call -------------------------------------

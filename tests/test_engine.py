@@ -245,6 +245,21 @@ miss <- . ;
     assert len(out.errors) == 3
 
 
+def test_max_errors_below_one_is_a_value_error():
+    # a parse that could record no error once failed with none to report,
+    # as the CLI's --max-errors already says
+    grammar = g("start <- (AA / [BB]^miss)* EOF ;\n%recovery\nmiss <- . ;\n")
+    assert parse(grammar, "c", max_errors=1).errors[0].label == "miss"
+    for max_errors in (0, -1):
+        message = f"^max_errors must be at least 1, got {max_errors}$"
+        with pytest.raises(ValueError, match=message):
+            parse(grammar, "c", max_errors=max_errors)
+        with pytest.raises(ValueError, match=message):
+            match(grammar, NonTerminal("start"), "c", max_errors=max_errors)
+        with pytest.raises(ValueError, match=message):
+            Session(grammar, "c", max_errors=max_errors)
+
+
 def test_errors_rolled_back_with_backtracking():
     # first alternative recovers, then fails on CC; second alternative
     # succeeds, so the recovered error must not be reported
@@ -898,7 +913,7 @@ def test_dispatch_changes_no_outcome_on_tiny_java_mutants(monkeypatch, grammar_d
         for index in rng.sample(range(count), 4):
             for mutate in (delete_token, duplicate_token):
                 text = mutate(dispatched, program, index).text
-                for max_errors in (50, 2, 0):
+                for max_errors in (50, 2, 1):
                     want = Session(plain, text, max_errors=max_errors).parse()
                     got = Session(dispatched, text, max_errors=max_errors).parse()
                     assert _facts(got) == _facts(want), (seed, index, mutate)

@@ -218,6 +218,17 @@ def test_run_case_against_corrected_source(tmp_path):
     assert result.error_count == 1
 
 
+def test_max_errors_below_one_is_a_value_error(tmp_path):
+    g = parse_grammar(RECOVERING)
+    write_case(tmp_path, "c", "a a", ok="a b a", label="miss")
+    cases = load_corpus(tmp_path)
+    for max_errors in (0, -1):
+        with pytest.raises(ValueError, match="^max_errors must be at least 1"):
+            run_case(g, cases[0], max_errors)
+        with pytest.raises(ValueError, match="^max_errors must be at least 1"):
+            run_corpus(g, cases, max_errors)
+
+
 def test_run_case_prefers_tree_file(tmp_path):
     g = parse_grammar(RECOVERING)
     wrong_shape = rule("start", leaf("AA"))

@@ -1,4 +1,5 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,29 @@ def test_nested_plus_writes_its_body_once():
     assert size(16) - size(8) <= 30 * 8
 
 
+def _doubling_chain(depth: int):
+    """``XAA <- XAB XAB ; XAB <- XAC XAC ; ...`` depth rules deep, the last
+    one 'a': the pattern doubles with each level once it is inlined."""
+    names = [f"X{chr(65 + i // 26)}{chr(65 + i % 26)}" for i in range(depth)]
+    rules = "".join(f"{a} <- {b} {b} ;\n" for a, b in zip(names, names[1:]))
+    return parse_grammar(f"start <- XAA ;\n{rules}{names[-1]} <- 'a' ;\n")
+
+
+def test_a_pattern_over_the_budget_is_a_grammar_error():
+    # at depth 24 the pattern would be about 150 MB and take hours to compile
+    g = _doubling_chain(24)
+    t0 = time.perf_counter()
+    with pytest.raises(GrammarError, match="^lexical rule XAA is too large a pattern"):
+        TokenStream(g, "a")
+    assert time.perf_counter() - t0 < 1
+    assert toks(_doubling_chain(8), "a" * 128) == [("XAA", "a" * 128)]
+    # the bundled grammars' largest pattern is far below the budget
+    for path in GRAMMAR_DIR.glob("*.peg"):
+        rules = _lexer(parse_grammar(path.read_text(encoding="utf-8")))._rules
+        sizes: dict[str, int] = {}
+        assert max(lexer._pattern_size(k, rules, sizes) for k in rules) < 100
+
+
 def test_line_starts_match_a_character_scan():
     for text in ("", "\n", "a\nb", "a\r\nb\n\n", "x\n" * 5 + "y"):
         stream = TokenStream(parse_grammar("start <- . ;"), text)
@@ -331,6 +355,15 @@ def run_grammars(draw):
 
 @given(run_grammars(), st.text(alphabet="aab-- c", max_size=30))
 @settings(max_examples=300, deadline=None)
+# a covered literal at the end of the text, before a run character, and
+# before a character outside the run that is not layout
+@example(_lexical("RA <- 'ab' ;\nRB <- [ab]+ ;"), "abb ab- ab")
+# two covered literals, one a prefix of the other
+@example(_lexical("RA <- 'a' ;\nRB <- 'ab' ;\nRC <- [ab]+ ;"), "a ab abb ab- a- aab a")
+# an uncovered literal beside a covered one it starts with
+@example(_lexical("RA <- 'ab' ;\nRB <- 'ab-' ;\nRC <- [ab]+ ;"), "ab- ab ab-b abb- ab")
+# a run whose C1 holds the '-' that class syntax escapes
+@example(_lexical("RA <- 'a-' ;\nRB <- [a][a\\-]* ;"), "a- a-- a-a a-b a-")
 def test_lexer_plan_agrees_with_naive_reference(grammar, text):
     assert _columns(TokenStream(grammar, text)) == naive_tokenize(grammar, text)
 
@@ -351,11 +384,13 @@ def test_the_plan_keeps_the_loop_only_where_no_rule_applies():
                   "RA <- 'a' ;\nRB <- 'a' ('b' / 'c') ;",
                   "RA <- 'a'* ;"):
         assert _takes_the_loop(_lexical(rules), "a")
-    # a covered literal declared before the run is looked up in the table;
-    # one declared after it never wins and is dropped
+    # a covered literal declared before the run is an alternative of its
+    # own, ahead of the run; one declared after it never wins and is dropped
     g = _lexical("RA <- 'ab' ;\nRB <- [ab]+ ;\nRC <- 'ba' ;")
-    assert _lexer(g).plan("a")[1:] == ((None, "RB", None), 1, {"ab": "RA"})
-    assert _lexer(g).plan("b")[1:] == ((None, "RB", None), 0, {})
+    _, kinds = _lexer(g).plan("a")
+    assert kinds == (None, "RA", "RB", None)
+    _, kinds = _lexer(g).plan("b")
+    assert kinds == (None, "RB", None)
     assert toks(g, "ab ba abb") == [("RA", "ab"), ("RB", "ba"), ("RB", "abb")]
 
 
@@ -370,7 +405,8 @@ def test_tiny_java_lexes_as_the_reference_does(tiny_java):
     texts = ["publicx iff int_ String1 System.out.printlnx a==b=c",
              "public if int String System.out.println System.out.print Systemx "
              "class1 mainly while_ elsewhere voids static_ a===b",
-             "if(x==1){int y=2;}else{System.out.println(y);}//done"]
+             "if(x==1){int y=2;}else{System.out.println(y);}//done",
+             "while(x)if(y)x=1;else int"]
     texts += [gen.program(gen.BASE, random.Random(seed), 1000).text for seed in (1, 2)]
     for text in texts:
         got = _columns(TokenStream(tiny_java, text))
