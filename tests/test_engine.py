@@ -246,8 +246,8 @@ miss <- . ;
 
 
 def test_max_errors_below_one_is_a_value_error():
-    # a parse that could record no error once failed with none to report,
-    # as the CLI's --max-errors already says
+    # a parse that may record no error would fail with none to report; the
+    # CLI's --max-errors is checked alike
     grammar = g("start <- (AA / [BB]^miss)* EOF ;\n%recovery\nmiss <- . ;\n")
     assert parse(grammar, "c", max_errors=1).errors[0].label == "miss"
     for max_errors in (0, -1):

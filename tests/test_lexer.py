@@ -197,7 +197,7 @@ def _doubling_chain(depth: int):
 
 
 def test_a_pattern_over_the_budget_is_a_grammar_error():
-    # at depth 24 the pattern would be about 150 MB and take hours to compile
+    # at depth 24 the pattern would be about 75 million characters long
     g = _doubling_chain(24)
     t0 = time.perf_counter()
     with pytest.raises(GrammarError, match="^lexical rule XAA is too large a pattern"):
