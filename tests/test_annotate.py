@@ -1,6 +1,6 @@
 import pytest
 
-from pegrec.annotate import AnnotatorConfig, annotate
+from pegrec.annotate import AnnotatorConfig, RecoveredLabel, annotate
 from pegrec.dsl import parse_grammar
 from pegrec.engine import parse, tree_to_json
 from pegrec.model import (
@@ -158,6 +158,32 @@ def test_preserve_mode_reaches_labels_in_unannotatable_spots():
         assert [(s.path, s.label) for s in report.inserted] == [("1", "Err_start_1")]
         assert [(s.path, s.reason) for s in report.skipped] == skipped
         assert report.warnings == []
+
+
+@pytest.mark.parametrize("preserve", [False, True])
+def test_a_bare_throw_keeps_its_label_and_gets_recovery(preserve):
+    # a throw that no annotation wraps is kept in either mode, and its
+    # recovery skips to what follows it
+    ann, report = annotate(g("start <- AA ^boom BB ;"),
+                           AnnotatorConfig(preserve_existing=preserve))
+    assert ann.rules["start"] == Sequence(
+        Sequence(Terminal("AA"), Throw("boom")),
+        Choice(Terminal("BB"), Throw("Err_start_1")))
+    assert ann.recovery["boom"] == Star(Sequence(Not(Terminal("BB")), AnyToken()))
+    assert report.recovered == [RecoveredLabel("start", "0/1", "boom", ("BB",))]
+    assert report.format().splitlines() == [
+        "inserted 1 label(s), skipped 1 site(s), synthesized recovery for 1 existing label(s)",
+        "  + start at 1: [BB]^Err_start_1  (recover until: EOF)",
+        "  - start at 0/0: AA  (first-position)",
+        "  ~ start at 0/1: ^boom  (recover until: BB)",
+    ]
+
+
+def test_a_report_prints_its_warnings():
+    _, report = annotate(g("start <- AA BB ;"),
+                         AnnotatorConfig(star_mode_rules=("start",)))
+    assert report.format().splitlines()[-1] == \
+        "  ! star-mode rule start has no eligible repetition"
 
 
 def test_fresh_labels_avoid_collisions():

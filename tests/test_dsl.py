@@ -193,6 +193,18 @@ def test_scanner_error_positions(text, message, line, col):
     assert (exc.value.line, exc.value.col) == (line, col)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("%start a ;\n%start a ;\na <- 'x' ;\n", "2:8: duplicate %start"),
+    ("start <- ['a']^l ;\n%recovery\nl <- (!'a' .)* ;\nl <- 'a' ;\n",
+     "4:1: duplicate recovery rule l"),
+    ("start <- ! ;", "1:12: expected an expression, found ';'"),
+])
+def test_parser_error_messages(text, error):
+    with pytest.raises(GrammarError) as exc:
+        parse_grammar(text)
+    assert str(exc.value) == error
+
+
 # --- the scanner against the reference char-loop scanner ----------------------
 
 def scan_all(next_token, scan_class) -> list:

@@ -643,6 +643,32 @@ def test_differential_against_naive_reference():
                 assert got.end == want, (seed, seq)
 
 
+@pytest.mark.parametrize("text, line", [
+    # EOF inside a sequence
+    ("start <- AA EOF / AA BB ;", "if kinds[pos] != 'EOF': return fail(s, pos)"),
+    ("start <- AA (BB EOF / CC) ;", "if kinds[pos] != 'EOF': return fail(s, pos)"),
+    # '.' as a choice alternative and as a loop body
+    ("start <- (BB / .)* EOF ;", "if kinds[pos] != 'EOF': acc.append(pos); r = pos + 1"),
+    ("start <- (. / BB) CC ;", "if kinds[pos] != 'EOF': acc.append(pos); r = pos + 1"),
+    ("start <- AA .* ;", "if kinds[pos] != 'EOF': acc.append(pos); r = pos + 1"),
+])
+def test_eof_and_any_token_compile_to_what_the_reference_matches(monkeypatch, text, line):
+    sources: list[str] = []
+
+    def recording_compile(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr("pegrec.engine.compile", recording_compile, raising=False)
+    grammar = desugar(g(text))
+    for seq in all_inputs(4):
+        want = naive_match(grammar.rules, grammar.rules["start"], seq, 0)
+        got = match(grammar, NonTerminal("start"), render_input(seq))
+        assert (got.end if got.status == "matched" else None) == want, seq
+    # the grammar went through the emitter branch under test
+    assert line in [x.strip() for source in sources for x in source.splitlines()]
+
+
 @st.composite
 def _program_chunks(draw):
     return " ".join(draw(st.lists(

@@ -14,8 +14,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    # each script puts src/ on its own path
-    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+    # each script puts src/ on its own path; a warning fails the run, as
+    # CI's -W error makes a warning in library code fail
+    return subprocess.run([sys.executable, "-W", "error", str(SCRIPTS / name), *args],
                           capture_output=True, text=True, timeout=120)
 
 
@@ -71,34 +72,29 @@ def test_make_mutants_skips_a_broken_source_and_mutates_a_clean_one(
         assert not parse(annotated, (out / f"{stem}.bad").read_text()).ok
 
 
-def test_bench_tree_json_splits_one_small_file(tmp_path):
+def test_bench_layers_splits_the_first_text_of_each_set(tmp_path):
     out = tmp_path / "bench.json"
-    done = run_script("bench_tree_json.py", "--files", "1", "--rounds", "1", "-o", str(out))
+    done = run_script("bench_layers.py", "--files", "1", "--rounds", "1", "-o", str(out))
     assert (done.returncode, done.stderr) == (0, "")
     data = json.loads(out.read_text())
     assert data["rounds"] == 1 and len(data["per_round"]) == 1
-    assert set(data["median_ms_per_round"]) == {
-        "Session", "parse", "tree_to_json", "tree_to_json_text", "tree_to_json_gc_off"}
     assert data["machine"]["python"].split()[1] == ".".join(map(str, sys.version_info[:3]))
-    [(name, shapes)] = data["files"].items()
-    assert name == "1k_00" and shapes["tokens"] == shapes["token"] == data["tokens_per_round"]
+    assert data["machine"]["seed"] == 1
+    assert set(data["lexer"]) == {"clean_files", "broken_files", "eval_corpus"}
+    for entry in data["lexer"].values():
+        assert entry["texts"] == 1 and entry["tok_s"] > 0
+        # tiny-Java lexes every token with one pattern per first character
+        assert entry["paths"]["loop"] == 0
+        assert sum(entry["paths"].values()) == entry["tokens"] > 0
+    steps = data["steps"]
+    assert set(steps["median_ms_per_round"]) == {
+        "Session", "parse", "tree_to_json", "tree_to_json_text", "tree_to_json_gc_off"}
+    [(name, shapes)] = steps["files"].items()
+    assert name == "1k_00"
+    assert shapes["tokens"] == shapes["token"] == steps["tokens_per_round"] \
+        == data["lexer"]["clean_files"]["tokens"]
     rules = shapes["rule_one_child"] + shapes["rule_more_children"] + shapes["rule_empty"]
     assert shapes["nodes"] == shapes["token"] + shapes["error"] + rules
     # a dict per node, a span list per node but a one-child rule's, a
     # children list per rule
     assert shapes["containers"] == 2 * shapes["nodes"] - shapes["rule_one_child"] + rules
-
-
-def test_bench_lexer_times_the_first_file_of_each_set(tmp_path):
-    out = tmp_path / "bench.json"
-    done = run_script("bench_lexer.py", "--files", "1", "--rounds", "1", "-o", str(out))
-    assert (done.returncode, done.stderr) == (0, "")
-    data = json.loads(out.read_text())
-    assert data["rounds"] == 1 and len(data["per_round_ms"]) == 1
-    assert data["machine"]["python"].split()[1] == ".".join(map(str, sys.version_info[:3]))
-    assert set(data["sets"]) == {"clean_files", "broken_files", "eval_corpus"}
-    for entry in data["sets"].values():
-        assert entry["texts"] == 1 and entry["tok_s"] > 0
-        # tiny-Java lexes every token with one pattern per first character
-        assert entry["paths"]["loop"] == 0
-        assert sum(entry["paths"].values()) == entry["tokens"] > 0
