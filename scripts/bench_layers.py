@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Split the time of lexing and tree building on pegbench's own texts.
+"""Split the time of lexing, tree building and the grammar pipeline on
+pegbench's own texts.
 
 The texts are those of pegbench's clean_files, broken_files and eval_corpus
 workloads (``pegbench/workloads.py``, seed ``SEED``), in the workloads'
 order; an eval case gives its mutant, then its original.  Each round lexes
 every text with ``TokenStream``, then runs each clean file through
 ``Session``, ``parse``, ``tree_to_json``, ``tree_to_json_text`` and, with
-the collector off, ``tree_to_json`` again.  The collector is otherwise on,
+the collector off, ``tree_to_json`` again.  Then it runs each grammar of
+the grammar_tooling workload through the steps of that workload's
+operation, with the arguments it passes: the DSL reader and ``validate``
+(which ``load_grammar`` runs in turn), ``annotate``, ``Analysis`` with the
+FOLLOW set of every rule, ``serialize_grammar`` and ``parse_grammar`` of
+its text (the reparse).  The collector is otherwise on,
 with ``gc.freeze()`` before each step, as in ``pegbench/run.py``.  Counts
 each step's collections per generation (``gc.callbacks``), each set's
 tokens per lexer path (one group pattern, the loop over candidates, a stray
@@ -28,19 +34,26 @@ from itertools import islice
 from pathlib import Path
 from statistics import median
 from time import perf_counter
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "pegbench"), str(ROOT / "src")]
 
 import run  # noqa: E402  (pegbench's runner, read-only: its machine record)
 from workloads import WORKLOADS, Context  # noqa: E402  (pegbench's texts, read-only)
+from pegrec import dsl  # noqa: E402
+from pegrec.analysis import Analysis  # noqa: E402
+from pegrec.annotate import annotate  # noqa: E402
 from pegrec.engine import Session, tree_to_json, tree_to_json_text  # noqa: E402
-from pegrec.lexer import TokenStream, _lexer  # noqa: E402
+from pegrec.lexer import TokenStream, _lexer, read_text  # noqa: E402
+from pegrec.model import serialize_grammar, validate  # noqa: E402
 
 SEED = 1  # pegbench/run.py's default --seed
 SETS = ("clean_files", "broken_files", "eval_corpus")
 STEPS = ("Session", "parse", "tree_to_json", "tree_to_json_text",
          "tree_to_json_gc_off")
+GRAMMAR_STEPS = ("dsl_read", "validate", "annotate", "analysis_follow",
+                 "serialize_grammar", "reparse")
 
 
 def texts(ctx: Context, name: str):
@@ -51,6 +64,38 @@ def texts(ctx: Context, name: str):
                 yield op, path.read_text(encoding="utf-8")
         else:
             yield op, op.data[1]
+
+
+class _Recorder:
+    """A pegbench tracer that keeps the arguments of each call it runs."""
+
+    phase = ""
+
+    def __init__(self):
+        self.args: dict[str, tuple] = {}
+
+    def call(self, name, fn, *args):
+        self.args[name] = args
+        return fn(*args)
+
+
+def grammars(ctx: Context):
+    """(op, grammar text, annotator config) for each grammar of the
+    grammar_tooling workload's first round, as its operation reads them."""
+    workload = WORKLOADS["grammar_tooling"](ctx, SEED)
+    for op, _ in workload.first_round():
+        calls = _Recorder()
+        workload.run(calls, op)
+        (path,) = calls.args["dsl.load_grammar"]
+        _, config = calls.args["annotate.annotate"]
+        yield op, read_text(path), config
+
+
+def analysis_follow(g) -> None:
+    """``Analysis`` and every rule's FOLLOW set, as the workload takes them."""
+    a = Analysis(g)
+    for rule in g.rules:
+        a.follow_of(rule)
 
 
 def paths(grammar, texts: list[str]) -> dict[str, int]:
@@ -103,6 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         ctx = Context(Path(tmp))
         sets = {name: list(islice(texts(ctx, name), args.files)) for name in SETS}
+        pipeline = list(islice(grammars(ctx), args.files))
     grammar, messages = ctx.grammar, ctx.messages
     Session(grammar, "").parse()  # build the lexer and the matcher before timing
 
@@ -131,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.callbacks.append(on_collect)
     rounds, files = [], {}
     for _ in range(args.rounds):
-        times = dict.fromkeys(SETS + STEPS, 0.0)
+        times = dict.fromkeys(SETS + STEPS + GRAMMAR_STEPS, 0.0)
         collections.clear()
         for name, pairs in sets.items():
             for _, text in pairs:
@@ -154,6 +200,17 @@ def main(argv: list[str] | None = None) -> int:
             del session, outcome
         gc.unfreeze()
         gc.collect()
+        for op, text, config in pipeline:
+            with mock.patch.object(dsl, "validate", lambda g: g):
+                g = timed("dsl_read", dsl.parse_grammar, text)  # the reader alone
+            timed("validate", validate, g)
+            annotated, _ = timed("annotate", annotate, g, config)
+            timed("analysis_follow", analysis_follow, annotated)
+            out = timed("serialize_grammar", serialize_grammar, annotated)
+            timed("reparse", dsl.parse_grammar, out)
+            del g, annotated, out
+        gc.unfreeze()
+        gc.collect()
         rounds.append({"ms": {k: round(v * 1000, 3) for k, v in times.items()},
                        "collections": {f"{name} gen{gen}": [c, round(sec * 1000, 3)]
                                        for (name, gen), (c, sec) in sorted(collections.items())}})
@@ -173,11 +230,18 @@ def main(argv: list[str] | None = None) -> int:
     steps = {k: med(r["ms"][k] for r in rounds) for k in STEPS}
     for k, ms in steps.items():
         print(f"{k:19} {ms:9.2f} ms/round")
+    grammar_ms = {k: med(r["ms"][k] for r in rounds) for k in GRAMMAR_STEPS}
+    total = sum(grammar_ms.values())
+    for k, ms in grammar_ms.items():
+        print(f"{k:19} {ms:9.2f} ms/round  {ms / total:6.1%}")
     keys = sorted({key for r in rounds for key in r["collections"]})
     result = {
         "what": "one round = every text of each set lexed once by TokenStream, then "
                 "every clean file once through Session, parse, tree_to_json and "
-                "tree_to_json_text, collector on, gc.freeze() before each step; "
+                "tree_to_json_text, then every grammar of grammar_tooling once "
+                "through the DSL reader, validate, annotate, Analysis with every "
+                "FOLLOW set, serialize_grammar and the reparse of that text; "
+                "collector on, gc.freeze() before each step; "
                 "tree_to_json_gc_off is tree_to_json again with the collector off; "
                 "collections are [count, ms] per step and generation",
         "machine": run.environment(SEED),
@@ -185,6 +249,11 @@ def main(argv: list[str] | None = None) -> int:
         "lexer": lexer,
         "steps": {"tokens_per_round": sum(f["tokens"] for f in files.values()),
                   "median_ms_per_round": steps, "files": files},
+        "grammar_pipeline": {
+            "grammars": {op.id: {"dsl_tokens": op.tokens, "preserve_existing":
+                                 config.preserve_existing} for op, _, config in pipeline},
+            "median_ms_per_round": grammar_ms,
+            "share": {k: round(ms / total, 4) for k, ms in grammar_ms.items()}},
         "median_collections_per_round": {
             key: [med(r["collections"].get(key, [0, 0])[i] for r in rounds) for i in (0, 1)]
             for key in keys},

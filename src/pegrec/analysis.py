@@ -69,6 +69,8 @@ class Analysis:
         self.all_kinds = frozenset(kinds)
         self._kind_order = {k: i for i, k in enumerate(kinds)}
         self._any = TokenSet(self.all_kinds)
+        # kind -> the set of that kind alone, built once
+        self._kind_sets: dict[str, TokenSet] = {}
         with nesting_guard():
             self.first_of = First(grammar.rules, self._leaf)
         self._follow: dict[str, TokenSet] | None = None
@@ -78,7 +80,13 @@ class Analysis:
     def _leaf(self, e: Expr) -> TokenSet:
         cls = e.__class__
         if cls is Terminal:
-            return EPSILON_ONLY if e.kind == EOF_KIND else TokenSet(frozenset((e.kind,)))
+            kind = e.kind
+            if kind == EOF_KIND:
+                return EPSILON_ONLY
+            found = self._kind_sets.get(kind)
+            if found is None:
+                found = self._kind_sets[kind] = TokenSet(frozenset((kind,)))
+            return found
         if cls is Empty or cls is Not or cls is And:
             return EPSILON_ONLY
         if cls is Throw:
@@ -127,14 +135,16 @@ class Analysis:
                     stack.append((e.body, flw))
                 # Not, And: predicates consume nothing; their bodies follow nothing
 
-        def follow(calls: list, table: dict[str, TokenSet]) -> TokenSet:
+        def follow(calls: list, table: dict[str, set]) -> set:
             kinds = set()
             for caller, flw in calls:
                 kinds |= flw.kinds
                 if flw.has_epsilon:
-                    kinds |= table[caller].kinds
-            return TokenSet(frozenset(kinds))
-        self._follow = rule_fixpoint(sites, follow, EMPTY_SET)
+                    kinds |= table[caller]
+            return kinds
+        # the rounds compare plain sets; each rule's TokenSet is built once
+        self._follow = {name: TokenSet(frozenset(kinds))
+                        for name, kinds in rule_fixpoint(sites, follow, set()).items()}
 
     def follow_of(self, rule: str) -> TokenSet:
         """FOLLOW(rule); an unknown rule, or a grammar nested too deeply

@@ -142,6 +142,7 @@ class _Annotator:
         self.analysis = Analysis(g)
         self.report = AnnotationReport()
         self.recovery: dict[str, Expr] = dict(g.recovery)
+        self.sync: dict[tuple[str, ...], Expr] = {}  # follow list -> _sync_expr
         self.used_labels: set[str] = set(g.labels)
         self.rule = ""
         self.counter = 0
@@ -159,11 +160,13 @@ class _Annotator:
                 return candidate
 
     def _sync_expr(self, kinds: tuple[str, ...]) -> Expr:
-        """(!(f1 / ... / fk) .)* -- skip tokens until a follow kind."""
-        if not kinds:
-            return Empty()
-        stop = reduce(Choice, [Terminal(k) for k in kinds])
-        return Star(Sequence(Not(stop), AnyToken()))
+        """(!(f1 / ... / fk) .)* -- skip tokens until a follow kind; one
+        expression per follow list, shared by the labels that have it."""
+        found = self.sync.get(kinds)
+        if found is None:
+            found = self.sync[kinds] = (Star(Sequence(Not(reduce(
+                Choice, [Terminal(k) for k in kinds])), AnyToken())) if kinds else Empty())
+        return found
 
     def _addlab(self, e: Expr, flw: TokenSet, path: list[str], insert: bool) -> Expr:
         if not insert:

@@ -113,6 +113,11 @@ class _Parser:
         self.in_lexical = False
         # is_lexical_name per name seen, each checked by is_name once
         self._lexical: dict[str, bool] = {}
+        # per level, syntactic and lexical, the leaves of this parse by
+        # spelling: a name, a quoted literal, "''", ".", "^label", or a
+        # character class's ranges; ``leaves`` is the current rule's
+        self._levels: tuple[dict, dict] = ({}, {})
+        self.leaves = self._levels[False]
         self.advance()
 
     def line_col(self, pos: int) -> tuple[int, int]:
@@ -179,7 +184,17 @@ class _Parser:
         if m[1] is None:
             raise self._stop_error("unterminated character class", m.end())
         self.end = m.end()
-        return CharClass(tuple(ranges))
+        ranges = tuple(ranges)
+        return self.leaf(ranges, CharClass, ranges)
+
+    def leaf(self, key, cls: type, *field) -> Expr:
+        """The one node ``cls(*field)`` spelled ``key`` at this level of
+        this parse.  A leaf is immutable and has no child, so every place
+        that spells it can share it."""
+        node = self.leaves.get(key)
+        if node is None:
+            node = self.leaves[key] = cls(*field)
+        return node
 
     def expect(self, kind: str) -> str:
         """The current token's text, which must be of this kind; then
@@ -217,12 +232,14 @@ class _Parser:
             self.expect("<-")
             if in_recovery:
                 self.in_lexical = False
+                self.leaves = self._levels[False]
                 body = self.parse_choice()
                 if name in recovery:
                     raise self.error_at(f"duplicate recovery rule {name}", name_pos)
                 recovery[name] = body
             else:
                 self.in_lexical = self._lexical[name]
+                self.leaves = self._levels[self.in_lexical]
                 body = self.parse_choice()
                 target = lexical if self.in_lexical else rules
                 if name in rules or name in lexical:
@@ -245,7 +262,7 @@ class _Parser:
                 while self.kind in _SEQ_STARTERS:
                     e = Sequence(e, self.parse_prefix())
             else:
-                e = Empty()
+                e = self.leaf("''", Empty)
             choice = e if choice is None else Choice(choice, e)
             if self.kind != "/":
                 return choice
@@ -259,25 +276,22 @@ class _Parser:
             name = self.text
             pos = self.pos
             self.advance()
-            if self.in_lexical:
-                if not self._lexical[name]:
-                    raise self.error_at(
-                        f"lexical rules may only reference lexical rules, not {name!r}",
-                        pos)
-                e = NonTerminal(name)
-            elif self._lexical[name]:
-                e = Terminal(name)
-            else:
-                e = NonTerminal(name)
+            lexical = self._lexical[name]
+            if self.in_lexical and not lexical:
+                raise self.error_at(
+                    f"lexical rules may only reference lexical rules, not {name!r}", pos)
+            e = self.leaves.get(name)
+            if e is None:
+                e = self.leaves[name] = (Terminal if lexical and not self.in_lexical
+                                         else NonTerminal)(name)
         elif kind == "literal":
             text = self.text
             self.advance()
-            if text == "":
-                e = Empty()
-            elif self.in_lexical:
-                e = Literal(text)
-            else:
-                e = Terminal(literal_kind(text))
+            spelled = literal_kind(text)
+            e = self.leaves.get(spelled)
+            if e is None:
+                e = self.leaves[spelled] = (Empty() if text == "" else Literal(text)
+                                            if self.in_lexical else Terminal(spelled))
         elif kind in _PREFIX:
             self.advance()
             return _PREFIX[kind](self.parse_prefix())
@@ -311,10 +325,11 @@ class _Parser:
             return Annotated(body, self.expect("name"))
         if kind == ".":
             self.advance()
-            return AnyToken()
+            return self.leaf(".", AnyToken)
         if kind == "^":
             self.advance()
-            return Throw(self.expect("name"))
+            label = self.expect("name")
+            return self.leaf("^" + label, Throw, label)
         raise self.error(f"expected an expression, found {self.text!r}")
 
 

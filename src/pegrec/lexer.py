@@ -102,12 +102,19 @@ _ANY_CHAR = TokenSet(frozenset({("\0", "\U0010ffff")}))
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file; one that is not UTF-8 is an OSError."""
+    """The text of a UTF-8 file, with ``\\r\\n`` and ``\\r`` read as ``\\n``
+    as text mode reads them; one that is not UTF-8 is an OSError.  The
+    bytes are decoded at once: text mode would build an incremental
+    decoder per file."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def line_starts(text: str) -> list[int]:

@@ -10,7 +10,7 @@ syntactic predicate.
 
 A grammar is checked once (``validate``): by ``parse_grammar``, or, when
 built by hand, on first use (``checked``: parse, match, annotate, Analysis).
-``validate`` is the one gate: the tables ``_check_nodes`` reads decide
+``validate`` is the one gate: the tables ``_scan_nodes`` reads decide
 what a node may be and hold, and the layers after it assume those shapes
 with no fallback of their own.  The passes keep validity, so their outputs
 are not checked again.  A grammar remembers that it is valid, its
@@ -32,14 +32,17 @@ The walks of a pass (``_walk``, and the checks and tables built from it)
 run on an explicit stack too and dispatch on the exact class of a node
 (``node.__class__ is Choice``): every ``Expr`` class is defined here, no
 node class is subclassed, and ``validate`` rejects an object of any other.
-One rule of sharing: desugaring ``p+`` to ``p p*`` gives both parts the
-same p, and no other node has two parents.  Every walk and rewrite but
-``annotate._Annotator._labexp``, which unfolds the sharing, finds that p
-with ``plus_operand`` and visits it once, so it stays linear in the size of
-the DAG, not of the tree it unfolds to.
+Two rules of sharing: a leaf, which has no child, may have any number of
+parents (``dsl`` builds one per spelling in a parse), and desugaring
+``p+`` to ``p p*`` gives both parts the same p; no other node has two
+parents.  Every walk and rewrite but ``annotate._Annotator._labexp``,
+which unfolds the sharing, finds that p with ``plus_operand`` and visits
+it once, so it stays linear in the size of the DAG, not of the tree it
+unfolds to.
 ``First`` is the one FIRST-set and nullability computation: ``analysis``,
 the lexer, the matcher's guards and the left-recursion check each run it
-with a ``leaf`` function of their own.  Every public call runs its
+with a ``leaf`` function of their own; on a validated grammar it computes
+each rule's set once, with no fixpoint rounds.  Every public call runs its
 recursive work under ``nesting_guard``, the one owner of the stack budget.
 """
 
@@ -397,10 +400,11 @@ def _walk(e: Expr) -> list[Expr]:
         add(node)
         cls = node.__class__
         if cls is Sequence:
-            if plus_operand(node) is None:
-                push(node.right)
+            right = node.right
+            if right.__class__ is Star and right.body is node.left:
+                add(right)  # the star of p p*, whose p is pushed next
             else:
-                add(node.right)
+                push(right)
             push(node.left)
         elif cls is Choice:
             push(node.second)
@@ -494,7 +498,7 @@ def checked(g: Grammar) -> Grammar:
 
 def check_expr(g: Grammar, e: Expr, where: str) -> None:
     """``validate``'s checks of a syntactic rule, on e, named ``where``."""
-    _check_nodes(g, where, _walk(e), False)
+    _scan_nodes(g, where, _walk(e), False, ({}, set(), None))
 
 
 # the Expr classes with nothing of their own to check
@@ -510,36 +514,50 @@ _BANNED = {False: dict.fromkeys((Literal, CharClass),
                   Terminal: "token reference in lexical rule {}; use a literal"}}
 
 
-def _check_nodes(g: Grammar, where: str, nodes: list, lexical: bool) -> None:
-    """Reject what the nodes (``_walk``) of ``where``, lexical or not, may not hold."""
+def _scan_nodes(g: Grammar, where: str, nodes: list, lexical: bool, tables,
+                check: bool = True) -> None:
+    """One pass over the nodes (``_walk``) of ``where``, lexical or not:
+    with ``check``, reject what a node may not hold, and add what it holds
+    to ``tables``, ``(literals, labels, sites)``: the literal kinds in
+    order of first appearance (a dict), the labels thrown, and, unless
+    ``sites`` is None, the annotation sites p / ^l in order."""
+    literals, labels, sites = tables
     banned = _BANNED[lexical]
     for node in nodes:
         cls = node.__class__
         if cls in _PLAIN:
+            if cls is Choice and sites is not None and node.second.__class__ is Throw:
+                sites.append(node)
             continue
-        if cls not in _SHAPES:
-            raise GrammarError(f"{where} holds a {cls.__name__}, not an expression")
-        field, shape = _SHAPES[cls]
-        value = getattr(node, field)
-        if not (isinstance(value, str) if cls is not CharClass else isinstance(value, tuple)
-                and all(isinstance(pair, tuple) and len(pair) == 2 and all(
-                    isinstance(c, str) and len(c) == 1 for c in pair) for pair in value)):
-            raise GrammarError(f"{cls.__name__}.{field} in {where} must be {shape}")
-        if cls is CharClass:
-            for lo, hi in value:
-                if hi < lo:
-                    raise GrammarError(f"bad range {lo!r}-{hi!r} in {where}")
-        if cls in banned:
-            raise GrammarError(banned[cls].format(where))
-        if cls is NonTerminal and value not in (g.lexical if lexical else g.rules):
-            raise GrammarError(
-                f"lexical rule {where} references {value!r}, which is not a lexical rule"
-                if lexical else f"undefined nonterminal {value!r} in {where}")
-        if cls is Terminal and not (is_literal_kind(value) or value == EOF_KIND
-                                    or value in g.lexical):
-            raise GrammarError(f"undefined token kind {value!r} in {where}")
-        if cls is Throw and value == FAIL:
-            raise GrammarError(f"label {FAIL!r} is reserved and cannot be thrown")
+        if check:
+            if cls not in _SHAPES:
+                raise GrammarError(f"{where} holds a {cls.__name__}, not an expression")
+            field, shape = _SHAPES[cls]
+            value = getattr(node, field)
+            if not (isinstance(value, str) if cls is not CharClass else isinstance(value, tuple)
+                    and all(isinstance(pair, tuple) and len(pair) == 2 and all(
+                        isinstance(c, str) and len(c) == 1 for c in pair) for pair in value)):
+                raise GrammarError(f"{cls.__name__}.{field} in {where} must be {shape}")
+            if cls is CharClass:
+                for lo, hi in value:
+                    if hi < lo:
+                        raise GrammarError(f"bad range {lo!r}-{hi!r} in {where}")
+            if cls in banned:
+                raise GrammarError(banned[cls].format(where))
+            if cls is NonTerminal and value not in (g.lexical if lexical else g.rules):
+                raise GrammarError(
+                    f"lexical rule {where} references {value!r}, which is not a lexical rule"
+                    if lexical else f"undefined nonterminal {value!r} in {where}")
+            if cls is Terminal and not (is_literal_kind(value) or value == EOF_KIND
+                                        or value in g.lexical):
+                raise GrammarError(f"undefined token kind {value!r} in {where}")
+            if cls is Throw and value == FAIL:
+                raise GrammarError(f"label {FAIL!r} is reserved and cannot be thrown")
+        if cls is Terminal:
+            if node.kind.startswith("'"):  # is_literal_kind
+                literals.setdefault(node.kind)
+        elif cls is Throw:
+            labels.add(node.label)
 
 
 def validate(g: Grammar) -> Grammar:
@@ -571,16 +589,7 @@ def validate(g: Grammar) -> Grammar:
     if EOF_KIND in g.lexical:
         raise GrammarError(f"token kind {EOF_KIND!r} is reserved for end of input")
 
-    rule_nodes = [_walk(body) for body in g.rules.values()]
-    lexical_nodes = [_walk(body) for body in g.lexical.values()]
-    recovery_nodes = [_walk(body) for body in g.recovery.values()]
-    for name, nodes in zip(g.rules, rule_nodes):
-        _check_nodes(g, name, nodes, False)
-    for name, nodes in zip(g.lexical, lexical_nodes):
-        _check_nodes(g, name, nodes, True)
-    for lab, nodes in zip(g.recovery, recovery_nodes):
-        _check_nodes(g, f"recovery for {lab}", nodes, False)
-    _fill_tables(g, rule_nodes, recovery_nodes)
+    lexical_nodes = _fill_tables(g, check=True)
     for lab in g.recovery:
         if lab not in g.labels:
             raise GrammarError(f"recovery rule for undeclared label {lab!r}")
@@ -599,37 +608,44 @@ def validate(g: Grammar) -> Grammar:
     return g
 
 
-def _fill_tables(g: Grammar, rule_nodes, recovery_nodes) -> None:
-    """Fill g's derived tables from the nodes of each rule and recovery
-    body: the literal kinds in order of first appearance, the label set,
-    and each label's description, rendered from its first annotation site.
-    What g was given is left alone."""
+def _fill_tables(g: Grammar, check: bool) -> list[list[Expr]]:
+    """Fill g's derived tables in one pass over the nodes of each rule and
+    recovery body (``_scan_nodes``): the literal kinds in order of first
+    appearance, the label set, and each label's description, rendered from
+    its first annotation site once every node is known to be sound.  With
+    ``check``, the pass runs ``validate``'s node checks, in order, on the
+    lexical rules too, and returns their nodes.  What g was given is left
+    alone."""
     literals: dict[str, None] = {}
     labels: set[str] = set()
+    sites: list[Expr] = []
+    for name, body in g.rules.items():
+        _scan_nodes(g, name, _walk(body), False, (literals, labels, sites), check)
+    lexical_nodes = [_walk(body) for body in g.lexical.values()] if check else []
+    for name, nodes in zip(g.lexical, lexical_nodes):
+        _scan_nodes(g, name, nodes, True, (literals, labels, None))
+    scanned = set()
+    for lab, body in g.recovery.items():
+        # labels can share one body, as annotate's do: it holds the same
+        # for each; annotation sites in recovery expressions describe nothing
+        if id(body) not in scanned:
+            scanned.add(id(body))
+            _scan_nodes(g, f"recovery for {lab}", _walk(body), False,
+                        (literals, labels, None), check)
     descriptions: dict[str, str] = {}
-    # annotation sites in recovery expressions describe nothing
-    for walked, sites in ((rule_nodes, descriptions), (recovery_nodes, {})):
-        for nodes in walked:
-            for node in nodes:
-                cls = node.__class__
-                if cls is Terminal:
-                    if is_literal_kind(node.kind):
-                        literals.setdefault(node.kind)
-                elif cls is Throw:
-                    labels.add(node.label)
-                elif cls is Choice and node.second.__class__ is Throw:
-                    # an annotation site p / ^l
-                    if node.second.label not in sites:
-                        sites[node.second.label] = render_expr(node.first)
+    for node in sites:
+        if node.second.label not in descriptions:
+            descriptions[node.second.label] = render_expr(node.first)
     g.literal_kinds = tuple(literals)
     g.labels = labels
     g.label_descriptions = descriptions
+    return lexical_nodes
 
 
 def valid_by_construction(g: Grammar) -> Grammar:
     """g, built by a pass from a valid grammar in a way that keeps it valid:
     its tables are filled and it is remembered as valid, with no check."""
-    _fill_tables(g, map(_walk, g.rules.values()), map(_walk, g.recovery.values()))
+    _fill_tables(g, check=False)
     g._valid = True
     return g
 
@@ -658,22 +674,36 @@ def rule_fixpoint(rules: dict, value, bottom) -> dict:
 
 class TokenSet(FrozenRecord):
     """A set of symbols plus an epsilon flag.  The symbols are token kinds
-    at the syntactic level and character ranges at the lexical level."""
+    at the syntactic level and character ranges at the lexical level.
+    ``==`` compares the two fields directly, and an operation whose result
+    equals an operand returns that operand."""
 
     __slots__ = _fields = ("kinds", "has_epsilon")
+    # defining __eq__ would otherwise drop the inherited hash
+    __hash__ = FrozenRecord.__hash__
 
     def __init__(self, kinds: frozenset, has_epsilon: bool = False):
         _set(self, "kinds", kinds)
         _set(self, "has_epsilon", has_epsilon)
 
+    def __eq__(self, other):
+        if other.__class__ is not TokenSet:
+            return NotImplemented
+        return self.has_epsilon == other.has_epsilon and self.kinds == other.kinds
+
     def union(self, other: "TokenSet") -> "TokenSet":
-        return TokenSet(self.kinds | other.kinds, self.has_epsilon or other.has_epsilon)
+        eps = self.has_epsilon or other.has_epsilon
+        if eps == self.has_epsilon and other.kinds <= self.kinds:
+            return self
+        if eps == other.has_epsilon and self.kinds <= other.kinds:
+            return other
+        return TokenSet(self.kinds | other.kinds, eps)
 
     def without_epsilon(self) -> "TokenSet":
-        return TokenSet(self.kinds, False)
+        return TokenSet(self.kinds, False) if self.has_epsilon else self
 
     def with_epsilon(self) -> "TokenSet":
-        return TokenSet(self.kinds, True)
+        return self if self.has_epsilon else TokenSet(self.kinds, True)
 
     def disjoint(self, other: "TokenSet") -> bool:
         return not (self.kinds & other.kinds)
@@ -686,6 +716,10 @@ EMPTY_SET = TokenSet(frozenset())
 EPSILON_ONLY = TokenSet(frozenset(), True)
 
 
+class _Pending(Exception):
+    """Raised by ``First._of`` at a rule whose set is not computed yet."""
+
+
 class First:
     """FIRST sets over one set of rules: the symbols a match of an
     expression can begin with, and epsilon when it can match empty.
@@ -693,20 +727,51 @@ class First:
     The walk knows sequence, choice, ``*``, ``?``, ``+`` and rule
     references; ``leaf(node)`` gives the set of any other node, and so the
     alphabet: token kinds for ``analysis``, character ranges for the lexer.
-    ``rules`` holds each rule's set, a least fixed point computed when the
-    First is built.  From then on a call remembers its result by the
-    node's ``id`` and keeps the node alive, so no other node can take over
-    the id.  A hit by id costs neither the first hash of the node, which
-    walks its subtree, nor a field-by-field comparison with an equal node
-    built apart, as a memo keyed by the node would.  It reads the
-    p of ``p p*`` once (``plus_operand``), so it stays linear on the DAG
-    desugaring makes, even with the memo off while the rules grow."""
+    ``rules`` holds each rule's set, in the order of ``rules``, computed
+    when the First is built.  In a validated grammar no rule reaches
+    itself before it consumes, so each set is computed once, the rules a
+    body begins with first.  A body that reads a rule not computed yet
+    raises ``_Pending``, and a loop pushes that rule on an explicit stack
+    and tries the body again, so a long chain of rules costs no frames.
+    Only ``_check_left_recursion``, which runs before the grammar is known
+    to be free of such cycles, passes ``fixpoint=True``: the sets are then
+    a least fixed point (``rule_fixpoint``), computed with the memo off
+    while they grow.
 
-    def __init__(self, rules: dict[str, Expr], leaf):
+    A call remembers its result by the node's ``id`` and keeps the node
+    alive, so no other node can take over the id.  A hit by id costs
+    neither the first hash of the node, which walks its subtree, nor a
+    field-by-field comparison with an equal node built apart, as a memo
+    keyed by the node would.  A chain of sequences or choices that nests
+    to the left, as the grammar text writes ``a b c``, is read as a list
+    of its operands, so its length costs no frames either.  The walk reads
+    the p of ``p p*`` once (``plus_operand``), so it stays linear on the
+    DAG desugaring makes."""
+
+    def __init__(self, rules: dict[str, Expr], leaf, fixpoint: bool = False):
         self.leaf = leaf
-        self.rules: dict[str, TokenSet] = rule_fixpoint(rules, self._of, EMPTY_SET)
         # id(node) -> (node, FIRST(node))
         self._memo: dict[int, tuple[Expr, TokenSet]] = {}
+        if fixpoint:
+            self.rules: dict[str, TokenSet] = rule_fixpoint(rules, self._of, EMPTY_SET)
+            return
+        table: dict[str, TokenSet] = {}
+        # a grammar is most often written top down, callers first, so the
+        # last rule is tried first and few bodies wait for a callee
+        for name in reversed(rules):
+            if name in table:
+                continue
+            stack = [name]
+            while stack:
+                try:
+                    table[stack[-1]] = self._of(rules[stack[-1]], table, self._memo)
+                except _Pending as pending:
+                    if len(stack) > len(rules):  # a cycle: the rules are not validated
+                        raise GrammarError(f"left recursion through rule {pending.args[0]}")
+                    stack.append(pending.args[0])
+                else:
+                    stack.pop()
+        self.rules = {name: table[name] for name in rules}
 
     def __call__(self, e: Expr) -> TokenSet:
         try:
@@ -724,21 +789,41 @@ class First:
         return other
 
     def _of(self, e: Expr, rules: dict[str, TokenSet], memo=None) -> TokenSet:
-        """FIRST of e, given the rule sets; no memo while they grow."""
+        """FIRST of e, given the rule sets computed so far (``_Pending`` at
+        a rule not among them); ``memo`` is None while they grow toward a
+        fixed point."""
         if memo is not None:
-            hit = memo.get(id(e))
+            key = id(e)
+            hit = memo.get(key)
             if hit is not None:
                 return hit[1]
         cls = e.__class__
         if cls is NonTerminal:
-            f = rules[e.name]
-        elif cls is Sequence:
-            f = self._of(e.left, rules, memo)
+            f = rules.get(e.name)
+            if f is None:
+                raise _Pending(e.name)
+        elif cls is Sequence and plus_operand(e) is not None:
             # p p* begins as p does, and is nullable when p is
-            if f.has_epsilon and plus_operand(e) is None:
-                f = f.without_epsilon().union(self._of(e.right, rules, memo))
-        elif cls is Choice:
-            f = self._of(e.first, rules, memo).union(self._of(e.second, rules, memo))
+            f = self._of(e.left, rules, memo)
+        elif cls is Sequence or cls is Choice:
+            # the left spine of the chain, down to its first operand: a node
+            # of another class, a p p*, or a node in the memo
+            spine = []
+            node = e
+            while True:
+                spine.append(node)
+                node = node.left if cls is Sequence else node.first
+                if (node.__class__ is not cls or plus_operand(node) is not None
+                        or memo is not None and id(node) in memo):
+                    break
+            f = self._of(node, rules, memo)
+            for node in reversed(spine):
+                if cls is Choice:
+                    f = f.union(self._of(node.second, rules, memo))
+                elif f.has_epsilon:
+                    f = f.without_epsilon().union(self._of(node.right, rules, memo))
+                if memo is not None and node is not e:
+                    memo[id(node)] = (node, f)
         elif cls is Star or cls is Optional:
             f = self._of(e.body, rules, memo).with_epsilon()
         elif cls is Plus:
@@ -746,7 +831,7 @@ class First:
         else:
             f = self.leaf(e)
         if memo is not None:
-            memo[id(e)] = (e, f)
+            memo[key] = (e, f)
         return f
 
 
@@ -763,7 +848,7 @@ def _nullable_leaf(e: Expr) -> TokenSet:
 def _check_left_recursion(rules: dict[str, Expr], what: str) -> None:
     """Conservative reachability check: a rule must not be able to reinvoke
     itself before any input has necessarily been consumed."""
-    first = First(rules, _nullable_leaf)
+    first = First(rules, _nullable_leaf, fixpoint=True)
 
     def heads(e: Expr) -> set[str]:
         """Rules e can call before it consumes input, inside predicates too."""

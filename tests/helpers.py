@@ -5,10 +5,10 @@ semantics over a plain kind sequence, written directly from the defining
 equations with no sharing of engine code, so differential tests mean
 something; naive_tokenize does the same for the lexer, CharLoopScanner
 for the scanner of grammar text, nullable for the epsilon flag of FIRST
-sets, check_left_recursion for the left-recursion check of ``validate``,
-reference_guard for the matcher's guards, reference_follow for FOLLOW
-sets, and json_structural_eq for ``ast_structural_eq`` on the dicts of
-``tree_to_json``.  The generators produce random grammars (acyclic by
+sets, reference_first for FIRST sets, check_left_recursion for the
+left-recursion check of ``validate``, reference_guard for the matcher's
+guards, reference_follow for FOLLOW sets, and json_structural_eq for
+``ast_structural_eq`` on the dicts of ``tree_to_json``.  The generators produce random grammars (acyclic by
 construction: each rule only references later ones) and random valid
 programs for the miniature Java grammar, and pegbench_gen loads the
 benchmark's own program generator.  run_fresh runs a script in a new
@@ -359,6 +359,42 @@ def count_first_calls(monkeypatch) -> list[Expr]:
         return real(self, e, rules, memo)
     monkeypatch.setattr(First, "_of", counted)
     return calls
+
+
+# --- reference FIRST ------------------------------------------------------------
+
+def reference_first_of(e: Expr, table: dict[str, TokenSet], leaf) -> TokenSet:
+    """FIRST of e from its defining equations, given each rule's set in
+    ``table``; ``leaf`` gives the set of any node that is not a sequence,
+    a choice, a repetition, an option or a rule reference."""
+    if isinstance(e, NonTerminal):
+        return table[e.name]
+    if isinstance(e, Sequence):
+        left = reference_first_of(e.left, table, leaf)
+        if not left.has_epsilon:
+            return left
+        right = reference_first_of(e.right, table, leaf)
+        return TokenSet(left.kinds | right.kinds, right.has_epsilon)
+    if isinstance(e, Choice):
+        first = reference_first_of(e.first, table, leaf)
+        second = reference_first_of(e.second, table, leaf)
+        return TokenSet(first.kinds | second.kinds, first.has_epsilon or second.has_epsilon)
+    if isinstance(e, (Star, Optional)):
+        return TokenSet(reference_first_of(e.body, table, leaf).kinds, True)
+    if isinstance(e, Plus):
+        return reference_first_of(e.body, table, leaf)
+    return leaf(e)
+
+
+def reference_first(rules: dict[str, Expr], leaf) -> dict[str, TokenSet]:
+    """Per rule, FIRST as a least fixed point: every body computed again
+    from the last round's table until a round changes nothing."""
+    table = {name: TokenSet(frozenset()) for name in rules}
+    while True:
+        new = {name: reference_first_of(body, table, leaf) for name, body in rules.items()}
+        if new == table:
+            return table
+        table = new
 
 
 # --- reference FOLLOW -----------------------------------------------------------

@@ -4,12 +4,14 @@ import sys
 
 import pytest
 
+from pegrec import engine, lexer
 from pegrec.analysis import Analysis, TokenSet
 from pegrec.annotate import annotate
 from pegrec.dsl import parse_grammar
 from pegrec.engine import Session, _Matcher, match
 from pegrec.model import (
     Choice,
+    First,
     Grammar,
     GrammarError,
     Literal,
@@ -19,6 +21,7 @@ from pegrec.model import (
     Terminal,
     _walk,
     desugar,
+    strip_labels,
 )
 
 from helpers import (
@@ -28,6 +31,8 @@ from helpers import (
     naive_match,
     nullable_rules,
     random_grammar,
+    reference_first,
+    reference_first_of,
     reference_follow,
     reference_guard,
     render_input,
@@ -201,6 +206,44 @@ def test_memoized_first_agrees_with_a_fresh_computation(
                     assert a.first_of(e) == fresh.first_of(e), e
         for rule in g.rules:
             assert a.follow_of(rule) == fresh.follow_of(rule), rule
+
+
+def test_first_agrees_with_the_reference_fixpoint(monkeypatch, tiny_java, tiny_java_labeled,
+                                                  tiny_java_annotated_file):
+    # each rule's FIRST is computed once, callees first; the reference
+    # computes every body again until a round changes nothing
+    grammars = [tiny_java, tiny_java_labeled, tiny_java_annotated_file]
+    grammars += [random_grammar(seed) for seed in range(200)]
+    asked = []
+    real = First.__call__
+
+    def recording(self, e):
+        f = real(self, e)
+        if isinstance(getattr(self.leaf, "__self__", None), Analysis):
+            asked.append((e, f))
+        return f
+    rules = nodes = 0
+    for g in grammars:
+        d = desugar(g)
+        for form in (g, d):
+            want = reference_first(form.rules, Analysis(form)._leaf)
+            assert Analysis(form).first_of.rules == want
+            rules += len(want)
+        assert _Matcher(d).first.rules == reference_first(d.rules, engine._guard_leaf)
+        chars = lexer._lexer(d)
+        assert chars._first == reference_first(chars._rules, lexer._first_chars)
+        # every node annotate asks about, on the grammar it annotates
+        stripped = strip_labels(d)
+        leaf = Analysis(stripped)._leaf
+        want = reference_first(stripped.rules, leaf)
+        monkeypatch.setattr(First, "__call__", recording)
+        annotate(g)
+        monkeypatch.undo()
+        for e, f in asked:
+            assert f == reference_first_of(e, want, leaf), e
+        nodes += len(asked)
+        asked.clear()
+    assert rules > 1000 and nodes > 2000
 
 
 def test_first_memo_outlives_dropped_expressions():

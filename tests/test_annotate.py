@@ -261,3 +261,22 @@ def test_annotation_is_stable_under_reannotation(tiny_java):
     ann1, _ = annotate(tiny_java)
     ann2, _ = annotate(strip_labels(ann1))
     assert grammar_eq(ann1, ann2)
+
+
+def test_labels_with_equal_follow_lists_share_one_recovery_expression(tiny_java, grammar_dir):
+    ann, report = annotate(tiny_java)
+    by_follow: dict = {}
+    for site in report.inserted:
+        by_follow.setdefault(site.followed_by, []).append(site.label)
+    shared = [labels for labels in by_follow.values() if len(labels) > 1]
+    assert shared
+    for labels in by_follow.values():
+        assert len({id(ann.recovery[label]) for label in labels}) == 1
+    assert len({id(body) for body in ann.recovery.values()}) == len(by_follow)
+    # each label still prints its own recovery rule, as the pinned text has it
+    text = serialize_grammar(ann)
+    pinned = (grammar_dir / "tiny_java_annotated.peg").read_text(encoding="utf-8")
+    assert text in pinned
+    for labels in shared:
+        assert all(f"\n{label} <- " in text for label in labels)
+    assert serialize_grammar(parse_grammar(text)) == text

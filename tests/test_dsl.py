@@ -28,6 +28,7 @@ from pegrec.model import (
     Terminal,
     Throw,
     is_lexical_name,
+    operands,
     serialize_grammar,
 )
 
@@ -381,6 +382,37 @@ def test_deep_nesting_is_a_grammar_error(body):
         parse_grammar(f"start <- {body} ;\nAA <- 'a' ;")
     assert exc.value.line == 1
     assert sys.getrecursionlimit() == limit
+
+
+def test_a_long_flat_sequence_is_not_nested():
+    # the text writes a b c as ((a b) c); FIRST once took a frame per item
+    # of that chain, and rejected 25000 items as nested too deeply
+    g = parse_grammar("start <- " + "'a' " * 25000 + ";")
+    assert operands(g.rules["start"], Sequence) == [Terminal("'a'")] * 25000
+    # writing the chain back still takes a frame per item: an error, not a crash
+    with pytest.raises(GrammarError, match="^grammar nested too deeply$"):
+        serialize_grammar(g)
+
+
+def test_a_parse_builds_one_leaf_per_spelling():
+    text = "start <- AA x AA / 'b' x 'b' / ;\nx <- . ^l . / '' ;\nAA <- [a] 'b' / [a] ;"
+    g = parse_grammar(text)
+    left, right, empty = operands(g.rules["start"], Choice)
+    aa, x, aa_again = operands(left, Sequence)
+    b, x_again, b_again = operands(right, Sequence)
+    assert aa is aa_again and b is b_again and x is x_again
+    dot, throw, dot_again = operands(g.rules["x"].first, Sequence)
+    assert dot is dot_again and throw == Throw("l")
+    assert empty is g.rules["x"].second
+    # the lexical level spells 'b' and [a] as its own leaves
+    (cls, lit), (cls_again,) = (operands(alt, Sequence) for alt in operands(
+        g.lexical["AA"], Choice))
+    assert cls is cls_again and lit == Literal("b")
+    assert b == Terminal("'b'")
+    # a parse shares nothing with another
+    again = parse_grammar(text)
+    assert again.rules == g.rules
+    assert operands(again.rules["start"].first.first, Sequence)[0] is not aa
 
 
 _BEFORE_AND_AFTER_A_PARSE = """

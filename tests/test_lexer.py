@@ -224,6 +224,46 @@ def test_line_starts_match_a_character_scan():
         assert stream._line_starts == want
 
 
+def text_mode(path) -> str:
+    """What ``read_text`` once did: the file in text mode, an OSError
+    with the decoder's message when it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from exc
+
+
+@pytest.mark.parametrize("data", [
+    b"a\r\nb\r\n", b"a\rb\r", b"a\r\r\nb\n\r", b"\xef\xbb\xbfpublic class",
+    "café ☃\r\n".encode("utf-8"), b"",
+], ids=["crlf", "lone-cr", "mixed-newlines", "bom", "non-ascii", "empty"])
+def test_read_text_reads_as_text_mode(tmp_path, data):
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    assert lexer.read_text(path) == text_mode(path)
+    assert "\r" not in lexer.read_text(path)
+    if data.startswith(b"\xef\xbb\xbf"):
+        # UTF-8, not UTF-8-SIG: the byte order mark stays in the text
+        assert lexer.read_text(path).startswith("\ufeff")
+
+
+@pytest.mark.parametrize("data", [
+    b"a" * 9000 + b"\xff" + b"b",
+    b"a" * 8191 + b"\xc3",
+    b"x" * 8192 + "é".encode("utf-8") * 10 + b"\x80\r\n",
+], ids=["bad-byte-past-8k", "cut-at-8k", "bad-continuation-past-8k"])
+def test_read_text_of_a_file_that_is_not_utf8_fails_as_text_mode(tmp_path, data):
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    with pytest.raises(OSError) as want:
+        text_mode(path)
+    with pytest.raises(OSError) as got:
+        lexer.read_text(path)
+    assert str(got.value) == str(want.value)
+    assert isinstance(got.value.__cause__, UnicodeDecodeError)
+
+
 # --- differential check against the naive reference lexer ------------------------
 
 # Mostly 'a' and 'b', so patterns overlap often; then characters special

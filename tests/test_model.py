@@ -468,6 +468,9 @@ def nested(wrap, depth: int) -> Expr:
 
 NESTED = {
     "sequence": lambda: nested(lambda e: Sequence(e, Empty()), DEPTH),
+    # FIRST reads a chain nested to the left as a list, but one nested to
+    # the right behind nullable items takes a frame per level
+    "right-sequence": lambda: nested(lambda e: Sequence(Empty(), e), DEPTH),
     # validate walks these within the stack budget, but desugaring or
     # stripping labels (two frames a level) cannot
     "not-pairs": lambda: nested(lambda e: Not(Not(e)), 5000),
@@ -475,7 +478,10 @@ NESTED = {
     "choice-chain": lambda: nested(lambda e: Choice(Terminal("'a'"), e), 12000),
     "star-chain": lambda: nested(Star, 12000),
 }
-DEEP_CASES = ([(entry, "sequence") for entry in ENTRY_POINTS]
+# FIRST_ENTRIES read FIRST sets alone (``model.First``)
+FIRST_ENTRIES = ("Analysis", "first_of", "calck")
+DEEP_CASES = ([(entry, "sequence") for entry in ENTRY_POINTS if entry not in FIRST_ENTRIES]
+              + [(entry, "right-sequence") for entry in FIRST_ENTRIES]
               + [(entry, "not-pairs")
                  for entry in ("parse", "match", "annotate", "desugar", "strip_labels")]
               + [("annotate", "and-chain")]
@@ -500,6 +506,19 @@ def test_deeply_nested_hand_built_grammar_is_a_grammar_error(entry, shape):
         # nodes, would take minutes
         outcome = type(exc).__name__
     assert outcome == "grammar nested too deeply"
+    assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.parametrize("entry", FIRST_ENTRIES)
+def test_first_sets_read_a_left_nested_chain_of_any_length(entry):
+    # the grammar text writes a b c as ((a b) c); FIRST once took a frame
+    # per item, and rejected such a chain as nested too deeply
+    limit = sys.getrecursionlimit()
+    grammar = Grammar({"start": NESTED["sequence"]()}, {}, "start")
+    got = ENTRY_POINTS[entry](grammar)
+    if entry == "Analysis":
+        got = got.first_of_rule("start")
+    assert got == model.TokenSet(frozenset(("'a'",)))
     assert sys.getrecursionlimit() == limit
 
 
@@ -929,6 +948,60 @@ def test_left_recursion_errors_on_mutated_grammar_texts(monkeypatch):
     want = [parse_result(text) for text in mutated]
     assert got == want
     assert sum(isinstance(r[0], str) and "left recursion" in r[0] for r in got) > 50
+
+
+# --- FIRST sets: each rule's computed once, callees first -----------------------
+
+def chain_text(n: int, top_down: bool) -> str:
+    """``r0 <- r1 AA ; ... ; r<n> <- AA ;``: each rule calls the next at
+    its left edge, declared callers first or callees first."""
+    rules = [f"r{i} <- r{i + 1} AA ;" for i in range(n)] + [f"r{n} <- AA ;"]
+    return ("%start r0 ;\n" + "\n".join(rules if top_down else rules[::-1])
+            + "\nAA <- 'a' ;\n")
+
+
+@pytest.mark.parametrize("top_down", [True, False], ids=["top-down", "bottom-up"])
+def test_a_long_left_edge_chain_of_rules_loads_annotates_and_analyzes(top_down):
+    # a FIRST set that waits for a callee's goes on an explicit stack: a
+    # frame per rule would take the chain past the stack budget
+    limit = sys.getrecursionlimit()
+    g = parse_grammar(chain_text(10000, top_down))
+    annotated, report = annotate(g)
+    assert (len(report.inserted), len(report.skipped)) == (10000, 10001)
+    a = Analysis(annotated)
+    aa = model.TokenSet(frozenset(("AA",)))
+    assert list(a.first_of.rules) == list(g.rules)
+    assert set(a.first_of.rules.values()) == {aa}
+    assert a.follow_of("r0") == model.TokenSet(frozenset(("EOF",)))
+    assert a.follow_of("r5000") == aa
+    assert sys.getrecursionlimit() == limit
+
+
+def test_token_sets_compare_and_hash_by_value():
+    ab = model.TokenSet(frozenset(("AA", "BB")))
+    same = model.TokenSet(frozenset(("BB", "AA")))
+    assert ab == same and hash(ab) == hash(same) and len({ab, same}) == 1
+    assert ab != model.TokenSet(ab.kinds, True)
+    assert ab != model.TokenSet(frozenset(("AA",)))
+    assert ab != ("AA", "BB") and ab != Terminal("AA")
+    for other in (model.EMPTY_SET, model.EPSILON_ONLY, ab.with_epsilon()):
+        assert (ab == other) == (hash(ab) == hash(other) and ab.kinds == other.kinds
+                                 and ab.has_epsilon == other.has_epsilon)
+
+
+def test_token_set_operations_return_the_operand_they_equal():
+    a = model.TokenSet(frozenset(("AA",)))
+    ab = model.TokenSet(frozenset(("AA", "BB")))
+    a_eps = a.with_epsilon()
+    assert a_eps == model.TokenSet(frozenset(("AA",)), True)
+    assert ab.union(a) is ab and a.union(ab) is ab
+    assert ab.union(model.EMPTY_SET) is ab and model.EMPTY_SET.union(ab) is ab
+    assert a_eps.union(a) is a_eps and a.union(a_eps) is a_eps
+    # neither operand: a new set
+    both = ab.union(a_eps)
+    assert both == model.TokenSet(ab.kinds, True) and both is not ab
+    assert a.with_epsilon() is not a and a_eps.with_epsilon() is a_eps
+    assert a.without_epsilon() is a and a_eps.without_epsilon() == a
 
 
 # --- nodes and records: plain classes ------------------------------------------

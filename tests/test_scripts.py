@@ -98,3 +98,10 @@ def test_bench_layers_splits_the_first_text_of_each_set(tmp_path):
     # a dict per node, a span list per node but a one-child rule's, a
     # children list per rule
     assert shapes["containers"] == 2 * shapes["nodes"] - shapes["rule_one_child"] + rules
+    pipeline = data["grammar_pipeline"]
+    assert list(pipeline["grammars"]) == ["tiny_java"]
+    assert pipeline["grammars"]["tiny_java"]["preserve_existing"] is False
+    assert list(pipeline["median_ms_per_round"]) == [
+        "dsl_read", "validate", "annotate", "analysis_follow", "serialize_grammar", "reparse"]
+    assert all(ms > 0 for ms in pipeline["median_ms_per_round"].values())
+    assert abs(sum(pipeline["share"].values()) - 1) < 0.01
