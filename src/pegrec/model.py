@@ -38,7 +38,7 @@ parents (``dsl`` builds one per spelling in a parse), and desugaring
 parents.  Every walk and rewrite but ``annotate._Annotator._labexp``,
 which unfolds the sharing, finds that p with ``plus_operand`` and visits
 it once, so it stays linear in the size of the DAG, not of the tree it
-unfolds to.
+unfolds to; ``First`` keeps that p in its memo instead.
 ``First`` is the one FIRST-set and nullability computation: ``analysis``,
 the lexer, the matcher's guards and the left-recursion check each run it
 with a ``leaf`` function of their own; on a validated grammar it computes
@@ -595,13 +595,14 @@ def validate(g: Grammar) -> Grammar:
             raise GrammarError(f"recovery rule for undeclared label {lab!r}")
 
     _check_left_recursion(g.rules, "rule")
-    _check_left_recursion(g.lexical, "lexical rule")
     # a token is a regular pattern, so a lexical rule may not reach itself
-    # by any path, even after consuming input
+    # by any path, even after consuming input; left recursion is one such
+    # path, and keeps its own message, so only then is it searched for
     name = _self_reaching({
         rule: {node.name for node in nodes if node.__class__ is NonTerminal}
         for rule, nodes in zip(g.lexical, lexical_nodes)})
     if name is not None:
+        _check_left_recursion(g.lexical, "lexical rule")
         raise GrammarError(f"lexical rule {name} reaches itself; "
                            "a token must be a regular pattern")
     g._valid = True
@@ -733,28 +734,23 @@ class First:
     body begins with first.  A body that reads a rule not computed yet
     raises ``_Pending``, and a loop pushes that rule on an explicit stack
     and tries the body again, so a long chain of rules costs no frames.
-    Only ``_check_left_recursion``, which runs before the grammar is known
-    to be free of such cycles, passes ``fixpoint=True``: the sets are then
-    a least fixed point (``rule_fixpoint``), computed with the memo off
-    while they grow.
+    Only a grammar not yet validated, as ``_check_left_recursion`` sees
+    it, can hold such a cycle: the sets are then a least fixed point
+    (``rule_fixpoint``), each round's bodies read with a memo of their own.
 
     A call remembers its result by the node's ``id`` and keeps the node
     alive, so no other node can take over the id.  A hit by id costs
     neither the first hash of the node, which walks its subtree, nor a
     field-by-field comparison with an equal node built apart, as a memo
-    keyed by the node would.  A chain of sequences or choices that nests
-    to the left, as the grammar text writes ``a b c``, is read as a list
-    of its operands, so its length costs no frames either.  The walk reads
-    the p of ``p p*`` once (``plus_operand``), so it stays linear on the
-    DAG desugaring makes."""
+    keyed by the node would, and the p that ``p p*`` shares is read once.
+    A chain of sequences or choices that nests to the left, as the grammar
+    text writes ``a b c``, is read as a list of its operands, so its
+    length costs no frames either."""
 
-    def __init__(self, rules: dict[str, Expr], leaf, fixpoint: bool = False):
+    def __init__(self, rules: dict[str, Expr], leaf):
         self.leaf = leaf
         # id(node) -> (node, FIRST(node))
         self._memo: dict[int, tuple[Expr, TokenSet]] = {}
-        if fixpoint:
-            self.rules: dict[str, TokenSet] = rule_fixpoint(rules, self._of, EMPTY_SET)
-            return
         table: dict[str, TokenSet] = {}
         # a grammar is most often written top down, callers first, so the
         # last rule is tried first and few bodies wait for a callee
@@ -767,7 +763,10 @@ class First:
                     table[stack[-1]] = self._of(rules[stack[-1]], table, self._memo)
                 except _Pending as pending:
                     if len(stack) > len(rules):  # a cycle: the rules are not validated
-                        raise GrammarError(f"left recursion through rule {pending.args[0]}")
+                        self._memo = {}
+                        self.rules = rule_fixpoint(
+                            rules, lambda body, t: self._of(body, t, {}), EMPTY_SET)
+                        return
                     stack.append(pending.args[0])
                 else:
                     stack.pop()
@@ -788,33 +787,27 @@ class First:
         other._memo = {}
         return other
 
-    def _of(self, e: Expr, rules: dict[str, TokenSet], memo=None) -> TokenSet:
+    def _of(self, e: Expr, rules: dict[str, TokenSet], memo: dict) -> TokenSet:
         """FIRST of e, given the rule sets computed so far (``_Pending`` at
-        a rule not among them); ``memo`` is None while they grow toward a
-        fixed point."""
-        if memo is not None:
-            key = id(e)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit[1]
+        a rule not among them), remembered in ``memo``."""
+        key = id(e)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit[1]
         cls = e.__class__
         if cls is NonTerminal:
             f = rules.get(e.name)
             if f is None:
                 raise _Pending(e.name)
-        elif cls is Sequence and plus_operand(e) is not None:
-            # p p* begins as p does, and is nullable when p is
-            f = self._of(e.left, rules, memo)
         elif cls is Sequence or cls is Choice:
             # the left spine of the chain, down to its first operand: a node
-            # of another class, a p p*, or a node in the memo
+            # of another class, or a node in the memo
             spine = []
             node = e
             while True:
                 spine.append(node)
                 node = node.left if cls is Sequence else node.first
-                if (node.__class__ is not cls or plus_operand(node) is not None
-                        or memo is not None and id(node) in memo):
+                if node.__class__ is not cls or id(node) in memo:
                     break
             f = self._of(node, rules, memo)
             for node in reversed(spine):
@@ -822,7 +815,7 @@ class First:
                     f = f.union(self._of(node.second, rules, memo))
                 elif f.has_epsilon:
                     f = f.without_epsilon().union(self._of(node.right, rules, memo))
-                if memo is not None and node is not e:
+                if node is not e:
                     memo[id(node)] = (node, f)
         elif cls is Star or cls is Optional:
             f = self._of(e.body, rules, memo).with_epsilon()
@@ -830,8 +823,7 @@ class First:
             f = self._of(e.body, rules, memo)
         else:
             f = self.leaf(e)
-        if memo is not None:
-            memo[key] = (e, f)
+        memo[key] = (e, f)
         return f
 
 
@@ -848,7 +840,7 @@ def _nullable_leaf(e: Expr) -> TokenSet:
 def _check_left_recursion(rules: dict[str, Expr], what: str) -> None:
     """Conservative reachability check: a rule must not be able to reinvoke
     itself before any input has necessarily been consumed."""
-    first = First(rules, _nullable_leaf, fixpoint=True)
+    first = First(rules, _nullable_leaf)
 
     def heads(e: Expr) -> set[str]:
         """Rules e can call before it consumes input, inside predicates too."""
@@ -1005,8 +997,17 @@ def render_expr(e: Expr, prec: int = CHOICE) -> str:
     elif level == POSTFIX:
         text = render_expr(e.body, needs[0]) + spelling
     else:
-        first, second = children(e)
-        text = render_expr(first, needs[0]) + spelling + render_expr(second, needs[1])
+        # a chain that nests to the left, as the text writes a b c, is read
+        # down its left spine to an operand of another class or an
+        # annotation site, so its length costs no frames
+        texts = []
+        while True:
+            e, second = children(e)
+            texts.append(render_expr(second, needs[1]))
+            if e.__class__ is not cls or annotation_parts(e) is not None:
+                break
+        texts.append(render_expr(e, needs[0]))
+        text = spelling.join(reversed(texts))
     return f"({text})" if prec > level else text
 
 

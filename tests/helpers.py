@@ -354,7 +354,7 @@ def count_first_calls(monkeypatch) -> list[Expr]:
     calls: list[Expr] = []
     real = First._of
 
-    def counted(self, e, rules, memo=None):
+    def counted(self, e, rules, memo):
         calls.append(e)
         return real(self, e, rules, memo)
     monkeypatch.setattr(First, "_of", counted)

@@ -172,13 +172,20 @@ def test_first_epsilon_agrees_with_nullable_map(tiny_java, tiny_java_labeled,
 
 # --- the FIRST memo and lazy FOLLOW ------------------------------------------
 
+class _Forgetful(dict):
+    """A memo that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def unmemoized(a: Analysis) -> Analysis:
     """A copy of a that computes every FIRST set from scratch and FOLLOW
-    at once, as an Analysis without the memo did: its FIRST walk runs with
-    the memo off, as it does while the rule sets grow."""
+    at once, as an Analysis without the memo did: its FIRST walk reuses
+    no set it computed before."""
     fresh = copy.copy(a)
     fresh.first_of = copy.copy(a.first_of)
-    fresh.first_of._memo = None
+    fresh.first_of._memo = _Forgetful()
     fresh._compute_follow()
     return fresh
 
